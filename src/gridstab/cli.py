@@ -11,17 +11,16 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import baselines, persist, report, synth
 from .features import featurize
 from .metrics import compute_metrics
 from .model import (
-    ABLATION_ALIASES, VARIANT_ALIASES, ModelConfig, TrainConfig, scores_for, train,
+    ABLATION_ALIASES, VARIANT_ALIASES, ScreeningModel, scores_for, train,
 )
 from .report import ExperimentConfig
 
@@ -113,15 +112,22 @@ def _load_dataset_dir(data_dir: Path):
     return network, snapshots, faults, fp_net
 
 
-def _split_days(ds, day: int, lo: float = 0.0, hi: float = 1.01):
-    slots = sorted({s.slot for s in ds.samples if s.day == day})
-    if not slots:
-        raise CliError(f"features contain no samples for day {day}")
-    n_slots = max(slots) + 1
-    lo_slot, hi_slot = int(lo * n_slots), int(np.ceil(hi * n_slots))
+def _day_slice(ds, day: int, lo_slot: int = 0, hi_slot: float = math.inf):
     idx = [i for i, s in enumerate(ds.samples)
            if s.day == day and lo_slot <= s.slot < hi_slot]
+    if not idx:
+        raise CliError(f"features contain no samples for day {day} "
+                       f"slots [{lo_slot}, {hi_slot})")
     return ds.subset(idx)
+
+
+def _train_cal_split(ds, day: int, calibration_frac: float):
+    """Training and calibration slices of one day, cut by report.day_cut."""
+    slots = {s.slot for s in ds.samples if s.day == day}
+    if not slots:
+        raise CliError(f"features contain no samples for day {day}")
+    cut = report.day_cut(max(slots) + 1, calibration_frac)
+    return _day_slice(ds, day, 0, cut), _day_slice(ds, day, cut)
 
 
 # ---------------------------------------------------------------- commands
@@ -174,9 +180,10 @@ def cmd_train(args) -> int:
         if fp != ds.synth_fingerprint:
             raise CliError("features fingerprint does not match the dataset directory")
     variant = _resolve_variant(args)
-    split = 1.0 - cfg.calibration_frac
-    train_ds = _split_days(ds, args.train_day, 0.0, split)
-    cal_ds = _split_days(ds, args.train_day, split)
+    if ScreeningModel(variant, cfg.model, {}).needs()["raw"] and not ds.raw_states:
+        raise CliError(f"variant {variant} needs raw bus states, and the features file "
+                       f"{args.features} carries no raw states")
+    train_ds, cal_ds = _train_cal_split(ds, args.train_day, cfg.calibration_frac)
     result = train(variant, train_ds, cal_ds, cfg.model, cfg.train)
     out = Path(args.out) if args.out else Path("checkpoint.json")
     persist.save_checkpoint(result, out)
@@ -194,7 +201,7 @@ def cmd_eval(args) -> int:
     resolve_config(args)
     result = persist.load_checkpoint(_require(Path(args.checkpoint), "checkpoint"))
     ds = persist.load_features(_require(Path(args.features), "features"))
-    eval_ds = _split_days(ds, args.day)
+    eval_ds = _day_slice(ds, args.day)
     scores = scores_for(result, eval_ds)
     threshold = args.threshold if args.threshold is not None else result.threshold
     row = compute_metrics(scores, eval_ds.labels(), threshold)

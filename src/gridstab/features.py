@@ -4,6 +4,19 @@ Global features are (physical quantity, statistic, range) triples evaluated
 over one snapshot.  Local features describe the 50-node breadth-first
 neighborhood of the faulted line as an adjacency matrix plus a 59-dim
 feature row per node.
+
+Each part of a local subgraph is computed once for what it depends on:
+
+* per bus and snapshot: the bus state (columns 0-12) and the incident-AC-line
+  aggregates (21-44), in one bus table per snapshot;
+* per bus only: the degree and structure statistics (47-58) except
+  ``deg_sub`` (48), in the same table;
+* per line: the BFS order, node mask and padded adjacency;
+* per (line, bus): the hop one-hot (13-20), the endpoint flags (45-46) and
+  ``deg_sub`` (48).
+
+The last two live in a per-line template.  A sample gathers its kept buses'
+rows from the bus table and writes the template's per-(line, bus) columns.
 """
 
 from __future__ import annotations
@@ -16,7 +29,10 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import AC_LINE, DC_LINE, GridError, Network, Snapshot, neighbor_lists
+from .grid import (
+    AC_LINE, DC_LINE, GridError, Network, Snapshot, build_adjacency, neighbor_lists,
+    validate_snapshot,
+)
 
 LOCAL_NODES = 50
 HOP_BUCKETS = 8          # one-hot of hop distance 0..6, last bucket = 7+
@@ -26,6 +42,10 @@ DEGREE_STATS = 12
 NODE_FEATURES = 13 + HOP_BUCKETS + INCIDENT_STATS + ENDPOINT_FLAGS + DEGREE_STATS
 EMBED_DIM = 20
 LOCAL_TOTAL_DIM = LOCAL_NODES * NODE_FEATURES + EMBED_DIM   # 2970
+# Node-feature columns that depend on the faulted line: hop one-hot,
+# endpoint flags and deg_sub.  Every other column depends only on the bus
+# and the snapshot.
+LINE_COLUMNS = np.r_[13:13 + HOP_BUCKETS, 45, 46, 48]
 
 
 class StatKind(Enum):
@@ -206,8 +226,24 @@ def global_raw(snapshot: Snapshot) -> np.ndarray:
     return np.array(snapshot.bus_states, dtype=float, copy=True)
 
 
+@dataclass(frozen=True)
+class LineTemplate:
+    """Snapshot-independent part of one AC line's local subgraph."""
+
+    rows: np.ndarray           # (max_nodes,) bus-table row per node; padding -> zero row
+    line_values: np.ndarray    # (max_nodes, len(LINE_COLUMNS))
+    adjacency: np.ndarray      # (max_nodes, max_nodes) 0/1, read-only
+    node_mask: np.ndarray      # (max_nodes,) bool, read-only
+
+
 class NetworkIndex:
-    """Static per-network structure reused across every featurized sample."""
+    """Static per-network structure reused across every featurized sample.
+
+    Besides the neighbor structure it holds the per-bus columns that no
+    snapshot changes, and it memoizes one bus table per snapshot (by object
+    identity) and one :class:`LineTemplate` per (AC line, max_nodes).  The
+    snapshots' arrays must not change while the index is in use.
+    """
 
     def __init__(self, network: Network):
         self.network = network
@@ -235,11 +271,108 @@ class NetworkIndex:
                     if a < b and b in nbr_sets[a]
                 )
                 self.clustering[i] = 2.0 * links / (deg * (deg - 1))
+        self.incident_ac = [
+            np.array([i for i in self.incident[bus] if network.elements[i].kind == AC_LINE],
+                     dtype=int)
+            for bus in range(n)
+        ]
+        self.incident_ac_rating = [
+            np.array([network.elements[i].rating for i in ids]) for ids in self.incident_ac
+        ]
+        self.static_rows = self._static_rows()
+        self._adjacency: np.ndarray | None = None
+        self._tables: dict[int, tuple[Snapshot, np.ndarray]] = {}
+        self._templates: dict[tuple[int, int], LineTemplate] = {}
+
+    def _static_rows(self) -> np.ndarray:
+        """(n_bus + 1, NODE_FEATURES) with the per-bus-only columns filled.
+
+        The extra last row stays all-zero; padded subgraph rows gather it.
+        """
+        net = self.network
+        rows = np.zeros((net.n_bus + 1, NODE_FEATURES))
+        for bus in range(net.n_bus):
+            nbr_deg = self.degree[self.nbrs[bus]] if self.nbrs[bus] else np.zeros(1)
+            inc = [net.elements[i] for i in self.incident[bus]]
+            rows[bus, 47:59] = [
+                self.degree[bus],
+                0.0,                 # deg_sub, per (line, bus)
+                sum(1 for e in inc if e.kind == AC_LINE),
+                sum(1 for e in inc if e.kind != AC_LINE and e.kind != DC_LINE),
+                sum(1 for e in inc if e.kind == DC_LINE),
+                self.degree[bus] / self.max_degree,
+                float(nbr_deg.mean()),
+                float(nbr_deg.max()),
+                float(nbr_deg.min()),
+                float(nbr_deg.sum()),
+                float(self.two_hop_count[bus]),
+                float(self.clustering[bus]),
+            ]
+        return rows
+
+    def bus_table(self, snapshot: Snapshot) -> np.ndarray:
+        """Read-only (n_bus + 1, NODE_FEATURES) node rows of one snapshot.
+
+        Every column except LINE_COLUMNS is final; the last row is all-zero.
+        """
+        cached = self._tables.get(id(snapshot))
+        if cached is not None and cached[0] is snapshot:
+            return cached[1]
+        table = self.static_rows.copy()
+        table[:-1, 0:13] = snapshot.bus_states
+        flows = snapshot.element_states
+        for bus, ids in enumerate(self.incident_ac):
+            if ids.size:
+                p, q = flows[ids, 0], flows[ids, 1]
+                rating = self.incident_ac_rating[bus]
+                loading = np.abs(p) / rating
+                quantities = [p, q, loading, rating - np.abs(p), np.hypot(p, q), rating]
+                col = 21
+                for vals in quantities:
+                    table[bus, col:col + 4] = [vals.sum(), vals.mean(), vals.max(), vals.min()]
+                    col += 4
+        table.flags.writeable = False
+        self._tables[id(snapshot)] = (snapshot, table)
+        return table
+
+    def line_template(self, element_id: int, max_nodes: int) -> LineTemplate:
+        key = (element_id, max_nodes)
+        if key not in self._templates:
+            self._templates[key] = self._build_template(element_id, max_nodes)
+        return self._templates[key]
+
+    def _build_template(self, element_id: int, max_nodes: int) -> LineTemplate:
+        kept, hops = bfs_nodes(self.network, element_id, max_nodes, self.nbrs)
+        elem = self.network.elements[element_id]
+        n = len(kept)
+        kept_set = set(kept)
+        line = np.zeros((max_nodes, NODE_FEATURES))
+        for row, bus in enumerate(kept):
+            line[row, 13 + min(hops[bus], HOP_BUCKETS - 1)] = 1.0
+            line[row, 45] = 1.0 if bus == elem.from_bus else 0.0
+            line[row, 46] = 1.0 if bus == elem.to_bus else 0.0
+            line[row, 48] = float(sum(1 for v in self.nbrs[bus] if v in kept_set))
+        rows = np.full(max_nodes, self.network.n_bus)
+        rows[:n] = kept
+        if self._adjacency is None:
+            self._adjacency = build_adjacency(self.network)
+        adj = np.zeros((max_nodes, max_nodes))
+        adj[:n, :n] = self._adjacency[np.ix_(kept, kept)]
+        mask = np.zeros(max_nodes, dtype=bool)
+        mask[:n] = True
+        adj.flags.writeable = False
+        mask.flags.writeable = False
+        return LineTemplate(rows=rows, line_values=line[:, LINE_COLUMNS],
+                            adjacency=adj, node_mask=mask)
 
 
 @dataclass(frozen=True)
 class LocalGraph:
-    """Padded fault-local subgraph: masked-out rows/columns stay all-zero."""
+    """Padded fault-local subgraph: masked-out rows/columns stay all-zero.
+
+    ``featurize`` gives every sample of one line the same read-only
+    ``adjacency`` and ``node_mask`` arrays; ``node_features`` is per sample.
+    """
 
     adjacency: np.ndarray      # (max_nodes, max_nodes) 0/1
     node_features: np.ndarray  # (max_nodes, NODE_FEATURES)
@@ -287,72 +420,26 @@ def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
                    index: NetworkIndex | None = None) -> LocalGraph:
     """Fault-local subgraph tensor pair (adjacency, node features).
 
-    Node feature layout (59 per node):
-      [0:13)   snapshot bus state
-      [13:21)  hop distance one-hot (0..6, then 7+)
-      [21:45)  incident AC lines: (p, q, loading, headroom, |s|, rating)
-               aggregated by (sum, mean, max, min)
-      [45:47)  faulted-line endpoint flags (from side, to side)
-      [47:59)  degree/structure stats
+    Node feature layout (59 per node), with what each column depends on:
+      [0:13)   snapshot bus state                            bus, snapshot
+      [13:21)  hop distance one-hot (0..6, then 7+)          line, bus
+      [21:45)  incident AC lines: (p, q, loading, headroom,  bus, snapshot
+               |s|, rating) aggregated by (sum, mean, max, min)
+      [45:47)  faulted-line endpoint flags (from, to side)   line, bus
+      [47:59)  degree/structure stats                        bus
+               (except deg_sub, column 48: line, bus)
+
+    The adjacency and node mask depend on the line only and are read-only
+    arrays shared through ``index``; pass one index to reuse them and the
+    snapshot's bus table across calls.
     """
     if index is None:
         index = NetworkIndex(network)
-    net = network
-    kept, hops = bfs_nodes(net, element_id, max_nodes, index.nbrs)
-    pos = {bus: row for row, bus in enumerate(kept)}
-    elem = net.element_by_id(element_id)
-
-    adj = np.zeros((max_nodes, max_nodes))
-    for e in net.elements:
-        if e.from_bus in pos and e.to_bus in pos:
-            i, j = pos[e.from_bus], pos[e.to_bus]
-            adj[i, j] = 1.0
-            adj[j, i] = 1.0
-    np.fill_diagonal(adj, 0.0)
-
-    feats = np.zeros((max_nodes, NODE_FEATURES))
-    mask = np.zeros(max_nodes, dtype=bool)
-    kept_set = set(kept)
-    for row, bus in enumerate(kept):
-        mask[row] = True
-        feats[row, 0:13] = snapshot.bus_states[bus]
-        feats[row, 13 + min(hops[bus], HOP_BUCKETS - 1)] = 1.0
-
-        ac = [net.elements[i] for i in index.incident[bus]
-              if net.elements[i].kind == AC_LINE]
-        if ac:
-            p = np.array([snapshot.element_states[e.id, 0] for e in ac])
-            q = np.array([snapshot.element_states[e.id, 1] for e in ac])
-            rating = np.array([e.rating for e in ac])
-            loading = np.abs(p) / rating
-            quantities = [p, q, loading, rating - np.abs(p), np.hypot(p, q), rating]
-            col = 21
-            for vals in quantities:
-                feats[row, col:col + 4] = [vals.sum(), vals.mean(), vals.max(), vals.min()]
-                col += 4
-
-        feats[row, 45] = 1.0 if bus == elem.from_bus else 0.0
-        feats[row, 46] = 1.0 if bus == elem.to_bus else 0.0
-
-        nbr_deg = index.degree[index.nbrs[bus]] if index.nbrs[bus] else np.zeros(1)
-        deg_sub = sum(1 for v in index.nbrs[bus] if v in kept_set)
-        inc = [net.elements[i] for i in index.incident[bus]]
-        feats[row, 47:59] = [
-            index.degree[bus],
-            float(deg_sub),
-            sum(1 for e in inc if e.kind == AC_LINE),
-            sum(1 for e in inc if e.kind != AC_LINE and e.kind != DC_LINE),
-            sum(1 for e in inc if e.kind == DC_LINE),
-            index.degree[bus] / index.max_degree,
-            float(nbr_deg.mean()),
-            float(nbr_deg.max()),
-            float(nbr_deg.min()),
-            float(nbr_deg.sum()),
-            float(index.two_hop_count[bus]),
-            float(index.clustering[bus]),
-        ]
-    return LocalGraph(adjacency=adj, node_features=feats, node_mask=mask,
-                      fault_element_id=element_id)
+    template = index.line_template(element_id, max_nodes)
+    feats = index.bus_table(snapshot)[template.rows]
+    feats[:, LINE_COLUMNS] = template.line_values
+    return LocalGraph(adjacency=template.adjacency, node_features=feats,
+                      node_mask=template.node_mask, fault_element_id=element_id)
 
 
 @dataclass
@@ -405,7 +492,12 @@ class FeaturizedDataset:
 def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
               max_nodes: int = LOCAL_NODES, include_raw: bool = False,
               synth_fingerprint: str = "") -> FeaturizedDataset:
-    """Featurize fault samples against their snapshots (deterministic order)."""
+    """Featurize fault samples against their snapshots (deterministic order).
+
+    Each snapshot a fault refers to is checked once with
+    :func:`validate_snapshot`; a bad one raises :class:`GridError` naming
+    its violations.
+    """
     index = NetworkIndex(network)
     by_key = {(s.day, s.slot): s for s in snapshots}
     global_cache: dict[tuple, np.ndarray] = {}
@@ -417,6 +509,10 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
             raise GridError(f"no snapshot for day {fs.day} slot {fs.slot}")
         key = (fs.day, fs.slot)
         if key not in global_cache:
+            errors = validate_snapshot(network, snap)
+            if errors:
+                raise GridError(f"snapshot day {snap.day} slot {snap.slot}: "
+                                + "; ".join(errors))
             global_cache[key] = global_stats(network, snap, spec)
             if include_raw:
                 raw_states[key] = global_raw(snap)

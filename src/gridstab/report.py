@@ -71,10 +71,16 @@ class DayPair:
     eval_ds: FeaturizedDataset       # full eval day
 
 
+def day_cut(n_slots: int, calibration_frac: float) -> int:
+    """First calibration slot of a day: training takes the slots before it,
+    calibration the slots from it on, so no slot lands in both."""
+    return max(1, int(round(n_slots * (1.0 - calibration_frac))))
+
+
 def prepare_day_pair(bundle: Bundle, train_day: int, eval_day: int,
                      include_raw: bool = False) -> DayPair:
     cfg = bundle.config
-    cut = max(1, int(round(cfg.synth.slots_per_day * (1.0 - cfg.calibration_frac))))
+    cut = day_cut(cfg.synth.slots_per_day, cfg.calibration_frac)
     train_faults = bundle.faults_of(train_day, 0, cut)
     cal_faults = bundle.faults_of(train_day, cut, None)
     eval_faults = bundle.faults_of(eval_day)
@@ -148,7 +154,9 @@ def global_only_features(bundle: Bundle, faults) -> tuple[np.ndarray, np.ndarray
 
 
 def run_svm(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
-    train_faults = bundle.faults_of(pair.train_day, 0, _cut(bundle))
+    cfg = bundle.config
+    cut = day_cut(cfg.synth.slots_per_day, cfg.calibration_frac)
+    train_faults = bundle.faults_of(pair.train_day, 0, cut)
     x_train, y_train = global_only_features(bundle, train_faults)
     params, accounting = baselines.svm_train_expanded(x_train, y_train)
     log.info("svm expansion: %s", accounting)
@@ -158,11 +166,6 @@ def run_svm(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
                                        target_kkd)
     eval_x = np.stack([s.global_vec for s in pair.eval_ds.samples])
     return compute_metrics(params.margins(eval_x), pair.eval_ds.labels(), threshold)
-
-
-def _cut(bundle: Bundle) -> int:
-    cfg = bundle.config
-    return max(1, int(round(cfg.synth.slots_per_day * (1.0 - cfg.calibration_frac))))
 
 
 def _samples(ds: FeaturizedDataset):

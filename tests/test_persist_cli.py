@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gridstab import persist
+from gridstab import cli, persist, report
 from gridstab.cli import main
 from gridstab.model import ModelConfig, TrainConfig, scores_for, train
 from gridstab.synth import SynthConfig, build_dataset
@@ -185,6 +185,67 @@ def test_cli_rerun_byte_identical(tmp_path):
     b = produce(tmp_path / "run2")
     for key in a:
         assert a[key] == b[key], f"{key} differs between identical runs"
+
+
+def test_cli_train_and_calibration_slices_are_disjoint_and_match_report(
+        tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    assert run_cli("featurize", "--data", str(data), "--days", "1") == 0
+    seen = {}
+    real_train = cli.train
+
+    def spy(variant, train_ds, cal_ds, *rest):
+        seen["train"] = {s.fault_key for s in train_ds.samples}
+        seen["cal"] = {s.fault_key for s in cal_ds.samples}
+        return real_train(variant, train_ds, cal_ds, *rest)
+
+    monkeypatch.setattr(cli, "train", spy)
+    code = run_cli("train", "--features", str(data / "features.jsonl"),
+                   "--train-day", "1", "--epochs", "1", "--seed", "7",
+                   "--out", str(tmp_path / "ckpt.json"))
+    assert code in (0, 3)
+    assert seen["train"] and seen["cal"]
+    assert not seen["train"] & seen["cal"]
+
+    bundle = cli._bundle_from_dir(data, report.ExperimentConfig())
+    pair = report.prepare_day_pair(bundle, 1, 2)
+    cut = report.day_cut(bundle.config.synth.slots_per_day, bundle.config.calibration_frac)
+    assert seen["cal"] == {s.fault_key for s in pair.cal_ds.samples}
+    assert seen["train"] == {f"d{f.day}s{f.slot}e{f.element_id}"
+                             for f in bundle.faults_of(1, 0, cut)}
+    assert {s.fault_key for s in pair.train_ds.samples} <= seen["train"]
+
+
+@pytest.mark.parametrize("corrupt,violation", [
+    (lambda states: states[3].__setitem__(0, float("nan")), "non-finite-state"),
+    (lambda states: states.pop(), "bus-state-shape"),
+], ids=["nan-state", "missing-bus-row"])
+def test_cli_featurize_rejects_bad_snapshot(tmp_path, capsys, corrupt, violation):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    path = data / "snapshots.jsonl"
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[5])
+    corrupt(doc["bus_states"])
+    lines[5] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("featurize", "--data", str(data)) == 1
+    err = capsys.readouterr().err
+    assert violation in err
+    assert "Traceback" not in err
+
+
+def test_cli_deepcnn5_from_features_file_is_a_named_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    assert run_cli("featurize", "--data", str(data), "--days", "1") == 0
+    capsys.readouterr()
+    code = run_cli("train", "--features", str(data / "features.jsonl"),
+                   "--variant", "deepcnn5", "--train-day", "1", "--epochs", "1")
+    assert code == 1
+    assert "carries no raw states" in capsys.readouterr().err
 
 
 def test_direct_dataset_determinism():
