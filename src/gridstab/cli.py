@@ -158,8 +158,8 @@ def cmd_featurize(args) -> int:
         snapshots = [s for s in snapshots if s.day in wanted]
     spec = report.default_feature_spec(cfg.feature_regions)
     ds = featurize(network, snapshots, faults, spec, max_nodes=cfg.max_nodes,
-                   synth_fingerprint=fp)
-    out = Path(args.out) if args.out else data_dir / "features.jsonl"
+                   include_raw=True, synth_fingerprint=fp)
+    out = Path(args.out) if args.out else data_dir / "features.npz"
     persist.save_features(ds, out)
     print(f"wrote {out}: {len(ds.samples)} samples, global dim {ds.global_dim}, "
           f"local {ds.max_nodes}x{ds.samples[0].local.node_features.shape[1]}")
@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         if data:
             p.add_argument("--data", required=True, help="dataset directory from synth")
         if features:
-            p.add_argument("--features", required=True, help="features.jsonl path")
+            p.add_argument("--features", required=True,
+                           help="features .npz archive written by featurize")
         if pair:
             p.add_argument("--train-day", dest="train_day", type=int, required=True)
             p.add_argument("--eval-day", dest="eval_day", type=int, required=True)
@@ -298,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
     p.required_out = True
 
-    p = sub.add_parser("featurize", help="turn a dataset into model features")
+    p = sub.add_parser("featurize", help="turn a dataset into model features "
+                                         "(default out: <data>/features.npz)")
     common(p, data=True)
     p.add_argument("--days", help="comma-separated day subset")
     p.set_defaults(func=cmd_featurize)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .features import FeaturizedDataset, FeaturizedSample
+from .features import FeaturizedDataset, LocalGraph
 from .metrics import calibrate_threshold, compute_metrics, undersample_balance
 
 log = logging.getLogger(__name__)
@@ -103,6 +103,9 @@ class ScreeningModel:
         self.config = config
         self.dims = dict(dims)   # global_dim, n_elements, max_nodes, node_features, n_bus
         self.scalers: dict[str, np.ndarray] = {}
+        # (id(adjacency), id(node_mask)) -> (adjacency, node_mask, propagation
+        # matrix).  Holding the arrays keeps their ids from being reused.
+        self._adj_cache: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------ setup
 
@@ -247,21 +250,23 @@ class ScreeningModel:
             h *= mask[:, :, None]
             batch["h"] = h
             batch["mask"] = mask
-            batch["a"] = np.stack([self._adj_norm(s) for s in samples])
+            batch["a"] = np.stack([self._adj_norm(s.local) for s in samples])
         if needs["ids"]:
             batch["ids"] = np.array([s.element_id for s in samples], dtype=int)
         return batch
 
-    def _adj_norm(self, sample: FeaturizedSample) -> np.ndarray:
-        cached = getattr(sample, "_adj_norm", None)
-        if cached is None or cached[0] != self.variant.graph:
+    def _adj_norm(self, local: LocalGraph) -> np.ndarray:
+        """Propagation matrix of one subgraph, computed once per distinct
+        (adjacency, node_mask) pair; ``featurize`` shares one pair per line."""
+        key = (id(local.adjacency), id(local.node_mask))
+        cached = self._adj_cache.get(key)
+        if cached is None:
             if self.variant.graph:
-                a = nn.normalize_adjacency(sample.local.adjacency, sample.local.node_mask)
+                a = nn.normalize_adjacency(local.adjacency, local.node_mask)
             else:
-                a = np.diag(sample.local.node_mask.astype(float))
-            cached = (self.variant.graph, a)
-            sample._adj_norm = cached
-        return cached[1]
+                a = np.diag(local.node_mask.astype(float))
+            cached = self._adj_cache[key] = (local.adjacency, local.node_mask, a)
+        return cached[2]
 
     # -------------------------------------------------------- forward/backward
 

@@ -1,10 +1,18 @@
-"""On-disk formats: network JSON, snapshot/fault/feature JSONL, model
-checkpoints and report CSVs.
+"""On-disk formats: network JSON, snapshot/fault JSONL, the features
+archive, model checkpoints and report CSVs.
 
-Every artifact starts with a ``format_version`` field; loaders reject
-versions they do not understand.  All floats are written with Python's
-shortest-roundtrip repr, so identical inputs reproduce byte-identical
-files.
+Every artifact carries a ``format_version``; loaders reject versions they
+do not understand.  JSON floats are written with Python's shortest-roundtrip
+repr, so identical inputs reproduce byte-identical files.
+
+The features file (format_version 2) is an uncompressed ``.npz`` archive of
+columnar arrays: per-sample ``day``, ``slot``, ``element_id``, ``label``
+(-1 for unlabeled), ``fault_element_id`` and ``node_features``; one
+``global_vecs`` row and one ``adjacency``/``node_mask`` pair per distinct
+shared array, indexed per sample by ``global_index`` and ``local_index``;
+optional ``raw_keys``/``raw_states`` per (day, slot); and the JSON ``header``
+(spec, spec hash, sizes, fingerprint) as a 0-d string array.  It is read
+with ``allow_pickle=False`` and stores floats as their exact bytes.
 """
 
 from __future__ import annotations
@@ -13,16 +21,18 @@ import csv
 import dataclasses
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .features import (
-    FeatureField, FeaturizedDataset, FeaturizedSample, GlobalFeatureSpec,
-    LocalGraph, StatKind,
+    NODE_FEATURES, FeatureField, FeaturizedDataset, FeaturizedSample,
+    GlobalFeatureSpec, LocalGraph, StatKind,
 )
 from .grid import (
-    LABEL_NAMES, LABEL_VALUES, Bus, Element, FaultSample, Network, Snapshot,
+    LABEL_NAMES, LABEL_VALUES, Bus, Element, FaultSample, GridError, Network,
+    Snapshot, validate_network,
 )
 
 FORMAT_VERSION = 1
@@ -32,9 +42,9 @@ class FormatError(ValueError):
     pass
 
 
-def _check_version(doc: dict, path) -> None:
-    v = doc.get("format_version")
-    if v != FORMAT_VERSION:
+def _check_version(doc, path, version: int = FORMAT_VERSION) -> None:
+    v = doc.get("format_version") if isinstance(doc, dict) else None
+    if v != version:
         raise FormatError(f"{path}: unsupported format_version {v!r}")
 
 
@@ -69,6 +79,9 @@ def load_network(path) -> tuple[Network, str]:
         buses=tuple(Bus(**b) for b in doc["buses"]),
         elements=tuple(Element(**e) for e in doc["elements"]),
     )
+    errors = validate_network(network)
+    if errors:
+        raise GridError(f"{path}: invalid network: " + "; ".join(errors))
     return network, doc.get("synth_fingerprint", "")
 
 
@@ -135,6 +148,15 @@ def load_faults(path) -> tuple[list[FaultSample], str]:
 
 # --------------------------------------------------------------- features
 
+FEATURES_VERSION = 2
+_ZIP_MAGIC = b"PK\x03\x04"
+_PER_SAMPLE_INTS = ("day", "slot", "element_id", "label", "fault_element_id",
+                    "global_index", "local_index")
+_PER_SAMPLE = _PER_SAMPLE_INTS + ("node_features",)
+_FEATURE_ARRAYS = ("header",) + _PER_SAMPLE + ("global_vecs", "adjacency", "node_mask")
+_RAW_ARRAYS = ("raw_keys", "raw_states")
+
+
 def _spec_to_doc(spec: GlobalFeatureSpec) -> list:
     return [[f.quantity, f.stat.value, f.range_kind, f.region] for f in spec.fields]
 
@@ -145,58 +167,147 @@ def _spec_from_doc(doc: list) -> GlobalFeatureSpec:
     ))
 
 
+def _dedupe(items: list, key) -> tuple[list, np.ndarray]:
+    """Distinct items by ``key`` in first-seen order, and each item's index
+    into them."""
+    slot: dict = {}
+    distinct = []
+    index = np.empty(len(items), dtype=np.int64)
+    for i, item in enumerate(items):
+        k = key(item)
+        if k not in slot:
+            slot[k] = len(distinct)
+            distinct.append(item)
+        index[i] = slot[k]
+    return distinct, index
+
+
+def _stack(arrays: list, tail: tuple, dtype=np.float64) -> np.ndarray:
+    return np.stack(arrays) if arrays else np.zeros((0, *tail), dtype=dtype)
+
+
 def save_features(dataset: FeaturizedDataset, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(_dump({
-            "format_version": FORMAT_VERSION, "kind": "features",
+    """Write ``dataset`` as a columnar ``.npz`` archive at exactly ``path``.
+
+    Shared arrays are stored once: one ``global_vecs`` row per distinct
+    global vector object and one ``adjacency``/``node_mask`` pair per
+    distinct pair of objects, each with a per-sample index.  Sharing is
+    decided by object identity, so hand-built samples that share nothing
+    round-trip exactly too.
+    """
+    samples = dataset.samples
+    m = dataset.max_nodes
+    vecs, global_index = _dedupe([s.global_vec for s in samples], id)
+    graphs, local_index = _dedupe(
+        [s.local for s in samples], lambda g: (id(g.adjacency), id(g.node_mask)))
+    arrays = {
+        "header": np.array(_dump({
+            "format_version": FEATURES_VERSION, "kind": "features",
             "synth_fingerprint": dataset.synth_fingerprint,
             "feature_spec_hash": dataset.feature_spec_hash(),
             "spec": _spec_to_doc(dataset.spec),
             "n_elements": dataset.n_elements,
-            "max_nodes": dataset.max_nodes,
-        }) + "\n")
-        for s in dataset.samples:
-            adj = s.local.adjacency
-            pairs = [[int(i), int(j)] for i, j in zip(*np.nonzero(np.triu(adj)))]
-            fh.write(_dump({
-                "fault_key": s.fault_key,
-                "day": s.day, "slot": s.slot, "element_id": s.element_id,
-                "label": LABEL_NAMES[s.label] if s.label is not None else None,
-                "global_vec": s.global_vec.tolist(),
-                "local_adj": pairs,
-                "local_feat": s.local.node_features.tolist(),
-                "mask": s.local.node_mask.astype(int).tolist(),
-            }) + "\n")
+            "max_nodes": m,
+        })),
+        "day": np.array([s.day for s in samples], dtype=np.int64),
+        "slot": np.array([s.slot for s in samples], dtype=np.int64),
+        "element_id": np.array([s.element_id for s in samples], dtype=np.int64),
+        "label": np.array([-1 if s.label is None else s.label for s in samples],
+                          dtype=np.int64),
+        "fault_element_id": np.array([s.local.fault_element_id for s in samples],
+                                     dtype=np.int64),
+        "global_index": global_index,
+        "local_index": local_index,
+        "node_features": _stack([s.local.node_features for s in samples],
+                                (m, NODE_FEATURES)),
+        "global_vecs": _stack(vecs, (dataset.global_dim,)),
+        "adjacency": _stack([g.adjacency for g in graphs], (m, m)),
+        "node_mask": _stack([g.node_mask for g in graphs], (m,), bool),
+    }
+    if dataset.raw_states:
+        arrays["raw_keys"] = np.array(list(dataset.raw_states), dtype=np.int64)
+        arrays["raw_states"] = np.stack(list(dataset.raw_states.values()))
+    # An open handle keeps np.savez from appending ".npz" to the path; zip
+    # entries carry the fixed 1980 timestamp, so reruns are byte-identical.
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, **arrays)
+
+
+def _read_feature_arrays(path) -> dict[str, np.ndarray]:
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_ZIP_MAGIC))
+    if magic.startswith(b"{"):
+        raise FormatError(
+            f"{path}: JSON features file from an older release; re-run "
+            f"`gridstab featurize` to write format_version {FEATURES_VERSION}")
+    if magic != _ZIP_MAGIC:
+        raise FormatError(f"{path}: not a features .npz archive")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise FormatError(f"{path}: unreadable features archive ({exc})") from exc
+    wanted = _FEATURE_ARRAYS + (_RAW_ARRAYS if set(_RAW_ARRAYS) & set(arrays) else ())
+    missing = [name for name in wanted if name not in arrays]
+    if missing:
+        raise FormatError(f"{path}: features archive lacks arrays {missing}")
+    return arrays
+
+
+def _check_feature_shapes(arrays: dict, path) -> None:
+    n = arrays["day"].shape[:1]
+    for name in _PER_SAMPLE:
+        if arrays[name].shape[:1] != n:
+            raise FormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                              f"expected {n[0]} rows")
+    for index, target in (("global_index", "global_vecs"), ("local_index", "adjacency"),
+                          ("local_index", "node_mask")):
+        idx = arrays[index]
+        if idx.size and (idx.min() < 0 or idx.max() >= len(arrays[target])):
+            raise FormatError(f"{path}: {index!r} points outside {target!r}")
 
 
 def load_features(path) -> FeaturizedDataset:
+    """Read a features archive written by :func:`save_features`.
+
+    Raises :class:`FormatError` naming the file for anything else, including
+    a JSON features file of format_version 1.  Each sample's
+    ``node_features`` is a view into one loaded array; samples that shared
+    a global vector, or an adjacency and node mask, share them again, the
+    latter read-only.
+    """
+    arrays = _read_feature_arrays(path)
+    try:
+        header = json.loads(str(arrays["header"]))
+    except ValueError as exc:
+        raise FormatError(f"{path}: unreadable features header ({exc})") from exc
+    _check_version(header, path, FEATURES_VERSION)
+    _check_feature_shapes(arrays, path)
+    vecs = list(arrays["global_vecs"])
+    adjacency, node_mask = arrays["adjacency"], arrays["node_mask"]
+    adjacency.flags.writeable = False
+    node_mask.flags.writeable = False
+    graphs = list(zip(adjacency, node_mask))
+    node_features = arrays["node_features"]
+    columns = zip(*(arrays[name].tolist() for name in _PER_SAMPLE_INTS))
     samples = []
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        _check_version(header, path)
-        spec = _spec_from_doc(header["spec"])
-        max_nodes = header["max_nodes"]
-        for line in fh:
-            doc = json.loads(line)
-            adj = np.zeros((max_nodes, max_nodes))
-            for i, j in doc["local_adj"]:
-                adj[i, j] = 1.0
-                adj[j, i] = 1.0
-            label = doc["label"]
-            samples.append(FeaturizedSample(
-                day=doc["day"], slot=doc["slot"], element_id=doc["element_id"],
-                label=LABEL_VALUES[label] if label is not None else None,
-                global_vec=np.array(doc["global_vec"]),
-                local=LocalGraph(
-                    adjacency=adj,
-                    node_features=np.array(doc["local_feat"]),
-                    node_mask=np.array(doc["mask"], dtype=bool),
-                    fault_element_id=doc["element_id"],
-                ),
-            ))
+    for i, (day, slot, element_id, label, fault_id, g, k) in enumerate(columns):
+        adj, mask = graphs[k]
+        samples.append(FeaturizedSample(
+            day=day, slot=slot, element_id=element_id,
+            label=None if label < 0 else label,
+            global_vec=vecs[g],
+            local=LocalGraph(adjacency=adj, node_features=node_features[i],
+                             node_mask=mask, fault_element_id=fault_id),
+        ))
+    raw_states = {}
+    if "raw_keys" in arrays:
+        raw_states = {(day, slot): raw for (day, slot), raw
+                      in zip(arrays["raw_keys"].tolist(), arrays["raw_states"])}
     return FeaturizedDataset(
-        samples=samples, spec=spec, n_elements=header["n_elements"],
-        max_nodes=max_nodes, synth_fingerprint=header.get("synth_fingerprint", ""),
+        samples=samples, spec=_spec_from_doc(header["spec"]),
+        n_elements=header["n_elements"], max_nodes=header["max_nodes"],
+        synth_fingerprint=header.get("synth_fingerprint", ""), raw_states=raw_states,
     )
 
 

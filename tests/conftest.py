@@ -73,3 +73,35 @@ def make_toy_dataset(n: int, seed: int, separable: bool = True,
         ))
     return FeaturizedDataset(samples=samples, spec=TOY_SPEC,
                              n_elements=n_elements, max_nodes=max_nodes)
+
+
+def same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def sharing(keys) -> list[int]:
+    """Group number of each key, in first-seen order."""
+    groups: dict = {}
+    return [groups.setdefault(k, len(groups)) for k in keys]
+
+
+def assert_identical_datasets(got: FeaturizedDataset, want: FeaturizedDataset) -> None:
+    """Every field equal byte for byte, with dtypes, and the same arrays shared."""
+    assert (got.spec, got.n_elements, got.max_nodes, got.synth_fingerprint) == (
+        want.spec, want.n_elements, want.max_nodes, want.synth_fingerprint)
+    assert len(got.samples) == len(want.samples)
+    for g, w in zip(got.samples, want.samples):
+        assert (g.day, g.slot, g.element_id, g.label, g.local.fault_element_id) == (
+            w.day, w.slot, w.element_id, w.label, w.local.fault_element_id)
+        assert same_array(g.global_vec, w.global_vec), g.fault_key
+        assert same_array(g.local.adjacency, w.local.adjacency), g.fault_key
+        assert same_array(g.local.node_features, w.local.node_features), g.fault_key
+        assert same_array(g.local.node_mask, w.local.node_mask), g.fault_key
+    assert list(got.raw_states) == list(want.raw_states)
+    for key, raw in want.raw_states.items():
+        assert same_array(got.raw_states[key], raw), key
+    # The archive stores one global vector per distinct object and one
+    # (adjacency, node_mask) pair per distinct pair of objects.
+    for key in (lambda s: id(s.global_vec),
+                lambda s: (id(s.local.adjacency), id(s.local.node_mask))):
+        assert sharing(map(key, got.samples)) == sharing(map(key, want.samples))

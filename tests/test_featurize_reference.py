@@ -21,6 +21,8 @@ from gridstab.grid import (
 from gridstab.metrics import undersample_balance
 from gridstab.synth import SynthConfig, build_dataset
 
+from conftest import assert_identical_datasets
+
 
 # ------------------------------------------------- the original implementation
 
@@ -252,16 +254,19 @@ def test_samples_of_one_line_share_read_only_arrays():
 
 def test_shared_arrays_survive_deepcopy_and_persist_round_trip(tmp_path):
     network, snapshots, faults = synth_world(24, 2, slots=2)
-    ds = featurize(network, snapshots, faults, default_feature_spec(), max_nodes=12)
+    ds = featurize(network, snapshots, faults, default_feature_spec(), max_nodes=12,
+                   include_raw=True)
     clone = copy.deepcopy(ds)
     assert_same_dataset(clone, ds)
 
-    path = tmp_path / "features.jsonl"
+    path = tmp_path / "features.npz"
     persist.save_features(ds, path)
     loaded = persist.load_features(path)
-    assert len(loaded.samples) == len(ds.samples)
-    for a, b in zip(ds.samples, loaded.samples):
-        assert np.array_equal(a.global_vec, b.global_vec)
-        assert np.array_equal(a.local.adjacency, b.local.adjacency)
-        assert np.array_equal(a.local.node_features, b.local.node_features)
-        assert np.array_equal(a.local.node_mask, b.local.node_mask)
+    assert_identical_datasets(loaded, ds)
+    lines = {s.element_id for s in ds.samples}
+    assert len({id(s.local.adjacency) for s in loaded.samples}) == len(lines)
+    assert not loaded.samples[0].local.adjacency.flags.writeable
+    assert not loaded.samples[0].local.node_mask.flags.writeable
+    again = tmp_path / "again.npz"
+    persist.save_features(loaded, again)
+    assert again.read_bytes() == path.read_bytes()

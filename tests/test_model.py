@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gridstab import nn
-from gridstab.features import FeaturizedSample, LocalGraph
+from gridstab.features import (
+    FeaturizedSample, LocalGraph, default_feature_spec, featurize,
+)
 from gridstab.model import (
     VARIANTS, ModelConfig, ScreeningModel, TrainConfig, TrainingError,
     scores_for, train,
@@ -21,6 +23,37 @@ def small_model(variant, ds):
     })
     model.fit_scalers(ds)
     return model
+
+
+@pytest.mark.parametrize("variant", ["GraphModel", "NoGraph"])
+@pytest.mark.parametrize("source", ["toy", "featurize"])
+def test_build_batch_adjacency_is_per_sample_normalization(
+        small_world, monkeypatch, variant, source):
+    if source == "toy":
+        ds = make_toy_dataset(10, seed=4)
+    else:
+        faults = [f for f in small_world["faults"] if f.day == 0 and f.slot < 3]
+        ds = featurize(small_world["network"], small_world["snapshots"], faults,
+                       default_feature_spec(), max_nodes=12)
+    attributes = [set(vars(s)) for s in ds.samples]
+    model = small_model(variant, ds)
+    calls = []
+    real = nn.normalize_adjacency
+    monkeypatch.setattr(nn, "normalize_adjacency",
+                        lambda *args: calls.append(1) or real(*args))
+    n = len(ds.samples)
+    batch = model.build_batch(ds, range(n))
+    again = model.build_batch(ds, range(n - 1, -1, -1))
+    for i, s in enumerate(ds.samples):
+        if variant == "GraphModel":
+            want = real(s.local.adjacency, s.local.node_mask)
+        else:
+            want = np.diag(s.local.node_mask.astype(float))
+        assert batch["a"][i].tobytes() == want.tobytes()
+        assert again["a"][n - 1 - i].tobytes() == want.tobytes()
+    pairs = {(id(s.local.adjacency), id(s.local.node_mask)) for s in ds.samples}
+    assert len(calls) == (len(pairs) if variant == "GraphModel" else 0)
+    assert [set(vars(s)) for s in ds.samples] == attributes
 
 
 def test_zero_weights_give_half():

@@ -1,15 +1,18 @@
 import json
-import os
+import re
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridstab import cli, persist, report
 from gridstab.cli import main
+from gridstab.features import LocalGraph, featurize
 from gridstab.model import ModelConfig, TrainConfig, scores_for, train
 from gridstab.synth import SynthConfig, build_dataset
 
-from conftest import make_toy_dataset
+from conftest import assert_identical_datasets, make_toy_dataset
 
 TINY = ["--buses", "24", "--days", "3", "--slots", "8", "--seed", "7"]
 
@@ -44,17 +47,97 @@ def test_fault_round_trip(tmp_path, small_world):
     assert loaded == small_world["faults"][:50]
 
 
-def test_features_round_trip(tmp_path):
-    ds = make_toy_dataset(12, seed=1)
-    path = tmp_path / "features.jsonl"
+def assert_round_trip(ds, path):
+    """save -> load gives ``ds`` back exactly; load -> save gives the same bytes."""
     persist.save_features(ds, path)
     loaded = persist.load_features(path)
+    assert_identical_datasets(loaded, ds)
     assert loaded.feature_spec_hash() == ds.feature_spec_hash()
-    for a, b in zip(ds.samples, loaded.samples):
-        assert np.array_equal(a.global_vec, b.global_vec)
-        assert np.array_equal(a.local.adjacency, b.local.adjacency)
-        assert np.array_equal(a.local.node_mask, b.local.node_mask)
-        assert a.label == b.label
+    again = path.with_name("again-" + path.name)
+    persist.save_features(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    with zipfile.ZipFile(path) as archive:   # no wall-clock time in the file
+        assert {i.date_time for i in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+    return loaded
+
+
+def test_features_round_trip(tmp_path):
+    ds = make_toy_dataset(12, seed=1)
+    for i in (3, 7):
+        ds.samples[i].label = None
+    rng = np.random.default_rng(1)
+    ds.raw_states = {(s.day, s.slot): rng.normal(size=(5, 13)) for s in ds.samples}
+    # the toy samples' fault_element_id (0) differs from their element_id
+    assert any(s.local.fault_element_id != s.element_id for s in ds.samples)
+    assert_round_trip(ds, tmp_path / "features.jsonl")   # path is used as given
+    assert not (tmp_path / "features.jsonl.npz").exists()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 8), seed=st.integers(0, 2 ** 16), raw=st.booleans(),
+       data=st.data())
+def test_features_round_trip_with_any_sharing(tmp_path_factory, n, seed, raw, data):
+    """Round trips stay exact whatever arrays the samples share."""
+    ds = make_toy_dataset(n, seed=seed, max_nodes=6)
+    base = list(ds.samples)
+    picks = st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)
+    vec_of, adj_of, mask_of = data.draw(picks), data.draw(picks), data.draw(picks)
+    labels = data.draw(st.lists(st.sampled_from([None, 0, 1]), min_size=n, max_size=n))
+    for i, s in enumerate(ds.samples):
+        s.label = labels[i]
+        s.global_vec = base[vec_of[i]].global_vec
+        s.local = LocalGraph(adjacency=base[adj_of[i]].local.adjacency,
+                             node_features=s.local.node_features,
+                             node_mask=base[mask_of[i]].local.node_mask,
+                             fault_element_id=s.element_id)
+    if raw:
+        rng = np.random.default_rng(seed)
+        ds.raw_states = {(s.day, s.slot): rng.normal(size=(4, 13)) for s in ds.samples}
+    assert_round_trip(ds, tmp_path_factory.mktemp("features") / "features.npz")
+
+
+def _rewrite_archive(path, drop=(), **replace):
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files if name not in drop}
+    arrays.update(replace)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _jsonl_features(path):
+    path.write_text(json.dumps({"format_version": 1, "kind": "features"}) + "\n"
+                    + json.dumps({"day": 0, "slot": 0, "element_id": 0}) + "\n")
+
+
+def _header_version(path, version):
+    with np.load(path) as archive:
+        header = json.loads(str(archive["header"]))
+    header["format_version"] = version
+    _rewrite_archive(path, header=np.array(json.dumps(header)))
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_jsonl_features, "re-run `gridstab featurize`"),
+    (lambda p: p.write_bytes(p.read_bytes()[:len(p.read_bytes()) // 2]), "unreadable"),
+    (lambda p: p.write_bytes(b"\x93NUMPY not a zip archive"), "not a features .npz"),
+    (lambda p: _rewrite_archive(p, drop=("node_features",)), "lacks arrays ['node_features']"),
+    (lambda p: _rewrite_archive(p, local_index=np.array([0, 1, 2, 9])),
+     "'local_index' points outside"),
+    (lambda p: _header_version(p, 3), "unsupported format_version 3"),
+], ids=["format-1-jsonl", "truncated", "not-zip", "missing-array", "bad-index",
+        "unknown-version"])
+def test_bad_features_file_is_a_format_error(tmp_path, capsys, corrupt, message):
+    path = tmp_path / "features.npz"
+    persist.save_features(make_toy_dataset(4, seed=5), path)
+    corrupt(path)
+    with pytest.raises(persist.FormatError, match=re.escape(str(path))) as info:
+        persist.load_features(path)
+    assert message in str(info.value)
+    capsys.readouterr()
+    assert run_cli("train", "--features", str(path), "--train-day", "0",
+                   "--epochs", "1") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_checkpoint_round_trip_bit_identical_predictions(tmp_path):
@@ -102,7 +185,7 @@ def test_cli_synth_featurize_train_eval(tmp_path):
         assert (data / name).exists()
 
     assert run_cli("featurize", "--data", str(data)) == 0
-    features = data / "features.jsonl"
+    features = data / "features.npz"
     assert features.exists()
 
     ckpt = tmp_path / "ckpt.json"
@@ -144,7 +227,7 @@ def test_cli_fingerprint_mismatch(tmp_path):
     assert run_cli("synth", "--out", str(data_b), "--buses", "24", "--days", "3",
                    "--slots", "8", "--seed", "8") == 0
     assert run_cli("featurize", "--data", str(data_a)) == 0
-    code = run_cli("train", "--features", str(data_a / "features.jsonl"),
+    code = run_cli("train", "--features", str(data_a / "features.npz"),
                    "--data", str(data_b), "--variant", "graph",
                    "--train-day", "1", "--epochs", "1")
     assert code == 1
@@ -165,18 +248,18 @@ def test_cli_rerun_byte_identical(tmp_path):
         assert run_cli("synth", "--out", str(data), *TINY) == 0
         assert run_cli("featurize", "--data", str(data)) == 0
         ckpt = root / "ckpt.json"
-        assert run_cli("train", "--features", str(data / "features.jsonl"),
+        assert run_cli("train", "--features", str(data / "features.npz"),
                        "--variant", "graph", "--train-day", "1", "--epochs", "2",
                        "--seed", "7", "--out", str(ckpt)) in (0, 3)
         csv = root / "eval.csv"
         assert run_cli("eval", "--checkpoint", str(ckpt),
-                       "--features", str(data / "features.jsonl"),
+                       "--features", str(data / "features.npz"),
                        "--day", "2", "--out", str(csv)) == 0
         return {
             "network": (data / "network.json").read_bytes(),
             "snapshots": (data / "snapshots.jsonl").read_bytes(),
             "faults": (data / "faults.jsonl").read_bytes(),
-            "features": (data / "features.jsonl").read_bytes(),
+            "features": (data / "features.npz").read_bytes(),
             "checkpoint": ckpt.read_bytes(),
             "eval": csv.read_bytes(),
         }
@@ -201,7 +284,7 @@ def test_cli_train_and_calibration_slices_are_disjoint_and_match_report(
         return real_train(variant, train_ds, cal_ds, *rest)
 
     monkeypatch.setattr(cli, "train", spy)
-    code = run_cli("train", "--features", str(data / "features.jsonl"),
+    code = run_cli("train", "--features", str(data / "features.npz"),
                    "--train-day", "1", "--epochs", "1", "--seed", "7",
                    "--out", str(tmp_path / "ckpt.json"))
     assert code in (0, 3)
@@ -237,15 +320,61 @@ def test_cli_featurize_rejects_bad_snapshot(tmp_path, capsys, corrupt, violation
     assert "Traceback" not in err
 
 
+def _featurize_dir(data, days, include_raw):
+    network, snapshots, faults, fp = cli._load_dataset_dir(data)
+    cfg = report.ExperimentConfig()
+    return featurize(network, snapshots, [f for f in faults if f.day in days],
+                     report.default_feature_spec(cfg.feature_regions),
+                     max_nodes=cfg.max_nodes, include_raw=include_raw,
+                     synth_fingerprint=fp)
+
+
 def test_cli_deepcnn5_from_features_file_is_a_named_error(tmp_path, capsys):
     data = tmp_path / "data"
     assert run_cli("synth", "--out", str(data), *TINY) == 0
-    assert run_cli("featurize", "--data", str(data), "--days", "1") == 0
+    path = tmp_path / "no_raw.npz"
+    persist.save_features(_featurize_dir(data, {1}, include_raw=False), path)
     capsys.readouterr()
-    code = run_cli("train", "--features", str(data / "features.jsonl"),
+    code = run_cli("train", "--features", str(path),
                    "--variant", "deepcnn5", "--train-day", "1", "--epochs", "1")
     assert code == 1
     assert "carries no raw states" in capsys.readouterr().err
+
+
+def test_cli_deepcnn5_trains_from_features_file(tmp_path):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    assert run_cli("featurize", "--data", str(data), "--days", "1,2") == 0
+    features = data / "features.npz"
+    ckpt = tmp_path / "cnn.json"
+    code = run_cli("train", "--features", str(features), "--variant", "deepcnn5",
+                   "--train-day", "1", "--epochs", "1", "--seed", "7", "--out", str(ckpt))
+    assert code in (0, 3)
+    result = persist.load_checkpoint(ckpt)
+    assert result.variant == "DeepCnn5"
+    from_file = scores_for(result, persist.load_features(features))
+    in_memory = scores_for(result, _featurize_dir(data, {1, 2}, include_raw=True))
+    assert from_file.tobytes() == in_memory.tobytes()
+
+
+@pytest.mark.parametrize("corrupt,violation", [
+    (lambda doc: doc["elements"][0].__setitem__("to_bus", len(doc["buses"]) + 3),
+     "dangling-endpoint"),
+    (lambda doc: doc["buses"].append(dict(doc["buses"][0], id=len(doc["buses"]))),
+     "disconnected-graph"),
+], ids=["dangling-endpoint", "disconnected-bus"])
+def test_cli_featurize_rejects_bad_network(tmp_path, capsys, corrupt, violation):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    path = data / "network.json"
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("featurize", "--data", str(data)) == 1
+    err = capsys.readouterr().err
+    assert violation in err and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_direct_dataset_determinism():
