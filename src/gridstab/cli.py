@@ -118,7 +118,7 @@ def _day_slice(ds, day: int, lo_slot: int = 0, hi_slot: float = math.inf):
     if not idx:
         raise CliError(f"features contain no samples for day {day} "
                        f"slots [{lo_slot}, {hi_slot})")
-    return ds.subset(idx)
+    return dataclasses.replace(ds, samples=[ds.samples[i] for i in idx])
 
 
 def _train_cal_split(ds, day: int, calibration_frac: float):
@@ -156,6 +156,9 @@ def cmd_featurize(args) -> int:
         wanted = {int(d) for d in args.days.split(",")}
         faults = [f for f in faults if f.day in wanted]
         snapshots = [s for s in snapshots if s.day in wanted]
+    if not faults:
+        days = f"days {sorted(wanted)}" if args.days else "any day"
+        raise CliError(f"{data_dir} holds no faults for {days}")
     spec = report.default_feature_spec(cfg.feature_regions)
     ds = featurize(network, snapshots, faults, spec, max_nodes=cfg.max_nodes,
                    include_raw=True, synth_fingerprint=fp)

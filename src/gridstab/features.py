@@ -1,9 +1,11 @@
 """Feature extraction: grid-wide statistics and the fault-local subgraph.
 
 Global features are (physical quantity, statistic, range) triples evaluated
-over one snapshot.  Local features describe the 50-node breadth-first
-neighborhood of the faulted line as an adjacency matrix plus a 59-dim
-feature row per node.
+over one snapshot; :func:`snapshot_globals` validates each snapshot a set of
+faults refers to and computes its vector once.  Local features describe the
+50-node breadth-first neighborhood of the faulted line (:func:`bfs_nodes`,
+a walk by :func:`grid.bfs`) as an adjacency matrix plus a 59-dim feature
+row per node.
 
 Each part of a local subgraph is computed once for what it depends on:
 
@@ -23,15 +25,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .grid import (
-    AC_LINE, DC_LINE, GridError, Network, Snapshot, build_adjacency, neighbor_lists,
-    validate_snapshot,
+    AC_LINE, DC_LINE, GridError, Network, Snapshot, bfs, build_adjacency,
+    neighbor_lists, validate_snapshot,
 )
 
 LOCAL_NODES = 50
@@ -397,22 +398,7 @@ def bfs_nodes(network: Network, element_id: int, max_nodes: int,
     elem = network.element_by_id(element_id)
     if elem.kind != AC_LINE:
         raise GridError(f"element {element_id} is not an AC line")
-    order = [elem.from_bus]
-    hops = {elem.from_bus: 0}
-    if elem.to_bus not in hops:
-        order.append(elem.to_bus)
-        hops[elem.to_bus] = 0
-    queue = deque(order)
-    while queue and len(order) < max_nodes:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if v not in hops:
-                hops[v] = hops[u] + 1
-                order.append(v)
-                queue.append(v)
-                if len(order) >= max_nodes:
-                    break
-    return order[:max_nodes], hops
+    return bfs(nbrs, [elem.from_bus, elem.to_bus], max_nodes=max_nodes)
 
 
 def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
@@ -481,12 +467,30 @@ class FeaturizedDataset:
     def labels(self) -> np.ndarray:
         return np.array([s.label for s in self.samples], dtype=float)
 
-    def subset(self, indices) -> "FeaturizedDataset":
-        return FeaturizedDataset(
-            samples=[self.samples[i] for i in indices],
-            spec=self.spec, n_elements=self.n_elements, max_nodes=self.max_nodes,
-            synth_fingerprint=self.synth_fingerprint, raw_states=self.raw_states,
-        )
+
+def snapshot_globals(network: Network, snapshots, faults,
+                     spec: GlobalFeatureSpec) -> dict[tuple, tuple[Snapshot, np.ndarray]]:
+    """(day, slot) -> (snapshot, global statistic vector) for every snapshot
+    the faults refer to, in first-seen fault order.
+
+    Each snapshot is checked once with :func:`validate_snapshot`; a missing
+    or bad one raises :class:`GridError` naming it (and its violations).
+    """
+    by_key = {(s.day, s.slot): s for s in snapshots}
+    out: dict[tuple, tuple[Snapshot, np.ndarray]] = {}
+    for fs in faults:
+        key = (fs.day, fs.slot)
+        if key in out:
+            continue
+        snap = by_key.get(key)
+        if snap is None:
+            raise GridError(f"no snapshot for day {fs.day} slot {fs.slot}")
+        errors = validate_snapshot(network, snap)
+        if errors:
+            raise GridError(f"snapshot day {snap.day} slot {snap.slot}: "
+                            + "; ".join(errors))
+        out[key] = (snap, global_stats(network, snap, spec))
+    return out
 
 
 def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
@@ -494,33 +498,21 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
               synth_fingerprint: str = "") -> FeaturizedDataset:
     """Featurize fault samples against their snapshots (deterministic order).
 
-    Each snapshot a fault refers to is checked once with
-    :func:`validate_snapshot`; a bad one raises :class:`GridError` naming
-    its violations.
+    Snapshots are validated and their global vectors computed by
+    :func:`snapshot_globals`; all samples of one snapshot share its vector.
     """
     index = NetworkIndex(network)
-    by_key = {(s.day, s.slot): s for s in snapshots}
-    global_cache: dict[tuple, np.ndarray] = {}
+    per_snapshot = snapshot_globals(network, snapshots, faults, spec)
     samples = []
-    raw_states: dict = {}
     for fs in faults:
-        snap = by_key.get((fs.day, fs.slot))
-        if snap is None:
-            raise GridError(f"no snapshot for day {fs.day} slot {fs.slot}")
-        key = (fs.day, fs.slot)
-        if key not in global_cache:
-            errors = validate_snapshot(network, snap)
-            if errors:
-                raise GridError(f"snapshot day {snap.day} slot {snap.slot}: "
-                                + "; ".join(errors))
-            global_cache[key] = global_stats(network, snap, spec)
-            if include_raw:
-                raw_states[key] = global_raw(snap)
+        snap, global_vec = per_snapshot[(fs.day, fs.slot)]
         samples.append(FeaturizedSample(
             day=fs.day, slot=fs.slot, element_id=fs.element_id, label=fs.label,
-            global_vec=global_cache[key],
+            global_vec=global_vec,
             local=local_subgraph(network, snap, fs.element_id, max_nodes, index),
         ))
+    raw_states = ({key: global_raw(snap) for key, (snap, _) in per_snapshot.items()}
+                  if include_raw else {})
     return FeaturizedDataset(
         samples=samples, spec=spec, n_elements=len(network.elements),
         max_nodes=max_nodes, synth_fingerprint=synth_fingerprint,

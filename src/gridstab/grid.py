@@ -75,10 +75,6 @@ class Element:
     q_flow: float = 0.0
     rating: float = 1.0
 
-    @property
-    def faultable(self) -> bool:
-        return self.kind == AC_LINE
-
 
 @dataclass(frozen=True)
 class Network:
@@ -146,27 +142,52 @@ def build_adjacency(network: Network) -> np.ndarray:
     return adj
 
 
-def neighbor_lists(network: Network) -> list[list[int]]:
-    """Per-bus sorted neighbor ids (parallel edges collapsed)."""
-    n = network.n_bus
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for elem in network.elements:
-        if 0 <= elem.from_bus < n and 0 <= elem.to_bus < n and elem.from_bus != elem.to_bus:
-            nbrs[elem.from_bus].add(elem.to_bus)
-            nbrs[elem.to_bus].add(elem.from_bus)
+def adjacency_lists(n_bus: int, pairs) -> list[list[int]]:
+    """Per-bus sorted neighbor ids of the endpoint ``pairs``.
+
+    Parallel edges collapse; self-loops and out-of-range endpoints are
+    skipped (:func:`validate_network` reports them).
+    """
+    nbrs: list[set[int]] = [set() for _ in range(n_bus)]
+    for a, b in pairs:
+        if 0 <= a < n_bus and 0 <= b < n_bus and a != b:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
     return [sorted(s) for s in nbrs]
 
 
-def _reachable_count(nbrs: list[list[int]], start: int) -> int:
-    seen = {start}
-    queue = deque([start])
-    while queue:
+def neighbor_lists(network: Network) -> list[list[int]]:
+    """Per-bus sorted neighbor ids (parallel edges collapsed)."""
+    return adjacency_lists(network.n_bus, ((e.from_bus, e.to_bus) for e in network.elements))
+
+
+def bfs(nbrs: list[list[int]], seeds, max_nodes: int | None = None,
+        max_hops: int | None = None) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first search from ``seeds``, which all sit at hop 0.
+
+    Seeds are deduplicated in order; each bus's neighbors are expanded in
+    the order of ``nbrs`` (ascending ids from :func:`adjacency_lists`); a
+    bus counts as visited when first reached.  The walk stops as soon as
+    ``max_nodes`` buses are visited and does not expand buses ``max_hops``
+    away.  Returns the first ``max_nodes`` visited buses in order and the
+    hop distance of every visited bus, the seeds included.
+    """
+    hops = dict.fromkeys(seeds, 0)
+    order = list(hops)
+    limit = len(nbrs) if max_nodes is None else max_nodes
+    queue = deque(order)
+    while queue and len(order) < limit:
         u = queue.popleft()
+        if max_hops is not None and hops[u] >= max_hops:
+            break
         for v in nbrs[u]:
-            if v not in seen:
-                seen.add(v)
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                order.append(v)
                 queue.append(v)
-    return len(seen)
+                if len(order) >= limit:
+                    break
+    return order[:limit], hops
 
 
 def validate_network(network: Network) -> list[str]:
@@ -198,8 +219,7 @@ def validate_network(network: Network) -> list[str]:
             errors.append(f"self-loop: element {elem.id} on bus {elem.from_bus}")
 
     if n > 0 and not dangling:
-        nbrs = neighbor_lists(network)
-        if _reachable_count(nbrs, 0) < n:
+        if len(bfs(neighbor_lists(network), [0])[0]) < n:
             errors.append("disconnected-graph")
     return errors
 

@@ -8,7 +8,7 @@ never read the corresponding input.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -433,7 +433,7 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
 
     if tc.balance:
         balanced = undersample_balance(train_set.samples, tc.seed)
-        train_set = replace_samples(train_set, balanced)
+        train_set = replace(train_set, samples=balanced)
 
     dims = _dims_for(train_set)
     model = ScreeningModel(variant, mc, dims)
@@ -526,11 +526,3 @@ def _dims_for(dataset: FeaturizedDataset) -> dict:
 
 def _copy_params(params: dict) -> dict:
     return {k: v.copy() for k, v in params.items()}
-
-
-def replace_samples(dataset: FeaturizedDataset, samples: list) -> FeaturizedDataset:
-    return FeaturizedDataset(
-        samples=samples, spec=dataset.spec, n_elements=dataset.n_elements,
-        max_nodes=dataset.max_nodes, synth_fingerprint=dataset.synth_fingerprint,
-        raw_states=dataset.raw_states,
-    )

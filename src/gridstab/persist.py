@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,18 @@ def _check_version(doc, path, version: int = FORMAT_VERSION) -> None:
         raise FormatError(f"{path}: unsupported format_version {v!r}")
 
 
+@contextmanager
+def _entry(path, where: str):
+    """Re-raise a missing field or a malformed value read inside the block
+    as a :class:`FormatError` naming the file and ``where`` in it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{path}: {where}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {where}: {exc}") from exc
+
+
 def fingerprint(obj) -> str:
     """Stable short hash of a config-like object."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -72,13 +85,22 @@ def save_network(network: Network, path, synth_fingerprint: str = "") -> None:
     Path(path).write_text(_dump(doc) + "\n")
 
 
+def _records(doc: dict, key: str, cls, path) -> tuple:
+    """One ``cls`` per entry of the list ``doc[key]``."""
+    with _entry(path, key):
+        entries = list(doc[key])
+    records = []
+    for i, entry in enumerate(entries):
+        with _entry(path, f"{key}[{i}]"):
+            records.append(cls(**entry))
+    return tuple(records)
+
+
 def load_network(path) -> tuple[Network, str]:
     doc = json.loads(Path(path).read_text())
     _check_version(doc, path)
-    network = Network(
-        buses=tuple(Bus(**b) for b in doc["buses"]),
-        elements=tuple(Element(**e) for e in doc["elements"]),
-    )
+    network = Network(buses=_records(doc, "buses", Bus, path),
+                      elements=_records(doc, "elements", Element, path))
     errors = validate_network(network)
     if errors:
         raise GridError(f"{path}: invalid network: " + "; ".join(errors))
@@ -106,13 +128,14 @@ def load_snapshots(path) -> tuple[list[Snapshot], str]:
     with open(path) as fh:
         header = json.loads(fh.readline())
         _check_version(header, path)
-        for line in fh:
-            doc = json.loads(line)
-            snapshots.append(Snapshot(
-                day=doc["day"], slot=doc["slot"],
-                bus_states=np.array(doc["bus_states"]),
-                element_states=np.array(doc["element_states"]),
-            ))
+        for lineno, line in enumerate(fh, start=2):
+            with _entry(path, f"line {lineno}"):
+                doc = json.loads(line)
+                snapshots.append(Snapshot(
+                    day=doc["day"], slot=doc["slot"],
+                    bus_states=np.array(doc["bus_states"]),
+                    element_states=np.array(doc["element_states"]),
+                ))
     return snapshots, header.get("synth_fingerprint", "")
 
 
@@ -136,13 +159,16 @@ def load_faults(path) -> tuple[list[FaultSample], str]:
     with open(path) as fh:
         header = json.loads(fh.readline())
         _check_version(header, path)
-        for line in fh:
-            doc = json.loads(line)
-            label = doc["label"]
-            faults.append(FaultSample(
-                day=doc["day"], slot=doc["slot"], element_id=doc["element_id"],
-                label=LABEL_VALUES[label] if label is not None else None,
-            ))
+        for lineno, line in enumerate(fh, start=2):
+            with _entry(path, f"line {lineno}"):
+                doc = json.loads(line)
+                label = doc["label"]
+                if label is not None and label not in LABEL_VALUES:
+                    raise ValueError(f"unknown label {label!r}")
+                faults.append(FaultSample(
+                    day=doc["day"], slot=doc["slot"], element_id=doc["element_id"],
+                    label=LABEL_VALUES[label] if label is not None else None,
+                ))
     return faults, header.get("synth_fingerprint", "")
 
 

@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, synth
-from .features import FeaturizedDataset, GlobalFeatureSpec, default_feature_spec, featurize, global_stats
+from .features import (
+    FeaturizedDataset, GlobalFeatureSpec, default_feature_spec, featurize, snapshot_globals,
+)
 from .grid import Network, Snapshot
 from .metrics import MetricRow, calibrate_threshold, compute_metrics, undersample_balance
 from .model import ModelConfig, TrainConfig, TrainResult, scores_for, train
@@ -118,13 +120,12 @@ def run_model_system(pair: DayPair, variant: str, model_config: ModelConfig,
 def run_prev_day(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
     """Previous-day baseline: calibrate on the train-day tail scored by the
     day before it, then predict the eval day from the train day's labels."""
-    train_day, eval_day = pair.train_day, pair.eval_day
+    train_day = pair.train_day
     eval_index = baselines.PrevDayIndex.from_faults(bundle.faults, train_day)
-    scores = np.array([eval_index.mean_label(s.element_id) for s in pair.eval_ds.samples])
+    scores = baselines.prev_day_scores(eval_index, pair.eval_ds.samples)
     if train_day >= 1:
         cal_index = baselines.PrevDayIndex.from_faults(bundle.faults, train_day - 1)
-        cal_scores = np.array([cal_index.mean_label(s.element_id)
-                               for s in pair.cal_ds.samples])
+        cal_scores = baselines.prev_day_scores(cal_index, pair.cal_ds.samples)
         threshold, feasible = calibrate_threshold(cal_scores, pair.cal_ds.labels(),
                                                   target_kkd)
         if not feasible:
@@ -139,37 +140,22 @@ def run_prev_day(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
     return compute_metrics(scores, pair.eval_ds.labels(), threshold)
 
 
-def global_only_features(bundle: Bundle, faults) -> tuple[np.ndarray, np.ndarray]:
-    """Global statistic vectors for fault samples, no local featurization."""
-    by_key = {(s.day, s.slot): s for s in bundle.snapshots}
-    cache: dict[tuple, np.ndarray] = {}
-    rows = []
-    for f in faults:
-        key = (f.day, f.slot)
-        if key not in cache:
-            cache[key] = global_stats(bundle.network, by_key[key], bundle.spec)
-        rows.append(cache[key])
-    labels = np.array([f.label for f in faults], dtype=float)
-    return np.stack(rows), labels
-
-
 def run_svm(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
     cfg = bundle.config
     cut = day_cut(cfg.synth.slots_per_day, cfg.calibration_frac)
     train_faults = bundle.faults_of(pair.train_day, 0, cut)
-    x_train, y_train = global_only_features(bundle, train_faults)
+    per_snapshot = snapshot_globals(bundle.network, bundle.snapshots, train_faults,
+                                    bundle.spec)
+    x_train = np.stack([per_snapshot[(f.day, f.slot)][1] for f in train_faults])
+    y_train = np.array([f.label for f in train_faults], dtype=float)
     params, accounting = baselines.svm_train_expanded(x_train, y_train)
     log.info("svm expansion: %s", accounting)
 
-    cal_x = np.stack([s.global_vec for s in pair.cal_ds.samples])
+    cal_x = baselines.svm_dataset_features(pair.cal_ds)
     threshold, _ = calibrate_threshold(params.margins(cal_x), pair.cal_ds.labels(),
                                        target_kkd)
-    eval_x = np.stack([s.global_vec for s in pair.eval_ds.samples])
+    eval_x = baselines.svm_dataset_features(pair.eval_ds)
     return compute_metrics(params.margins(eval_x), pair.eval_ds.labels(), threshold)
-
-
-def _samples(ds: FeaturizedDataset):
-    return ds.samples
 
 
 def daily_report(bundle: Bundle, system: str, days: list[int] | None = None,

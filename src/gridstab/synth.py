@@ -1,22 +1,26 @@
 """Synthetic grid scenarios: topology, daily snapshots, faults and labels.
 
-Stands in for real online operating data.  A hidden deterministic oracle
-labels each N-1 fault from three ingredients the learning models must
-recover: overload around the faulted line, system-wide stress, and a
-time-invariant per-element susceptibility.
+Stands in for real online operating data.  :class:`StabilityOracle`, the
+hidden deterministic labeler, scores each N-1 fault from three ingredients
+the learning models must recover: overload around the faulted line,
+system-wide stress, and a time-invariant per-element susceptibility.  Its
+threshold ``tau`` is calibrated once, on day 0, to the target unstable rate.
+
+Graph walks (the 2-hop neighborhood, the region order of a generated
+network) use :func:`grid.bfs`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import (
     AC_LINE, DC_LINE, TRANSFORMER, STABLE, UNSTABLE,
-    Bus, Element, FaultSample, GridError, Network, Snapshot, neighbor_lists,
+    Bus, Element, FaultSample, GridError, Network, Snapshot, adjacency_lists, bfs,
+    build_adjacency, neighbor_lists,
 )
 
 REF_CURVE = 0.8            # curve level at which Bus/Element base values hold
@@ -98,9 +102,10 @@ def generate_network(config: SynthConfig) -> Network:
         degree[a] += 1
         degree[b] += 1
 
-    # Regions: contiguous blocks of a BFS order over the tree.
+    # Regions: contiguous blocks of a BFS order from bus 0 (the spanning
+    # tree makes the network connected, so the walk reaches every bus).
     n_regions = max(1, min(3, n // 8))
-    bfs_order = _bfs_order(n, edge_list)
+    bfs_order, _ = bfs(adjacency_lists(n, edge_list), [0])
     region = np.zeros(n, dtype=int)
     block = max(1, math.ceil(n / n_regions))
     for pos, bus in enumerate(bfs_order):
@@ -148,30 +153,6 @@ def generate_network(config: SynthConfig) -> Network:
     return Network(buses=tuple(buses), elements=tuple(elements))
 
 
-def _bfs_order(n: int, edge_list: list[tuple[int, int]]) -> list[int]:
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edge_list:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    for lst in nbrs:
-        lst.sort()
-    seen = [False] * n
-    order: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-    return order
-
-
 def day_curve(slot: int | np.ndarray, slots_per_day: int) -> np.ndarray:
     """Deterministic daily load shape, identical every day.
 
@@ -199,11 +180,7 @@ def _ar1(rng: np.random.Generator, shape: tuple[int, ...], slots: int,
 def _diffusion_operator(network: Network, steps: int = 2) -> np.ndarray:
     """Row-normalized multi-step spread over the grid, rescaled so that
     applying it to unit-variance noise returns unit per-bus variance."""
-    n = network.n_bus
-    a_hat = np.eye(n)
-    for e in network.elements:
-        a_hat[e.from_bus, e.to_bus] = 1.0
-        a_hat[e.to_bus, e.from_bus] = 1.0
+    a_hat = np.eye(network.n_bus) + build_adjacency(network)
     p = a_hat / a_hat.sum(axis=1, keepdims=True)
     w = np.linalg.matrix_power(p, steps)
     scale = 1.0 / np.sqrt((w ** 2).sum(axis=1))
@@ -313,73 +290,24 @@ def two_hop_bus_set(network: Network, element_id: int,
     if nbrs is None:
         nbrs = neighbor_lists(network)
     elem = network.element_by_id(element_id)
-    frontier = {elem.from_bus, elem.to_bus}
-    seen = set(frontier)
-    for _ in range(2):
-        nxt = set()
-        for u in frontier:
-            for v in nbrs[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.add(v)
-        frontier = nxt
-    return seen
-
-
-def _load_share(snapshot: Snapshot, nbhd: set[int]) -> float:
-    """How concentrated the grid load is inside the neighborhood."""
-    total_mean = float(snapshot.bus_states[:, 5].mean())
-    if total_mean <= 0:
-        return 0.0
-    local_mean = float(snapshot.bus_states[sorted(nbhd), 5].mean())
-    return float(np.clip(local_mean / total_mean / 2.0, 0.0, 1.0))
-
-
-def local_overload(network: Network, snapshot: Snapshot, element_id: int,
-                   nbrs: list[list[int]] | None = None) -> float:
-    """Loading of the faulted line blended with its 2-hop surroundings.
-
-    Mixes the line's own loading, the mean loading of every element that
-    touches the 2-hop bus neighborhood, and how much of the grid's load
-    sits on those buses.
-    """
-    elem = network.element_by_id(element_id)
-    if elem.kind != AC_LINE:
-        raise GridError(f"element {element_id} is not an AC line")
-    nbhd = two_hop_bus_set(network, element_id, nbrs)
-    loading = np.abs(snapshot.element_states[:, 0]) / np.array(
-        [e.rating for e in network.elements])
-    member = [
-        e.id for e in network.elements
-        if e.id != element_id and (e.from_bus in nbhd or e.to_bus in nbhd)
-    ]
-    around = float(np.mean(loading[member])) if member else 0.0
-    return (0.40 * float(loading[element_id]) + 0.35 * around
-            + 0.25 * _load_share(snapshot, nbhd))
-
-
-def global_stress(network: Network, snapshot: Snapshot) -> float:
-    """Total load over total generation capacity, mapped onto [0, 1]."""
-    capacity = sum(b.p_gen for b in network.buses) / REF_CURVE * CAPACITY_MARGIN
-    if capacity <= 0:
-        return 0.0
-    raw = float(snapshot.bus_states[:, 5].sum()) / capacity
-    return float(np.clip((raw - STRESS_LO) / (STRESS_HI - STRESS_LO), 0.0, 1.0))
-
-
-def stability_oracle(network: Network, snapshot: Snapshot, element_id: int,
-                     latent: np.ndarray, weights: dict, tau: float) -> int:
-    """Label one fault: UNSTABLE iff the weighted risk score exceeds tau."""
-    score = (
-        weights["local_overload"] * local_overload(network, snapshot, element_id)
-        + weights["global_stress"] * global_stress(network, snapshot)
-        + weights["latent"] * float(latent[element_id])
-    )
-    return UNSTABLE if score > tau else STABLE
+    return set(bfs(nbrs, [elem.from_bus, elem.to_bus], max_hops=2)[0])
 
 
 class StabilityOracle:
-    """Vectorized labeler with the threshold calibrated once per network."""
+    """Fault labeler with the threshold calibrated once per network.
+
+    A fault's risk score is the weighted sum (``config.oracle_weights``) of:
+
+    * local overload: 0.40 x the faulted line's loading |p| / rating, plus
+      0.35 x the mean loading of the other elements touching its 2-hop bus
+      neighborhood, plus 0.25 x the neighborhood's mean load over twice the
+      grid's mean load, clipped to [0, 1];
+    * global stress: total load over generation capacity, mapped from
+      [STRESS_LO, STRESS_HI] onto [0, 1];
+    * the element's latent susceptibility (:func:`draw_latent`).
+
+    The fault is UNSTABLE iff its score exceeds ``tau``.
+    """
 
     def __init__(self, network: Network, config: SynthConfig):
         self.network = network
@@ -387,7 +315,6 @@ class StabilityOracle:
         self.weights = dict(config.oracle_weights)
         self.latent = draw_latent(network, config.seed)
         self.tau = 0.5
-        self._calibrated = False
 
         nbrs = neighbor_lists(network)
         self.ac_ids = network.ac_line_ids()
@@ -450,7 +377,6 @@ class StabilityOracle:
         below = float(ordered[pos - 1]) if pos > 0 else tau - 1.0
         above = float(ordered[pos]) if pos < ordered.size else tau + 1.0
         self.tau = 0.5 * (below + above)
-        self._calibrated = True
         return self.tau
 
     def label(self, snapshot: Snapshot, element_id: int) -> int:

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridstab.grid import (
     AC_LINE, TRANSFORMER, Bus, Element, GridError, Network,
-    build_adjacency, neighbor_lists, validate_network,
+    adjacency_lists, bfs, build_adjacency, neighbor_lists, validate_network,
 )
 from gridstab.synth import SynthConfig, generate_network
 
 from conftest import chain_network
+from test_bfs_reference import (
+    endpoint_pairs, random_networks, ref_bfs_nodes, ref_bfs_order, ref_neighbors,
+    ref_reachable_count, ref_two_hop_bus_set,
+)
 
 
 def test_single_edge_adjacency():
@@ -115,3 +120,28 @@ def test_adjacency_properties_on_random_networks():
         assert adj.sum() == 2 * len(pairs)
         # validate_network(ok) implies build_adjacency succeeds
         assert validate_network(net) == []
+
+
+def test_bfs_seeds_hops_and_limits():
+    nbrs = adjacency_lists(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 0)])
+    assert nbrs == [[1], [0, 2], [1, 3], [2, 4], [3]]
+    assert bfs(nbrs, [2, 2]) == ([2, 1, 3, 0, 4], {2: 0, 1: 1, 3: 1, 0: 2, 4: 2})
+    assert bfs(nbrs, [0], max_hops=2)[0] == [0, 1, 2]
+    assert bfs(nbrs, [0], max_nodes=2)[0] == [0, 1]
+    assert bfs(nbrs, [0], max_nodes=99)[0] == [0, 1, 2, 3, 4]
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=random_networks(), data=st.data())
+def test_bfs_matches_reference_walks(net, data):
+    pairs = endpoint_pairs(net)
+    nbrs = adjacency_lists(net.n_bus, pairs)
+    assert nbrs == ref_neighbors(net.n_bus, pairs) == neighbor_lists(net)
+    max_nodes = data.draw(st.integers(1, net.n_bus + 10), label="max_nodes")
+    for a, b in pairs:
+        assert bfs(nbrs, [a, b], max_nodes=max_nodes) == ref_bfs_nodes(nbrs, a, b, max_nodes)
+        assert set(bfs(nbrs, [a, b], max_hops=2)[0]) == ref_two_hop_bus_set(nbrs, a, b)
+    order, _ = bfs(nbrs, [0])
+    assert len(order) == ref_reachable_count(nbrs, 0)
+    if len(order) == net.n_bus:
+        assert order == ref_bfs_order(net.n_bus, pairs)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,8 +99,7 @@ def test_node_permutation_invariance():
                 fault_element_id=s.local.fault_element_id,
             ),
         ))
-    from gridstab.model import replace_samples
-    permuted = replace_samples(ds, permuted_samples)
+    permuted = dataclasses.replace(ds, samples=permuted_samples)
     out, _ = model.forward(params, model.build_batch(permuted, range(5)))
     assert np.allclose(base, out, atol=1e-12)
 
@@ -109,8 +110,7 @@ def test_max_pool_permutation_invariance():
     params = model.init_params(np.random.default_rng(4))
     base, _ = model.forward(params, model.build_batch(ds, range(4)))
     perm = np.random.default_rng(5).permutation(ds.max_nodes)
-    from gridstab.model import replace_samples
-    permuted = replace_samples(ds, [
+    permuted = dataclasses.replace(ds, samples=[
         FeaturizedSample(
             day=s.day, slot=s.slot, element_id=s.element_id, label=s.label,
             global_vec=s.global_vec,
@@ -215,9 +215,9 @@ def test_shuffled_labels_hit_noise_floor():
 
 def test_empty_train_set_rejected():
     ds = make_toy_dataset(4, seed=16)
-    from gridstab.model import replace_samples
     with pytest.raises(TrainingError):
-        train("GraphModel", replace_samples(ds, []), ds, SMALL, TrainConfig(epochs=1))
+        train("GraphModel", dataclasses.replace(ds, samples=[]), ds, SMALL,
+              TrainConfig(epochs=1))
 
 
 def test_feature_hash_mismatch_rejected():

@@ -382,3 +382,53 @@ def test_direct_dataset_determinism():
     a = build_dataset(cfg)
     b = build_dataset(cfg)
     assert a[0] == b[0] and a[2] == b[2]
+
+
+def _corrupt_jsonl_line(path, index, corrupt):
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[index])
+    corrupt(doc)
+    lines[index] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _corrupt_network(path, corrupt):
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name,corrupt,message", [
+    ("snapshots.jsonl",
+     lambda p: _corrupt_jsonl_line(p, 5, lambda doc: doc.pop("slot")),
+     "line 6: missing field 'slot'"),
+    ("faults.jsonl",
+     lambda p: _corrupt_jsonl_line(p, 3, lambda doc: doc.__setitem__("label", "Maybe")),
+     "line 4: unknown label 'Maybe'"),
+    ("network.json",
+     lambda p: _corrupt_network(p, lambda doc: doc["buses"][2].__setitem__("colour", 1)),
+     "buses[2]: "),
+], ids=["snapshot-without-slot", "fault-label-maybe", "unknown-bus-field"])
+def test_cli_malformed_dataset_file_is_a_format_error(tmp_path, capsys, name, corrupt,
+                                                      message):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    corrupt(data / name)
+    capsys.readouterr()
+    assert run_cli("featurize", "--data", str(data)) == 1
+    err = capsys.readouterr().err
+    assert f"{data / name}: {message}" in err
+    assert "Traceback" not in err
+    assert not (data / "features.npz").exists()
+
+
+def test_cli_featurize_days_without_data_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY, "--days", "2") == 0
+    capsys.readouterr()
+    out = tmp_path / "features.npz"
+    assert run_cli("featurize", "--data", str(data), "--days", "9",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "days [9]" in err and "Traceback" not in err
+    assert not out.exists()

@@ -4,7 +4,7 @@ import pytest
 from gridstab.grid import AC_LINE, STABLE, UNSTABLE, Element, GridError, Network
 from gridstab.synth import (
     StabilityOracle, SynthConfig, build_dataset, draw_latent, enumerate_faults,
-    generate_day, generate_network, local_overload, stability_oracle,
+    generate_day, generate_network, two_hop_bus_set,
 )
 
 from conftest import chain_network, zero_snapshot
@@ -105,17 +105,19 @@ def test_enumerate_faults_counts():
 def test_oracle_zero_load_stable():
     net = chain_network(5)
     snap = zero_snapshot(net)
-    latent = np.zeros(len(net.elements))
-    weights = {"local_overload": 0.45, "global_stress": 0.25, "latent": 0.30}
-    assert stability_oracle(net, snap, 0, latent, weights, tau=0.3) == STABLE
+    oracle = StabilityOracle(net, SynthConfig(n_bus=5))
+    oracle.latent = np.zeros(len(net.elements))
+    oracle.tau = 0.3
+    assert oracle.scores(snap).tolist() == [0.0] * len(net.elements)
+    assert oracle.label(snap, 0) == STABLE
+    assert {f.label for f in oracle.label_snapshot(snap)} == {STABLE}
 
 
 def test_oracle_rejects_non_ac_element():
     net = chain_network(4, kind="Transformer")
-    snap = zero_snapshot(net)
+    oracle = StabilityOracle(net, SynthConfig(n_bus=4))
     with pytest.raises(GridError):
-        stability_oracle(net, snap, 0, np.zeros(3),
-                         {"local_overload": 1, "global_stress": 0, "latent": 0}, 0.5)
+        oracle.label(zero_snapshot(net), 0)
 
 
 def test_oracle_deterministic(small_world):
@@ -139,12 +141,12 @@ def test_latent_time_invariant(small_world):
 
 def test_oracle_depends_on_topology(small_world):
     """Relabeling a far-away bus into the 2-hop neighborhood moves the
-    local overload term for at least one fault."""
-    net = small_world["network"]
+    fault's score for at least one fault."""
+    net, config = small_world["network"], small_world["config"]
     snap = small_world["snapshots"][5]
-    from gridstab.synth import two_hop_bus_set
+    base = StabilityOracle(net, config).scores(snap)
     changed = 0
-    for eid in net.ac_line_ids():
+    for row, eid in enumerate(net.ac_line_ids()):
         nbhd = two_hop_bus_set(net, eid)
         outside = [b.id for b in net.buses if b.id not in nbhd]
         inside = [b for b in nbhd]
@@ -158,7 +160,7 @@ def test_oracle_depends_on_topology(small_world):
                     to_bus=swap.get(e.to_bus, e.to_bus),
                     p_flow=e.p_flow, q_flow=e.q_flow, rating=e.rating)
             for e in net.elements))
-        if local_overload(net, snap, eid) != local_overload(permuted, snap, eid):
+        if StabilityOracle(permuted, config).scores(snap)[row] != base[row]:
             changed += 1
     assert changed > 0
 
