@@ -20,7 +20,7 @@ from . import baselines, persist, report, synth
 from .features import featurize
 from .metrics import compute_metrics
 from .model import (
-    ABLATION_ALIASES, VARIANT_ALIASES, ScreeningModel, scores_for, train,
+    ABLATION_ALIASES, VARIANT_ALIASES, TrainingError, reads_raw, scores_for, train,
 )
 from .report import ExperimentConfig
 
@@ -60,6 +60,10 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
         _apply_section(cfg.synth, doc["synth"], "synth")
     if "model" in doc:
         _apply_section(cfg.model, doc["model"], "model")
+        try:
+            cfg.model.validate()
+        except ValueError as exc:
+            raise CliError(f"{path}: config section 'model': {exc}") from exc
     if "train" in doc:
         _apply_section(cfg.train, doc["train"], "train")
     feature = doc.get("feature", {})
@@ -183,7 +187,7 @@ def cmd_train(args) -> int:
         if fp != ds.synth_fingerprint:
             raise CliError("features fingerprint does not match the dataset directory")
     variant = _resolve_variant(args)
-    if ScreeningModel(variant, cfg.model, {}).needs()["raw"] and not ds.raw_states:
+    if reads_raw(variant, cfg.model) and not ds.raw_states:
         raise CliError(f"variant {variant} needs raw bus states, and the features file "
                        f"{args.features} carries no raw states")
     train_ds, cal_ds = _train_cal_split(ds, args.train_day, cfg.calibration_frac)
@@ -355,7 +359,8 @@ def main(argv=None) -> int:
         parser.error("synth requires --out")
     try:
         return args.func(args)
-    except (CliError, FileNotFoundError, persist.FormatError, ValueError) as exc:
+    except (CliError, FileNotFoundError, persist.FormatError, TrainingError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

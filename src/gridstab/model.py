@@ -1,13 +1,21 @@
-"""Screening models: global encoder + local graph head + element embedding.
+"""Screening models: a list of heads joined by one logistic layer.
 
-Every variant feeds its head outputs through one logistic-regression layer
-producing the instability probability.  Ablated variants drop a head and
-never read the corresponding input.
+:func:`build_heads` turns a variant into its heads.  Each head names the
+batch inputs it reads, declares its parameter shapes in draw order, maps a
+batch to a ``(batch, width)`` block and writes its own gradients.  The
+blocks are concatenated into one logistic-regression layer (``out_w``,
+``out_b``) that gives the instability probability.  :class:`DenseStack` is
+the global statistics encoder, the MLP baseline and the dense tail of
+:class:`ConvPoolHead` (raw bus states) and :class:`EmbeddingHead`;
+:class:`GcnHead` runs GCN layers (Kipf & Welling, arXiv:1609.02907) over the
+faulted line's local subgraph.  Ablated variants leave a head out and never
+read its input.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +34,7 @@ class TrainingError(RuntimeError):
 @dataclass(frozen=True)
 class VariantSpec:
     name: str
-    has_global: bool = True
-    global_kind: str = "config"   # "config" (per ModelConfig), "mlp", "cnn5"
+    global_kind: str = "config"   # "config" (per ModelConfig), "mlp", "cnn5", "none"
     local: bool = True
     graph: bool = True            # False: propagate over the masked identity
     embedding: bool = True
@@ -39,7 +46,7 @@ VARIANTS = {
     "GraphPool": VariantSpec("GraphPool", pool="max"),
     "MlpOnly": VariantSpec("MlpOnly", global_kind="mlp", local=False, embedding=False),
     "DeepCnn5": VariantSpec("DeepCnn5", global_kind="cnn5", local=False, embedding=False),
-    "NoGlobal": VariantSpec("NoGlobal", has_global=False),
+    "NoGlobal": VariantSpec("NoGlobal", global_kind="none"),
     "NoLocal": VariantSpec("NoLocal", local=False),
     "NoGraph": VariantSpec("NoGraph", graph=False),
     "NoEmbedding": VariantSpec("NoEmbedding", embedding=False),
@@ -79,6 +86,18 @@ class ModelConfig:
             raise ValueError("embed_dim is fixed at 20")
         if self.global_encoder not in ("stats", "rawcnn"):
             raise ValueError(f"unknown global encoder {self.global_encoder!r}")
+        if self.pool not in (None, "mean", "max"):
+            raise ValueError(f"pool must be null, 'mean' or 'max', not {self.pool!r}")
+        if not isinstance(self.mlp_hidden, (tuple, list)) or not self.mlp_hidden:
+            raise ValueError(f"mlp_hidden must be a non-empty list of layer sizes, "
+                             f"not {self.mlp_hidden!r}")
+        sizes = {name: getattr(self, name) for name in (
+            "gcn_hidden", "sg_dim", "sl_dim", "stats_hidden", "sid_hidden",
+            "cnn_channels", "cnn_kernel", "cnn_stages")}
+        sizes.update((f"mlp_hidden[{i}]", n) for i, n in enumerate(self.mlp_hidden))
+        for name, n in sizes.items():
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"{name} must be a positive integer, not {n!r}")
 
 
 @dataclass
@@ -92,158 +111,279 @@ class TrainConfig:
     positive_class_only_loss: bool = False
 
 
+class Head:
+    """One model head: the ``inputs`` it reads from a batch, its parameter
+    ``shapes`` in draw order, and the ``width`` of its output block."""
+
+    def init(self, rng: np.random.Generator, p: dict) -> None:
+        """Draw this head's parameters into ``p``: zero biases, Glorot-uniform
+        dense weights and conv kernels."""
+        for name, shape in self.shapes.items():
+            if len(shape) == 1:
+                p[name] = np.zeros(shape)
+            elif len(shape) == 4:   # conv kernel (c_out, c_in, 1, k)
+                c_out, c_in, _, k = shape
+                p[name] = nn.glorot_uniform(rng, c_in * k, c_out * k, shape=shape)
+            else:
+                p[name] = nn.glorot_uniform(rng, *shape)
+
+
+class DenseStack(Head):
+    """ReLU dense layers ``{name}_w``/``{name}_b`` mapping ``sizes[i]`` to
+    ``sizes[i + 1]``.  As a head it reads the standardized global vector; as
+    the tail of another head it is fed through :meth:`run`."""
+
+    inputs = ("global",)
+
+    def __init__(self, names: tuple[str, ...], sizes: tuple[int, ...]):
+        self.names = names
+        self.shapes = {}
+        for name, n_in, n_out in zip(names, sizes, sizes[1:]):
+            self.shapes[f"{name}_w"] = (n_in, n_out)
+            self.shapes[f"{name}_b"] = (n_out,)
+        self.width = sizes[-1]
+
+    def forward(self, params: dict, batch: dict):
+        return self.run(params, batch["global"])
+
+    def run(self, params: dict, x: np.ndarray):
+        caches = []
+        for name in self.names:
+            z, cache = nn.dense_forward(x, params[f"{name}_w"], params[f"{name}_b"])
+            caches.append((z, cache))
+            x = nn.relu(z)
+        return x, caches
+
+    def backward(self, params: dict, caches, g: np.ndarray, grads: dict) -> np.ndarray:
+        """Write the layers' grads; return the gradient of the stack's input."""
+        for name, (z, cache) in zip(reversed(self.names), reversed(caches)):
+            g, grads[f"{name}_w"], grads[f"{name}_b"] = nn.dense_backward(g * (z > 0.0), cache)
+        return g
+
+
+class ConvPoolHead(Head):
+    """Conv+max-pool stages ``c{i}`` along the bus axis of the standardized
+    raw bus states, flattened into one dense layer ``cd``."""
+
+    inputs = ("raw",)
+
+    def __init__(self, n_bus: int, channels: int, kernel: int, stages: int, width: int):
+        self.shapes = {}
+        c_in, n = 13, n_bus
+        for i in range(1, stages + 1):
+            if n - kernel + 1 < 2:
+                break
+            self.shapes[f"c{i}_k"] = (channels, c_in, 1, kernel)
+            self.shapes[f"c{i}_b"] = (channels,)
+            c_in, n = channels, (n - kernel + 1) // 2
+            if n < kernel:
+                break
+        if not self.shapes:
+            raise ValueError("bus axis too short for even one conv stage")
+        self.n_stages = len(self.shapes) // 2
+        self.tail = DenseStack(("cd",), (n * channels, width))
+        self.shapes.update(self.tail.shapes)
+        self.width = width
+
+    def forward(self, params: dict, batch: dict):
+        x = batch["raw"]
+        convs = []
+        for i in range(1, self.n_stages + 1):
+            x, cache = nn.conv_maxpool_forward(x, params[f"c{i}_k"], params[f"c{i}_b"],
+                                               pool=(1, 2))
+            convs.append(cache)
+        out, tail = self.tail.run(params, x.reshape(x.shape[0], -1))
+        return out, (convs, x.shape, tail)
+
+    def backward(self, params: dict, cache, g: np.ndarray, grads: dict) -> None:
+        convs, shape, tail = cache
+        g = self.tail.backward(params, tail, g, grads).reshape(shape)
+        for i in range(len(convs), 0, -1):
+            g, grads[f"c{i}_k"], grads[f"c{i}_b"] = nn.conv_maxpool_backward(g, convs[i - 1])
+
+
+class GcnHead(Head):
+    """GCN layers ``l1``-``l3`` over the local subgraph, pooled over its real
+    nodes.  ``inputs`` names the propagation matrix: the normalized
+    ``adjacency``, or the masked ``identity`` when the graph is ablated."""
+
+    def __init__(self, node_features: int, hidden: int, width: int,
+                 final_relu: bool, pool: str, graph: bool):
+        self.inputs = ("local", "adjacency" if graph else "identity")
+        self.shapes = {"l1_w": (node_features, hidden), "l2_w": (hidden, hidden),
+                       "l3_w": (hidden, width)}
+        self.width = width
+        self.final_relu = final_relu
+        self.pool = pool
+
+    def forward(self, params: dict, batch: dict):
+        a, mask = batch["a"], batch["mask"]
+        h1, c1 = nn.gcn_forward(batch["h"], a, params["l1_w"])
+        h2, c2 = nn.gcn_forward(h1, a, params["l2_w"])
+        h3, c3 = nn.gcn_forward(h2, a, params["l3_w"], apply_relu=self.final_relu)
+        if self.pool == "mean":
+            cnt = mask.sum(axis=1, keepdims=True)
+            out = (h3 * mask[:, :, None]).sum(axis=1) / cnt
+            pooled = (mask, cnt)
+        else:
+            neg = np.where(mask[:, :, None] > 0, h3, -np.inf)
+            idx = neg.argmax(axis=1)
+            out = np.take_along_axis(h3, idx[:, None, :], axis=1)[:, 0, :]
+            pooled = idx
+        return out, ((c1, c2, c3), h3.shape, pooled)
+
+    def backward(self, params: dict, cache, g: np.ndarray, grads: dict) -> None:
+        (c1, c2, c3), shape, pooled = cache
+        if self.pool == "mean":
+            mask, cnt = pooled
+            g_h3 = (g / cnt)[:, None, :] * mask[:, :, None]
+        else:
+            g_h3 = np.zeros(shape)
+            np.put_along_axis(g_h3, pooled[:, None, :], g[:, None, :], axis=1)
+        g_h2, grads["l3_w"] = nn.gcn_backward(g_h3, c3)
+        g_h1, grads["l2_w"] = nn.gcn_backward(g_h2, c2)
+        _, grads["l1_w"] = nn.gcn_backward(g_h1, c1)
+
+
+class EmbeddingHead(Head):
+    """The faulted element's row of ``emb_table``, then one dense layer ``emb``."""
+
+    inputs = ("ids",)
+
+    def __init__(self, n_elements: int, embed_dim: int, width: int):
+        self.tail = DenseStack(("emb",), (embed_dim, width))
+        self.shapes = {"emb_table": (n_elements, embed_dim), **self.tail.shapes}
+        self.width = width
+
+    def init(self, rng: np.random.Generator, p: dict) -> None:
+        p["emb_table"] = rng.normal(0.0, 0.1, size=self.shapes["emb_table"])
+        self.tail.init(rng, p)
+
+    def forward(self, params: dict, batch: dict):
+        emb, cache = nn.embedding_forward(params["emb_table"], batch["ids"])
+        out, tail = self.tail.run(params, emb)
+        return out, (cache, tail)
+
+    def backward(self, params: dict, cache, g: np.ndarray, grads: dict) -> None:
+        emb, tail = cache
+        g = self.tail.backward(params, tail, g, grads)
+        grads["emb_table"] = nn.embedding_backward(g, emb)
+
+
+def _global_kind(spec: VariantSpec, config: ModelConfig) -> str:
+    """The variant's global head: "stats", "mlp", "cnn", "cnn5" or "none"."""
+    if spec.global_kind == "config":
+        return "cnn" if config.global_encoder == "rawcnn" else "stats"
+    return spec.global_kind
+
+
+def reads_raw(variant: str, config: ModelConfig) -> bool:
+    """Whether ``variant`` under ``config`` reads the raw bus states."""
+    return _global_kind(VARIANTS[variant], config) in ("cnn", "cnn5")
+
+
+def build_heads(spec: VariantSpec, cfg: ModelConfig, dims: dict) -> list[Head]:
+    """The heads of one variant, in the order their outputs are concatenated."""
+    heads: list[Head] = []
+    kind = _global_kind(spec, cfg)
+    if kind == "stats":
+        heads.append(DenseStack(("g1", "g2"),
+                                (dims["global_dim"], cfg.stats_hidden, cfg.sg_dim)))
+    elif kind == "mlp":
+        names = tuple(f"m{i + 1}" for i in range(len(cfg.mlp_hidden)))
+        heads.append(DenseStack(names, (dims["global_dim"], *cfg.mlp_hidden)))
+    elif kind in ("cnn", "cnn5"):
+        stages = 5 if kind == "cnn5" else cfg.cnn_stages
+        heads.append(ConvPoolHead(dims["n_bus"], cfg.cnn_channels, cfg.cnn_kernel,
+                                  stages, cfg.sg_dim))
+    if spec.local:
+        heads.append(GcnHead(dims["node_features"], cfg.gcn_hidden, cfg.sl_dim,
+                             cfg.gcn_final_relu, cfg.pool or spec.pool, spec.graph))
+    if spec.embedding:
+        heads.append(EmbeddingHead(dims["n_elements"], cfg.embed_dim, cfg.sid_hidden))
+    return heads
+
+
 class ScreeningModel:
-    """One variant with its parameter tensors and batched forward/backward."""
+    """One variant's heads, its scalers and the batched forward/backward."""
 
     def __init__(self, variant: str, config: ModelConfig, dims: dict):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         config.validate()
         self.variant = VARIANTS[variant]
-        self.config = config
-        self.dims = dict(dims)   # global_dim, n_elements, max_nodes, node_features, n_bus
+        # dims: global_dim, n_elements, node_features, n_bus
+        self.heads = build_heads(self.variant, config, dims)
+        self.inputs = {name for head in self.heads for name in head.inputs}
+        self.width = sum(head.width for head in self.heads)
         self.scalers: dict[str, np.ndarray] = {}
         # (id(adjacency), id(node_mask)) -> (adjacency, node_mask, propagation
         # matrix).  Holding the arrays keeps their ids from being reused.
         self._adj_cache: dict[tuple[int, int], tuple] = {}
 
-    # ------------------------------------------------------------ setup
-
-    @property
-    def global_kind(self) -> str:
-        if not self.variant.has_global:
-            return "none"
-        if self.variant.global_kind == "config":
-            return "cnn" if self.config.global_encoder == "rawcnn" else "stats"
-        if self.variant.global_kind == "cnn5":
-            return "cnn"
-        return self.variant.global_kind
-
-    @property
-    def cnn_stages(self) -> int:
-        return 5 if self.variant.global_kind == "cnn5" else self.config.cnn_stages
-
-    @property
-    def pool(self) -> str:
-        return self.config.pool or self.variant.pool
-
-    def needs(self) -> dict[str, bool]:
-        kind = self.global_kind
-        return {
-            "global": kind in ("stats", "mlp"),
-            "raw": kind == "cnn",
-            "local": self.variant.local,
-            "ids": self.variant.embedding,
-        }
-
-    def _cnn_plan(self) -> list[tuple[int, int]]:
-        """(in_channels, width_after_stage) per feasible conv+pool stage."""
-        width = self.dims["n_bus"]
-        chans = 13
-        plan = []
-        for _ in range(self.cnn_stages):
-            conv_w = width - self.config.cnn_kernel + 1
-            if conv_w < 2:
-                break
-            plan.append((chans, conv_w // 2))
-            chans = self.config.cnn_channels
-            width = conv_w // 2
-            if width < self.config.cnn_kernel:
-                break
-        if not plan:
-            raise ValueError("bus axis too short for even one conv stage")
-        return plan
-
     def init_params(self, rng: np.random.Generator) -> dict:
-        cfg = self.config
         p: dict[str, np.ndarray] = {}
-        head_dim = 0
-        kind = self.global_kind
-        if kind == "stats":
-            g = self.dims["global_dim"]
-            p["g1_w"] = nn.glorot_uniform(rng, g, cfg.stats_hidden)
-            p["g1_b"] = np.zeros(cfg.stats_hidden)
-            p["g2_w"] = nn.glorot_uniform(rng, cfg.stats_hidden, cfg.sg_dim)
-            p["g2_b"] = np.zeros(cfg.sg_dim)
-            head_dim += cfg.sg_dim
-        elif kind == "mlp":
-            g = self.dims["global_dim"]
-            sizes = (g,) + tuple(cfg.mlp_hidden)
-            for i in range(len(cfg.mlp_hidden)):
-                p[f"m{i + 1}_w"] = nn.glorot_uniform(rng, sizes[i], sizes[i + 1])
-                p[f"m{i + 1}_b"] = np.zeros(sizes[i + 1])
-            head_dim += cfg.mlp_hidden[-1]
-        elif kind == "cnn":
-            plan = self._cnn_plan()
-            chans = 13
-            for i, (c_in, _) in enumerate(plan):
-                k = cfg.cnn_kernel
-                p[f"c{i + 1}_k"] = nn.glorot_uniform(
-                    rng, c_in * k, cfg.cnn_channels * k,
-                    shape=(cfg.cnn_channels, c_in, 1, k))
-                p[f"c{i + 1}_b"] = np.zeros(cfg.cnn_channels)
-                chans = cfg.cnn_channels
-            flat = plan[-1][1] * chans
-            p["cd_w"] = nn.glorot_uniform(rng, flat, cfg.sg_dim)
-            p["cd_b"] = np.zeros(cfg.sg_dim)
-            head_dim += cfg.sg_dim
-
-        if self.variant.local:
-            f = self.dims["node_features"]
-            p["l1_w"] = nn.glorot_uniform(rng, f, cfg.gcn_hidden)
-            p["l2_w"] = nn.glorot_uniform(rng, cfg.gcn_hidden, cfg.gcn_hidden)
-            p["l3_w"] = nn.glorot_uniform(rng, cfg.gcn_hidden, cfg.sl_dim)
-            head_dim += cfg.sl_dim
-
-        if self.variant.embedding:
-            p["emb_table"] = rng.normal(0.0, 0.1, size=(self.dims["n_elements"], cfg.embed_dim))
-            p["emb_w"] = nn.glorot_uniform(rng, cfg.embed_dim, cfg.sid_hidden)
-            p["emb_b"] = np.zeros(cfg.sid_hidden)
-            head_dim += cfg.sid_hidden
-
+        for head in self.heads:
+            head.init(rng, p)
         # Small output init keeps initial predictions near 0.5.
-        p["out_w"] = 0.1 * nn.glorot_uniform(rng, head_dim, 1)
+        p["out_w"] = 0.1 * nn.glorot_uniform(rng, self.width, 1)
         p["out_b"] = np.zeros(1)
         return p
+
+    def check_params(self, params: dict, scalers: dict) -> None:
+        """Raise :class:`TrainingError` naming a parameter the heads and the
+        output layer do not declare with that shape, or a missing scaler."""
+        want = {name: shape for head in self.heads for name, shape in head.shapes.items()}
+        want.update(out_w=(self.width, 1), out_b=(1,))
+        for name, shape in want.items():
+            if name not in params:
+                raise TrainingError(f"checkpoint lacks parameter {name!r}")
+            if params[name].shape != shape:
+                raise TrainingError(f"checkpoint parameter {name!r} has shape "
+                                    f"{params[name].shape}, expected {shape}")
+        unused = sorted(set(params) - set(want))
+        if unused:
+            raise TrainingError(f"checkpoint parameters {unused} are not in variant "
+                                f"{self.variant.name}")
+        for kind in sorted(self.inputs & {"global", "local", "raw"}):
+            for name in (f"{kind}_mu", f"{kind}_sd"):
+                if name not in scalers:
+                    raise TrainingError(f"checkpoint lacks scaler {name!r}")
 
     # ------------------------------------------------------- data plumbing
 
     def fit_scalers(self, dataset: FeaturizedDataset) -> None:
         """Per-dimension standardization statistics from the training data."""
-        needs = self.needs()
         scalers = {}
-        if needs["global"]:
+        if "global" in self.inputs:
             g = np.stack([s.global_vec for s in dataset.samples])
             scalers["global_mu"] = g.mean(axis=0)
             scalers["global_sd"] = _safe_sd(g.std(axis=0))
-        if needs["local"]:
+        if "local" in self.inputs:
             rows = np.vstack([
                 s.local.node_features[s.local.node_mask] for s in dataset.samples
             ])
             scalers["local_mu"] = rows.mean(axis=0)
             scalers["local_sd"] = _safe_sd(rows.std(axis=0))
-        if needs["raw"]:
+        if "raw" in self.inputs:
             raws = np.stack([dataset.raw_states[(s.day, s.slot)] for s in dataset.samples])
             scalers["raw_mu"] = raws.mean(axis=(0, 1))
             scalers["raw_sd"] = _safe_sd(raws.std(axis=(0, 1)))
         self.scalers = scalers
 
     def build_batch(self, dataset: FeaturizedDataset, indices) -> dict:
-        needs = self.needs()
         sc = self.scalers
-        batch: dict[str, np.ndarray | None] = {
-            "global": None, "raw": None, "h": None, "a": None,
-            "mask": None, "ids": None,
-        }
+        batch: dict[str, np.ndarray | None] = dict.fromkeys(
+            ("global", "raw", "h", "a", "mask", "ids"))
         samples = [dataset.samples[i] for i in indices]
-        if needs["global"]:
+        if "global" in self.inputs:
             g = np.stack([s.global_vec for s in samples])
             batch["global"] = (g - sc["global_mu"]) / sc["global_sd"]
-        if needs["raw"]:
+        if "raw" in self.inputs:
             raws = np.stack([dataset.raw_states[(s.day, s.slot)] for s in samples])
             raws = (raws - sc["raw_mu"]) / sc["raw_sd"]
             batch["raw"] = raws.transpose(0, 2, 1)[:, :, None, :]   # (B, 13, 1, n_bus)
-        if needs["local"]:
+        if "local" in self.inputs:
             mask = np.stack([s.local.node_mask for s in samples]).astype(float)
             h = np.stack([s.local.node_features for s in samples])
             h = (h - sc["local_mu"]) / sc["local_sd"]
@@ -251,7 +391,7 @@ class ScreeningModel:
             batch["h"] = h
             batch["mask"] = mask
             batch["a"] = np.stack([self._adj_norm(s.local) for s in samples])
-        if needs["ids"]:
+        if "ids" in self.inputs:
             batch["ids"] = np.array([s.element_id for s in samples], dtype=int)
         return batch
 
@@ -261,7 +401,7 @@ class ScreeningModel:
         key = (id(local.adjacency), id(local.node_mask))
         cached = self._adj_cache.get(key)
         if cached is None:
-            if self.variant.graph:
+            if "adjacency" in self.inputs:
                 a = nn.normalize_adjacency(local.adjacency, local.node_mask)
             else:
                 a = np.diag(local.node_mask.astype(float))
@@ -271,69 +411,11 @@ class ScreeningModel:
     # -------------------------------------------------------- forward/backward
 
     def forward(self, params: dict, batch: dict):
-        cfg = self.config
-        caches: dict = {}
-        heads = []
-        kind = self.global_kind
-        if kind == "stats":
-            z1, caches["g1"] = nn.dense_forward(batch["global"], params["g1_w"], params["g1_b"])
-            a1 = nn.relu(z1)
-            z2, caches["g2"] = nn.dense_forward(a1, params["g2_w"], params["g2_b"])
-            caches["g_z"] = (z1, z2)
-            heads.append(nn.relu(z2))
-        elif kind == "mlp":
-            act = batch["global"]
-            zs = []
-            for i in range(len(cfg.mlp_hidden)):
-                z, caches[f"m{i + 1}"] = nn.dense_forward(act, params[f"m{i + 1}_w"], params[f"m{i + 1}_b"])
-                zs.append(z)
-                act = nn.relu(z)
-            caches["m_z"] = zs
-            heads.append(act)
-        elif kind == "cnn":
-            x = batch["raw"]
-            convs = []
-            n_stage = sum(1 for k in params if k.endswith("_k"))
-            for i in range(1, n_stage + 1):
-                x, c = nn.conv_maxpool_forward(x, params[f"c{i}_k"], params[f"c{i}_b"], pool=(1, 2))
-                convs.append(c)
-            caches["convs"] = convs
-            caches["conv_shape"] = x.shape
-            flat = x.reshape(x.shape[0], -1)
-            zd, caches["cd"] = nn.dense_forward(flat, params["cd_w"], params["cd_b"])
-            caches["cd_z"] = zd
-            heads.append(nn.relu(zd))
-
-        if self.variant.local:
-            h1, caches["l1"] = nn.gcn_forward(batch["h"], batch["a"], params["l1_w"])
-            h2, caches["l2"] = nn.gcn_forward(h1, batch["a"], params["l2_w"])
-            h3, caches["l3"] = nn.gcn_forward(h2, batch["a"], params["l3_w"],
-                                              apply_relu=cfg.gcn_final_relu)
-            mask = batch["mask"]
-            cnt = mask.sum(axis=1, keepdims=True)
-            if self.pool == "mean":
-                sl = (h3 * mask[:, :, None]).sum(axis=1) / cnt
-                caches["pool"] = ("mean", mask, cnt, h3.shape)
-            else:
-                neg = np.where(mask[:, :, None] > 0, h3, -np.inf)
-                idx = neg.argmax(axis=1)
-                sl = np.take_along_axis(h3, idx[:, None, :], axis=1)[:, 0, :]
-                caches["pool"] = ("max", idx, h3.shape)
-            heads.append(sl)
-
-        if self.variant.embedding:
-            emb, caches["emb"] = nn.embedding_forward(params["emb_table"], batch["ids"])
-            ze, caches["emb_dense"] = nn.dense_forward(emb, params["emb_w"], params["emb_b"])
-            caches["emb_z"] = ze
-            heads.append(nn.relu(ze))
-
-        concat = np.concatenate(heads, axis=1)
-        caches["head_dims"] = [h.shape[1] for h in heads]
-        z_out, caches["out"] = nn.dense_forward(concat, params["out_w"], params["out_b"])
-        z_out = z_out[:, 0]
-        y = nn.sigmoid(z_out)
-        caches["y"] = y
-        return y, caches
+        outs, head_caches = zip(*(head.forward(params, batch) for head in self.heads))
+        z_out, out_cache = nn.dense_forward(np.concatenate(outs, axis=1),
+                                            params["out_w"], params["out_b"])
+        y = nn.sigmoid(z_out[:, 0])
+        return y, {"heads": head_caches, "out": out_cache, "y": y}
 
     def backward(self, params: dict, caches: dict, grad_y: np.ndarray) -> dict:
         grads: dict[str, np.ndarray] = {}
@@ -341,57 +423,10 @@ class ScreeningModel:
         grad_z = grad_y * y * (1.0 - y)
         grad_concat, grads["out_w"], grads["out_b"] = nn.dense_backward(
             grad_z[:, None], caches["out"])
-
-        pieces = []
         start = 0
-        for d in caches["head_dims"]:
-            pieces.append(grad_concat[:, start:start + d])
-            start += d
-        pieces.reverse()   # consume in the reverse order heads were appended
-
-        if self.variant.embedding:
-            g_sid = pieces.pop(0)
-            g_ze = g_sid * (caches["emb_z"] > 0.0)
-            g_emb, grads["emb_w"], grads["emb_b"] = nn.dense_backward(g_ze, caches["emb_dense"])
-            grads["emb_table"] = nn.embedding_backward(g_emb, caches["emb"])
-
-        if self.variant.local:
-            g_sl = pieces.pop(0)
-            pool = caches["pool"]
-            if pool[0] == "mean":
-                _, mask, cnt, h3_shape = pool
-                g_h3 = (g_sl / cnt)[:, None, :] * mask[:, :, None]
-            else:
-                _, idx, h3_shape = pool
-                g_h3 = np.zeros(h3_shape)
-                np.put_along_axis(g_h3, idx[:, None, :], g_sl[:, None, :], axis=1)
-            g_h2, grads["l3_w"] = nn.gcn_backward(g_h3, caches["l3"])
-            g_h1, grads["l2_w"] = nn.gcn_backward(g_h2, caches["l2"])
-            _, grads["l1_w"] = nn.gcn_backward(g_h1, caches["l1"])
-
-        kind = self.global_kind
-        if kind == "stats":
-            g_sg = pieces.pop(0)
-            z1, z2 = caches["g_z"]
-            g_z2 = g_sg * (z2 > 0.0)
-            g_a1, grads["g2_w"], grads["g2_b"] = nn.dense_backward(g_z2, caches["g2"])
-            g_z1 = g_a1 * (z1 > 0.0)
-            _, grads["g1_w"], grads["g1_b"] = nn.dense_backward(g_z1, caches["g1"])
-        elif kind == "mlp":
-            g_act = pieces.pop(0)
-            zs = caches["m_z"]
-            for i in range(len(zs), 0, -1):
-                g_z = g_act * (zs[i - 1] > 0.0)
-                g_act, grads[f"m{i}_w"], grads[f"m{i}_b"] = nn.dense_backward(
-                    g_z, caches[f"m{i}"])
-        elif kind == "cnn":
-            g_sg = pieces.pop(0)
-            g_zd = g_sg * (caches["cd_z"] > 0.0)
-            g_flat, grads["cd_w"], grads["cd_b"] = nn.dense_backward(g_zd, caches["cd"])
-            g_x = g_flat.reshape(caches["conv_shape"])
-            for i in range(len(caches["convs"]), 0, -1):
-                g_x, grads[f"c{i}_k"], grads[f"c{i}_b"] = nn.conv_maxpool_backward(
-                    g_x, caches["convs"][i - 1])
+        for head, cache in zip(self.heads, caches["heads"]):
+            head.backward(params, cache, grad_concat[:, start:start + head.width], grads)
+            start += head.width
         return grads
 
     def predict(self, params: dict, dataset: FeaturizedDataset,
@@ -503,9 +538,10 @@ def scores_for(result: TrainResult, dataset: FeaturizedDataset) -> np.ndarray:
     """Score a dataset with a trained model, enforcing feature compatibility."""
     if dataset.feature_spec_hash() != result.feature_spec_hash:
         raise TrainingError(
-            f"feature spec hash mismatch: dataset {dataset.feature_spec_hash()} "
+            f"feature_spec_hash mismatch: dataset {dataset.feature_spec_hash()} "
             f"vs checkpoint {result.feature_spec_hash}")
     model = ScreeningModel(result.variant, result.config, _dims_for(dataset))
+    model.check_params(result.params, result.scalers)
     model.scalers = result.scalers
     return model.predict(result.params, dataset)
 
@@ -518,7 +554,6 @@ def _dims_for(dataset: FeaturizedDataset) -> dict:
     return {
         "global_dim": dataset.global_dim,
         "n_elements": dataset.n_elements,
-        "max_nodes": dataset.max_nodes,
         "node_features": sample.local.node_features.shape[1],
         "n_bus": n_bus,
     }

@@ -361,28 +361,40 @@ def save_checkpoint(result, path) -> None:
     Path(path).write_text(_dump(doc) + "\n")
 
 
+def _named_arrays(doc: dict, key: str, path) -> dict[str, np.ndarray]:
+    """name -> array of each ``{"name", "shape", "data"}`` entry of ``doc[key]``."""
+    with _entry(path, key):
+        entries = list(doc[key])
+    arrays = {}
+    for i, entry in enumerate(entries):
+        with _entry(path, f"{key}[{i}]"):
+            arrays[entry["name"]] = np.array(entry["data"]).reshape(entry["shape"])
+    return arrays
+
+
 def load_checkpoint(path):
+    """Read a checkpoint written by :func:`save_checkpoint`.  A missing or
+    malformed field, or an invalid model config, is a :class:`FormatError`
+    naming the file and the field."""
     from .model import ModelConfig, TrainResult
 
     doc = json.loads(Path(path).read_text())
     _check_version(doc, path)
-    cfg_doc = dict(doc["config"])
-    cfg_doc["mlp_hidden"] = tuple(cfg_doc.get("mlp_hidden", (200, 100)))
-    params = {
-        layer["name"]: np.array(layer["data"]).reshape(layer["shape"])
-        for layer in doc["layers"]
-    }
-    scalers = {
-        layer["name"]: np.array(layer["data"]).reshape(layer["shape"])
-        for layer in doc["scalers"]
-    }
-    return TrainResult(
-        variant=doc["variant"], params=params, scalers=scalers, history=[],
-        threshold=doc["threshold"],
-        calibration_feasible=doc["calibration_feasible"],
-        best_epoch=doc["best_epoch"], config=ModelConfig(**cfg_doc),
-        feature_spec_hash=doc["feature_spec_hash"],
-    )
+    with _entry(path, "config"):
+        cfg_doc = dict(doc["config"])
+        cfg_doc["mlp_hidden"] = tuple(cfg_doc.get("mlp_hidden", (200, 100)))
+        config = ModelConfig(**cfg_doc)
+        config.validate()
+    params = _named_arrays(doc, "layers", path)
+    scalers = _named_arrays(doc, "scalers", path)
+    with _entry(path, "checkpoint"):
+        return TrainResult(
+            variant=doc["variant"], params=params, scalers=scalers, history=[],
+            threshold=doc["threshold"],
+            calibration_feasible=doc["calibration_feasible"],
+            best_epoch=doc["best_epoch"], config=config,
+            feature_spec_hash=doc["feature_spec_hash"],
+        )
 
 
 # ------------------------------------------------------------------- CSVs

@@ -15,7 +15,7 @@ from .features import (
 )
 from .grid import Network, Snapshot
 from .metrics import MetricRow, calibrate_threshold, compute_metrics, undersample_balance
-from .model import ModelConfig, TrainConfig, TrainResult, scores_for, train
+from .model import ModelConfig, TrainConfig, TrainResult, reads_raw, scores_for, train
 from .persist import fingerprint
 
 log = logging.getLogger(__name__)
@@ -168,10 +168,10 @@ def daily_report(bundle: Bundle, system: str, days: list[int] | None = None,
     cfg = bundle.config
     if days is None:
         days = list(range(cfg.synth.days - 1))
+    raw = system == "model" and reads_raw(variant, cfg.model)
     rows = []
     for d in days:
-        pair = prepare_day_pair(bundle, d, d + 1,
-                                include_raw=_needs_raw(variant) and system == "model")
+        pair = prepare_day_pair(bundle, d, d + 1, include_raw=raw)
         if system == "model":
             row, _ = run_model_system(pair, variant, cfg.model, cfg.train)
         elif system == "prevday":
@@ -206,17 +206,14 @@ def comparison_table(bundle: Bundle, train_day: int, eval_day: int) -> list[dict
 def ablation_table(bundle: Bundle, train_day: int, eval_day: int) -> list[dict]:
     """Full model against the three single-feature-family removals."""
     cfg = bundle.config
-    pair = prepare_day_pair(bundle, train_day, eval_day)
+    raw = any(reads_raw(variant, cfg.model) for _, variant in ABLATION_ROWS)
+    pair = prepare_day_pair(bundle, train_day, eval_day, include_raw=raw)
     rows = []
     for label, variant in ABLATION_ROWS:
         row, _ = run_model_system(pair, variant, cfg.model, cfg.train)
         rows.append(_row_dict(label, row))
         log.info("ablation %s: %s", label, row.formatted())
     return rows
-
-
-def _needs_raw(variant: str) -> bool:
-    return variant == "DeepCnn5"
 
 
 def _row_dict(date, row: MetricRow) -> dict:

@@ -18,10 +18,11 @@ SMALL = ModelConfig(gcn_hidden=8, sg_dim=8, sl_dim=8, stats_hidden=12,
                     sid_hidden=4, mlp_hidden=(10, 6))
 
 
-def small_model(variant, ds):
-    model = ScreeningModel(variant, SMALL, {
+def small_model(variant, ds, config=SMALL):
+    n_bus = next(iter(ds.raw_states.values())).shape[0] if ds.raw_states else 0
+    model = ScreeningModel(variant, config, {
         "global_dim": ds.global_dim, "n_elements": ds.n_elements,
-        "max_nodes": ds.max_nodes, "node_features": 59, "n_bus": 0,
+        "max_nodes": ds.max_nodes, "node_features": 59, "n_bus": n_bus,
     })
     model.fit_scalers(ds)
     return model
@@ -157,9 +158,16 @@ def test_ablated_variants_do_not_read_ablated_inputs():
         assert batch[missing] is None
 
 
-def test_assembled_model_gradcheck():
+@pytest.mark.parametrize("variant,encoder", [
+    *(pytest.param(v, "stats", id=v) for v in VARIANTS),
+    pytest.param("GraphModel", "rawcnn", id="GraphModel-rawcnn"),
+])
+def test_assembled_model_gradcheck(variant, encoder):
     ds = make_toy_dataset(3, seed=8)
-    model = small_model("GraphModel", ds)
+    rng = np.random.default_rng(9)
+    ds.raw_states = {(s.day, s.slot): rng.normal(size=(12, 13)) for s in ds.samples}
+    model = small_model(variant, ds, dataclasses.replace(
+        SMALL, global_encoder=encoder, cnn_channels=3))
     params = model.init_params(np.random.default_rng(8))
     batch = model.build_batch(ds, range(3))
     labels = ds.labels()[:3]
@@ -245,7 +253,7 @@ def test_variant_head_declarations():
     assert VARIANTS["GraphPool"].pool == "max"
     assert not VARIANTS["MlpOnly"].local and not VARIANTS["MlpOnly"].embedding
     assert not VARIANTS["NoGraph"].graph and VARIANTS["NoGraph"].local
-    assert not VARIANTS["NoGlobal"].has_global
+    assert VARIANTS["NoGlobal"].global_kind == "none"
 
 
 def test_model_config_validation():

@@ -432,3 +432,95 @@ def test_cli_featurize_days_without_data_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "days [9]" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# ------------------------------------------------------ model config and heads
+
+def _write_config(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_ablate_with_rawcnn_encoder(tmp_path):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    config = _write_config(tmp_path / "cfg.json", {"model": {"global_encoder": "rawcnn"}})
+    assert run_cli("ablate", "--config", config, "--data", str(data), "--train-day", "1",
+                   "--eval-day", "2", "--epochs", "1", "--seed", "7") == 0
+
+
+def test_daily_report_with_rawcnn_encoder():
+    cfg = report.ExperimentConfig(synth=SynthConfig(n_bus=24, days=2, slots_per_day=8,
+                                                    seed=7))
+    cfg.model.global_encoder = "rawcnn"
+    cfg.train.epochs = 1
+    rows = report.daily_report(report.build_bundle(cfg), "model", variant="GraphModel")
+    assert [row["date"] for row in rows] == [1]
+
+
+@pytest.mark.parametrize("model,field", [
+    ({"pool": "avg"}, "pool"),
+    ({"mlp_hidden": []}, "mlp_hidden"),
+    ({"gcn_hidden": 0}, "gcn_hidden"),
+], ids=["pool-avg", "empty-mlp-hidden", "zero-gcn-hidden"])
+@pytest.mark.parametrize("command", ["ablate", "report"])
+def test_cli_rejects_bad_model_config(tmp_path, capsys, monkeypatch, command, model, field):
+    def no_featurize(*args, **kwargs):
+        raise AssertionError("featurize ran")
+
+    monkeypatch.setattr(report, "featurize", no_featurize)
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    config = _write_config(tmp_path / "cfg.json", {"model": model})
+    pair = ["--train-day", "1", "--eval-day", "2"] if command == "ablate" else []
+    capsys.readouterr()
+    assert run_cli(command, "--config", config, "--data", str(data), *pair) == 1
+    err = capsys.readouterr().err
+    assert f"{config}: config section 'model': {field}" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("checkpoint")
+    data = root / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    assert run_cli("featurize", "--data", str(data), "--days", "1,2") == 0
+    ckpt = root / "ckpt.json"
+    assert run_cli("train", "--features", str(data / "features.npz"), "--train-day", "1",
+                   "--epochs", "1", "--seed", "7", "--out", str(ckpt)) in (0, 3)
+    return ckpt, data / "features.npz"
+
+
+def _drop_layer(doc, name):
+    doc["layers"] = [layer for layer in doc["layers"] if layer["name"] != name]
+
+
+def _shrink_out_w(doc):
+    layer = next(layer for layer in doc["layers"] if layer["name"] == "out_w")
+    layer["shape"][0] -= 1
+    layer["data"] = layer["data"][:-1]
+
+
+@pytest.mark.parametrize("corrupt,messages", [
+    (lambda doc: doc["config"].__setitem__("bogus", 1), ["{path}: config: ", "'bogus'"]),
+    (lambda doc: _drop_layer(doc, "l2_w"), ["checkpoint lacks parameter 'l2_w'"]),
+    (lambda doc: doc.pop("threshold"), ["{path}: checkpoint: missing field 'threshold'"]),
+    (lambda doc: doc.__setitem__("feature_spec_hash", "0" * 16), ["feature_spec_hash"]),
+    (_shrink_out_w, ["checkpoint parameter 'out_w' has shape (", "expected ("]),
+], ids=["unknown-config-key", "missing-layer", "missing-threshold", "feature-hash",
+        "wrong-shape-out-w"])
+def test_cli_eval_rejects_bad_checkpoint(tmp_path, capsys, trained_checkpoint, corrupt,
+                                         messages):
+    ckpt, features = trained_checkpoint
+    doc = json.loads(ckpt.read_text())
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(path), "--features", str(features),
+                   "--day", "2") == 1
+    err = capsys.readouterr().err
+    for message in messages:
+        assert message.format(path=path) in err
+    assert "Traceback" not in err
