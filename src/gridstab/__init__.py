@@ -20,15 +20,13 @@ from .features import (
     global_stats, local_subgraph,
 )
 from .nn import (
-    AdamState, adam_init, adam_step, bce_loss, conv_maxpool, grad_check,
-    normalize_adjacency,
+    AdamState, adam_init, adam_step, bce_loss, grad_check, normalize_adjacency,
 )
 from .model import (
     ModelConfig, ScreeningModel, TrainConfig, TrainResult, scores_for, train,
 )
 from .baselines import (
-    LinearSvmParams, PrevDayIndex, combine_union, mlp_baseline,
-    prev_day_predict, svm_train_expanded,
+    LinearSvmParams, PrevDayIndex, svm_train_expanded,
 )
 from .metrics import (
     ConfusionCounts, MetricRow, calibrate_threshold, compute_metrics,

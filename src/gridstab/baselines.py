@@ -1,18 +1,13 @@
-"""Comparison systems: previous-day label averaging, boundary-expansion SVM,
-a plain MLP, and the union ensemble."""
+"""Comparison systems: previous-day label averaging and the boundary-expansion
+SVM.  The MLP baseline is the ``MlpOnly`` model variant (see :mod:`.model`)."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .features import FeaturizedDataset
-from .grid import STABLE, UNSTABLE
-from .model import ModelConfig, TrainConfig, TrainResult, train
-
-log = logging.getLogger(__name__)
 
 PREV_DAY_THRESHOLD = 0.03
 
@@ -35,16 +30,6 @@ class PrevDayIndex:
     def mean_label(self, element_id: int) -> float:
         history = self.labels.get(element_id)
         return float(np.mean(history)) if history else 0.0
-
-
-def prev_day_predict(index: PrevDayIndex, element_id: int,
-                     threshold: float = PREV_DAY_THRESHOLD) -> int:
-    """Unstable iff yesterday's label mean exceeds the threshold."""
-    if element_id not in index.labels:
-        log.debug("element %d absent from day %d history; predicting stable",
-                  element_id, index.day)
-        return STABLE
-    return UNSTABLE if index.mean_label(element_id) > threshold else STABLE
 
 
 def prev_day_scores(index: PrevDayIndex, faults) -> np.ndarray:
@@ -154,26 +139,5 @@ def svm_train_expanded(features: np.ndarray, labels: np.ndarray,
     return params, accounting
 
 
-def expansion_accounting(truly_unstable: set, support: set, false_pos: set) -> int:
-    """Size of the expanded unstable set by plain set union."""
-    return len(truly_unstable | support | false_pos)
-
-
 def svm_dataset_features(dataset: FeaturizedDataset) -> np.ndarray:
     return np.stack([s.global_vec for s in dataset.samples])
-
-
-def mlp_baseline(train_set: FeaturizedDataset, val_set: FeaturizedDataset,
-                 model_config: ModelConfig | None = None,
-                 train_config: TrainConfig | None = None) -> TrainResult:
-    """Three-layer perceptron over the global statistic vector."""
-    return train("MlpOnly", train_set, val_set, model_config, train_config)
-
-
-def combine_union(pred_a, pred_b) -> np.ndarray:
-    """Unstable iff either input flags the sample."""
-    a = np.asarray(pred_a)
-    b = np.asarray(pred_b)
-    if a.shape != b.shape:
-        raise ValueError(f"prediction length mismatch: {a.shape} vs {b.shape}")
-    return ((a > 0.5) | (b > 0.5)).astype(int)

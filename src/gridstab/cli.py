@@ -16,11 +16,12 @@ import os
 import sys
 from pathlib import Path
 
-from . import baselines, persist, report, synth
+from . import persist, report, synth
 from .features import featurize
 from .metrics import compute_metrics
 from .model import (
-    ABLATION_ALIASES, VARIANT_ALIASES, TrainingError, reads_raw, scores_for, train,
+    ABLATION_ALIASES, VARIANT_ALIASES, TrainingError, _is_int, _is_real, scores_for,
+    train,
 )
 from .report import ExperimentConfig
 
@@ -95,9 +96,29 @@ def resolve_config(args) -> ExperimentConfig:
         cfg.train.epochs = args.epochs
     if getattr(args, "target_kkd", None) is not None:
         cfg.train.target_kkd = args.target_kkd
+    _check_settings(cfg)
     log.info("resolved config: %s", json.dumps(dataclasses.asdict(cfg), default=str,
                                                sort_keys=True))
     return cfg
+
+
+def _check_settings(cfg: ExperimentConfig) -> None:
+    """Reject feature, eval and train settings that featurize, the day split
+    or training cannot use, naming the config section and the field."""
+    if not _is_int(cfg.max_nodes) or cfg.max_nodes < 1:
+        raise CliError(f"config section 'feature': max_nodes must be an integer >= 1, "
+                       f"not {cfg.max_nodes!r}")
+    if not _is_int(cfg.feature_regions) or cfg.feature_regions < 0:
+        raise CliError(f"config section 'feature': regions must be an integer >= 0, "
+                       f"not {cfg.feature_regions!r}")
+    frac = cfg.calibration_frac
+    if not _is_real(frac) or not 0.0 < frac < 1.0:
+        raise CliError(f"config section 'eval': calibration_frac must be a number in "
+                       f"(0, 1), not {frac!r}")
+    try:
+        cfg.train.validate()
+    except ValueError as exc:
+        raise CliError(f"config section 'train': {exc}") from exc
 
 
 def _require(path: Path, kind: str) -> Path:
@@ -187,9 +208,6 @@ def cmd_train(args) -> int:
         if fp != ds.synth_fingerprint:
             raise CliError("features fingerprint does not match the dataset directory")
     variant = _resolve_variant(args)
-    if reads_raw(variant, cfg.model) and not ds.raw_states:
-        raise CliError(f"variant {variant} needs raw bus states, and the features file "
-                       f"{args.features} carries no raw states")
     train_ds, cal_ds = _train_cal_split(ds, args.train_day, cfg.calibration_frac)
     result = train(variant, train_ds, cal_ds, cfg.model, cfg.train)
     out = Path(args.out) if args.out else Path("checkpoint.json")

@@ -93,7 +93,7 @@ def _trim_bounds(n: int) -> tuple[int, int]:
 def compute_statistic(values, kind: StatKind) -> float:
     """One statistic of a non-empty value list.
 
-    Degenerate cases follow fixed conventions: Sd of a single value is 0,
+    Degenerate cases follow fixed conventions: Sd of one value is 0,
     Skew/Kurt of a constant vector are 0 (Kurt is excess kurtosis), Mj10
     trims floor(n/10) values from each end, Msd = 1.4826 * Mad.
     """

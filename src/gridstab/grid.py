@@ -54,14 +54,6 @@ class Bus:
     degree: int = 0
     region: int = 0
 
-    def state_vector(self, p_ac_sum: float = 0.0, q_ac_sum: float = 0.0) -> np.ndarray:
-        """Base state in the documented 13-column order."""
-        return np.array([
-            self.voltage_mag, self.voltage_ang, self.p_gen, self.q_gen,
-            self.gen_pf, self.p_load, self.q_load, self.load_pf,
-            self.q_cap, self.q_reactor, p_ac_sum, q_ac_sum, float(self.degree),
-        ])
-
 
 @dataclass(frozen=True)
 class Element:
@@ -124,7 +116,7 @@ class FaultSample:
 def build_adjacency(network: Network) -> np.ndarray:
     """Symmetric 0/1 bus adjacency with a zero diagonal.
 
-    Parallel elements between the same bus pair collapse to a single 1.
+    Parallel elements between the same bus pair collapse to one entry of 1.
     Raises :class:`GridError` on a dangling endpoint.
     """
     n = network.n_bus

@@ -111,7 +111,7 @@ def undersample_balance(samples, seed: int):
     """Keep every unstable sample, subsample stable ones to the same count.
 
     ``samples`` is any sequence whose items expose a ``label`` attribute.
-    Deterministic in the seed; raises on single-class input.
+    Deterministic in the seed; raises unless both classes are present.
     """
     unstable = [s for s in samples if s.label == 1]
     stable = [s for s in samples if s.label == 0]
@@ -122,11 +122,3 @@ def undersample_balance(samples, seed: int):
     rng = np.random.default_rng([seed, 7])
     picked = rng.choice(len(stable), size=len(unstable), replace=False)
     return list(unstable) + [stable[i] for i in sorted(picked)]
-
-
-def threshold_sweep(scores, labels) -> list[MetricRow]:
-    """Metrics at every candidate threshold, descending."""
-    return [
-        compute_metrics(scores, labels, float(t))
-        for t in np.unique(np.asarray(scores, dtype=float))[::-1]
-    ]

@@ -15,6 +15,7 @@ read its input.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import nn
 from .features import FeaturizedDataset, LocalGraph
+from .grid import N_BUS_STATE
 from .metrics import calibrate_threshold, compute_metrics, undersample_balance
 
 log = logging.getLogger(__name__)
@@ -96,7 +98,7 @@ class ModelConfig:
             "cnn_channels", "cnn_kernel", "cnn_stages")}
         sizes.update((f"mlp_hidden[{i}]", n) for i, n in enumerate(self.mlp_hidden))
         for name, n in sizes.items():
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise ValueError(f"{name} must be a positive integer, not {n!r}")
 
 
@@ -109,6 +111,25 @@ class TrainConfig:
     target_kkd: float = 98.0
     balance: bool = True
     positive_class_only_loss: bool = False
+
+    def validate(self) -> None:
+        if not _is_int(self.epochs) or self.epochs < 0:
+            raise ValueError(f"epochs must be an integer >= 0, not {self.epochs!r}")
+        if not _is_int(self.batch_size) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, not {self.batch_size!r}")
+        if not _is_real(self.lr) or not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be a finite number > 0, not {self.lr!r}")
+        if not _is_real(self.target_kkd) or not 0.0 <= self.target_kkd <= 100.0:
+            raise ValueError(f"target_kkd must be a number in [0, 100], not "
+                             f"{self.target_kkd!r}")
+
+
+def _is_int(n) -> bool:
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class Head:
@@ -189,8 +210,7 @@ class ConvPoolHead(Head):
         x = batch["raw"]
         convs = []
         for i in range(1, self.n_stages + 1):
-            x, cache = nn.conv_maxpool_forward(x, params[f"c{i}_k"], params[f"c{i}_b"],
-                                               pool=(1, 2))
+            x, cache = nn.conv_maxpool_forward(x, params[f"c{i}_k"], params[f"c{i}_b"])
             convs.append(cache)
         out, tail = self.tail.run(params, x.reshape(x.shape[0], -1))
         return out, (convs, x.shape, tail)
@@ -311,12 +331,18 @@ class ScreeningModel:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         config.validate()
+        # dims: global_dim, n_elements, node_features, n_bus (0 for a dataset
+        # without raw states)
+        if reads_raw(variant, config) and not dims["n_bus"]:
+            raise TrainingError(f"variant {variant} reads raw bus states, and the "
+                                f"dataset carries no raw states")
         self.variant = VARIANTS[variant]
-        # dims: global_dim, n_elements, node_features, n_bus
         self.heads = build_heads(self.variant, config, dims)
         self.inputs = {name for head in self.heads for name in head.inputs}
         self.width = sum(head.width for head in self.heads)
         self.scalers: dict[str, np.ndarray] = {}
+        self._scaler_shapes = {"global": (dims["global_dim"],),
+                               "local": (dims["node_features"],), "raw": (N_BUS_STATE,)}
         # (id(adjacency), id(node_mask)) -> (adjacency, node_mask, propagation
         # matrix).  Holding the arrays keeps their ids from being reused.
         self._adj_cache: dict[tuple[int, int], tuple] = {}
@@ -332,7 +358,8 @@ class ScreeningModel:
 
     def check_params(self, params: dict, scalers: dict) -> None:
         """Raise :class:`TrainingError` naming a parameter the heads and the
-        output layer do not declare with that shape, or a missing scaler."""
+        output layer do not declare with that shape, or a scaler that is
+        missing or does not match the dataset's dims."""
         want = {name: shape for head in self.heads for name, shape in head.shapes.items()}
         want.update(out_w=(self.width, 1), out_b=(1,))
         for name, shape in want.items():
@@ -349,6 +376,10 @@ class ScreeningModel:
             for name in (f"{kind}_mu", f"{kind}_sd"):
                 if name not in scalers:
                     raise TrainingError(f"checkpoint lacks scaler {name!r}")
+                if scalers[name].shape != self._scaler_shapes[kind]:
+                    raise TrainingError(f"checkpoint scaler {name!r} has shape "
+                                        f"{scalers[name].shape}, expected "
+                                        f"{self._scaler_shapes[kind]}")
 
     # ------------------------------------------------------- data plumbing
 
@@ -463,6 +494,7 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
     validation accuracy; deterministic in the seed."""
     mc = model_config or ModelConfig()
     tc = train_config or TrainConfig()
+    tc.validate()
     if not train_set.samples:
         raise TrainingError("empty training set")
 

@@ -1,8 +1,11 @@
 """From-scratch differentiable layers with hand-derived backward passes.
 
-Everything operates on plain float64 numpy arrays.  Each layer is a
-forward function returning (output, cache) and a backward function mapping
-the upstream gradient plus the cache to input/parameter gradients.  A
+Everything operates on plain float64 numpy arrays, and every layer takes a
+batch: a leading batch axis on each input, with no one-sample form.
+Each layer is a forward function returning (output, cache) and a backward
+function mapping the upstream gradient plus the cache to input/parameter
+gradients.  The convolution layer pools the one way the models use: the
+max of each adjacent pair of columns along the bus axis.  A
 finite-difference checker validates every backward pass.
 """
 
@@ -38,38 +41,25 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- dense
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """y = x W + b for x of shape (n,) or (batch, n)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    if x2.shape[1] != w.shape[0]:
-        raise ShapeError(f"dense: input dim {x2.shape[1]} vs weight {w.shape}")
-    y = x2 @ w + b
-    return (y[0] if single else y), (x2, w, single)
+    """y = x W + b for x of shape (batch, n)."""
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"dense: input dim {x.shape[1]} vs weight {w.shape}")
+    return x @ w + b, (x, w)
 
 
 def dense_backward(grad_y: np.ndarray, cache):
-    x2, w, single = cache
-    g = np.asarray(grad_y, dtype=float)
-    g2 = g[None, :] if single else g
-    grad_x = g2 @ w.T
-    grad_w = x2.T @ g2
-    grad_b = g2.sum(axis=0)
-    return (grad_x[0] if single else grad_x), grad_w, grad_b
+    x, w = cache
+    return grad_y @ w.T, x.T @ grad_y, grad_y.sum(axis=0)
 
 
 # ------------------------------------------------- convolution + max-pool
 
-def conv_maxpool_forward(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray,
-                         pool: tuple[int, int] = (1, 1),
-                         pool_stride: tuple[int, int] | None = None):
-    """Valid cross-correlation, bias, ReLU, then windowed max sampling.
+def conv_maxpool_forward(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray):
+    """Valid cross-correlation, bias, ReLU, then the max of each adjacent pair
+    of columns along the last axis; an odd last column is dropped.
 
     x: (batch, c_in, h, w); kernels: (c_out, c_in, kh, kw); biases: (c_out,).
-    ``pool`` is the sampling window, ``pool_stride`` defaults to the window.
     """
-    x = np.asarray(x, dtype=float)
-    kernels = np.asarray(kernels, dtype=float)
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeError("conv expects 4-d input and kernels")
     b, c_in, h, w = x.shape
@@ -78,57 +68,30 @@ def conv_maxpool_forward(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray,
         raise ShapeError(f"conv: {c_in} input channels vs kernel {kc}")
     if kh > h or kw > w:
         raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    if isinstance(pool, int):
-        pool = (pool, pool)
-    stride = pool if pool_stride is None else pool_stride
-    if isinstance(stride, int):
-        stride = (stride, stride)
-    if min(stride) < 1 or min(pool) < 1:
-        raise ShapeError("pool window and stride must be >= 1")
+    if w - kw + 1 < 2:
+        raise ShapeError(f"conv output width {w - kw + 1} has no pair to pool")
 
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     conv = np.einsum("bchwij,ocij->bohw", windows, kernels, optimize=True)
     conv = conv + biases[None, :, None, None]
     act = np.maximum(conv, 0.0)
 
-    hc, wc = act.shape[2], act.shape[3]
-    ph, pw = pool
-    sh, sw = stride
-    if ph > hc or pw > wc:
-        raise ShapeError(f"pool window {pool} larger than conv output {hc}x{wc}")
-    ho = (hc - ph) // sh + 1
-    wo = (wc - pw) // sw + 1
-    pooled = np.empty((b, c_out, ho, wo))
-    argmax = np.empty((b, c_out, ho, wo), dtype=np.int64)
-    for i in range(ho):
-        for j in range(wo):
-            block = act[:, :, i * sh:i * sh + ph, j * sw:j * sw + pw]
-            flat = block.reshape(b, c_out, -1)
-            idx = flat.argmax(axis=2)
-            pooled[:, :, i, j] = np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0]
-            argmax[:, :, i, j] = idx
-    cache = (x, kernels, conv, argmax, pool, stride)
-    return pooled, cache
+    wo = act.shape[3] // 2
+    pairs = act[..., :2 * wo].reshape(*act.shape[:3], wo, 2)
+    argmax = pairs.argmax(axis=4)[..., None]
+    pooled = np.take_along_axis(pairs, argmax, axis=4)[..., 0]
+    return pooled, (x, kernels, conv, argmax)
 
 
 def conv_maxpool_backward(grad_out: np.ndarray, cache):
-    x, kernels, conv, argmax, pool, stride = cache
-    b, c_in, h, w = x.shape
+    x, kernels, conv, argmax = cache
     c_out, _, kh, kw = kernels.shape
     hc, wc = conv.shape[2], conv.shape[3]
-    ph, pw = pool
-    sh, sw = stride
-    ho, wo = grad_out.shape[2], grad_out.shape[3]
 
     grad_act = np.zeros_like(conv)
-    bi = np.arange(b)[:, None]
-    ci = np.arange(c_out)[None, :]
-    for i in range(ho):
-        for j in range(wo):
-            idx = argmax[:, :, i, j]
-            r = i * sh + idx // pw
-            c = j * sw + idx % pw
-            np.add.at(grad_act, (bi, ci, r, c), grad_out[:, :, i, j])
+    # Splitting the last axis is always a view, so the put writes into grad_act.
+    pairs = grad_act[..., :2 * grad_out.shape[3]].reshape(*argmax.shape[:4], 2)
+    np.put_along_axis(pairs, argmax, grad_out[..., None], axis=4)
 
     grad_conv = grad_act * (conv > 0.0)
     grad_b = grad_conv.sum(axis=(0, 2, 3))
@@ -141,11 +104,6 @@ def conv_maxpool_backward(grad_out: np.ndarray, cache):
             grad_x[:, :, i:i + hc, j:j + wc] += np.einsum(
                 "bohw,oc->bchw", grad_conv, kernels[:, :, i, j], optimize=True)
     return grad_x, grad_k, grad_b
-
-
-def conv_maxpool(x, kernels, biases, pool=(1, 1), pool_stride=None) -> np.ndarray:
-    """Forward-only convenience wrapper."""
-    return conv_maxpool_forward(x, kernels, biases, pool, pool_stride)[0]
 
 
 # ------------------------------------------------------ graph convolution
@@ -179,56 +137,41 @@ def normalize_adjacency(adj: np.ndarray, mask: np.ndarray | None = None) -> np.n
 
 def gcn_forward(h: np.ndarray, adj_norm: np.ndarray, w: np.ndarray,
                 apply_relu: bool = True):
-    """One propagation step: act(adj_norm @ h @ w), batched or single.
+    """One propagation step: act(adj_norm @ h @ w).
 
-    h: (n, f) or (batch, n, f); adj_norm matching (n, n) / (batch, n, n).
+    h: (batch, n, f); adj_norm: (batch, n, n).
     """
-    h = np.asarray(h, dtype=float)
-    single = h.ndim == 2
-    hb = h[None] if single else h
-    ab = np.asarray(adj_norm, dtype=float)
-    ab = ab[None] if ab.ndim == 2 else ab
-    if hb.shape[-1] != w.shape[0]:
-        raise ShapeError(f"gcn: feature dim {hb.shape[-1]} vs weight {w.shape}")
-    if ab.shape[-1] != hb.shape[1]:
+    if h.shape[-1] != w.shape[0]:
+        raise ShapeError(f"gcn: feature dim {h.shape[-1]} vs weight {w.shape}")
+    if adj_norm.shape[-1] != h.shape[1]:
         raise ShapeError("gcn: adjacency size does not match node count")
-    s = ab @ hb
+    s = adj_norm @ h
     z = s @ w
     y = np.maximum(z, 0.0) if apply_relu else z
-    cache = (s, ab, w, z, apply_relu, single)
-    return (y[0] if single else y), cache
+    return y, (s, adj_norm, w, z, apply_relu)
 
 
 def gcn_backward(grad_y: np.ndarray, cache):
-    s, ab, w, z, apply_relu, single = cache
-    g = np.asarray(grad_y, dtype=float)
-    gb = g[None] if single else g
-    if apply_relu:
-        gb = gb * (z > 0.0)
-    grad_w = np.einsum("bnf,bng->fg", s, gb, optimize=True)
-    grad_s = gb @ w.T
-    grad_h = np.matmul(ab.transpose(0, 2, 1), grad_s)
-    return (grad_h[0] if single else grad_h), grad_w
+    s, adj_norm, w, z, apply_relu = cache
+    g = grad_y * (z > 0.0) if apply_relu else grad_y
+    grad_w = np.einsum("bnf,bng->fg", s, g, optimize=True)
+    grad_h = np.matmul(adj_norm.transpose(0, 2, 1), g @ w.T)
+    return grad_h, grad_w
 
 
 # ------------------------------------------------------------- embedding
 
-def embedding_forward(table: np.ndarray, ids):
-    ids = np.asarray(ids, dtype=int)
-    single = ids.ndim == 0
-    idv = ids[None] if single else ids
-    if idv.min(initial=0) < 0 or (idv.size and idv.max() >= table.shape[0]):
+def embedding_forward(table: np.ndarray, ids: np.ndarray):
+    """Rows ``table[ids]`` for an integer id vector."""
+    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         raise IndexError(f"embedding id out of range [0, {table.shape[0]})")
-    out = table[idv]
-    return (out[0] if single else out), (table.shape, idv, single)
+    return table[ids], (table.shape, ids)
 
 
 def embedding_backward(grad_y: np.ndarray, cache):
-    shape, idv, single = cache
-    g = np.asarray(grad_y, dtype=float)
-    gb = g[None] if single else g
+    shape, ids = cache
     grad_table = np.zeros(shape)
-    np.add.at(grad_table, idv, gb)
+    np.add.at(grad_table, ids, grad_y)
     return grad_table
 
 

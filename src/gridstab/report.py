@@ -204,7 +204,7 @@ def comparison_table(bundle: Bundle, train_day: int, eval_day: int) -> list[dict
 
 
 def ablation_table(bundle: Bundle, train_day: int, eval_day: int) -> list[dict]:
-    """Full model against the three single-feature-family removals."""
+    """Full model against the three variants that each remove one feature family."""
     cfg = bundle.config
     raw = any(reads_raw(variant, cfg.model) for _, variant in ABLATION_ROWS)
     pair = prepare_day_pair(bundle, train_day, eval_day, include_raw=raw)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import (
     AC_LINE, DC_LINE, TRANSFORMER, STABLE, UNSTABLE,
-    Bus, Element, FaultSample, GridError, Network, Snapshot, adjacency_lists, bfs,
+    Bus, Element, FaultSample, Network, Snapshot, adjacency_lists, bfs,
     build_adjacency, neighbor_lists,
 )
 
@@ -378,13 +378,6 @@ class StabilityOracle:
         above = float(ordered[pos]) if pos < ordered.size else tau + 1.0
         self.tau = 0.5 * (below + above)
         return self.tau
-
-    def label(self, snapshot: Snapshot, element_id: int) -> int:
-        elem = self.network.element_by_id(element_id)
-        if elem.kind != AC_LINE:
-            raise GridError(f"element {element_id} is not an AC line")
-        row = self.ac_ids.index(element_id)
-        return UNSTABLE if float(self.scores(snapshot)[row]) > self.tau else STABLE
 
     def label_snapshot(self, snapshot: Snapshot) -> list[FaultSample]:
         scores = self.scores(snapshot)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from gridstab.baselines import (
-    LinearSvmParams, PrevDayIndex, combine_union, expansion_accounting,
-    mlp_baseline, prev_day_predict, prev_day_scores, svm_train_expanded,
+    PREV_DAY_THRESHOLD, PrevDayIndex, prev_day_scores, svm_train_expanded,
 )
 from gridstab.grid import STABLE, UNSTABLE, FaultSample
 from gridstab.metrics import compute_metrics
-from gridstab.model import ModelConfig, TrainConfig, scores_for
+from gridstab.model import ModelConfig, TrainConfig, scores_for, train
 
 from conftest import make_toy_dataset
 
@@ -23,27 +22,33 @@ def faults_for_day(day, labels_by_element):
     return out
 
 
+def next_day_score(index, element_id):
+    """The previous-day score of one fault on ``element_id`` the next day."""
+    fault = FaultSample(day=index.day + 1, slot=0, element_id=element_id, label=None)
+    return float(prev_day_scores(index, [fault])[0])
+
+
 def test_prev_day_mean_rule():
     labels = [UNSTABLE] * 10 + [STABLE] * 86
     index = PrevDayIndex.from_faults(faults_for_day(0, {4: labels}), day=0)
     assert index.mean_label(4) == pytest.approx(10 / 96)
-    assert prev_day_predict(index, 4, threshold=0.03) == UNSTABLE
+    assert next_day_score(index, 4) == index.mean_label(4) > PREV_DAY_THRESHOLD
 
 
 def test_prev_day_all_stable_history():
     index = PrevDayIndex.from_faults(faults_for_day(0, {1: [STABLE] * 8}), day=0)
-    assert prev_day_predict(index, 1) == STABLE
+    assert next_day_score(index, 1) == 0.0
 
 
 def test_prev_day_absent_element_predicts_stable():
     index = PrevDayIndex.from_faults([], day=0)
-    assert prev_day_predict(index, 99) == STABLE
+    assert next_day_score(index, 99) == 0.0
 
 
 def test_prev_day_zero_threshold_flags_any_history():
     index = PrevDayIndex.from_faults(
         faults_for_day(0, {1: [STABLE] * 95 + [UNSTABLE]}), day=0)
-    assert prev_day_predict(index, 1, threshold=0.0) == UNSTABLE
+    assert next_day_score(index, 1) == index.mean_label(1) > 0.0
 
 
 def test_prev_day_scores_vector():
@@ -54,28 +59,6 @@ def test_prev_day_scores_vector():
 
 
 # ------------------------------------------------------------------- SVM
-
-def test_expansion_accounting_instance():
-    # Disjoint counts 7317 + 3645 + 141 union to 11103.
-    truly = set(range(7317))
-    support = set(range(7317, 7317 + 3645))
-    false_pos = set(range(20000, 20000 + 141))
-    assert expansion_accounting(truly, support, false_pos) == 11103
-
-
-def test_expansion_accounting_overlap_rule():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        a = set(rng.integers(0, 60, size=rng.integers(1, 40)).tolist())
-        b = set(rng.integers(0, 60, size=rng.integers(1, 40)).tolist())
-        c = set(rng.integers(0, 60, size=rng.integers(1, 40)).tolist())
-        union = expansion_accounting(a, b, c)
-        inclusion_exclusion = (
-            len(a) + len(b) + len(c)
-            - len(a & b) - len(a & c) - len(b & c) + len(a & b & c)
-        )
-        assert union == inclusion_exclusion
-
 
 def separable_cloud(n, seed):
     rng = np.random.default_rng(seed)
@@ -131,42 +114,12 @@ def test_svm_accounting_identity_on_synthetic():
 
 def test_mlp_baseline_separable():
     train_ds = make_toy_dataset(160, seed=39)
-    result = mlp_baseline(train_ds, train_ds,
-                          ModelConfig(), TrainConfig(epochs=30, batch_size=16,
-                                                     seed=39, balance=False,
-                                                     target_kkd=100.0))
+    result = train("MlpOnly", train_ds, train_ds,
+                   ModelConfig(), TrainConfig(epochs=30, batch_size=16, seed=39,
+                                              balance=False, target_kkd=100.0))
     assert result.variant == "MlpOnly"
     assert result.params["m1_w"].shape[1] == 200
     assert result.params["m2_w"].shape == (200, 100)
     scores = scores_for(result, train_ds)
     row = compute_metrics(scores, train_ds.labels(), result.threshold)
     assert row.acc == 100.0
-
-
-# ----------------------------------------------------------------- union
-
-def test_union_basic():
-    assert combine_union([1, 0], [0, 0]).tolist() == [1, 0]
-    assert combine_union([0, 0, 0], [0, 0, 0]).tolist() == [0, 0, 0]
-
-
-def test_union_length_mismatch():
-    with pytest.raises(ValueError):
-        combine_union([1, 0], [1])
-
-
-def test_union_never_loses_reliability():
-    rng = np.random.default_rng(41)
-    for _ in range(30):
-        n = int(rng.integers(5, 60))
-        labels = (rng.uniform(size=n) < 0.3).astype(float)
-        if labels.sum() == 0:
-            labels[0] = 1.0
-        pred_a = (rng.uniform(size=n) < 0.4).astype(int)
-        pred_b = (rng.uniform(size=n) < 0.4).astype(int)
-        merged = combine_union(pred_a, pred_b)
-
-        def kkd(pred):
-            return compute_metrics(np.asarray(pred, dtype=float), labels, 0.5).kkd
-
-        assert kkd(merged) >= max(kkd(pred_a), kkd(pred_b))

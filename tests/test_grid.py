@@ -104,10 +104,6 @@ def test_validate_duplicate_and_self_loop():
     assert any(e.startswith("self-loop") for e in errors)
 
 
-def test_bus_state_vector_has_13_entries():
-    assert chain_network(2).buses[0].state_vector().shape == (13,)
-
-
 def test_adjacency_properties_on_random_networks():
     # Symmetric, zero diagonal, and entry sum = 2 x number of connected pairs.
     for seed in range(20):

@@ -261,3 +261,59 @@ def test_model_config_validation():
         ModelConfig(gcn_layers=2).validate()
     with pytest.raises(ValueError):
         ModelConfig(embed_dim=16).validate()
+
+
+def toy_with_raw(n, seed):
+    ds = make_toy_dataset(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    ds.raw_states = {(s.day, s.slot): rng.normal(size=(12, 13)) for s in ds.samples}
+    return ds
+
+
+RAW_READERS = [
+    pytest.param("DeepCnn5", SMALL, id="DeepCnn5"),
+    pytest.param("GraphModel", dataclasses.replace(SMALL, global_encoder="rawcnn"),
+                 id="GraphModel-rawcnn"),
+]
+
+
+@pytest.mark.parametrize("variant,config", RAW_READERS)
+def test_raw_reader_without_raw_states_is_a_training_error(variant, config):
+    with_raw = toy_with_raw(16, seed=41)
+    no_raw = dataclasses.replace(with_raw, raw_states={})
+    with pytest.raises(TrainingError, match="reads raw bus states.*carries no raw states"):
+        train(variant, no_raw, no_raw, config, TrainConfig(epochs=1, balance=False))
+    result = train(variant, with_raw, with_raw, config, TrainConfig(epochs=0, balance=False))
+    with pytest.raises(TrainingError, match="reads raw bus states.*carries no raw states"):
+        scores_for(result, no_raw)
+
+
+@pytest.mark.parametrize("variant,config,name", [
+    ("GraphModel", SMALL, "global_mu"),
+    ("GraphModel", SMALL, "local_sd"),
+    ("DeepCnn5", SMALL, "raw_mu"),
+])
+def test_checkpoint_scaler_shapes_are_checked(variant, config, name):
+    ds = toy_with_raw(16, seed=43)
+    result = train(variant, ds, ds, config, TrainConfig(epochs=0, balance=False))
+    good = result.scalers[name]
+    result.scalers[name] = good[:-1]
+    with pytest.raises(TrainingError) as info:
+        scores_for(result, ds)
+    assert str(info.value) == (f"checkpoint scaler {name!r} has shape "
+                               f"{good[:-1].shape}, expected {good.shape}")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", -1), ("epochs", 1.5), ("epochs", True), ("batch_size", 0),
+    ("lr", 0.0), ("lr", float("inf")), ("lr", float("nan")),
+    ("target_kkd", 100.5), ("target_kkd", -1.0), ("target_kkd", float("nan")),
+])
+def test_train_config_validation(field, value):
+    ds = make_toy_dataset(8, seed=45)
+    config = TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        config.validate()
+    with pytest.raises(ValueError, match=field):
+        train("MlpOnly", ds, ds, SMALL, config)
+    TrainConfig(epochs=0, batch_size=1, lr=1, target_kkd=100).validate()

@@ -15,17 +15,17 @@ def quadratic_closure(forward_backward):
 # ------------------------------------------------------------------ dense
 
 def test_dense_examples():
-    y, _ = nn.dense_forward(np.array([1.0, 0.0]),
+    y, _ = nn.dense_forward(np.array([[1.0, 0.0], [0.0, 1.0]]),
                             np.array([[2.0, 0.0], [0.0, 3.0]]), np.zeros(2))
-    assert y.tolist() == [2.0, 0.0]
-    x = np.array([0.3, -0.7, 1.1])
+    assert y.tolist() == [[2.0, 0.0], [0.0, 3.0]]
+    x = np.array([[0.3, -0.7, 1.1]])
     y, _ = nn.dense_forward(x, np.eye(3), np.zeros(3))
     assert np.array_equal(y, x)
 
 
 def test_dense_shape_mismatch():
     with pytest.raises(nn.ShapeError):
-        nn.dense_forward(np.ones(3), np.ones((2, 2)), np.zeros(2))
+        nn.dense_forward(np.ones((1, 3)), np.ones((2, 2)), np.zeros(2))
 
 
 def test_dense_gradcheck():
@@ -46,27 +46,29 @@ def test_dense_gradcheck():
 # ---------------------------------------------------------- conv + max-pool
 
 def test_conv_identity_kernel():
-    x = np.abs(np.random.default_rng(2).normal(size=(1, 1, 3, 4)))
-    out = nn.conv_maxpool(x, np.ones((1, 1, 1, 1)), np.zeros(1), pool=1)
-    assert np.allclose(out, x)
+    x = np.abs(np.random.default_rng(2).normal(size=(2, 1, 3, 4)))
+    out, _ = nn.conv_maxpool_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1))
+    assert np.array_equal(out, np.maximum(x[..., 0::2], x[..., 1::2]))
 
 
 def test_conv_hand_sum():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, None]
-    out = nn.conv_maxpool(x, np.ones((1, 1, 2, 2)), np.zeros(1))
-    assert out.reshape(-1).tolist() == [10.0]
+    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])[None, None]
+    out, _ = nn.conv_maxpool_forward(x, np.ones((1, 1, 2, 2)), np.zeros(1))
+    assert out.reshape(-1).tolist() == [16.0]   # max(1+2+4+5, 2+3+5+6)
 
 
 def test_conv_kernel_too_large():
     with pytest.raises(nn.ShapeError):
-        nn.conv_maxpool(np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3)), np.zeros(1))
+        nn.conv_maxpool_forward(np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3)), np.zeros(1))
+    with pytest.raises(nn.ShapeError):   # a one-column conv output has no pair to pool
+        nn.conv_maxpool_forward(np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2)), np.zeros(1))
 
 
 def test_conv_pool_formula():
-    # max over non-overlapping 2x2 windows at stride 2
-    x = np.arange(16.0).reshape(1, 1, 4, 4)
-    out = nn.conv_maxpool(x, np.ones((1, 1, 1, 1)), np.zeros(1), pool=(2, 2))
-    assert out.reshape(2, 2).tolist() == [[5.0, 7.0], [13.0, 15.0]]
+    # max over adjacent column pairs of each row; the odd last column is dropped
+    x = np.arange(10.0).reshape(1, 1, 2, 5)
+    out, _ = nn.conv_maxpool_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1))
+    assert out.reshape(2, 2).tolist() == [[1.0, 3.0], [6.0, 8.0]]
 
 
 def test_conv_gradcheck():
@@ -75,7 +77,7 @@ def test_conv_gradcheck():
     params = {"k": 0.5 * rng.normal(size=(3, 2, 2, 3)), "b": rng.normal(size=3)}
 
     def closure(p):
-        y, cache = nn.conv_maxpool_forward(x, p["k"], p["b"], pool=(2, 2))
+        y, cache = nn.conv_maxpool_forward(x, p["k"], p["b"])
         _, gk, gb = nn.conv_maxpool_backward(2.0 * y, cache)
         return float((y ** 2).sum()), {"k": gk, "b": gb}
 
@@ -90,7 +92,7 @@ def test_conv_input_gradient():
     b = rng.normal(size=2)
 
     def closure(p):
-        y, cache = nn.conv_maxpool_forward(p["x"], k, b, pool=(1, 2))
+        y, cache = nn.conv_maxpool_forward(p["x"], k, b)
         gx, _, _ = nn.conv_maxpool_backward(2.0 * y, cache)
         return float((y ** 2).sum()), {"x": gx}
 
@@ -153,12 +155,19 @@ def test_normalize_spectrum_and_regular_rows():
 # ------------------------------------------------------------------- gcn
 
 def test_gcn_hand_product():
-    a = np.array([[0.5, 0.5], [0.5, 0.5]])
-    h = np.array([[1.0], [1.0]])
+    a = np.array([[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]])
+    h = np.array([[[1.0], [1.0]], [[1.0], [3.0]]])
     y, _ = nn.gcn_forward(h, a, np.array([[2.0]]))
-    assert np.allclose(y, [[2.0], [2.0]])
+    assert np.allclose(y, [[[2.0], [2.0]], [[2.0], [6.0]]])
     y, _ = nn.gcn_forward(h, a, np.array([[-1.0]]))
-    assert np.allclose(y, [[0.0], [0.0]])   # ReLU clamp
+    assert np.allclose(y, 0.0)   # ReLU clamp
+
+
+def test_gcn_shape_mismatch():
+    with pytest.raises(nn.ShapeError):
+        nn.gcn_forward(np.ones((1, 2, 3)), np.ones((1, 2, 2)), np.ones((2, 1)))
+    with pytest.raises(nn.ShapeError):
+        nn.gcn_forward(np.ones((1, 2, 3)), np.ones((1, 3, 3)), np.ones((3, 1)))
 
 
 def test_gcn_gradcheck():
@@ -166,8 +175,8 @@ def test_gcn_gradcheck():
     adj = np.zeros((5, 5))
     for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]:
         adj[i, j] = adj[j, i] = 1.0
-    a = nn.normalize_adjacency(adj)
-    h0 = rng.normal(size=(5, 3))
+    a = np.stack([nn.normalize_adjacency(adj), np.eye(5)])
+    h0 = rng.normal(size=(2, 5, 3))
 
     def closure(p):
         y, cache = nn.gcn_forward(p["h"], a, p["w"])
@@ -182,12 +191,13 @@ def test_gcn_gradcheck():
 
 def test_embedding_lookup_and_sparse_backward():
     table = np.arange(12.0).reshape(4, 3)
-    row, cache = nn.embedding_forward(table, 3)
-    assert row.tolist() == [9.0, 10.0, 11.0]
-    grad = nn.embedding_backward(np.ones(3), cache)
-    assert np.all(grad[:3] == 0.0) and np.all(grad[3] == 1.0)
-    with pytest.raises(IndexError):
-        nn.embedding_forward(table, 4)
+    rows, cache = nn.embedding_forward(table, np.array([3, 1, 3]))
+    assert rows.tolist() == [[9.0, 10.0, 11.0], [3.0, 4.0, 5.0], [9.0, 10.0, 11.0]]
+    grad = nn.embedding_backward(np.ones((3, 3)), cache)
+    assert grad.tolist() == [[0.0] * 3, [1.0] * 3, [0.0] * 3, [2.0] * 3]
+    for bad in ([4], [-1]):
+        with pytest.raises(IndexError):
+            nn.embedding_forward(table, np.array(bad))
 
 
 def test_embedding_gradcheck():

@@ -496,10 +496,10 @@ def _drop_layer(doc, name):
     doc["layers"] = [layer for layer in doc["layers"] if layer["name"] != name]
 
 
-def _shrink_out_w(doc):
-    layer = next(layer for layer in doc["layers"] if layer["name"] == "out_w")
-    layer["shape"][0] -= 1
-    layer["data"] = layer["data"][:-1]
+def _shrink(doc, key, name):
+    entry = next(entry for entry in doc[key] if entry["name"] == name)
+    entry["shape"][0] -= 1
+    entry["data"] = entry["data"][:-1]
 
 
 @pytest.mark.parametrize("corrupt,messages", [
@@ -507,9 +507,12 @@ def _shrink_out_w(doc):
     (lambda doc: _drop_layer(doc, "l2_w"), ["checkpoint lacks parameter 'l2_w'"]),
     (lambda doc: doc.pop("threshold"), ["{path}: checkpoint: missing field 'threshold'"]),
     (lambda doc: doc.__setitem__("feature_spec_hash", "0" * 16), ["feature_spec_hash"]),
-    (_shrink_out_w, ["checkpoint parameter 'out_w' has shape (", "expected ("]),
+    (lambda doc: _shrink(doc, "layers", "out_w"),
+     ["checkpoint parameter 'out_w' has shape (", "expected ("]),
+    (lambda doc: _shrink(doc, "scalers", "global_mu"),
+     ["checkpoint scaler 'global_mu' has shape (", "expected ("]),
 ], ids=["unknown-config-key", "missing-layer", "missing-threshold", "feature-hash",
-        "wrong-shape-out-w"])
+        "wrong-shape-out-w", "wrong-shape-global-mu"])
 def test_cli_eval_rejects_bad_checkpoint(tmp_path, capsys, trained_checkpoint, corrupt,
                                          messages):
     ckpt, features = trained_checkpoint
@@ -524,3 +527,40 @@ def test_cli_eval_rejects_bad_checkpoint(tmp_path, capsys, trained_checkpoint, c
     for message in messages:
         assert message.format(path=path) in err
     assert "Traceback" not in err
+
+
+BAD_SETTINGS = {
+    "max-nodes-0": ({"feature": {"max_nodes": 0}}, "config section 'feature': max_nodes"),
+    "max-nodes-negative": ({"feature": {"max_nodes": -3}},
+                           "config section 'feature': max_nodes"),
+    "max-nodes-float": ({"feature": {"max_nodes": 2.5}}, "config section 'feature': max_nodes"),
+    "regions-negative": ({"feature": {"regions": -1}}, "config section 'feature': regions"),
+    "calibration-frac-0": ({"eval": {"calibration_frac": 0}},
+                           "config section 'eval': calibration_frac"),
+    "calibration-frac-1": ({"eval": {"calibration_frac": 1.0}},
+                           "config section 'eval': calibration_frac"),
+    "batch-size-0": ({"train": {"batch_size": 0}}, "config section 'train': batch_size"),
+    "lr-negative": ({"train": {"lr": -0.1}}, "config section 'train': lr"),
+    "target-kkd-120": ({"eval": {"target_kkd": 120}}, "config section 'train': target_kkd"),
+}
+
+
+@pytest.mark.parametrize("command,doc,flags,message", [
+    *(pytest.param(command, doc, [], message, id=f"{command}-{name}")
+      for command in ("featurize", "train") for name, (doc, message) in BAD_SETTINGS.items()),
+    pytest.param("train", {}, ["--epochs", "-1"], "config section 'train': epochs",
+                 id="train-epochs-flag-negative"),
+])
+def test_cli_rejects_bad_run_settings(tmp_path, capsys, trained_checkpoint, command,
+                                      doc, flags, message):
+    _, features = trained_checkpoint
+    config = _write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    argv = {"featurize": ["--data", str(features.parent)],
+            "train": ["--features", str(features), "--train-day", "1"]}[command]
+    capsys.readouterr()
+    assert run_cli(command, "--config", config, "--out", str(out), *argv, *flags) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridstab.grid import AC_LINE, STABLE, UNSTABLE, Element, GridError, Network
+from gridstab.grid import AC_LINE, STABLE, UNSTABLE, Element, Network
 from gridstab.synth import (
     StabilityOracle, SynthConfig, build_dataset, draw_latent, enumerate_faults,
     generate_day, generate_network, two_hop_bus_set,
@@ -109,21 +109,13 @@ def test_oracle_zero_load_stable():
     oracle.latent = np.zeros(len(net.elements))
     oracle.tau = 0.3
     assert oracle.scores(snap).tolist() == [0.0] * len(net.elements)
-    assert oracle.label(snap, 0) == STABLE
     assert {f.label for f in oracle.label_snapshot(snap)} == {STABLE}
 
 
-def test_oracle_rejects_non_ac_element():
-    net = chain_network(4, kind="Transformer")
-    oracle = StabilityOracle(net, SynthConfig(n_bus=4))
-    with pytest.raises(GridError):
-        oracle.label(zero_snapshot(net), 0)
-
-
 def test_oracle_deterministic(small_world):
-    oracle, snapshots = small_world["oracle"], small_world["snapshots"]
-    eid = small_world["network"].ac_line_ids()[0]
-    assert oracle.label(snapshots[3], eid) == oracle.label(snapshots[3], eid)
+    oracle, snap = small_world["oracle"], small_world["snapshots"][3]
+    stored = [f for f in small_world["faults"] if (f.day, f.slot) == (snap.day, snap.slot)]
+    assert oracle.label_snapshot(snap) == oracle.label_snapshot(snap) == stored
 
 
 def test_unstable_rate_near_target():
