@@ -224,6 +224,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     resolve_config(args)
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise CliError(f"--threshold must be a finite number, not {args.threshold!r}")
     result = persist.load_checkpoint(_require(Path(args.checkpoint), "checkpoint"))
     ds = persist.load_features(_require(Path(args.features), "features"))
     eval_ds = _day_slice(ds, args.day)

@@ -19,12 +19,23 @@ Each part of a local subgraph is computed once for what it depends on:
 
 The last two live in a per-line template.  A sample gathers its kept buses'
 rows from the bus table and writes the template's per-(line, bus) columns.
+
+The per-network parts live as long as the network: :func:`featurize` and
+:func:`local_subgraph` without an ``index`` share one :class:`NetworkIndex`
+for the last :class:`~grid.Network` object they saw, so an online screen
+builds the index and the line templates once per process and each snapshot
+pays only for its own bus table and global vector.  The memo holds one
+network, and drops it when nothing else refers to the network.  The index's
+per-snapshot memo is emptied when a call starts, and again when
+``featurize`` returns, so it holds only the snapshots of the running call; a
+snapshot's arrays must not change during a call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -241,13 +252,19 @@ class NetworkIndex:
     """Static per-network structure reused across every featurized sample.
 
     Besides the neighbor structure it holds the per-bus columns that no
-    snapshot changes, and it memoizes one bus table per snapshot (by object
-    identity) and one :class:`LineTemplate` per (AC line, max_nodes).  The
-    snapshots' arrays must not change while the index is in use.
+    snapshot changes, and it memoizes one :class:`LineTemplate` per (AC line,
+    max_nodes) for the life of the index and one bus table per snapshot (by
+    object identity).  :func:`featurize` keeps one index per process, for the
+    last network it saw while that network is alive, and empties the
+    bus-table memo when each call starts and when it returns, so that memo
+    holds the snapshots of one call.  The snapshots' arrays must not change
+    while their tables are memoized.  The index refers to its network weakly
+    and is to be used only while the network is alive.
     """
 
     def __init__(self, network: Network):
-        self.network = network
+        # Weak, so that the memoized index does not keep its network alive.
+        self._network = weakref.ref(network)
         self.nbrs = neighbor_lists(network)
         n = network.n_bus
         self.degree = np.array([len(self.nbrs[i]) for i in range(n)], dtype=float)
@@ -280,17 +297,21 @@ class NetworkIndex:
         self.incident_ac_rating = [
             np.array([network.elements[i].rating for i in ids]) for ids in self.incident_ac
         ]
-        self.static_rows = self._static_rows()
+        self.static_rows = self._static_rows(network)
         self._adjacency: np.ndarray | None = None
         self._tables: dict[int, tuple[Snapshot, np.ndarray]] = {}
         self._templates: dict[tuple[int, int], LineTemplate] = {}
 
-    def _static_rows(self) -> np.ndarray:
+    @property
+    def network(self) -> Network | None:
+        """The indexed network, or None once nothing else refers to it."""
+        return self._network()
+
+    def _static_rows(self, net: Network) -> np.ndarray:
         """(n_bus + 1, NODE_FEATURES) with the per-bus-only columns filled.
 
         The extra last row stays all-zero; padded subgraph rows gather it.
         """
-        net = self.network
         rows = np.zeros((net.n_bus + 1, NODE_FEATURES))
         for bus in range(net.n_bus):
             nbr_deg = self.degree[self.nbrs[bus]] if self.nbrs[bus] else np.zeros(1)
@@ -343,8 +364,9 @@ class NetworkIndex:
         return self._templates[key]
 
     def _build_template(self, element_id: int, max_nodes: int) -> LineTemplate:
-        kept, hops = bfs_nodes(self.network, element_id, max_nodes, self.nbrs)
-        elem = self.network.elements[element_id]
+        network = self.network
+        kept, hops = bfs_nodes(network, element_id, max_nodes, self.nbrs)
+        elem = network.elements[element_id]
         n = len(kept)
         kept_set = set(kept)
         line = np.zeros((max_nodes, NODE_FEATURES))
@@ -353,10 +375,10 @@ class NetworkIndex:
             line[row, 45] = 1.0 if bus == elem.from_bus else 0.0
             line[row, 46] = 1.0 if bus == elem.to_bus else 0.0
             line[row, 48] = float(sum(1 for v in self.nbrs[bus] if v in kept_set))
-        rows = np.full(max_nodes, self.network.n_bus)
+        rows = np.full(max_nodes, network.n_bus)
         rows[:n] = kept
         if self._adjacency is None:
-            self._adjacency = build_adjacency(self.network)
+            self._adjacency = build_adjacency(network)
         adj = np.zeros((max_nodes, max_nodes))
         adj[:n, :n] = self._adjacency[np.ix_(kept, kept)]
         mask = np.zeros(max_nodes, dtype=bool)
@@ -365,6 +387,24 @@ class NetworkIndex:
         mask.flags.writeable = False
         return LineTemplate(rows=rows, line_values=line[:, LINE_COLUMNS],
                             adjacency=adj, node_mask=mask)
+
+
+# (weak reference to a network, its index) for the last network featurized.
+# One entry bounds the memo.  The reference's callback empties the memo when
+# the network dies, and a dead reference matches no network, so a reused id()
+# cannot match; ``Network`` is a frozen dataclass of tuples.
+_last_index: list[tuple[weakref.ref, NetworkIndex]] = []
+
+
+def _network_index(network: Network) -> NetworkIndex:
+    """The memoized :class:`NetworkIndex` of ``network``, built when it is not
+    the network last seen, with its bus-table memo emptied for a new call."""
+    if not _last_index or _last_index[0][0]() is not network:
+        _last_index[:] = [(weakref.ref(network, lambda _: _last_index.clear()),
+                           NetworkIndex(network))]
+    index = _last_index[0][1]
+    index._tables.clear()
+    return index
 
 
 @dataclass(frozen=True)
@@ -417,10 +457,11 @@ def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
 
     The adjacency and node mask depend on the line only and are read-only
     arrays shared through ``index``; pass one index to reuse them and the
-    snapshot's bus table across calls.
+    snapshot's bus table across calls.  Without one, the call uses the
+    memoized index of ``network``.
     """
     if index is None:
-        index = NetworkIndex(network)
+        index = _network_index(network)
     template = index.line_template(element_id, max_nodes)
     feats = index.bus_table(snapshot)[template.rows]
     feats[:, LINE_COLUMNS] = template.line_values
@@ -501,7 +542,7 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
     Snapshots are validated and their global vectors computed by
     :func:`snapshot_globals`; all samples of one snapshot share its vector.
     """
-    index = NetworkIndex(network)
+    index = _network_index(network)
     per_snapshot = snapshot_globals(network, snapshots, faults, spec)
     samples = []
     for fs in faults:
@@ -511,6 +552,9 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
             global_vec=global_vec,
             local=local_subgraph(network, snap, fs.element_id, max_nodes, index),
         ))
+    # Tables kept past the call pin heap pages under later allocations: kept,
+    # they raised the cli benchmark's peak RSS by about 6 MB.
+    index._tables.clear()
     raw_states = ({key: global_raw(snap) for key, (snap, _) in per_snapshot.items()}
                   if include_raw else {})
     return FeaturizedDataset(

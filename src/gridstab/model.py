@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,6 +120,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be an integer >= 1, not {self.batch_size!r}")
         if not _is_real(self.lr) or not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be a finite number > 0, not {self.lr!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
         if not _is_real(self.target_kkd) or not 0.0 <= self.target_kkd <= 100.0:
             raise ValueError(f"target_kkd must be a number in [0, 100], not "
                              f"{self.target_kkd!r}")
@@ -343,9 +346,11 @@ class ScreeningModel:
         self.scalers: dict[str, np.ndarray] = {}
         self._scaler_shapes = {"global": (dims["global_dim"],),
                                "local": (dims["node_features"],), "raw": (N_BUS_STATE,)}
-        # (id(adjacency), id(node_mask)) -> (adjacency, node_mask, propagation
-        # matrix).  Holding the arrays keeps their ids from being reused.
-        self._adj_cache: dict[tuple[int, int], tuple] = {}
+        # Propagation matrices come from the process-wide _PROPAGATION cache,
+        # keyed by the identity of each sample's adjacency and mask arrays, so
+        # a model built per snapshot (as scores_for does) normalizes no line
+        # the process has seen.
+        self._graph = "adjacency" in self.inputs
 
     def init_params(self, rng: np.random.Generator) -> dict:
         p: dict[str, np.ndarray] = {}
@@ -421,23 +426,10 @@ class ScreeningModel:
             h *= mask[:, :, None]
             batch["h"] = h
             batch["mask"] = mask
-            batch["a"] = np.stack([self._adj_norm(s.local) for s in samples])
+            batch["a"] = np.stack([_propagation(s.local, self._graph) for s in samples])
         if "ids" in self.inputs:
             batch["ids"] = np.array([s.element_id for s in samples], dtype=int)
         return batch
-
-    def _adj_norm(self, local: LocalGraph) -> np.ndarray:
-        """Propagation matrix of one subgraph, computed once per distinct
-        (adjacency, node_mask) pair; ``featurize`` shares one pair per line."""
-        key = (id(local.adjacency), id(local.node_mask))
-        cached = self._adj_cache.get(key)
-        if cached is None:
-            if "adjacency" in self.inputs:
-                a = nn.normalize_adjacency(local.adjacency, local.node_mask)
-            else:
-                a = np.diag(local.node_mask.astype(float))
-            cached = self._adj_cache[key] = (local.adjacency, local.node_mask, a)
-        return cached[2]
 
     # -------------------------------------------------------- forward/backward
 
@@ -468,6 +460,31 @@ class ScreeningModel:
             batch = self.build_batch(dataset, idx)
             scores[list(idx)], _ = self.forward(params, batch)
         return scores
+
+
+# (id(adjacency), id(node_mask), graph) -> propagation matrix, for every
+# model in the process.  ``featurize`` shares one (adjacency, node_mask) pair
+# per line for the life of its network index, so each line is normalized once
+# per network.  An entry is dropped when either array dies, which bounds the
+# cache by the datasets alive and keeps a reused id() from serving a stale
+# matrix.  The arrays must not be written once a model has read them.
+_PROPAGATION: dict[tuple[int, int, bool], np.ndarray] = {}
+
+
+def _propagation(local: LocalGraph, graph: bool) -> np.ndarray:
+    """The normalized adjacency of a subgraph, or its masked identity when the
+    graph is ablated."""
+    key = (id(local.adjacency), id(local.node_mask), graph)
+    a = _PROPAGATION.get(key)
+    if a is None:
+        if graph:
+            a = nn.normalize_adjacency(local.adjacency, local.node_mask)
+        else:
+            a = np.diag(local.node_mask.astype(float))
+        _PROPAGATION[key] = a
+        weakref.finalize(local.adjacency, _PROPAGATION.pop, key, None)
+        weakref.finalize(local.node_mask, _PROPAGATION.pop, key, None)
+    return a
 
 
 def _safe_sd(sd: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridstab import features, model
 from gridstab.features import (
     FeaturizedDataset, FeaturizedSample, LocalGraph, default_feature_spec,
 )
@@ -26,6 +27,19 @@ def zero_snapshot(network: Network, day: int = 0, slot: int = 0) -> Snapshot:
         bus_states=np.zeros((network.n_bus, 13)),
         element_states=np.zeros((len(network.elements), 2)),
     )
+
+
+def reset_memos() -> None:
+    """Empty the process-wide network-index and propagation memos."""
+    features._last_index.clear()
+    model._PROPAGATION.clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Each test starts with empty memos, so that its call counts do not
+    depend on the tests that ran before it."""
+    reset_memos()
 
 
 @pytest.fixture(scope="session")

@@ -57,6 +57,11 @@ def test_build_batch_adjacency_is_per_sample_normalization(
     pairs = {(id(s.local.adjacency), id(s.local.node_mask)) for s in ds.samples}
     assert len(calls) == (len(pairs) if variant == "GraphModel" else 0)
     assert [set(vars(s)) for s in ds.samples] == attributes
+    # The propagation cache is process-wide: a second model reuses it.
+    calls.clear()
+    second = small_model(variant, ds).build_batch(ds, range(n))
+    assert calls == []
+    assert second["a"].tobytes() == batch["a"].tobytes()
 
 
 def test_zero_weights_give_half():
@@ -308,6 +313,7 @@ def test_checkpoint_scaler_shapes_are_checked(variant, config, name):
     ("epochs", -1), ("epochs", 1.5), ("epochs", True), ("batch_size", 0),
     ("lr", 0.0), ("lr", float("inf")), ("lr", float("nan")),
     ("target_kkd", 100.5), ("target_kkd", -1.0), ("target_kkd", float("nan")),
+    ("seed", -1), ("seed", 2.0), ("seed", None),
 ])
 def test_train_config_validation(field, value):
     ds = make_toy_dataset(8, seed=45)
@@ -316,4 +322,4 @@ def test_train_config_validation(field, value):
         config.validate()
     with pytest.raises(ValueError, match=field):
         train("MlpOnly", ds, ds, SMALL, config)
-    TrainConfig(epochs=0, batch_size=1, lr=1, target_kkd=100).validate()
+    TrainConfig(epochs=0, batch_size=1, lr=1, seed=0, target_kkd=100).validate()

@@ -542,6 +542,7 @@ BAD_SETTINGS = {
     "batch-size-0": ({"train": {"batch_size": 0}}, "config section 'train': batch_size"),
     "lr-negative": ({"train": {"lr": -0.1}}, "config section 'train': lr"),
     "target-kkd-120": ({"eval": {"target_kkd": 120}}, "config section 'train': target_kkd"),
+    "seed-negative": ({"train": {"seed": -1}}, "config section 'train': seed"),
 }
 
 
@@ -563,4 +564,18 @@ def test_cli_rejects_bad_run_settings(tmp_path, capsys, trained_checkpoint, comm
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_eval_rejects_non_finite_threshold(tmp_path, capsys, trained_checkpoint, value):
+    ckpt, features = trained_checkpoint
+    out = tmp_path / "eval.csv"
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(ckpt), "--features", str(features),
+                   "--day", "2", f"--threshold={value}", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "--threshold must be a finite number" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out.exists()
