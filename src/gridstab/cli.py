@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import persist, report, synth
 from .features import featurize
+from .grid import validate_snapshot
 from .metrics import compute_metrics
 from .model import (
     ABLATION_ALIASES, VARIANT_ALIASES, TrainingError, _is_int, _is_real, scores_for,
@@ -129,8 +130,13 @@ def _require(path: Path, kind: str) -> Path:
 
 def _load_dataset_dir(data_dir: Path):
     network, fp_net = persist.load_network(_require(data_dir / "network.json", "network"))
-    snapshots, fp_snap = persist.load_snapshots(
-        _require(data_dir / "snapshots.jsonl", "snapshots"))
+    snapshot_path = _require(data_dir / "snapshots.jsonl", "snapshots")
+    snapshots, fp_snap = persist.load_snapshots(snapshot_path)
+    for snap in snapshots:
+        errors = validate_snapshot(network, snap)
+        if errors:
+            raise CliError(f"{snapshot_path}: snapshot day {snap.day} slot {snap.slot}: "
+                           + "; ".join(errors))
     faults, fp_faults = persist.load_faults(_require(data_dir / "faults.jsonl", "faults"))
     if not (fp_net == fp_snap == fp_faults):
         raise CliError(f"dataset files in {data_dir} carry mismatched fingerprints")

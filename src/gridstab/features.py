@@ -7,6 +7,16 @@ faults refers to and computes its vector once.  Local features describe the
 a walk by :func:`grid.bfs`) as an adjacency matrix plus a 59-dim feature
 row per node.
 
+Both per-snapshot parts are a few grouped row reductions, not one numpy call
+per value range.  A :class:`StatsPlan`, built once per (network, spec),
+groups the spec's value ranges by length.  A snapshot gathers each group
+into one (k, n) matrix, and each statistic is one reduction along its rows:
+max, min, mean, ``std``, centred moments, ``median``, ``quantile`` and one
+sort for the trimmed pair.  The bus table groups the buses by their number
+k of incident AC lines and reduces a (g, 6, k) stack along its last axis.
+Rows are never padded, so every value keeps the bytes of the same reduction
+of its own range.
+
 Each part of a local subgraph is computed once for what it depends on:
 
 * per bus and snapshot: the bus state (columns 0-12) and the incident-AC-line
@@ -20,13 +30,14 @@ Each part of a local subgraph is computed once for what it depends on:
 The last two live in a per-line template.  A sample gathers its kept buses'
 rows from the bus table and writes the template's per-(line, bus) columns.
 
-The per-network parts live as long as the network: :func:`featurize` and
-:func:`local_subgraph` without an ``index`` share one :class:`NetworkIndex`
-for the last :class:`~grid.Network` object they saw, so an online screen
-builds the index and the line templates once per process and each snapshot
-pays only for its own bus table and global vector.  The memo holds one
-network, and drops it when nothing else refers to the network.  The index's
-per-snapshot memo is emptied when a call starts, and again when
+The per-network parts live as long as the network: :func:`featurize`,
+:func:`global_stats` and :func:`local_subgraph` without an ``index`` share
+one :class:`NetworkIndex` for the last :class:`~grid.Network` object they
+saw, so an online screen builds the index, the statistics plan and the line
+templates once per process and each snapshot pays only for its own bus
+table and global vector.  The memo holds one network, and drops it when
+nothing else refers to the network.  The index's per-snapshot memo is
+emptied when ``featurize`` or ``local_subgraph`` starts, and again when
 ``featurize`` returns, so it holds only the snapshots of the running call; a
 snapshot's arrays must not change during a call.
 """
@@ -38,12 +49,13 @@ import json
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .grid import (
-    AC_LINE, DC_LINE, GridError, Network, Snapshot, bfs, build_adjacency,
-    neighbor_lists, validate_snapshot,
+    AC_LINE, DC_LINE, N_BUS_STATE, GridError, Network, Snapshot, bfs,
+    build_adjacency, neighbor_lists, validate_snapshot,
 )
 
 LOCAL_NODES = 50
@@ -92,65 +104,120 @@ ELEMENT_QUANTITIES = {
 ALL_QUANTITIES = tuple(BUS_QUANTITIES) + tuple(ELEMENT_QUANTITIES)
 
 
-def _quantile(values: np.ndarray, q: float) -> float:
-    return float(np.quantile(values, q))
-
-
 def _trim_bounds(n: int) -> tuple[int, int]:
     k = int(np.floor(0.1 * n))
     return k, n - k
 
 
+def _sd(x: np.ndarray) -> np.ndarray:
+    """Row-wise ``std(ddof=1)``; 0 for rows of one value."""
+    return np.zeros(len(x)) if x.shape[1] < 2 else x.std(axis=1, ddof=1)
+
+
+class _Rows:
+    """Statistics of every row of a (k, n) value matrix, n >= 1.
+
+    Each intermediate (mean, median, quantiles, sorted trim) is computed once
+    and shared by the statistics that use it.  Every reduction runs along
+    axis 1 of a row-contiguous matrix, so each row gets the bytes that the
+    same reduction of that row alone gives.
+
+    ``strided`` rows stand for columns of a state matrix.  numpy's max and
+    min of a strided vector break ties between 0.0 and -0.0 differently from
+    those of a contiguous one, so for strided rows both reduce a row-strided
+    copy of ``x``.
+    """
+
+    def __init__(self, x: np.ndarray, strided: bool = False):
+        self.x = x
+        self.strided = strided
+
+    @cached_property
+    def extremes_input(self) -> np.ndarray:
+        if not self.strided:
+            return self.x
+        spaced = np.empty((self.x.shape[0], 2 * self.x.shape[1]))
+        spaced[:, ::2] = self.x
+        return spaced[:, ::2]
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return self.x.mean(axis=1)
+
+    @cached_property
+    def dev(self) -> np.ndarray:
+        return self.x - self.mean[:, None]
+
+    @cached_property
+    def m2(self) -> np.ndarray:
+        return (self.dev ** 2).mean(axis=1)
+
+    def standardized(self, order: int, power: float, offset: float) -> np.ndarray:
+        """``m_order / m2 ** power - offset``, and 0 where ``m2 <= 0``.
+
+        The power and the division run one row at a time on scalars: numpy's
+        array power can differ from the scalar one in the last bit.
+        """
+        m = (self.dev ** order).mean(axis=1)
+        return np.array([0.0 if b <= 0.0 else a / b ** power - offset
+                         for a, b in zip(m, self.m2)])
+
+    @cached_property
+    def median(self) -> np.ndarray:
+        return np.median(self.x, axis=1)
+
+    @cached_property
+    def mad(self) -> np.ndarray:
+        return np.median(np.abs(self.x - self.median[:, None]), axis=1)
+
+    @cached_property
+    def q1(self) -> np.ndarray:
+        return np.quantile(self.x, 0.25, axis=1)
+
+    @cached_property
+    def q3(self) -> np.ndarray:
+        return np.quantile(self.x, 0.75, axis=1)
+
+    @cached_property
+    def trimmed(self) -> np.ndarray:
+        lo, hi = _trim_bounds(self.x.shape[1])
+        return np.sort(self.x, axis=1)[:, lo:hi]
+
+
+_ROW_STATS = {
+    StatKind.MAX: lambda r: r.extremes_input.max(axis=1),
+    StatKind.MIN: lambda r: r.extremes_input.min(axis=1),
+    StatKind.MEAN: lambda r: r.mean,
+    StatKind.SD: lambda r: _sd(r.x),
+    StatKind.SKEW: lambda r: r.standardized(3, 1.5, 0.0),
+    StatKind.KURT: lambda r: r.standardized(4, 2, 3.0),
+    StatKind.MEDIAN: lambda r: r.median,
+    StatKind.MSD: lambda r: 1.4826 * r.mad,
+    StatKind.Q1: lambda r: r.q1,
+    StatKind.Q3: lambda r: r.q3,
+    StatKind.MAD: lambda r: r.mad,
+    StatKind.INTERQ: lambda r: r.q3 - r.q1,
+    StatKind.MJ10: lambda r: r.trimmed.mean(axis=1),
+    StatKind.MJ10S: lambda r: _sd(r.trimmed),
+}
+
+
 def compute_statistic(values, kind: StatKind) -> float:
-    """One statistic of a non-empty value list.
+    """One statistic of a non-empty value list: the one-row case of the
+    grouped reductions that :func:`global_stats` runs.
 
     Degenerate cases follow fixed conventions: Sd of one value is 0,
     Skew/Kurt of a constant vector are 0 (Kurt is excess kurtosis), Mj10
-    trims floor(n/10) values from each end, Msd = 1.4826 * Mad.
+    trims floor(n/10) values from each end, Msd = 1.4826 * Mad.  Overflowing
+    moments give inf or nan, without a warning.
     """
-    x = np.asarray(values, dtype=float)
+    x = np.asarray(values, dtype=float).reshape(1, -1)
     if x.size == 0:
         raise ValueError("compute_statistic needs a non-empty value list")
-    if kind is StatKind.MAX:
-        return float(x.max())
-    if kind is StatKind.MIN:
-        return float(x.min())
-    if kind is StatKind.MEAN:
-        return float(x.mean())
-    if kind is StatKind.SD:
-        return 0.0 if x.size < 2 else float(x.std(ddof=1))
-    if kind is StatKind.SKEW:
-        m2 = float(((x - x.mean()) ** 2).mean())
-        if m2 <= 0.0:
-            return 0.0
-        m3 = float(((x - x.mean()) ** 3).mean())
-        return m3 / m2 ** 1.5
-    if kind is StatKind.KURT:
-        m2 = float(((x - x.mean()) ** 2).mean())
-        if m2 <= 0.0:
-            return 0.0
-        m4 = float(((x - x.mean()) ** 4).mean())
-        return m4 / m2 ** 2 - 3.0
-    if kind is StatKind.MEDIAN:
-        return float(np.median(x))
-    if kind is StatKind.MAD:
-        return float(np.median(np.abs(x - np.median(x))))
-    if kind is StatKind.MSD:
-        return 1.4826 * float(np.median(np.abs(x - np.median(x))))
-    if kind is StatKind.Q1:
-        return _quantile(x, 0.25)
-    if kind is StatKind.Q3:
-        return _quantile(x, 0.75)
-    if kind is StatKind.INTERQ:
-        return _quantile(x, 0.75) - _quantile(x, 0.25)
-    if kind is StatKind.MJ10:
-        lo, hi = _trim_bounds(x.size)
-        return float(np.sort(x)[lo:hi].mean())
-    if kind is StatKind.MJ10S:
-        lo, hi = _trim_bounds(x.size)
-        trimmed = np.sort(x)[lo:hi]
-        return 0.0 if trimmed.size < 2 else float(trimmed.std(ddof=1))
-    raise ValueError(f"unknown statistic {kind!r}")
+    if kind not in _ROW_STATS:
+        raise ValueError(f"unknown statistic {kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_ROW_STATS[kind](_Rows(x))[0])
 
 
 @dataclass(frozen=True)
@@ -195,42 +262,111 @@ def default_feature_spec(n_regions: int = 0) -> GlobalFeatureSpec:
     return GlobalFeatureSpec(fields=tuple(fields))
 
 
-def quantity_values(network: Network, snapshot: Snapshot,
-                    quantity: str, range_kind: str = "grid",
-                    region: int | None = None) -> np.ndarray:
-    """Raw values a feature field aggregates; may be empty for a range."""
-    if quantity in BUS_QUANTITIES:
-        col = snapshot.bus_states[:, BUS_QUANTITIES[quantity]]
-        if range_kind == "grid":
-            return np.asarray(col, dtype=float)
-        mask = np.array([b.region == region for b in network.buses])
-        return np.asarray(col[mask], dtype=float)
-    if quantity in ELEMENT_QUANTITIES:
-        kind, state_col = ELEMENT_QUANTITIES[quantity]
+def _value_positions(network: Network, f: FeatureField) -> np.ndarray:
+    """Positions of a field's values in a snapshot's flat state vector: the
+    bus states, then the element states, both row-major.  May be empty."""
+    if f.range_kind not in ("grid", "region"):
+        raise GridError(f"feature field {f.key()}: range_kind must be 'grid' or "
+                        f"'region', not {f.range_kind!r}")
+    if (f.range_kind == "region") != (f.region is not None):
+        raise GridError(f"feature field {f.key()}: a region range needs a region, "
+                        f"and a grid range takes none")
+    n = network.n_bus
+    if f.quantity in BUS_QUANTITIES:
+        buses = (range(n) if f.range_kind == "grid" else
+                 [i for i, b in enumerate(network.buses) if b.region == f.region])
+        return np.array(buses, dtype=np.intp) * N_BUS_STATE + BUS_QUANTITIES[f.quantity]
+    if f.quantity in ELEMENT_QUANTITIES:
+        kind, col = ELEMENT_QUANTITIES[f.quantity]
         ids = [e.id for e in network.elements if e.kind == kind]
-        if range_kind == "region":
-            ids = [i for i in ids if network.elements[i].from_bus < network.n_bus
-                   and network.buses[network.elements[i].from_bus].region == region]
-        return np.asarray(snapshot.element_states[ids, state_col], dtype=float)
-    raise GridError(f"unknown physical quantity {quantity!r}")
+        if f.range_kind == "region":
+            ids = [i for i in ids if network.elements[i].from_bus < n
+                   and network.buses[network.elements[i].from_bus].region == f.region]
+        return n * N_BUS_STATE + np.array(ids, dtype=np.intp) * 2 + col
+    raise GridError(f"feature field {f.key()}: unknown physical quantity {f.quantity!r}")
+
+
+@dataclass(frozen=True)
+class _StatGroup:
+    """Value ranges of one length: row r of ``take`` locates range r's values."""
+
+    take: np.ndarray       # (k, n) positions in the snapshot's flat state vector
+    strided: bool          # whether the ranges are columns of the bus-state matrix
+    # (statistic, rows of take, spec positions) for each statistic the spec asks
+    outputs: tuple[tuple[StatKind, np.ndarray, np.ndarray], ...]
+
+
+class StatsPlan:
+    """The global statistics of one spec on one network, as grouped row
+    reductions.
+
+    Fields sharing a ``(quantity, range, region)`` key share one value range.
+    Ranges of equal length form one group: the bus quantities over the grid
+    share ``n_bus``, region ranges group by region size, and element ranges
+    by their element count.  A snapshot gathers each group into one (k, n)
+    matrix and computes each statistic the group needs as one reduction along
+    its rows.  Empty ranges give 0.  The grid bus quantities, which are
+    columns of the bus-state matrix, keep a group of their own (see
+    :class:`_Rows`).
+    """
+
+    def __init__(self, network: Network, spec: GlobalFeatureSpec):
+        self.size = len(spec)
+        self.bus_shape = (network.n_bus, N_BUS_STATE)
+        self.element_shape = (len(network.elements), 2)
+        keys: dict[tuple, np.ndarray] = {}
+        for f in spec.fields:
+            key = (f.quantity, f.range_kind, f.region)
+            if key not in keys:
+                keys[key] = _value_positions(network, f)
+        by_length: dict[tuple[int, bool], list[tuple]] = {}
+        for key, take in keys.items():
+            if take.size:
+                strided = key[0] in BUS_QUANTITIES and key[1] == "grid"
+                by_length.setdefault((take.size, strided), []).append(key)
+        self.groups = []
+        for (_, strided), group_keys in by_length.items():
+            row = {key: r for r, key in enumerate(group_keys)}
+            wanted: dict[StatKind, tuple[list[int], list[int]]] = {}
+            for pos, f in enumerate(spec.fields):
+                r = row.get((f.quantity, f.range_kind, f.region))
+                if r is not None:
+                    rows, positions = wanted.setdefault(f.stat, ([], []))
+                    rows.append(r)
+                    positions.append(pos)
+            self.groups.append(_StatGroup(
+                take=np.stack([keys[key] for key in group_keys]), strided=strided,
+                outputs=tuple((kind, np.array(rows, dtype=np.intp),
+                               np.array(positions, dtype=np.intp))
+                              for kind, (rows, positions) in wanted.items()),
+            ))
+
+    def __call__(self, snapshot: Snapshot) -> np.ndarray:
+        bus, elements = snapshot.bus_states, snapshot.element_states
+        if bus.shape != self.bus_shape or elements.shape != self.element_shape:
+            raise GridError(f"snapshot day {snapshot.day} slot {snapshot.slot}: state "
+                            f"shapes {bus.shape} and {elements.shape} do not fit the "
+                            f"network's {self.bus_shape} and {self.element_shape}")
+        flat = np.concatenate((bus.ravel(), elements.ravel()), dtype=float)
+        out = np.zeros(self.size)
+        # Overflowing moments give inf or nan, which become 0 below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for group in self.groups:
+                rows = _Rows(flat[group.take], group.strided)
+                for kind, at, positions in group.outputs:
+                    out[positions] = _ROW_STATS[kind](rows)[at]
+        out[~np.isfinite(out)] = 0.0
+        return out
 
 
 def global_stats(network: Network, snapshot: Snapshot,
                  spec: GlobalFeatureSpec) -> np.ndarray:
-    """Statistical feature vector; degenerate/empty ranges yield 0, never NaN."""
-    out = np.zeros(len(spec))
-    cache: dict[tuple, np.ndarray] = {}
-    for i, f in enumerate(spec.fields):
-        key = (f.quantity, f.range_kind, f.region)
-        if key not in cache:
-            cache[key] = quantity_values(network, snapshot, f.quantity,
-                                         f.range_kind, f.region)
-        values = cache[key]
-        if values.size == 0:
-            continue
-        v = compute_statistic(values, f.stat)
-        out[i] = v if np.isfinite(v) else 0.0
-    return out
+    """Statistical feature vector; degenerate/empty ranges yield 0, never NaN.
+
+    Runs the :class:`StatsPlan` that the network's memoized index holds for
+    ``spec``.
+    """
+    return _network_index(network).stats_plan(spec)(snapshot)
 
 
 def global_raw(snapshot: Snapshot) -> np.ndarray:
@@ -253,8 +389,9 @@ class NetworkIndex:
 
     Besides the neighbor structure it holds the per-bus columns that no
     snapshot changes, and it memoizes one :class:`LineTemplate` per (AC line,
-    max_nodes) for the life of the index and one bus table per snapshot (by
-    object identity).  :func:`featurize` keeps one index per process, for the
+    max_nodes) for the life of the index, the :class:`StatsPlan` of the last
+    spec seen, and one bus table per snapshot (by object identity).
+    :func:`featurize` keeps one index per process, for the
     last network it saw while that network is alive, and empties the
     bus-table memo when each call starts and when it returns, so that memo
     holds the snapshots of one call.  The snapshots' arrays must not change
@@ -268,7 +405,7 @@ class NetworkIndex:
         self.nbrs = neighbor_lists(network)
         n = network.n_bus
         self.degree = np.array([len(self.nbrs[i]) for i in range(n)], dtype=float)
-        self.max_degree = float(self.degree.max()) if n else 1.0
+        self.max_degree = float(self.degree.max(initial=0.0)) or 1.0
         self.incident: list[list[int]] = [[] for _ in range(n)]
         for e in network.elements:
             self.incident[e.from_bus].append(e.id)
@@ -289,18 +426,25 @@ class NetworkIndex:
                     if a < b and b in nbr_sets[a]
                 )
                 self.clustering[i] = 2.0 * links / (deg * (deg - 1))
-        self.incident_ac = [
-            np.array([i for i in self.incident[bus] if network.elements[i].kind == AC_LINE],
-                     dtype=int)
-            for bus in range(n)
-        ]
-        self.incident_ac_rating = [
-            np.array([network.elements[i].rating for i in ids]) for ids in self.incident_ac
+        # Buses grouped by their number k >= 1 of incident AC lines: the
+        # group's bus rows and its (g, k) line ids and ratings.
+        incident_ac = [[i for i in self.incident[bus] if network.elements[i].kind == AC_LINE]
+                       for bus in range(n)]
+        by_count: dict[int, list[int]] = {}
+        for bus, ids in enumerate(incident_ac):
+            if ids:
+                by_count.setdefault(len(ids), []).append(bus)
+        self._incident_groups = [
+            (np.array(buses), np.array([incident_ac[b] for b in buses]),
+             np.array([[network.elements[i].rating for i in incident_ac[b]] for b in buses],
+                      dtype=float))
+            for buses in by_count.values()
         ]
         self.static_rows = self._static_rows(network)
         self._adjacency: np.ndarray | None = None
         self._tables: dict[int, tuple[Snapshot, np.ndarray]] = {}
         self._templates: dict[tuple[int, int], LineTemplate] = {}
+        self._plan: tuple[GlobalFeatureSpec, StatsPlan] | None = None
 
     @property
     def network(self) -> Network | None:
@@ -343,19 +487,27 @@ class NetworkIndex:
         table = self.static_rows.copy()
         table[:-1, 0:13] = snapshot.bus_states
         flows = snapshot.element_states
-        for bus, ids in enumerate(self.incident_ac):
-            if ids.size:
-                p, q = flows[ids, 0], flows[ids, 1]
-                rating = self.incident_ac_rating[bus]
-                loading = np.abs(p) / rating
-                quantities = [p, q, loading, rating - np.abs(p), np.hypot(p, q), rating]
-                col = 21
-                for vals in quantities:
-                    table[bus, col:col + 4] = [vals.sum(), vals.mean(), vals.max(), vals.min()]
-                    col += 4
+        # One (g, 6, k) stack per group, reduced along its last axis.  Rows of
+        # one length keep numpy's pairwise summation of each row alone, which
+        # padding to a common length would regroup from 8 values on.
+        for buses, ids, rating in self._incident_groups:
+            p, q = flows[ids, 0], flows[ids, 1]
+            size = np.abs(p)
+            quantities = np.stack(
+                (p, q, size / rating, rating - size, np.hypot(p, q), rating), axis=1)
+            aggregates = (quantities.sum(axis=2), quantities.mean(axis=2),
+                          quantities.max(axis=2), quantities.min(axis=2))
+            table[buses, 21:45] = np.stack(aggregates, axis=2).reshape(len(buses), 24)
         table.flags.writeable = False
         self._tables[id(snapshot)] = (snapshot, table)
         return table
+
+    def stats_plan(self, spec: GlobalFeatureSpec) -> StatsPlan:
+        """The :class:`StatsPlan` of ``spec``, memoized for the last spec seen;
+        an equal spec reuses it."""
+        if self._plan is None or (self._plan[0] is not spec and self._plan[0] != spec):
+            self._plan = (spec, StatsPlan(self.network, spec))
+        return self._plan[1]
 
     def line_template(self, element_id: int, max_nodes: int) -> LineTemplate:
         key = (element_id, max_nodes)
@@ -398,13 +550,11 @@ _last_index: list[tuple[weakref.ref, NetworkIndex]] = []
 
 def _network_index(network: Network) -> NetworkIndex:
     """The memoized :class:`NetworkIndex` of ``network``, built when it is not
-    the network last seen, with its bus-table memo emptied for a new call."""
+    the network last seen.  Its bus-table memo is left as it is."""
     if not _last_index or _last_index[0][0]() is not network:
         _last_index[:] = [(weakref.ref(network, lambda _: _last_index.clear()),
                            NetworkIndex(network))]
-    index = _last_index[0][1]
-    index._tables.clear()
-    return index
+    return _last_index[0][1]
 
 
 @dataclass(frozen=True)
@@ -462,6 +612,7 @@ def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
     """
     if index is None:
         index = _network_index(network)
+        index._tables.clear()
     template = index.line_template(element_id, max_nodes)
     feats = index.bus_table(snapshot)[template.rows]
     feats[:, LINE_COLUMNS] = template.line_values
@@ -543,6 +694,7 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
     :func:`snapshot_globals`; all samples of one snapshot share its vector.
     """
     index = _network_index(network)
+    index._tables.clear()
     per_snapshot = snapshot_globals(network, snapshots, faults, spec)
     samples = []
     for fs in faults:

@@ -160,6 +160,25 @@ def test_unknown_quantity_errors():
         global_stats(net, zero_snapshot(net), spec)
 
 
+@pytest.mark.parametrize("field", [
+    FeatureField("V", StatKind.MEAN, "Grid"),
+    FeatureField("P_AC", StatKind.MEAN, "Grid"),
+    FeatureField("V", StatKind.MEAN, "region", None),
+    FeatureField("Q_DC", StatKind.MAX, "region", None),
+    FeatureField("V", StatKind.MEAN, "grid", 1),
+    FeatureField("P_AC", StatKind.SD, "grid", 0),
+    FeatureField("bogus", StatKind.MEAN),
+], ids=["misspelled-range-bus", "misspelled-range-element", "region-without-index-bus",
+        "region-without-index-element", "grid-with-region-bus", "grid-with-region-element",
+        "unknown-quantity"])
+def test_malformed_feature_field_is_named(field):
+    net = chain_network(3)
+    spec = GlobalFeatureSpec(fields=(FeatureField("V", StatKind.MAX), field))
+    with pytest.raises(GridError) as info:
+        global_stats(net, zero_snapshot(net), spec)
+    assert f"feature field {field.key()}" in str(info.value)
+
+
 def test_global_stats_never_nan(small_world):
     net, snaps = small_world["network"], small_world["snapshots"]
     spec = default_feature_spec(n_regions=3)

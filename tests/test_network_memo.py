@@ -1,6 +1,7 @@
 """Per-network state lives as long as the network: one ``NetworkIndex`` per
-network and one propagation matrix per line, while per-snapshot state is
-rebuilt for each call and dropped with the arrays it depends on."""
+network, with one statistics plan per spec, and one propagation matrix per
+line, while per-snapshot state is rebuilt for each call and dropped with the
+arrays it depends on."""
 
 import copy
 import dataclasses
@@ -182,3 +183,43 @@ def test_propagation_entries_die_with_their_arrays(screening_world):
     features._last_index.clear()    # the index holds the line templates
     gc.collect()
     assert model._PROPAGATION == {}
+
+
+def test_featurize_makes_no_per_field_statistic_calls(screening_world, monkeypatch):
+    network, spec, _, day = screening_world
+    snaps = [snap for snap, _ in day]
+    faults = [f for _, fs in day for f in fs]
+    want = featurize(network, snaps, faults, spec)
+
+    def per_field(*args):
+        raise AssertionError("compute_statistic called on the featurize path")
+
+    monkeypatch.setattr(features, "compute_statistic", per_field)
+    reset_memos()
+    got = featurize(network, snaps, faults, spec)
+    for g, w in zip(got.samples, want.samples):
+        assert g.global_vec.tobytes() == w.global_vec.tobytes()
+
+
+def test_the_stats_plan_is_built_once_per_network_and_spec(screening_world, monkeypatch):
+    network, spec, _, day = screening_world
+    built = []
+
+    class CountingPlan(features.StatsPlan):
+        def __init__(self, net, s):
+            built.append(s)
+            super().__init__(net, s)
+
+    monkeypatch.setattr(features, "StatsPlan", CountingPlan)
+    snap, faults = day[0]
+    first = features.global_stats(network, snap, spec)
+    second = features.global_stats(network, snap, spec)
+    featurize(network, [snap], faults, spec)
+    assert len(built) == 1
+    assert first.tobytes() == second.tobytes()
+    assert isinstance(features._last_index[0][1]._plan[1], CountingPlan)    # held by the index
+
+    features.global_stats(network, snap, default_feature_spec())    # equal, not the same
+    assert len(built) == 1
+    features.global_stats(network, snap, default_feature_spec(n_regions=2))
+    assert len(built) == 2

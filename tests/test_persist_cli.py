@@ -320,6 +320,41 @@ def test_cli_featurize_rejects_bad_snapshot(tmp_path, capsys, corrupt, violation
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("corrupt,violation", [
+    (lambda states: states.append(list(states[0])), "bus-state-shape"),
+    (lambda states: [row.append(0.0) for row in states], "bus-state-shape"),
+    (lambda states: states[2].__setitem__(4, float("nan")), "non-finite-state"),
+], ids=["extra-bus-row", "extra-state-column", "nan-state"])
+@pytest.mark.parametrize("command", ["featurize", "train"])
+def test_cli_validates_snapshots_at_load(tmp_path, capsys, corrupt, violation, command):
+    """A bad snapshot fails when the dataset is loaded, even on a day the
+    command does not featurize."""
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    assert run_cli("featurize", "--data", str(data), "--days", "0") == 0
+    features = data / "features.npz"
+    path = data / "snapshots.jsonl"
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[-1])
+    corrupt(doc["bus_states"])
+    lines[-1] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "featurize": ["featurize", "--data", str(data), "--days", "0", "--out", str(out)],
+        "train": ["train", "--features", str(features), "--data", str(data),
+                  "--train-day", "0", "--epochs", "1", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert (f"snapshots.jsonl: snapshot day {doc['day']} slot {doc['slot']}: {violation}"
+            in captured.err)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _featurize_dir(data, days, include_raw):
     network, snapshots, faults, fp = cli._load_dataset_dir(data)
     cfg = report.ExperimentConfig()
