@@ -1,8 +1,8 @@
 """Multi-command CLI wrapping the record -> train -> apply workflow.
 
-Exit codes: 0 success, 1 missing or mismatched inputs / bad arguments,
-3 infeasible reliability calibration.  Set GRIDSTAB_LOG to control log
-verbosity.
+Exit codes: 0 success, 1 missing or mismatched inputs / bad arguments.
+Calibration always reaches its target, so 3 (``EXIT_INFEASIBLE``, kept for
+scripts) is no longer returned.  Set GRIDSTAB_LOG to control log verbosity.
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ from pathlib import Path
 
 from . import persist, report, synth
 from .features import featurize
-from .grid import validate_snapshot
+from .grid import _is_int, _is_real, validate_snapshot
 from .metrics import compute_metrics
-from .model import (
-    ABLATION_ALIASES, VARIANT_ALIASES, TrainingError, _is_int, _is_real, scores_for,
-    train,
-)
+from .model import ABLATION_ALIASES, VARIANT_ALIASES, TrainingError, scores_for, train
 from .report import ExperimentConfig
 
 log = logging.getLogger("gridstab")
@@ -104,8 +101,8 @@ def resolve_config(args) -> ExperimentConfig:
 
 
 def _check_settings(cfg: ExperimentConfig) -> None:
-    """Reject feature, eval and train settings that featurize, the day split
-    or training cannot use, naming the config section and the field."""
+    """Reject settings that featurize, the day split, training or synth cannot
+    use, naming the config section and the field."""
     if not _is_int(cfg.max_nodes) or cfg.max_nodes < 1:
         raise CliError(f"config section 'feature': max_nodes must be an integer >= 1, "
                        f"not {cfg.max_nodes!r}")
@@ -116,10 +113,11 @@ def _check_settings(cfg: ExperimentConfig) -> None:
     if not _is_real(frac) or not 0.0 < frac < 1.0:
         raise CliError(f"config section 'eval': calibration_frac must be a number in "
                        f"(0, 1), not {frac!r}")
-    try:
-        cfg.train.validate()
-    except ValueError as exc:
-        raise CliError(f"config section 'train': {exc}") from exc
+    for name, section in (("train", cfg.train), ("synth", cfg.synth)):
+        try:
+            section.validate()
+        except ValueError as exc:
+            raise CliError(f"config section {name!r}: {exc}") from exc
 
 
 def _require(path: Path, kind: str) -> Path:
@@ -183,12 +181,12 @@ def cmd_featurize(args) -> int:
     cfg = resolve_config(args)
     data_dir = Path(args.data)
     network, snapshots, faults, fp = _load_dataset_dir(data_dir)
-    if args.days:
-        wanted = {int(d) for d in args.days.split(",")}
+    if args.day_subset:
+        wanted = {int(d) for d in args.day_subset.split(",")}
         faults = [f for f in faults if f.day in wanted]
         snapshots = [s for s in snapshots if s.day in wanted]
     if not faults:
-        days = f"days {sorted(wanted)}" if args.days else "any day"
+        days = f"days {sorted(wanted)}" if args.day_subset else "any day"
         raise CliError(f"{data_dir} holds no faults for {days}")
     spec = report.default_feature_spec(cfg.feature_regions)
     ds = featurize(network, snapshots, faults, spec, max_nodes=cfg.max_nodes,
@@ -221,10 +219,6 @@ def cmd_train(args) -> int:
     persist.save_history_csv(result.history, out.with_suffix(".history.csv"))
     print(f"wrote {out}: variant {variant}, best epoch {result.best_epoch}, "
           f"threshold {result.threshold:.6g}")
-    if not result.calibration_feasible:
-        print("warning: reliability target not reachable on the calibration slice",
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
     return EXIT_OK
 
 
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="turn a dataset into model features "
                                          "(default out: <data>/features.npz)")
     common(p, data=True)
-    p.add_argument("--days", help="comma-separated day subset")
+    p.add_argument("--days", dest="day_subset", help="comma-separated day subset")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train one model variant")

@@ -243,7 +243,9 @@ class GlobalFeatureSpec:
     def __len__(self) -> int:
         return len(self.fields)
 
+    @cached_property
     def spec_hash(self) -> str:
+        """Digest of the field keys, computed once: the spec is frozen."""
         payload = json.dumps([f.key() for f in self.fields], sort_keys=False)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -649,7 +651,7 @@ class FeaturizedDataset:
 
     def feature_spec_hash(self) -> str:
         payload = json.dumps({
-            "spec": self.spec.spec_hash(),
+            "spec": self.spec.spec_hash,
             "n_elements": self.n_elements,
             "max_nodes": self.max_nodes,
             "node_features": NODE_FEATURES,

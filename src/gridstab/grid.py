@@ -8,6 +8,7 @@ N-1 contingency on one snapshot.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from collections import deque
 
@@ -180,6 +181,14 @@ def bfs(nbrs: list[list[int]], seeds, max_nodes: int | None = None,
                 if len(order) >= limit:
                     break
     return order[:limit], hops
+
+
+def _is_int(n) -> bool:
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def validate_network(network: Network) -> list[str]:

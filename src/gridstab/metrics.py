@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _is_real
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -77,34 +79,33 @@ def compute_metrics(scores, labels, threshold: float) -> MetricRow:
     return metrics_from_counts(confusion_counts(scores, labels, threshold), threshold)
 
 
-def calibrate_threshold(scores, labels, target_kkd: float = 98.0
-                        ) -> tuple[float, bool]:
+def calibrate_threshold(scores, labels, target_kkd: float = 98.0) -> float:
     """Largest score value whose threshold keeps kkd >= target.
 
-    Later thresholds flag fewer samples, so this maximizes compression
-    subject to the reliability constraint.  Returns (threshold, feasible);
-    when even flagging everything misses the target the threshold falls
-    back to 0 with feasible=False.
+    Lower thresholds flag more samples, so this maximizes compression subject
+    to the reliability constraint.  With k the least unstable count whose
+    catch rate ``100 * k / s_tf`` reaches the target, it is the k-th largest
+    unstable score, or the largest score when k is 0.  The lowest score
+    catches every unstable sample, so any target in [0, 100] is reached.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
+    if scores.ndim != 1 or not np.isfinite(scores).all():
+        raise ValueError("calibration scores must be a 1-d vector of finite numbers")
+    if labels.shape != scores.shape:
+        raise ValueError(f"calibration labels have shape {labels.shape}, "
+                         f"scores {scores.shape}")
+    if not (_is_real(target_kkd) and 0.0 <= target_kkd <= 100.0):
+        raise ValueError(f"target_kkd must be a number in [0, 100], not {target_kkd!r}")
     truth = labels > 0.5
     s_tf = int(truth.sum())
     if s_tf == 0:
         raise ValueError("calibration needs at least one unstable sample")
-    unstable_scores = np.sort(scores[truth])
-
-    def kkd_at(threshold: float) -> float:
-        caught = unstable_scores.size - np.searchsorted(
-            unstable_scores, threshold, side="left")
-        return 100.0 * caught / s_tf
-
-    for threshold in np.unique(scores)[::-1]:
-        if kkd_at(float(threshold)) >= target_kkd:
-            return float(threshold), True
-    if kkd_at(0.0) >= target_kkd:
-        return 0.0, True
-    return 0.0, False
+    # catch rates computed as metrics_from_counts computes kkd
+    k = int(np.argmax(100.0 * np.arange(s_tf + 1) / s_tf >= target_kkd))
+    if k == 0:
+        return float(scores.max())
+    return float(np.sort(scores[truth])[-k])
 
 
 def undersample_balance(samples, seed: int):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import weakref
 from dataclasses import dataclass, replace
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import nn
 from .features import FeaturizedDataset, LocalGraph
-from .grid import N_BUS_STATE
+from .grid import N_BUS_STATE, _is_int, _is_real
 from .metrics import calibrate_threshold, compute_metrics, undersample_balance
 
 log = logging.getLogger(__name__)
@@ -125,14 +124,6 @@ class TrainConfig:
         if not _is_real(self.target_kkd) or not 0.0 <= self.target_kkd <= 100.0:
             raise ValueError(f"target_kkd must be a number in [0, 100], not "
                              f"{self.target_kkd!r}")
-
-
-def _is_int(n) -> bool:
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class Head:
@@ -498,7 +489,7 @@ class TrainResult:
     scalers: dict
     history: list
     threshold: float
-    calibration_feasible: bool
+    calibration_feasible: bool   # always True; a checkpoint field
     best_epoch: int
     config: ModelConfig
     feature_spec_hash: str
@@ -529,13 +520,12 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
 
     labels = train_set.labels()
     n = len(train_set.samples)
-    best = {"acc": -1.0, "params": _copy_params(params), "threshold": 0.5,
-            "feasible": False, "epoch": 0}
+    best = {"acc": -1.0, "params": _copy_params(params), "threshold": 0.5, "epoch": 0}
     history = []
 
     def epoch_row(epoch: int, train_loss: float):
         val_scores = model.predict(params, val_set)
-        thr, feasible = calibrate_threshold(val_scores, val_set.labels(), tc.target_kkd)
+        thr = calibrate_threshold(val_scores, val_set.labels(), tc.target_kkd)
         row_metrics = compute_metrics(val_scores, val_set.labels(), thr)
         history.append({
             "epoch": epoch, "train_loss": train_loss,
@@ -544,7 +534,7 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
         # ties go to the later (more trained) epoch
         if row_metrics.acc >= best["acc"]:
             best.update(acc=row_metrics.acc, params=_copy_params(params),
-                        threshold=thr, feasible=feasible, epoch=epoch)
+                        threshold=thr, epoch=epoch)
 
     def full_loss() -> float:
         total = 0.0
@@ -578,7 +568,7 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
     return TrainResult(
         variant=variant, params=best["params"], scalers=model.scalers,
         history=history, threshold=float(best["threshold"]),
-        calibration_feasible=bool(best["feasible"]), best_epoch=best["epoch"],
+        calibration_feasible=True, best_epoch=best["epoch"],
         config=mc, feature_spec_hash=train_set.feature_spec_hash(),
     )
 

@@ -126,15 +126,7 @@ def run_prev_day(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
     if train_day >= 1:
         cal_index = baselines.PrevDayIndex.from_faults(bundle.faults, train_day - 1)
         cal_scores = baselines.prev_day_scores(cal_index, pair.cal_ds.samples)
-        threshold, feasible = calibrate_threshold(cal_scores, pair.cal_ds.labels(),
-                                                  target_kkd)
-        if not feasible:
-            # the strict "mean > 0" limit: flag any element with history
-            log.warning("previous-day baseline cannot reach kkd %.1f on day %d; "
-                        "flagging every element with prior instability",
-                        target_kkd, train_day)
-            positive = scores[scores > 0.0]
-            threshold = float(positive.min()) if positive.size else 1.0
+        threshold = calibrate_threshold(cal_scores, pair.cal_ds.labels(), target_kkd)
     else:
         threshold = baselines.PREV_DAY_THRESHOLD + 1e-9
     return compute_metrics(scores, pair.eval_ds.labels(), threshold)
@@ -152,8 +144,7 @@ def run_svm(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
     log.info("svm expansion: %s", accounting)
 
     cal_x = baselines.svm_dataset_features(pair.cal_ds)
-    threshold, _ = calibrate_threshold(params.margins(cal_x), pair.cal_ds.labels(),
-                                       target_kkd)
+    threshold = calibrate_threshold(params.margins(cal_x), pair.cal_ds.labels(), target_kkd)
     eval_x = baselines.svm_dataset_features(pair.eval_ds)
     return compute_metrics(params.margins(eval_x), pair.eval_ds.labels(), threshold)
 

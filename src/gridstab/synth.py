@@ -19,8 +19,8 @@ import numpy as np
 
 from .grid import (
     AC_LINE, DC_LINE, TRANSFORMER, STABLE, UNSTABLE,
-    Bus, Element, FaultSample, Network, Snapshot, adjacency_lists, bfs,
-    build_adjacency, neighbor_lists,
+    Bus, Element, FaultSample, Network, Snapshot, _is_int, _is_real, adjacency_lists,
+    bfs, build_adjacency, neighbor_lists,
 )
 
 REF_CURVE = 0.8            # curve level at which Bus/Element base values hold
@@ -42,17 +42,24 @@ class SynthConfig:
     })
 
     def validate(self) -> None:
-        if self.n_bus < 10:
-            raise ValueError("n_bus must be >= 10")
-        if not 0.0 < self.target_unstable_rate < 0.5:
-            raise ValueError("target_unstable_rate must be in (0, 0.5)")
-        if self.slots_per_day < 1 or self.days < 1:
-            raise ValueError("days and slots_per_day must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not 0.0 <= self.ar_coeff < 1.0:
-            raise ValueError("ar_coeff must be in [0, 1)")
-        missing = {"local_overload", "global_stress", "latent"} - set(self.oracle_weights)
+        for name, low in (("n_bus", 10), ("days", 1), ("slots_per_day", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+        rate, ar, noise = self.target_unstable_rate, self.ar_coeff, self.noise_amp
+        if not _is_real(rate) or not 0.0 < rate < 0.5:
+            raise ValueError(f"target_unstable_rate must be a number in (0, 0.5), "
+                             f"not {rate!r}")
+        if not _is_real(ar) or not 0.0 <= ar < 1.0:
+            raise ValueError(f"ar_coeff must be a number in [0, 1), not {ar!r}")
+        if not _is_real(noise) or not math.isfinite(noise):
+            raise ValueError(f"noise_amp must be a finite number, not {noise!r}")
+        weights = self.oracle_weights
+        if not isinstance(weights, dict) or not all(
+                _is_real(w) and math.isfinite(w) for w in weights.values()):
+            raise ValueError(f"oracle_weights must map names to finite numbers, "
+                             f"not {weights!r}")
+        missing = {"local_overload", "global_stress", "latent"} - set(weights)
         if missing:
             raise ValueError(f"oracle_weights missing {sorted(missing)}")
 

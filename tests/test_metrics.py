@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridstab.metrics import (
     ConfusionCounts, calibrate_threshold, compute_metrics, confusion_counts,
@@ -87,8 +88,8 @@ def test_empty_input_rejected():
 def test_calibrate_small_example():
     scores = np.array([0.9, 0.8, 0.1])
     labels = np.array([1.0, 1.0, 0.0])
-    threshold, feasible = calibrate_threshold(scores, labels, target_kkd=100.0)
-    assert feasible and threshold == 0.8
+    threshold = calibrate_threshold(scores, labels, target_kkd=100.0)
+    assert threshold == 0.8
     row = compute_metrics(scores, labels, threshold)
     assert row.kkd == 100.0 and row.ysl == pytest.approx(33.33)
 
@@ -96,21 +97,111 @@ def test_calibrate_small_example():
 def test_calibrate_all_scored_one():
     scores = np.ones(5)
     labels = np.ones(5)
-    threshold, feasible = calibrate_threshold(scores, labels, 100.0)
-    assert feasible and threshold == 1.0
+    threshold = calibrate_threshold(scores, labels, 100.0)
+    assert threshold == 1.0
 
 
 def test_calibrate_returns_score_value():
     rng = np.random.default_rng(3)
     scores = rng.uniform(size=200)
     labels = (rng.uniform(size=200) < 0.2).astype(float)
-    threshold, feasible = calibrate_threshold(scores, labels, 98.0)
-    assert feasible and (threshold in scores or threshold == 0.0)
+    threshold = calibrate_threshold(scores, labels, 98.0)
+    assert threshold in scores
 
 
 def test_calibrate_requires_unstable():
     with pytest.raises(ValueError):
         calibrate_threshold(np.array([0.5]), np.array([0.0]), 98.0)
+
+
+def ref_calibrate_threshold(scores, labels, target_kkd: float = 98.0
+                            ) -> tuple[float, bool]:
+    """Largest score value whose threshold keeps kkd >= target.
+
+    Later thresholds flag fewer samples, so this maximizes compression
+    subject to the reliability constraint.  Returns (threshold, feasible);
+    when even flagging everything misses the target the threshold falls
+    back to 0 with feasible=False.
+    """
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    truth = labels > 0.5
+    s_tf = int(truth.sum())
+    if s_tf == 0:
+        raise ValueError("calibration needs at least one unstable sample")
+    unstable_scores = np.sort(scores[truth])
+
+    def kkd_at(threshold: float) -> float:
+        caught = unstable_scores.size - np.searchsorted(
+            unstable_scores, threshold, side="left")
+        return 100.0 * caught / s_tf
+
+    for threshold in np.unique(scores)[::-1]:
+        if kkd_at(float(threshold)) >= target_kkd:
+            return float(threshold), True
+    if kkd_at(0.0) >= target_kkd:
+        return 0.0, True
+    return 0.0, False
+
+
+@st.composite
+def calibration_cases(draw):
+    """Finite scores with at least one unstable label, and a target in
+    [0, 100] that is often an exact catch rate ``100 * k / s_tf``.
+
+    Scores come as ties from a few rounded values, as constant vectors, or
+    as free floats of either sign.  Adding 0.0 turns -0.0 into 0.0: where
+    both zeros tie, ``np.unique`` keeps whichever its sort puts first, so
+    the sign of a zero threshold is not fixed by the reference either.
+    """
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["rounded", "constant", "free"]))
+    if kind == "rounded":
+        values = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        scores = np.round(values, draw(st.integers(0, 2)))
+    elif kind == "constant":
+        scores = np.full(n, draw(st.floats(-1e6, 1e6)))
+    else:
+        scores = np.array(draw(st.lists(
+            st.floats(-1e12, 1e12, allow_subnormal=True), min_size=n, max_size=n)))
+    scores = scores + 0.0
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=float)
+    labels[draw(st.integers(0, n - 1))] = 1.0
+    s_tf = int(labels.sum())
+    target = draw(st.one_of(
+        st.floats(0.0, 100.0),
+        st.integers(0, s_tf).map(lambda k: 100.0 * k / s_tf),
+        st.sampled_from([0.0, 98.0, 100.0]),
+    ))
+    return scores, labels, target
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=calibration_cases())
+def test_calibrate_matches_the_reference_loop(case):
+    scores, labels, target = case
+    want, feasible = ref_calibrate_threshold(scores, labels, target)
+    got = calibrate_threshold(scores, labels, target)
+    assert feasible
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    c = confusion_counts(scores, labels, got)
+    assert 100.0 * (c.s_tf - c.l) / c.s_tf >= target
+
+
+@pytest.mark.parametrize("scores,labels,target", [
+    ([0.2, np.nan, 0.7], [1.0, 0.0, 1.0], 98.0),
+    ([0.2, np.inf, 0.7], [1.0, 0.0, 1.0], 98.0),
+    ([0.2, 0.5, 0.7], [1.0, 0.0, 1.0], -1.0),
+    ([0.2, 0.5, 0.7], [1.0, 0.0, 1.0], 100.5),
+    ([0.2, 0.5, 0.7], [1.0, 0.0, 1.0], float("nan")),
+    ([0.2, 0.5, 0.7], [1.0, 0.0], 98.0),
+    ([0.2, 0.5, 0.7], [0.0, 0.0, 0.0], 98.0),
+], ids=["nan-score", "inf-score", "target-negative", "target-over-100", "target-nan",
+        "shape-mismatch", "no-unstable"])
+def test_calibrate_rejects_bad_input(scores, labels, target):
+    with pytest.raises(ValueError):
+        calibrate_threshold(np.array(scores), np.array(labels), target)
 
 
 def test_threshold_monotonicity_sweep():

@@ -79,6 +79,23 @@ def test_screening_a_day_reuses_the_index_templates_and_propagation(
     assert per_day[1] == 0
 
 
+def test_screening_serializes_a_shared_spec_once(screening_world, monkeypatch):
+    network, _, result, day = screening_world
+    spec = default_feature_spec()     # a fresh object: nothing cached on it yet
+    dumped = []
+    real = features.json.dumps
+
+    def spy(obj, **kw):
+        if isinstance(obj, list):     # the spec's field keys
+            dumped.append(len(obj))
+        return real(obj, **kw)
+
+    monkeypatch.setattr(features.json, "dumps", spy)
+    for snap, faults in day[:4]:
+        screen(network, spec, result, snap, faults)
+    assert dumped == [len(spec)]
+
+
 def test_new_snapshots_with_a_reused_key_are_never_stale(screening_world):
     network, spec, _, day = screening_world
     base, faults = day[0]

@@ -192,7 +192,7 @@ def test_cli_synth_featurize_train_eval(tmp_path):
     code = run_cli("train", "--features", str(features), "--data", str(data),
                    "--variant", "graph", "--train-day", "1", "--epochs", "2",
                    "--seed", "7", "--out", str(ckpt))
-    assert code in (0, 3)
+    assert code == 0
     assert ckpt.exists() and ckpt.with_suffix(".history.csv").exists()
 
     out_csv = tmp_path / "eval.csv"
@@ -250,7 +250,7 @@ def test_cli_rerun_byte_identical(tmp_path):
         ckpt = root / "ckpt.json"
         assert run_cli("train", "--features", str(data / "features.npz"),
                        "--variant", "graph", "--train-day", "1", "--epochs", "2",
-                       "--seed", "7", "--out", str(ckpt)) in (0, 3)
+                       "--seed", "7", "--out", str(ckpt)) == 0
         csv = root / "eval.csv"
         assert run_cli("eval", "--checkpoint", str(ckpt),
                        "--features", str(data / "features.npz"),
@@ -287,7 +287,7 @@ def test_cli_train_and_calibration_slices_are_disjoint_and_match_report(
     code = run_cli("train", "--features", str(data / "features.npz"),
                    "--train-day", "1", "--epochs", "1", "--seed", "7",
                    "--out", str(tmp_path / "ckpt.json"))
-    assert code in (0, 3)
+    assert code == 0
     assert seen["train"] and seen["cal"]
     assert not seen["train"] & seen["cal"]
 
@@ -384,7 +384,7 @@ def test_cli_deepcnn5_trains_from_features_file(tmp_path):
     ckpt = tmp_path / "cnn.json"
     code = run_cli("train", "--features", str(features), "--variant", "deepcnn5",
                    "--train-day", "1", "--epochs", "1", "--seed", "7", "--out", str(ckpt))
-    assert code in (0, 3)
+    assert code == 0
     result = persist.load_checkpoint(ckpt)
     assert result.variant == "DeepCnn5"
     from_file = scores_for(result, persist.load_features(features))
@@ -523,7 +523,7 @@ def trained_checkpoint(tmp_path_factory):
     assert run_cli("featurize", "--data", str(data), "--days", "1,2") == 0
     ckpt = root / "ckpt.json"
     assert run_cli("train", "--features", str(data / "features.npz"), "--train-day", "1",
-                   "--epochs", "1", "--seed", "7", "--out", str(ckpt)) in (0, 3)
+                   "--epochs", "1", "--seed", "7", "--out", str(ckpt)) == 0
     return ckpt, data / "features.npz"
 
 
@@ -580,10 +580,31 @@ BAD_SETTINGS = {
     "seed-negative": ({"train": {"seed": -1}}, "config section 'train': seed"),
 }
 
+BAD_SYNTH = {
+    "n-bus-string": ({"synth": {"n_bus": "ten"}}, "config section 'synth': n_bus"),
+    "days-float": ({"synth": {"days": 2.5}}, "config section 'synth': days"),
+    "slots-bool": ({"synth": {"slots_per_day": True}},
+                   "config section 'synth': slots_per_day"),
+    "seed-float": ({"synth": {"seed": 1.0}}, "config section 'synth': seed"),
+    "rate-string": ({"synth": {"target_unstable_rate": "0.1"}},
+                    "config section 'synth': target_unstable_rate"),
+    "noise-null": ({"synth": {"noise_amp": None}}, "config section 'synth': noise_amp"),
+    "ar-coeff-list": ({"synth": {"ar_coeff": [0.5]}}, "config section 'synth': ar_coeff"),
+    "weights-list": ({"synth": {"oracle_weights": [0.45, 0.25, 0.3]}},
+                     "config section 'synth': oracle_weights"),
+    "weight-string": ({"synth": {"oracle_weights": {
+        "local_overload": "0.45", "global_stress": 0.25, "latent": 0.3}}},
+        "config section 'synth': oracle_weights"),
+    "n-bus-small": ({"synth": {"n_bus": 5}}, "config section 'synth': n_bus"),
+}
+
 
 @pytest.mark.parametrize("command,doc,flags,message", [
     *(pytest.param(command, doc, [], message, id=f"{command}-{name}")
-      for command in ("featurize", "train") for name, (doc, message) in BAD_SETTINGS.items()),
+      for command in ("featurize", "train", "synth")
+      for name, (doc, message) in BAD_SETTINGS.items()),
+    *(pytest.param("synth", doc, [], message, id=f"synth-{name}")
+      for name, (doc, message) in BAD_SYNTH.items()),
     pytest.param("train", {}, ["--epochs", "-1"], "config section 'train': epochs",
                  id="train-epochs-flag-negative"),
 ])
@@ -593,7 +614,8 @@ def test_cli_rejects_bad_run_settings(tmp_path, capsys, trained_checkpoint, comm
     config = _write_config(tmp_path / "cfg.json", doc)
     out = tmp_path / "out"
     argv = {"featurize": ["--data", str(features.parent)],
-            "train": ["--features", str(features), "--train-day", "1"]}[command]
+            "train": ["--features", str(features), "--train-day", "1"],
+            "synth": []}[command]
     capsys.readouterr()
     assert run_cli(command, "--config", config, "--out", str(out), *argv, *flags) == 1
     err = capsys.readouterr().err
