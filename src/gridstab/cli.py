@@ -177,16 +177,27 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _parse_days(text: str) -> set[int]:
+    """The day numbers of a comma-separated ``--days`` value."""
+    days = set()
+    for entry in text.split(","):
+        try:
+            days.add(int(entry))
+        except ValueError:
+            raise CliError(f"--days {text!r}: {entry!r} is not a day number") from None
+    return days
+
+
 def cmd_featurize(args) -> int:
+    wanted = _parse_days(args.day_subset) if args.day_subset else None
     cfg = resolve_config(args)
     data_dir = Path(args.data)
     network, snapshots, faults, fp = _load_dataset_dir(data_dir)
-    if args.day_subset:
-        wanted = {int(d) for d in args.day_subset.split(",")}
+    if wanted is not None:
         faults = [f for f in faults if f.day in wanted]
         snapshots = [s for s in snapshots if s.day in wanted]
     if not faults:
-        days = f"days {sorted(wanted)}" if args.day_subset else "any day"
+        days = f"days {sorted(wanted)}" if wanted is not None else "any day"
         raise CliError(f"{data_dir} holds no faults for {days}")
     spec = report.default_feature_spec(cfg.feature_regions)
     ds = featurize(network, snapshots, faults, spec, max_nodes=cfg.max_nodes,
@@ -194,7 +205,7 @@ def cmd_featurize(args) -> int:
     out = Path(args.out) if args.out else data_dir / "features.npz"
     persist.save_features(ds, out)
     print(f"wrote {out}: {len(ds.samples)} samples, global dim {ds.global_dim}, "
-          f"local {ds.max_nodes}x{ds.samples[0].local.node_features.shape[1]}")
+          f"local {ds.max_nodes}x{ds.store.tables.shape[-1]}")
     return EXIT_OK
 
 

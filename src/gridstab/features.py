@@ -27,8 +27,16 @@ Each part of a local subgraph is computed once for what it depends on:
 * per (line, bus): the hop one-hot (13-20), the endpoint flags (45-46) and
   ``deg_sub`` (48).
 
-The last two live in a per-line template.  A sample gathers its kept buses'
-rows from the bus table and writes the template's per-(line, bus) columns.
+The last two live in a per-line template.  A sample's node matrix is its
+kept buses' rows of the bus table with the template's per-(line, bus)
+columns written over them.
+
+:func:`featurize` does not build that matrix.  Its dataset holds a
+:class:`FeatureStore`: one global vector and one read-only bus table per
+snapshot, and the :class:`LineTemplates` of every AC line, stacked once per
+(network, max_nodes).  A sample is a row index into each.  The model gathers a
+whole batch's node rows from the store in one indexing call, and
+``sample.local.node_features`` copies one sample's rows out only when read.
 
 The per-network parts live as long as the network: :func:`featurize`,
 :func:`global_stats` and :func:`local_subgraph` without an ``index`` share
@@ -36,10 +44,7 @@ one :class:`NetworkIndex` for the last :class:`~grid.Network` object they
 saw, so an online screen builds the index, the statistics plan and the line
 templates once per process and each snapshot pays only for its own bus
 table and global vector.  The memo holds one network, and drops it when
-nothing else refers to the network.  The index's per-snapshot memo is
-emptied when ``featurize`` or ``local_subgraph`` starts, and again when
-``featurize`` returns, so it holds only the snapshots of the running call; a
-snapshot's arrays must not change during a call.
+nothing else refers to the network.
 """
 
 from __future__ import annotations
@@ -378,27 +383,119 @@ def global_raw(snapshot: Snapshot) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineTemplate:
-    """Snapshot-independent part of one AC line's local subgraph."""
+    """Snapshot-independent part of one AC line's local subgraph, as
+    :class:`LineTemplates` stacks it."""
 
     rows: np.ndarray           # (max_nodes,) bus-table row per node; padding -> zero row
     line_values: np.ndarray    # (max_nodes, len(LINE_COLUMNS))
-    adjacency: np.ndarray      # (max_nodes, max_nodes) 0/1, read-only
-    node_mask: np.ndarray      # (max_nodes,) bool, read-only
+    adjacency: np.ndarray      # (max_nodes, max_nodes) 0/1
+    node_mask: np.ndarray      # (max_nodes,) bool
+
+
+def _dedupe(items: list, key) -> tuple[list, np.ndarray]:
+    """Distinct items by ``key`` in first-seen order, and each item's index
+    into them."""
+    slot: dict = {}
+    distinct = []
+    index = np.empty(len(items), dtype=np.intp)
+    for i, item in enumerate(items):
+        k = key(item)
+        if k not in slot:
+            slot[k] = len(distinct)
+            distinct.append(item)
+        index[i] = slot[k]
+    return distinct, index
+
+
+def _stack(arrays: list, tail: tuple, dtype=np.float64) -> np.ndarray:
+    return np.stack(arrays) if arrays else np.zeros((0, *tail), dtype=dtype)
+
+
+def pack_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """0/1 adjacency matrices with each row packed into bits (``np.packbits``)."""
+    if not np.all((adjacency == 0) | (adjacency == 1)):
+        raise ValueError("a local subgraph adjacency must hold only 0 and 1")
+    return np.packbits(adjacency != 0, axis=-1)
+
+
+@dataclass(eq=False)
+class LineTemplates:
+    """Subgraph templates and graphs, each stacked along a leading axis.
+
+    Template ``t`` places a sample's nodes: node ``j`` is row ``rows[t, j]``
+    of the sample's table, with ``line_values[t, j]`` written into
+    LINE_COLUMNS.  Graph ``g`` is a 0/1 adjacency, packed by
+    :func:`pack_adjacency`, and a node mask.  :func:`featurize` uses one
+    object per (network, max_nodes), in which template and graph ``i`` are
+    both the ``i``-th AC line's.  A dataset of hand-built graphs gets one
+    template per graph and one graph per distinct (adjacency, node_mask) pair.
+
+    The arrays are read-only.  ``propagation`` is where the model keeps the
+    propagation matrix of every graph, once per kind, so that every dataset
+    whose store holds these templates shares them.
+    """
+
+    rows: np.ndarray           # (L, max_nodes) intp
+    line_values: np.ndarray    # (L, max_nodes, len(LINE_COLUMNS))
+    adjacency: np.ndarray      # (P, max_nodes, ceil(max_nodes / 8)) uint8
+    node_mask: np.ndarray      # (P, max_nodes) bool
+    propagation: dict = field(default_factory=dict, init=False)
+    _graphs: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for array in (self.rows, self.line_values, self.adjacency, self.node_mask):
+            array.flags.writeable = False
+
+    @classmethod
+    def of_lines(cls, lines: list[LineTemplate], max_nodes: int) -> LineTemplates:
+        """Stack per-line templates; template and graph ``i`` are ``lines[i]``."""
+        values = _stack([t.line_values for t in lines], (max_nodes, len(LINE_COLUMNS)))
+        return cls(
+            rows=_stack([t.rows for t in lines], (max_nodes,), np.intp),
+            # Hop one-hots, endpoint flags and counts: small non-negative
+            # integers, kept in the smallest unsigned type that holds them.
+            # Writing them into a float table is exact.
+            line_values=values.astype(np.min_scalar_type(int(values.max(initial=0)))),
+            adjacency=pack_adjacency(_stack([t.adjacency for t in lines],
+                                            (max_nodes, max_nodes))),
+            node_mask=_stack([t.node_mask for t in lines], (max_nodes,), bool),
+        )
+
+    def dense_adjacency(self, graphs=slice(None)) -> np.ndarray:
+        """The 0/1 adjacency of ``graphs``, unpacked to uint8."""
+        return np.unpackbits(self.adjacency[graphs], axis=-1,
+                             count=self.node_mask.shape[1])
+
+    def graph(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Graph ``g``'s read-only float adjacency and node mask: the same two
+        arrays on every call."""
+        arrays = self._graphs.get(g)
+        if arrays is None:
+            adjacency = self.dense_adjacency(g).astype(float)
+            adjacency.flags.writeable = False
+            arrays = self._graphs[g] = (adjacency, self.node_mask[g])
+        return arrays
+
+
+def gather_nodes(tables: np.ndarray, templates: LineTemplates, table, template,
+                 node) -> np.ndarray:
+    """Node-feature rows at the broadcast ``(table, template, node)`` indices:
+    one gather from the tables, then the templates' line columns written."""
+    out = tables[table, templates.rows[template, node]]
+    out[..., LINE_COLUMNS] = templates.line_values[template, node]
+    return out
 
 
 class NetworkIndex:
     """Static per-network structure reused across every featurized sample.
 
     Besides the neighbor structure it holds the per-bus columns that no
-    snapshot changes, and it memoizes one :class:`LineTemplate` per (AC line,
-    max_nodes) for the life of the index, the :class:`StatsPlan` of the last
-    spec seen, and one bus table per snapshot (by object identity).
-    :func:`featurize` keeps one index per process, for the
-    last network it saw while that network is alive, and empties the
-    bus-table memo when each call starts and when it returns, so that memo
-    holds the snapshots of one call.  The snapshots' arrays must not change
-    while their tables are memoized.  The index refers to its network weakly
-    and is to be used only while the network is alive.
+    snapshot changes, and it memoizes the stacked :class:`LineTemplates` of
+    every AC line per max_nodes, and the :class:`StatsPlan` of the last spec
+    seen, for the life of the index.  :func:`featurize` keeps one index per
+    process, for the last network it saw while that network is alive.  The
+    index refers to its network weakly and is to be used only while the
+    network is alive.
     """
 
     def __init__(self, network: Network):
@@ -444,8 +541,7 @@ class NetworkIndex:
         ]
         self.static_rows = self._static_rows(network)
         self._adjacency: np.ndarray | None = None
-        self._tables: dict[int, tuple[Snapshot, np.ndarray]] = {}
-        self._templates: dict[tuple[int, int], LineTemplate] = {}
+        self._templates: dict[int, tuple[dict[int, int], LineTemplates]] = {}
         self._plan: tuple[GlobalFeatureSpec, StatsPlan] | None = None
 
     @property
@@ -478,16 +574,16 @@ class NetworkIndex:
             ]
         return rows
 
-    def bus_table(self, snapshot: Snapshot) -> np.ndarray:
-        """Read-only (n_bus + 1, NODE_FEATURES) node rows of one snapshot.
+    def bus_table(self, snapshot: Snapshot, out: np.ndarray | None = None) -> np.ndarray:
+        """(n_bus + 1, NODE_FEATURES) node rows of one snapshot, written into
+        ``out`` when given.
 
         Every column except LINE_COLUMNS is final; the last row is all-zero.
         """
-        cached = self._tables.get(id(snapshot))
-        if cached is not None and cached[0] is snapshot:
-            return cached[1]
-        table = self.static_rows.copy()
-        table[:-1, 0:13] = snapshot.bus_states
+        if out is None:
+            out = np.empty_like(self.static_rows)
+        out[...] = self.static_rows
+        out[:-1, 0:13] = snapshot.bus_states
         flows = snapshot.element_states
         # One (g, 6, k) stack per group, reduced along its last axis.  Rows of
         # one length keep numpy's pairwise summation of each row alone, which
@@ -499,10 +595,8 @@ class NetworkIndex:
                 (p, q, size / rating, rating - size, np.hypot(p, q), rating), axis=1)
             aggregates = (quantities.sum(axis=2), quantities.mean(axis=2),
                           quantities.max(axis=2), quantities.min(axis=2))
-            table[buses, 21:45] = np.stack(aggregates, axis=2).reshape(len(buses), 24)
-        table.flags.writeable = False
-        self._tables[id(snapshot)] = (snapshot, table)
-        return table
+            out[buses, 21:45] = np.stack(aggregates, axis=2).reshape(len(buses), 24)
+        return out
 
     def stats_plan(self, spec: GlobalFeatureSpec) -> StatsPlan:
         """The :class:`StatsPlan` of ``spec``, memoized for the last spec seen;
@@ -511,11 +605,24 @@ class NetworkIndex:
             self._plan = (spec, StatsPlan(self.network, spec))
         return self._plan[1]
 
-    def line_template(self, element_id: int, max_nodes: int) -> LineTemplate:
-        key = (element_id, max_nodes)
-        if key not in self._templates:
-            self._templates[key] = self._build_template(element_id, max_nodes)
-        return self._templates[key]
+    def templates(self, max_nodes: int) -> tuple[dict[int, int], LineTemplates]:
+        """Each AC line's position, and every AC line's template and graph
+        stacked in line order; built once per max_nodes."""
+        if max_nodes not in self._templates:
+            ids = self.network.ac_line_ids()
+            lines = [self._build_template(eid, max_nodes) for eid in ids]
+            self._templates[max_nodes] = ({eid: i for i, eid in enumerate(ids)},
+                                          LineTemplates.of_lines(lines, max_nodes))
+        return self._templates[max_nodes]
+
+    def line_position(self, element_id: int, max_nodes: int) -> int:
+        """``element_id``'s position in :meth:`templates`; a :class:`GridError`
+        when it names no AC line."""
+        position = self.templates(max_nodes)[0].get(element_id)
+        if position is None:
+            self.network.element_by_id(element_id)      # names an unknown id
+            raise GridError(f"element {element_id} is not an AC line")
+        return position
 
     def _build_template(self, element_id: int, max_nodes: int) -> LineTemplate:
         network = self.network
@@ -537,8 +644,6 @@ class NetworkIndex:
         adj[:n, :n] = self._adjacency[np.ix_(kept, kept)]
         mask = np.zeros(max_nodes, dtype=bool)
         mask[:n] = True
-        adj.flags.writeable = False
-        mask.flags.writeable = False
         return LineTemplate(rows=rows, line_values=line[:, LINE_COLUMNS],
                             adjacency=adj, node_mask=mask)
 
@@ -552,25 +657,60 @@ _last_index: list[tuple[weakref.ref, NetworkIndex]] = []
 
 def _network_index(network: Network) -> NetworkIndex:
     """The memoized :class:`NetworkIndex` of ``network``, built when it is not
-    the network last seen.  Its bus-table memo is left as it is."""
+    the network last seen."""
     if not _last_index or _last_index[0][0]() is not network:
         _last_index[:] = [(weakref.ref(network, lambda _: _last_index.clear()),
                            NetworkIndex(network))]
     return _last_index[0][1]
 
 
-@dataclass(frozen=True)
 class LocalGraph:
     """Padded fault-local subgraph: masked-out rows/columns stay all-zero.
 
-    ``featurize`` gives every sample of one line the same read-only
-    ``adjacency`` and ``node_mask`` arrays; ``node_features`` is per sample.
+    ``LocalGraph(adjacency, node_features, node_mask, fault_element_id)``
+    holds its own arrays; the adjacency is 0/1.  A featurized or loaded
+    sample's graph is instead a position in a store's tables and templates
+    (:meth:`stored`).  Its ``adjacency`` and ``node_mask`` are then its graph's
+    read-only arrays, shared by every sample of that graph, and its
+    ``node_features`` are copied out of the store when first read and kept on
+    the sample.  The model reads the store, never that copy.
     """
 
-    adjacency: np.ndarray      # (max_nodes, max_nodes) 0/1
-    node_features: np.ndarray  # (max_nodes, NODE_FEATURES)
-    node_mask: np.ndarray      # (max_nodes,) bool
-    fault_element_id: int
+    def __init__(self, adjacency: np.ndarray, node_features: np.ndarray,
+                 node_mask: np.ndarray, fault_element_id: int):
+        self._adjacency = adjacency
+        self._node_features = node_features
+        self._node_mask = node_mask
+        self.fault_element_id = fault_element_id
+        # (tables, templates, table, template, graph) of a stored graph
+        self.source: tuple | None = None
+
+    @classmethod
+    def stored(cls, tables: np.ndarray, templates: LineTemplates, table: int,
+               template: int, graph: int, fault_element_id: int) -> LocalGraph:
+        local = cls(None, None, None, fault_element_id)
+        local.source = (tables, templates, table, template, graph)
+        return local
+
+    @property
+    def adjacency(self) -> np.ndarray:      # (max_nodes, max_nodes)
+        if self.source is None:
+            return self._adjacency
+        return self.source[1].graph(self.source[4])[0]
+
+    @property
+    def node_mask(self) -> np.ndarray:      # (max_nodes,) bool
+        if self.source is None:
+            return self._node_mask
+        return self.source[1].graph(self.source[4])[1]
+
+    @property
+    def node_features(self) -> np.ndarray:  # (max_nodes, NODE_FEATURES)
+        if self._node_features is None:
+            tables, templates, table, template, _ = self.source
+            self._node_features = gather_nodes(tables, templates, table, template,
+                                               slice(None))
+        return self._node_features
 
     @property
     def n_real(self) -> int:
@@ -594,8 +734,8 @@ def bfs_nodes(network: Network, element_id: int, max_nodes: int,
 
 
 def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
-                   max_nodes: int = LOCAL_NODES,
-                   index: NetworkIndex | None = None) -> LocalGraph:
+                   max_nodes: int = LOCAL_NODES, index: NetworkIndex | None = None,
+                   table: tuple[np.ndarray, int] | None = None) -> LocalGraph:
     """Fault-local subgraph tensor pair (adjacency, node features).
 
     Node feature layout (59 per node), with what each column depends on:
@@ -607,19 +747,23 @@ def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
       [47:59)  degree/structure stats                        bus
                (except deg_sub, column 48: line, bus)
 
-    The adjacency and node mask depend on the line only and are read-only
-    arrays shared through ``index``; pass one index to reuse them and the
-    snapshot's bus table across calls.  Without one, the call uses the
-    memoized index of ``network``.
+    The graph is stored (:meth:`LocalGraph.stored`): it holds the line's
+    place in the index's templates and the snapshot's bus table, and copies
+    its node rows out when they are first read.  ``table`` is ``(tables, k)``
+    when ``snapshot``'s bus table is already row ``k`` of ``tables``, as
+    :func:`featurize` passes it; otherwise the call builds the table.  Pass
+    one ``index`` to reuse the templates across calls; without one, the call
+    uses the memoized index of ``network``.
     """
     if index is None:
         index = _network_index(network)
-        index._tables.clear()
-    template = index.line_template(element_id, max_nodes)
-    feats = index.bus_table(snapshot)[template.rows]
-    feats[:, LINE_COLUMNS] = template.line_values
-    return LocalGraph(adjacency=template.adjacency, node_features=feats,
-                      node_mask=template.node_mask, fault_element_id=element_id)
+    line = index.line_position(element_id, max_nodes)
+    if table is None:
+        tables = index.bus_table(snapshot)[None]
+        tables.flags.writeable = False
+        table = (tables, 0)
+    return LocalGraph.stored(table[0], index.templates(max_nodes)[1], table[1], line, line,
+                             element_id)
 
 
 @dataclass
@@ -636,14 +780,78 @@ class FeaturizedSample:
         return f"d{self.day}s{self.slot}e{self.element_id}"
 
 
+@dataclass(eq=False)
+class FeatureStore:
+    """The arrays a dataset's samples are read from, one set per dataset.
+
+    Row ``i`` of ``index`` locates sample ``i``: its global vector, its table,
+    its template and its graph (see :class:`LineTemplates`).  Sample ``i``'s
+    node matrix is ``gather_nodes(tables, templates, table, template, :)``.
+    From :func:`featurize` there is one global vector and one table per
+    snapshot, and the network's templates are shared, not copied.
+    """
+
+    global_vecs: np.ndarray    # (V, global_dim)
+    tables: np.ndarray         # (T, R, NODE_FEATURES), read-only
+    templates: LineTemplates
+    index: np.ndarray          # (N, 4) intp: global vector, table, template, graph
+
+    @classmethod
+    def of(cls, samples: list[FeaturizedSample], global_dim: int,
+           max_nodes: int) -> FeatureStore:
+        """The store of ``samples``.
+
+        Global vectors are stacked once per distinct vector object.  Samples
+        whose graphs all sit in one set of tables and templates keep them.
+        Otherwise (hand-built graphs, or the graphs of several stores) the
+        store gets one table and one template per graph, which reads each
+        graph's ``node_features``, and one graph per distinct (adjacency,
+        node_mask) pair of objects.
+        """
+        vecs, global_index = _dedupe([s.global_vec for s in samples], id)
+        global_vecs = _stack(vecs, (global_dim,))
+        graphs = [s.local for s in samples]
+        sources = {None if g.source is None else (id(g.source[0]), id(g.source[1]))
+                   for g in graphs}
+        if len(sources) == 1 and None not in sources:
+            tables, templates = graphs[0].source[:2]
+            places = [g.source[2:] for g in graphs]
+        else:
+            tables = _stack([g.node_features for g in graphs], (max_nodes, NODE_FEATURES))
+            tables.flags.writeable = False
+            m = tables.shape[1]
+            pairs, graph_index = _dedupe(graphs, lambda g: (id(g.adjacency), id(g.node_mask)))
+            templates = LineTemplates(
+                rows=np.tile(np.arange(m), (len(graphs), 1)),
+                line_values=tables[:, :, LINE_COLUMNS],
+                adjacency=pack_adjacency(_stack([g.adjacency for g in pairs], (m, m))),
+                node_mask=_stack([g.node_mask for g in pairs], (m,), bool),
+            )
+            places = [(i, i, g) for i, g in enumerate(graph_index.tolist())]
+        index = np.array([(g, *place) for g, place in zip(global_index.tolist(), places)],
+                         dtype=np.intp).reshape(len(samples), 4)
+        return cls(global_vecs=global_vecs, tables=tables, templates=templates, index=index)
+
+
 @dataclass
 class FeaturizedDataset:
+    """Featurized samples and the :class:`FeatureStore` they are read from.
+
+    The store is built from the samples when the dataset is constructed
+    (``dataclasses.replace`` builds a new one).  Rebinding a sample's
+    ``global_vec`` or ``local`` afterwards is not seen by the model.
+    """
+
     samples: list[FeaturizedSample]
     spec: GlobalFeatureSpec
     n_elements: int
     max_nodes: int = LOCAL_NODES
     synth_fingerprint: str = ""
     raw_states: dict = field(default_factory=dict)   # (day, slot) -> (n_bus, 13)
+    store: FeatureStore = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.store = FeatureStore.of(self.samples, self.global_dim, self.max_nodes)
 
     @property
     def global_dim(self) -> int:
@@ -693,22 +901,28 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
     """Featurize fault samples against their snapshots (deterministic order).
 
     Snapshots are validated and their global vectors computed by
-    :func:`snapshot_globals`; all samples of one snapshot share its vector.
+    :func:`snapshot_globals`; all samples of one snapshot share its vector
+    and its bus table, and all samples of one line its template and graph,
+    which the network's index holds.  No sample's node matrix is built.
     """
     index = _network_index(network)
-    index._tables.clear()
     per_snapshot = snapshot_globals(network, snapshots, faults, spec)
+    tables = np.empty((len(per_snapshot), network.n_bus + 1, NODE_FEATURES))
+    table_of = {}
+    for k, (key, (snap, _)) in enumerate(per_snapshot.items()):
+        index.bus_table(snap, out=tables[k])
+        table_of[key] = k
+    tables.flags.writeable = False
     samples = []
     for fs in faults:
-        snap, global_vec = per_snapshot[(fs.day, fs.slot)]
+        key = (fs.day, fs.slot)
+        snap, global_vec = per_snapshot[key]
         samples.append(FeaturizedSample(
             day=fs.day, slot=fs.slot, element_id=fs.element_id, label=fs.label,
             global_vec=global_vec,
-            local=local_subgraph(network, snap, fs.element_id, max_nodes, index),
+            local=local_subgraph(network, snap, fs.element_id, max_nodes, index,
+                                 table=(tables, table_of[key])),
         ))
-    # Tables kept past the call pin heap pages under later allocations: kept,
-    # they raised the cli benchmark's peak RSS by about 6 MB.
-    index._tables.clear()
     raw_states = ({key: global_raw(snap) for key, (snap, _) in per_snapshot.items()}
                   if include_raw else {})
     return FeaturizedDataset(

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import logging
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nn
-from .features import FeaturizedDataset, LocalGraph
+from .features import FeaturizedDataset, LineTemplates, gather_nodes
 from .grid import N_BUS_STATE, _is_int, _is_real
 from .metrics import calibrate_threshold, compute_metrics, undersample_balance
 
@@ -128,7 +127,13 @@ class TrainConfig:
 
 class Head:
     """One model head: the ``inputs`` it reads from a batch, its parameter
-    ``shapes`` in draw order, and the ``width`` of its output block."""
+    ``shapes`` in draw order, and the ``width`` of its output block.
+
+    ``forward(params, batch, keep_caches)`` returns the head's output block
+    and the cache its ``backward`` reads.  Without ``keep_caches`` (scoring)
+    a head with large activations drops each layer's cache as it goes, so a
+    scoring batch holds one layer's activations at a time.
+    """
 
     def init(self, rng: np.random.Generator, p: dict) -> None:
         """Draw this head's parameters into ``p``: zero biases, Glorot-uniform
@@ -158,7 +163,7 @@ class DenseStack(Head):
             self.shapes[f"{name}_b"] = (n_out,)
         self.width = sizes[-1]
 
-    def forward(self, params: dict, batch: dict):
+    def forward(self, params: dict, batch: dict, keep_caches: bool = True):
         return self.run(params, batch["global"])
 
     def run(self, params: dict, x: np.ndarray):
@@ -200,12 +205,14 @@ class ConvPoolHead(Head):
         self.shapes.update(self.tail.shapes)
         self.width = width
 
-    def forward(self, params: dict, batch: dict):
+    def forward(self, params: dict, batch: dict, keep_caches: bool = True):
         x = batch["raw"]
         convs = []
         for i in range(1, self.n_stages + 1):
             x, cache = nn.conv_maxpool_forward(x, params[f"c{i}_k"], params[f"c{i}_b"])
-            convs.append(cache)
+            if keep_caches:
+                convs.append(cache)
+            del cache
         out, tail = self.tail.run(params, x.reshape(x.shape[0], -1))
         return out, (convs, x.shape, tail)
 
@@ -230,11 +237,14 @@ class GcnHead(Head):
         self.final_relu = final_relu
         self.pool = pool
 
-    def forward(self, params: dict, batch: dict):
+    def forward(self, params: dict, batch: dict, keep_caches: bool = True):
         a, mask = batch["a"], batch["mask"]
-        h1, c1 = nn.gcn_forward(batch["h"], a, params["l1_w"])
-        h2, c2 = nn.gcn_forward(h1, a, params["l2_w"])
-        h3, c3 = nn.gcn_forward(h2, a, params["l3_w"], apply_relu=self.final_relu)
+        h3, layers = batch["h"], []
+        for name, relu in (("l1_w", True), ("l2_w", True), ("l3_w", self.final_relu)):
+            h3, cache = nn.gcn_forward(h3, a, params[name], apply_relu=relu)
+            if keep_caches:
+                layers.append(cache)
+            del cache
         if self.pool == "mean":
             cnt = mask.sum(axis=1, keepdims=True)
             out = (h3 * mask[:, :, None]).sum(axis=1) / cnt
@@ -244,7 +254,7 @@ class GcnHead(Head):
             idx = neg.argmax(axis=1)
             out = np.take_along_axis(h3, idx[:, None, :], axis=1)[:, 0, :]
             pooled = idx
-        return out, ((c1, c2, c3), h3.shape, pooled)
+        return out, (layers, h3.shape, pooled)
 
     def backward(self, params: dict, cache, g: np.ndarray, grads: dict) -> None:
         (c1, c2, c3), shape, pooled = cache
@@ -273,7 +283,7 @@ class EmbeddingHead(Head):
         p["emb_table"] = rng.normal(0.0, 0.1, size=self.shapes["emb_table"])
         self.tail.init(rng, p)
 
-    def forward(self, params: dict, batch: dict):
+    def forward(self, params: dict, batch: dict, keep_caches: bool = True):
         emb, cache = nn.embedding_forward(params["emb_table"], batch["ids"])
         out, tail = self.tail.run(params, emb)
         return out, (cache, tail)
@@ -337,10 +347,9 @@ class ScreeningModel:
         self.scalers: dict[str, np.ndarray] = {}
         self._scaler_shapes = {"global": (dims["global_dim"],),
                                "local": (dims["node_features"],), "raw": (N_BUS_STATE,)}
-        # Propagation matrices come from the process-wide _PROPAGATION cache,
-        # keyed by the identity of each sample's adjacency and mask arrays, so
-        # a model built per snapshot (as scores_for does) normalizes no line
-        # the process has seen.
+        # Propagation matrices are kept on the dataset store's templates, which
+        # featurize shares per network, so a model built per snapshot (as
+        # scores_for does) normalizes no line the process has seen.
         self._graph = "adjacency" in self.inputs
 
     def init_params(self, rng: np.random.Generator) -> dict:
@@ -382,14 +391,17 @@ class ScreeningModel:
     def fit_scalers(self, dataset: FeaturizedDataset) -> None:
         """Per-dimension standardization statistics from the training data."""
         scalers = {}
+        store = dataset.store
+        glob, table, template, graph = store.index.T
         if "global" in self.inputs:
-            g = np.stack([s.global_vec for s in dataset.samples])
+            g = store.global_vecs[glob]
             scalers["global_mu"] = g.mean(axis=0)
             scalers["global_sd"] = _safe_sd(g.std(axis=0))
         if "local" in self.inputs:
-            rows = np.vstack([
-                s.local.node_features[s.local.node_mask] for s in dataset.samples
-            ])
+            # Every real node row of every sample, in sample then node order.
+            sample, node = np.nonzero(store.templates.node_mask[graph])
+            rows = gather_nodes(store.tables, store.templates, table[sample],
+                                template[sample], node)
             scalers["local_mu"] = rows.mean(axis=0)
             scalers["local_sd"] = _safe_sd(rows.std(axis=0))
         if "raw" in self.inputs:
@@ -402,33 +414,46 @@ class ScreeningModel:
         sc = self.scalers
         batch: dict[str, np.ndarray | None] = dict.fromkeys(
             ("global", "raw", "h", "a", "mask", "ids"))
+        store = dataset.store
+        glob, table, template, graph = store.index[indices].T
         samples = [dataset.samples[i] for i in indices]
         if "global" in self.inputs:
-            g = np.stack([s.global_vec for s in samples])
-            batch["global"] = (g - sc["global_mu"]) / sc["global_sd"]
+            batch["global"] = (store.global_vecs[glob] - sc["global_mu"]) / sc["global_sd"]
         if "raw" in self.inputs:
             raws = np.stack([dataset.raw_states[(s.day, s.slot)] for s in samples])
             raws = (raws - sc["raw_mu"]) / sc["raw_sd"]
             batch["raw"] = raws.transpose(0, 2, 1)[:, :, None, :]   # (B, 13, 1, n_bus)
         if "local" in self.inputs:
-            mask = np.stack([s.local.node_mask for s in samples]).astype(float)
-            h = np.stack([s.local.node_features for s in samples])
-            h = (h - sc["local_mu"]) / sc["local_sd"]
+            templates = store.templates
+            mask = templates.node_mask[graph].astype(float)
+            h = gather_nodes(store.tables, templates, table[:, None], template[:, None],
+                             np.arange(mask.shape[1]))
+            h -= sc["local_mu"]
+            h /= sc["local_sd"]
             h *= mask[:, :, None]
             batch["h"] = h
             batch["mask"] = mask
-            batch["a"] = np.stack([_propagation(s.local, self._graph) for s in samples])
+            a = _propagation(templates, self._graph)
+            # A batch of every graph once, in order (one screened snapshot),
+            # reads the stack itself: the same bytes, and no copy.
+            in_order = len(graph) == len(a) and np.array_equal(graph, np.arange(len(a)))
+            batch["a"] = a if in_order else a[graph]
         if "ids" in self.inputs:
             batch["ids"] = np.array([s.element_id for s in samples], dtype=int)
         return batch
 
     # -------------------------------------------------------- forward/backward
 
-    def forward(self, params: dict, batch: dict):
-        outs, head_caches = zip(*(head.forward(params, batch) for head in self.heads))
+    def forward(self, params: dict, batch: dict, keep_caches: bool = True):
+        """Scores of a batch and the caches :meth:`backward` reads.  Scoring
+        passes ``keep_caches=False`` and gets no caches."""
+        outs, head_caches = zip(*(head.forward(params, batch, keep_caches)
+                                  for head in self.heads))
         z_out, out_cache = nn.dense_forward(np.concatenate(outs, axis=1),
                                             params["out_w"], params["out_b"])
         y = nn.sigmoid(z_out[:, 0])
+        if not keep_caches:
+            return y, None
         return y, {"heads": head_caches, "out": out_cache, "y": y}
 
     def backward(self, params: dict, caches: dict, grad_y: np.ndarray) -> dict:
@@ -449,32 +474,26 @@ class ScreeningModel:
         for start in range(0, len(dataset.samples), batch_size):
             idx = range(start, min(start + batch_size, len(dataset.samples)))
             batch = self.build_batch(dataset, idx)
-            scores[list(idx)], _ = self.forward(params, batch)
+            scores[list(idx)], _ = self.forward(params, batch, keep_caches=False)
         return scores
 
 
-# (id(adjacency), id(node_mask), graph) -> propagation matrix, for every
-# model in the process.  ``featurize`` shares one (adjacency, node_mask) pair
-# per line for the life of its network index, so each line is normalized once
-# per network.  An entry is dropped when either array dies, which bounds the
-# cache by the datasets alive and keeps a reused id() from serving a stale
-# matrix.  The arrays must not be written once a model has read them.
-_PROPAGATION: dict[tuple[int, int, bool], np.ndarray] = {}
+def _propagation(templates: LineTemplates, graph: bool) -> np.ndarray:
+    """(P, m, m) propagation matrices of every graph of ``templates``: the
+    normalized adjacency, or the masked identity when the graph is ablated.
 
-
-def _propagation(local: LocalGraph, graph: bool) -> np.ndarray:
-    """The normalized adjacency of a subgraph, or its masked identity when the
-    graph is ablated."""
-    key = (id(local.adjacency), id(local.node_mask), graph)
-    a = _PROPAGATION.get(key)
+    Computed once per templates object and kind and kept on it, so every
+    model and every dataset sharing the templates reuses them.
+    """
+    a = templates.propagation.get(graph)
     if a is None:
+        masks = templates.node_mask
         if graph:
-            a = nn.normalize_adjacency(local.adjacency, local.node_mask)
+            a = np.stack([nn.normalize_adjacency(adj, mask) for adj, mask
+                          in zip(templates.dense_adjacency(), masks)])
         else:
-            a = np.diag(local.node_mask.astype(float))
-        _PROPAGATION[key] = a
-        weakref.finalize(local.adjacency, _PROPAGATION.pop, key, None)
-        weakref.finalize(local.node_mask, _PROPAGATION.pop, key, None)
+            a = np.stack([np.diag(mask.astype(float)) for mask in masks])
+        templates.propagation[graph] = a
     return a
 
 
@@ -540,7 +559,8 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
         total = 0.0
         for start in range(0, n, 512):
             idx = range(start, min(start + 512, n))
-            y, _ = model.forward(params, model.build_batch(train_set, idx))
+            y, _ = model.forward(params, model.build_batch(train_set, idx),
+                                 keep_caches=False)
             loss, _ = nn.bce_loss(y, labels[list(idx)], tc.positive_class_only_loss)
             total += loss * len(list(idx))
         return total / n
@@ -589,11 +609,10 @@ def _dims_for(dataset: FeaturizedDataset) -> dict:
     n_bus = 0
     if dataset.raw_states:
         n_bus = next(iter(dataset.raw_states.values())).shape[0]
-    sample = dataset.samples[0]
     return {
         "global_dim": dataset.global_dim,
         "n_elements": dataset.n_elements,
-        "node_features": sample.local.node_features.shape[1],
+        "node_features": dataset.store.tables.shape[-1],
         "n_bus": n_bus,
     }
 

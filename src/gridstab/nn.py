@@ -108,11 +108,11 @@ def conv_maxpool_backward(grad_out: np.ndarray, cache):
 
 # ------------------------------------------------------ graph convolution
 
-def normalize_adjacency(adj: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Self-loop augmented symmetric degree normalization.
+def normalize_adjacency(adj: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Self-loop augmented symmetric degree normalization over the real nodes.
 
-    With a node mask, padded (masked-out) rows and columns pass through as
-    zeros and receive no self-loop.
+    Padded (masked-out) rows and columns pass through as zeros and receive
+    no self-loop.
     """
     a = np.asarray(adj, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -122,14 +122,11 @@ def normalize_adjacency(adj: np.ndarray, mask: np.ndarray | None = None) -> np.n
     if np.any(np.diagonal(a) != 0.0):
         raise ShapeError("adjacency diagonal must be zero")
     a_hat = a.copy()
-    if mask is None:
-        a_hat[np.diag_indices_from(a_hat)] = 1.0
-    else:
-        m = np.asarray(mask, dtype=bool)
-        idx = np.where(m)[0]
-        a_hat[idx, idx] = 1.0
-        a_hat[~m, :] = 0.0
-        a_hat[:, ~m] = 0.0
+    m = np.asarray(mask, dtype=bool)
+    idx = np.where(m)[0]
+    a_hat[idx, idx] = 1.0
+    a_hat[~m, :] = 0.0
+    a_hat[:, ~m] = 0.0
     deg = a_hat.sum(axis=1)
     inv_sqrt = np.where(deg > 0.0, 1.0 / np.sqrt(np.where(deg > 0.0, deg, 1.0)), 0.0)
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -146,14 +143,16 @@ def gcn_forward(h: np.ndarray, adj_norm: np.ndarray, w: np.ndarray,
     if adj_norm.shape[-1] != h.shape[1]:
         raise ShapeError("gcn: adjacency size does not match node count")
     s = adj_norm @ h
-    z = s @ w
-    y = np.maximum(z, 0.0) if apply_relu else z
-    return y, (s, adj_norm, w, z, apply_relu)
+    y = s @ w
+    if apply_relu:
+        np.maximum(y, 0.0, out=y)
+    # ReLU keeps exactly the positive entries, so y > 0 wherever s @ w > 0.
+    return y, (s, adj_norm, w, y, apply_relu)
 
 
 def gcn_backward(grad_y: np.ndarray, cache):
-    s, adj_norm, w, z, apply_relu = cache
-    g = grad_y * (z > 0.0) if apply_relu else grad_y
+    s, adj_norm, w, y, apply_relu = cache
+    g = grad_y * (y > 0.0) if apply_relu else grad_y
     grad_w = np.einsum("bnf,bng->fg", s, g, optimize=True)
     grad_h = np.matmul(adj_norm.transpose(0, 2, 1), g @ w.T)
     return grad_h, grad_w

@@ -5,14 +5,24 @@ Every artifact carries a ``format_version``; loaders reject versions they
 do not understand.  JSON floats are written with Python's shortest-roundtrip
 repr, so identical inputs reproduce byte-identical files.
 
-The features file (format_version 2) is an uncompressed ``.npz`` archive of
-columnar arrays: per-sample ``day``, ``slot``, ``element_id``, ``label``
-(-1 for unlabeled), ``fault_element_id`` and ``node_features``; one
-``global_vecs`` row and one ``adjacency``/``node_mask`` pair per distinct
-shared array, indexed per sample by ``global_index`` and ``local_index``;
-optional ``raw_keys``/``raw_states`` per (day, slot); and the JSON ``header``
-(spec, spec hash, sizes, fingerprint) as a 0-d string array.  It is read
-with ``allow_pickle=False`` and stores floats as their exact bytes.
+The features file (format_version 3) is an uncompressed ``.npz`` archive of
+the dataset's :class:`~features.FeatureStore`, with no per-sample node
+matrix:
+
+* per sample: ``day``, ``slot``, ``element_id``, ``label`` (-1 for
+  unlabeled), ``fault_element_id``, and its rows ``global_index``,
+  ``table_index``, ``template_index`` and ``graph_index`` in the arrays below;
+* ``global_vecs`` and ``tables``: one global vector and one bus table per
+  snapshot (per distinct vector, and per graph, for hand-built samples);
+* ``rows`` and ``line_values``: one template per line;
+* ``adjacency`` (bit-packed 0/1 rows) and ``node_mask``: one graph per line;
+* optional ``raw_keys``/``raw_states`` per (day, slot);
+* the JSON ``header`` (spec, spec hash, sizes, fingerprint) as a 0-d string
+  array.
+
+It is read with ``allow_pickle=False`` and stores floats as their exact
+bytes.  A format_version 2 archive, which held one node matrix per sample,
+is a :class:`FormatError` that says to re-run ``gridstab featurize``.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .features import (
-    NODE_FEATURES, FeatureField, FeaturizedDataset, FeaturizedSample,
-    GlobalFeatureSpec, LocalGraph, StatKind,
+    LINE_COLUMNS, NODE_FEATURES, FeatureField, FeaturizedDataset, FeaturizedSample,
+    FeatureStore, GlobalFeatureSpec, LineTemplates, LocalGraph, StatKind,
 )
 from .grid import (
     LABEL_NAMES, LABEL_VALUES, Bus, Element, FaultSample, GridError, Network,
@@ -174,12 +184,12 @@ def load_faults(path) -> tuple[list[FaultSample], str]:
 
 # --------------------------------------------------------------- features
 
-FEATURES_VERSION = 2
+FEATURES_VERSION = 3
 _ZIP_MAGIC = b"PK\x03\x04"
-_PER_SAMPLE_INTS = ("day", "slot", "element_id", "label", "fault_element_id",
-                    "global_index", "local_index")
-_PER_SAMPLE = _PER_SAMPLE_INTS + ("node_features",)
-_FEATURE_ARRAYS = ("header",) + _PER_SAMPLE + ("global_vecs", "adjacency", "node_mask")
+_INDEX_ARRAYS = ("global_index", "table_index", "template_index", "graph_index")
+_PER_SAMPLE = ("day", "slot", "element_id", "label", "fault_element_id") + _INDEX_ARRAYS
+_STORE_ARRAYS = ("global_vecs", "tables", "rows", "line_values", "adjacency", "node_mask")
+_FEATURE_ARRAYS = ("header",) + _PER_SAMPLE + _STORE_ARRAYS
 _RAW_ARRAYS = ("raw_keys", "raw_states")
 
 
@@ -193,39 +203,16 @@ def _spec_from_doc(doc: list) -> GlobalFeatureSpec:
     ))
 
 
-def _dedupe(items: list, key) -> tuple[list, np.ndarray]:
-    """Distinct items by ``key`` in first-seen order, and each item's index
-    into them."""
-    slot: dict = {}
-    distinct = []
-    index = np.empty(len(items), dtype=np.int64)
-    for i, item in enumerate(items):
-        k = key(item)
-        if k not in slot:
-            slot[k] = len(distinct)
-            distinct.append(item)
-        index[i] = slot[k]
-    return distinct, index
-
-
-def _stack(arrays: list, tail: tuple, dtype=np.float64) -> np.ndarray:
-    return np.stack(arrays) if arrays else np.zeros((0, *tail), dtype=dtype)
-
-
 def save_features(dataset: FeaturizedDataset, path) -> None:
     """Write ``dataset`` as a columnar ``.npz`` archive at exactly ``path``.
 
-    Shared arrays are stored once: one ``global_vecs`` row per distinct
-    global vector object and one ``adjacency``/``node_mask`` pair per
-    distinct pair of objects, each with a per-sample index.  Sharing is
-    decided by object identity, so hand-built samples that share nothing
-    round-trip exactly too.
+    The archive holds the store of the samples as they are now
+    (:meth:`FeatureStore.of`), so samples that share a global vector, or an
+    adjacency and node mask, share them again when loaded.
     """
     samples = dataset.samples
-    m = dataset.max_nodes
-    vecs, global_index = _dedupe([s.global_vec for s in samples], id)
-    graphs, local_index = _dedupe(
-        [s.local for s in samples], lambda g: (id(g.adjacency), id(g.node_mask)))
+    store = FeatureStore.of(samples, dataset.global_dim, dataset.max_nodes)
+    templates = store.templates
     arrays = {
         "header": np.array(_dump({
             "format_version": FEATURES_VERSION, "kind": "features",
@@ -233,7 +220,7 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
             "feature_spec_hash": dataset.feature_spec_hash(),
             "spec": _spec_to_doc(dataset.spec),
             "n_elements": dataset.n_elements,
-            "max_nodes": m,
+            "max_nodes": dataset.max_nodes,
         })),
         "day": np.array([s.day for s in samples], dtype=np.int64),
         "slot": np.array([s.slot for s in samples], dtype=np.int64),
@@ -242,13 +229,14 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
                           dtype=np.int64),
         "fault_element_id": np.array([s.local.fault_element_id for s in samples],
                                      dtype=np.int64),
-        "global_index": global_index,
-        "local_index": local_index,
-        "node_features": _stack([s.local.node_features for s in samples],
-                                (m, NODE_FEATURES)),
-        "global_vecs": _stack(vecs, (dataset.global_dim,)),
-        "adjacency": _stack([g.adjacency for g in graphs], (m, m)),
-        "node_mask": _stack([g.node_mask for g in graphs], (m,), bool),
+        **{name: column.astype(np.int64) for name, column
+           in zip(_INDEX_ARRAYS, store.index.T)},
+        "global_vecs": store.global_vecs,
+        "tables": store.tables,
+        "rows": templates.rows,
+        "line_values": templates.line_values,
+        "adjacency": templates.adjacency,
+        "node_mask": templates.node_mask,
     }
     if dataset.raw_states:
         arrays["raw_keys"] = np.array(list(dataset.raw_states), dtype=np.int64)
@@ -259,7 +247,8 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
         np.savez(fh, allow_pickle=False, **arrays)
 
 
-def _read_feature_arrays(path) -> dict[str, np.ndarray]:
+def _read_feature_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the arrays of a features archive of this format."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_ZIP_MAGIC))
     if magic.startswith(b"{"):
@@ -273,59 +262,81 @@ def _read_feature_arrays(path) -> dict[str, np.ndarray]:
             arrays = {name: archive[name] for name in archive.files}
     except (zipfile.BadZipFile, ValueError, EOFError) as exc:
         raise FormatError(f"{path}: unreadable features archive ({exc})") from exc
+    if "header" not in arrays:
+        raise FormatError(f"{path}: features archive lacks arrays ['header']")
+    try:
+        header = json.loads(str(arrays["header"]))
+    except ValueError as exc:
+        raise FormatError(f"{path}: unreadable features header ({exc})") from exc
+    if isinstance(header, dict) and header.get("format_version") == 2:
+        raise FormatError(
+            f"{path}: features archive of format_version 2 holds a node matrix "
+            f"per sample; re-run `gridstab featurize` to write format_version "
+            f"{FEATURES_VERSION}")
+    _check_version(header, path, FEATURES_VERSION)
     wanted = _FEATURE_ARRAYS + (_RAW_ARRAYS if set(_RAW_ARRAYS) & set(arrays) else ())
     missing = [name for name in wanted if name not in arrays]
     if missing:
         raise FormatError(f"{path}: features archive lacks arrays {missing}")
-    return arrays
+    return header, arrays
 
 
-def _check_feature_shapes(arrays: dict, path) -> None:
+def _check_feature_shapes(arrays: dict, header: dict, path) -> None:
     n = arrays["day"].shape[:1]
     for name in _PER_SAMPLE:
         if arrays[name].shape[:1] != n:
             raise FormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
                               f"expected {n[0]} rows")
-    for index, target in (("global_index", "global_vecs"), ("local_index", "adjacency"),
-                          ("local_index", "node_mask")):
+    with _entry(path, "header"):
+        m, global_dim = int(header["max_nodes"]), len(header["spec"])
+    # name -> (dtype kinds, shape after the leading axis; None matches any size)
+    store = {
+        "global_vecs": ("f", (global_dim,)),
+        "tables": ("f", (None, NODE_FEATURES)),
+        "rows": ("iu", (m,)),
+        "line_values": ("fiu", (m, len(LINE_COLUMNS))),
+        "adjacency": ("u", (m, (m + 7) // 8)),
+        "node_mask": ("b", (m,)),
+    }
+    for name, (kinds, tail) in store.items():
+        got = arrays[name]
+        if (got.dtype.kind not in kinds or got.ndim != 1 + len(tail)
+                or any(w is not None and g != w for g, w in zip(got.shape[1:], tail))):
+            raise FormatError(f"{path}: array {name!r} has dtype {got.dtype} and shape "
+                              f"{got.shape}, expected kind {kinds!r} and rows of "
+                              f"shape {tail}")
+    for index, target in zip(_INDEX_ARRAYS, ("global_vecs", "tables", "rows", "node_mask")):
         idx = arrays[index]
         if idx.size and (idx.min() < 0 or idx.max() >= len(arrays[target])):
             raise FormatError(f"{path}: {index!r} points outside {target!r}")
+    rows = arrays["rows"]
+    if rows.size and (rows.min() < 0 or rows.max() >= arrays["tables"].shape[1]):
+        raise FormatError(f"{path}: 'rows' points outside the rows of 'tables'")
 
 
 def load_features(path) -> FeaturizedDataset:
     """Read a features archive written by :func:`save_features`.
 
     Raises :class:`FormatError` naming the file for anything else, including
-    a JSON features file of format_version 1.  Each sample's
-    ``node_features`` is a view into one loaded array; samples that shared
-    a global vector, or an adjacency and node mask, share them again, the
-    latter read-only.
+    a features file of format_version 1 or 2.  The samples are read from the
+    loaded store: samples that shared a global vector, or an adjacency and
+    node mask, share them again, the latter read-only.
     """
-    arrays = _read_feature_arrays(path)
-    try:
-        header = json.loads(str(arrays["header"]))
-    except ValueError as exc:
-        raise FormatError(f"{path}: unreadable features header ({exc})") from exc
-    _check_version(header, path, FEATURES_VERSION)
-    _check_feature_shapes(arrays, path)
+    header, arrays = _read_feature_arrays(path)
+    _check_feature_shapes(arrays, header, path)
+    tables = arrays["tables"]
+    tables.flags.writeable = False
+    templates = LineTemplates(rows=arrays["rows"], line_values=arrays["line_values"],
+                              adjacency=arrays["adjacency"], node_mask=arrays["node_mask"])
     vecs = list(arrays["global_vecs"])
-    adjacency, node_mask = arrays["adjacency"], arrays["node_mask"]
-    adjacency.flags.writeable = False
-    node_mask.flags.writeable = False
-    graphs = list(zip(adjacency, node_mask))
-    node_features = arrays["node_features"]
-    columns = zip(*(arrays[name].tolist() for name in _PER_SAMPLE_INTS))
-    samples = []
-    for i, (day, slot, element_id, label, fault_id, g, k) in enumerate(columns):
-        adj, mask = graphs[k]
-        samples.append(FeaturizedSample(
+    columns = zip(*(arrays[name].tolist() for name in _PER_SAMPLE))
+    samples = [
+        FeaturizedSample(
             day=day, slot=slot, element_id=element_id,
-            label=None if label < 0 else label,
-            global_vec=vecs[g],
-            local=LocalGraph(adjacency=adj, node_features=node_features[i],
-                             node_mask=mask, fault_element_id=fault_id),
-        ))
+            label=None if label < 0 else label, global_vec=vecs[g],
+            local=LocalGraph.stored(tables, templates, table, template, graph, fault_id))
+        for day, slot, element_id, label, fault_id, g, table, template, graph in columns
+    ]
     raw_states = {}
     if "raw_keys" in arrays:
         raw_states = {(day, slot): raw for (day, slot), raw

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridstab import features, model
+from gridstab import features
 from gridstab.features import (
     FeaturizedDataset, FeaturizedSample, LocalGraph, default_feature_spec,
 )
@@ -30,9 +30,9 @@ def zero_snapshot(network: Network, day: int = 0, slot: int = 0) -> Snapshot:
 
 
 def reset_memos() -> None:
-    """Empty the process-wide network-index and propagation memos."""
+    """Empty the process-wide network-index memo, which holds the line
+    templates and the propagation matrices kept on them."""
     features._last_index.clear()
-    model._PROPAGATION.clear()
 
 
 @pytest.fixture(autouse=True)

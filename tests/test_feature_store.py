@@ -1,0 +1,101 @@
+"""The feature store: featurized samples are row indices into per-snapshot
+tables and per-network line templates, and the model reads the store, never
+a sample's own node matrix."""
+
+import numpy as np
+import pytest
+
+from gridstab import features, nn
+from gridstab.features import LocalGraph, default_feature_spec, featurize
+from gridstab.model import ModelConfig, TrainConfig, scores_for, train
+
+from conftest import reset_memos
+
+SMALL = ModelConfig(gcn_hidden=8, sg_dim=8, sl_dim=8, stats_hidden=12,
+                    sid_hidden=4, mlp_hidden=(10, 6))
+
+
+def day0(small_world, lo, hi):
+    return [f for f in small_world["faults"] if f.day == 0 and lo <= f.slot < hi]
+
+
+def test_training_and_scoring_never_build_a_node_matrix(small_world, monkeypatch):
+    net, snaps = small_world["network"], small_world["snapshots"]
+    spec = default_feature_spec()
+    train_ds = featurize(net, snaps, day0(small_world, 0, 12), spec)
+    cal_ds = featurize(net, snaps, day0(small_world, 12, 14), spec)
+    want = LocalGraph.node_features
+
+    def refuse(graph):
+        raise AssertionError("a sample's node matrix was built")
+
+    monkeypatch.setattr(LocalGraph, "node_features", property(refuse))
+    result = train("GraphModel", train_ds, cal_ds, SMALL, TrainConfig(epochs=1, seed=2))
+    scores = scores_for(result, cal_ds)
+    monkeypatch.setattr(LocalGraph, "node_features", want)
+    assert scores.shape == (len(cal_ds.samples),)
+    assert all(vars(s.local)["_node_features"] is None
+               for s in train_ds.samples + cal_ds.samples)
+    # Read afterwards, a sample's matrix is copied out once and kept.
+    first = cal_ds.samples[0].local
+    assert first.node_features is first.node_features
+    assert not np.shares_memory(first.node_features, cal_ds.store.tables)
+
+
+def test_screening_builds_the_templates_once_per_network_and_max_nodes(
+        small_world, monkeypatch):
+    net, snaps = small_world["network"], small_world["snapshots"]
+    spec = default_feature_spec()
+    result = train("GraphModel", featurize(net, snaps, day0(small_world, 0, 4), spec),
+                   featurize(net, snaps, day0(small_world, 4, 6), spec), SMALL,
+                   TrainConfig(epochs=1, seed=3, balance=False))
+    reset_memos()
+    stacked, normalized = [], []
+    real_stack, real_normalize = features.LineTemplates.of_lines, nn.normalize_adjacency
+
+    def counting_stack(lines, max_nodes):
+        stacked.append(max_nodes)
+        return real_stack(lines, max_nodes)
+
+    monkeypatch.setattr(features.LineTemplates, "of_lines", counting_stack)
+    monkeypatch.setattr(nn, "normalize_adjacency",
+                        lambda *args: normalized.append(1) or real_normalize(*args))
+    datasets = []
+    for snap in snaps[16:22]:     # day 1, one snapshot at a time
+        faults = [f for f in small_world["faults"] if (f.day, f.slot) == (snap.day, snap.slot)]
+        ds = featurize(net, [snap], faults, spec)
+        scores_for(result, ds)
+        datasets.append(ds)
+    assert stacked == [50]
+    assert len(normalized) == len(net.ac_line_ids())
+    templates = datasets[0].store.templates
+    assert all(ds.store.templates is templates for ds in datasets)
+    assert all(len(ds.store.tables) == 1 for ds in datasets)
+    featurize(net, snaps, day0(small_world, 0, 1), spec, max_nodes=20)
+    featurize(net, snaps, day0(small_world, 1, 2), spec, max_nodes=20)
+    assert stacked == [50, 20]
+
+
+def test_a_store_holds_one_table_per_snapshot_and_one_template_per_line(small_world):
+    net, snaps = small_world["network"], small_world["snapshots"]
+    faults = day0(small_world, 0, 3)
+    ds = featurize(net, snaps, faults, default_feature_spec(), max_nodes=12)
+    store = ds.store
+    lines = net.ac_line_ids()
+    assert store.tables.shape == (3, net.n_bus + 1, features.NODE_FEATURES)
+    assert len(store.global_vecs) == 3
+    assert len(store.templates.rows) == len(store.templates.node_mask) == len(lines)
+    assert not store.tables.flags.writeable
+    glob, table, template, graph = store.index.T
+    assert glob.tolist() == table.tolist() == [f.slot for f in faults]
+    assert template.tolist() == graph.tolist() == [lines.index(f.element_id) for f in faults]
+
+
+def test_a_hand_built_adjacency_must_be_zero_or_one():
+    adj = np.zeros((3, 3))
+    adj[0, 1] = adj[1, 0] = 0.5
+    graph = LocalGraph(adj, np.zeros((3, 59)), np.ones(3, bool), 0)
+    sample = features.FeaturizedSample(0, 0, 0, 1, np.zeros(8), graph)
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        features.FeaturizedDataset([sample], features.GlobalFeatureSpec(
+            fields=default_feature_spec().fields[:8]), n_elements=1, max_nodes=3)

@@ -6,6 +6,11 @@ snapshot's state arrays, every fault label, the calibrated oracle threshold
 ``tau``, and ``featurize`` of one whole day (global vectors with the
 per-region statistics on, adjacencies, node features and node masks).  A
 digest only changes on purpose, and then the change must say why.
+
+The digests were made with Python 3.11.7 and numpy 2.4.6 linked to
+scipy-openblas 0.3.31 (x86_64, Haswell kernels).  Result
+bytes depend on which BLAS path runs, so another numpy or BLAS build may fail
+them with no change to the code.
 """
 
 import hashlib

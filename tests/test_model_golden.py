@@ -8,6 +8,11 @@ history); and the ``save_checkpoint`` file.  Scores after
 ``load_checkpoint`` must equal the in-memory scores byte for byte.  The toy
 datasets carry raw bus states, so the convolutional heads run too.  A
 digest only changes on purpose, and then the change must say why.
+
+The digests were made with Python 3.11.7 and numpy 2.4.6 linked to
+scipy-openblas 0.3.31 (x86_64, Haswell kernels).  Result
+bytes depend on which BLAS path runs, so another numpy or BLAS build may fail
+them with no change to the code.
 """
 
 import dataclasses

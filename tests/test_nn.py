@@ -103,25 +103,25 @@ def test_conv_input_gradient():
 # ------------------------------------------------- adjacency normalization
 
 def test_normalize_two_node_line():
-    out = nn.normalize_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    out = nn.normalize_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2, bool))
     assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_normalize_isolated_node():
-    assert nn.normalize_adjacency(np.zeros((1, 1))).tolist() == [[1.0]]
+    assert nn.normalize_adjacency(np.zeros((1, 1)), np.ones(1, bool)).tolist() == [[1.0]]
 
 
 def test_normalize_k3():
-    out = nn.normalize_adjacency(np.ones((3, 3)) - np.eye(3))
+    out = nn.normalize_adjacency(np.ones((3, 3)) - np.eye(3), np.ones(3, bool))
     assert np.allclose(out, np.full((3, 3), 1.0 / 3.0))
 
 
 def test_normalize_rejects_asymmetric():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(nn.ShapeError):
-        nn.normalize_adjacency(bad)
+        nn.normalize_adjacency(bad, np.ones(2, bool))
     with pytest.raises(nn.ShapeError):
-        nn.normalize_adjacency(np.eye(2))   # nonzero diagonal
+        nn.normalize_adjacency(np.eye(2), np.ones(2, bool))   # nonzero diagonal
 
 
 def test_normalize_masked_rows_stay_zero():
@@ -140,7 +140,7 @@ def test_normalize_spectrum_and_regular_rows():
         adj = (rng.uniform(size=(n, n)) < 0.25).astype(float)
         adj = np.triu(adj, 1)
         adj = adj + adj.T
-        out = nn.normalize_adjacency(adj)
+        out = nn.normalize_adjacency(adj, np.ones(n, bool))
         assert np.allclose(out, out.T)
         eig = np.linalg.eigvalsh(out)
         assert eig.min() >= -1.0 - 1e-9 and eig.max() <= 1.0 + 1e-9
@@ -148,7 +148,7 @@ def test_normalize_spectrum_and_regular_rows():
     ring = np.zeros((6, 6))
     for i in range(6):
         ring[i, (i + 1) % 6] = ring[(i + 1) % 6, i] = 1.0
-    out = nn.normalize_adjacency(ring)
+    out = nn.normalize_adjacency(ring, np.ones(6, bool))
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_gcn_gradcheck():
     adj = np.zeros((5, 5))
     for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]:
         adj[i, j] = adj[j, i] = 1.0
-    a = np.stack([nn.normalize_adjacency(adj), np.eye(5)])
+    a = np.stack([nn.normalize_adjacency(adj, np.ones(5, bool)), np.eye(5)])
     h0 = rng.normal(size=(2, 5, 3))
 
     def closure(p):

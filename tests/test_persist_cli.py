@@ -120,12 +120,14 @@ def _header_version(path, version):
     (_jsonl_features, "re-run `gridstab featurize`"),
     (lambda p: p.write_bytes(p.read_bytes()[:len(p.read_bytes()) // 2]), "unreadable"),
     (lambda p: p.write_bytes(b"\x93NUMPY not a zip archive"), "not a features .npz"),
-    (lambda p: _rewrite_archive(p, drop=("node_features",)), "lacks arrays ['node_features']"),
-    (lambda p: _rewrite_archive(p, local_index=np.array([0, 1, 2, 9])),
-     "'local_index' points outside"),
-    (lambda p: _header_version(p, 3), "unsupported format_version 3"),
+    (lambda p: _rewrite_archive(p, drop=("tables",)), "lacks arrays ['tables']"),
+    (lambda p: _rewrite_archive(p, graph_index=np.array([0, 1, 2, 9])),
+     "'graph_index' points outside"),
+    (lambda p: _header_version(p, 4), "unsupported format_version 4"),
+    (lambda p: _header_version(p, 2), "re-run `gridstab featurize`"),
+    (lambda p: _rewrite_archive(p, rows=np.full((4, 8), 9)), "'rows' points outside"),
 ], ids=["format-1-jsonl", "truncated", "not-zip", "missing-array", "bad-index",
-        "unknown-version"])
+        "unknown-version", "format-2", "bad-rows"])
 def test_bad_features_file_is_a_format_error(tmp_path, capsys, corrupt, message):
     path = tmp_path / "features.npz"
     persist.save_features(make_toy_dataset(4, seed=5), path)
@@ -467,6 +469,23 @@ def test_cli_featurize_days_without_data_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "days [9]" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("days,entry", [("1,x", "'x'"), ("0,,1", "''"), ("1.5", "'1.5'")])
+def test_cli_featurize_names_a_bad_days_entry_before_loading(
+        tmp_path, capsys, monkeypatch, days, entry):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    loaded = []
+    monkeypatch.setattr(cli, "_load_dataset_dir", lambda path: loaded.append(path))
+    capsys.readouterr()
+    out = tmp_path / "features.npz"
+    assert run_cli("featurize", "--data", str(data), "--days", days,
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "--days" in err and f"{entry} is not a day number" in err
+    assert "Traceback" not in err
+    assert loaded == [] and not out.exists()
 
 
 # ------------------------------------------------------ model config and heads
