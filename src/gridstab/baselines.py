@@ -68,7 +68,12 @@ def _hinge_fit(x: np.ndarray, y_signed: np.ndarray, sample_weight: np.ndarray,
         margin = y_signed * (x @ w + b)
         active = margin < 1.0
         coeff = sample_weight * active * y_signed
-        grad_w = lam * w - (coeff[:, None] * x).mean(axis=0)
+        # Inactive rows add only signed zeros.  numpy sums axis 0 of a
+        # matrix of two or more columns row by row, so leaving them out keeps
+        # every bit but the sign of an all-zero sum, which lam * w - sum
+        # cannot show.  (One column is summed pairwise and may round apart.)
+        rows = np.flatnonzero(active)
+        grad_w = lam * w - np.add.reduce(coeff[rows, None] * x[rows], axis=0) / n
         grad_b = -coeff.mean()
         step = 1.0 / np.sqrt(t)
         w -= step * grad_w

@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import persist, report, synth
 from .features import featurize
 from .grid import _is_int, _is_real, validate_snapshot
@@ -225,7 +227,7 @@ def cmd_train(args) -> int:
     variant = _resolve_variant(args)
     train_ds, cal_ds = _train_cal_split(ds, args.train_day, cfg.calibration_frac)
     result = train(variant, train_ds, cal_ds, cfg.model, cfg.train)
-    out = Path(args.out) if args.out else Path("checkpoint.json")
+    out = Path(args.out) if args.out else Path("checkpoint.npz")
     persist.save_checkpoint(result, out)
     persist.save_history_csv(result.history, out.with_suffix(".history.csv"))
     print(f"wrote {out}: variant {variant}, best epoch {result.best_epoch}, "
@@ -241,6 +243,10 @@ def cmd_eval(args) -> int:
     ds = persist.load_features(_require(Path(args.features), "features"))
     eval_ds = _day_slice(ds, args.day)
     scores = scores_for(result, eval_ds)
+    bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if bad:
+        raise CliError(f"{args.checkpoint}: {bad} of {len(scores)} scores on day "
+                       f"{args.day} of {args.features} are not finite")
     threshold = args.threshold if args.threshold is not None else result.threshold
     row = compute_metrics(scores, eval_ds.labels(), threshold)
     rows = [report._row_dict(args.day, row)]
@@ -343,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", dest="day_subset", help="comma-separated day subset")
     p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", help="train one model variant")
+    p = sub.add_parser("train", help="train one model variant "
+                                     "(default out: checkpoint.npz)")
     common(p, features=True)
     p.add_argument("--data", help="dataset directory (for fingerprint checks)")
     p.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="graph")
@@ -354,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one day")
     common(p, features=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint written by train")
     p.add_argument("--day", type=int, required=True)
     p.add_argument("--threshold", type=float)
     p.set_defaults(func=cmd_eval)

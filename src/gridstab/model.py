@@ -63,16 +63,17 @@ ABLATION_ALIASES = {
 }
 
 
+EMBED_DIM = 20   # width of a faulted element's embedding row
+
+
 @dataclass
 class ModelConfig:
     global_encoder: str = "stats"      # "stats" or "rawcnn"
-    gcn_layers: int = 3
     gcn_hidden: int = 64
     sg_dim: int = 64
     sl_dim: int = 64
     stats_hidden: int = 64
     sid_hidden: int = 32
-    embed_dim: int = 20
     mlp_hidden: tuple = (200, 100)
     cnn_channels: int = 16
     cnn_kernel: int = 3
@@ -81,10 +82,6 @@ class ModelConfig:
     pool: str | None = None            # None: variant default
 
     def validate(self) -> None:
-        if self.gcn_layers != 3:
-            raise ValueError("gcn_layers is fixed at 3")
-        if self.embed_dim != 20:
-            raise ValueError("embed_dim is fixed at 20")
         if self.global_encoder not in ("stats", "rawcnn"):
             raise ValueError(f"unknown global encoder {self.global_encoder!r}")
         if self.pool not in (None, "mean", "max"):
@@ -266,7 +263,7 @@ class GcnHead(Head):
             np.put_along_axis(g_h3, pooled[:, None, :], g[:, None, :], axis=1)
         g_h2, grads["l3_w"] = nn.gcn_backward(g_h3, c3)
         g_h1, grads["l2_w"] = nn.gcn_backward(g_h2, c2)
-        _, grads["l1_w"] = nn.gcn_backward(g_h1, c1)
+        _, grads["l1_w"] = nn.gcn_backward(g_h1, c1, need_input_grad=False)
 
 
 class EmbeddingHead(Head):
@@ -324,7 +321,7 @@ def build_heads(spec: VariantSpec, cfg: ModelConfig, dims: dict) -> list[Head]:
         heads.append(GcnHead(dims["node_features"], cfg.gcn_hidden, cfg.sl_dim,
                              cfg.gcn_final_relu, cfg.pool or spec.pool, spec.graph))
     if spec.embedding:
-        heads.append(EmbeddingHead(dims["n_elements"], cfg.embed_dim, cfg.sid_hidden))
+        heads.append(EmbeddingHead(dims["n_elements"], EMBED_DIM, cfg.sid_hidden))
     return heads
 
 
@@ -508,10 +505,10 @@ class TrainResult:
     scalers: dict
     history: list
     threshold: float
-    calibration_feasible: bool   # always True; a checkpoint field
     best_epoch: int
     config: ModelConfig
     feature_spec_hash: str
+    calibration_feasible: bool = True   # always: calibration reaches any target
 
 
 def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset,
@@ -587,8 +584,7 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
              variant, best["epoch"], best["acc"], best["threshold"])
     return TrainResult(
         variant=variant, params=best["params"], scalers=model.scalers,
-        history=history, threshold=float(best["threshold"]),
-        calibration_feasible=True, best_epoch=best["epoch"],
+        history=history, threshold=float(best["threshold"]), best_epoch=best["epoch"],
         config=mc, feature_spec_hash=train_set.feature_spec_hash(),
     )
 

@@ -150,10 +150,21 @@ def gcn_forward(h: np.ndarray, adj_norm: np.ndarray, w: np.ndarray,
     return y, (s, adj_norm, w, y, apply_relu)
 
 
-def gcn_backward(grad_y: np.ndarray, cache):
+def gcn_backward(grad_y: np.ndarray, cache, need_input_grad: bool = True):
+    """(grad_h, grad_w) of one propagation step.
+
+    Without ``need_input_grad`` (the first layer, whose input is data)
+    ``grad_h`` is not computed; an empty ``(batch, 0, 0)`` array stands in
+    for it, so every call still returns a gradient with the batch axis.
+    """
     s, adj_norm, w, y, apply_relu = cache
     g = grad_y * (y > 0.0) if apply_relu else grad_y
-    grad_w = np.einsum("bnf,bng->fg", s, g, optimize=True)
+    # One (f, B·n) x (B·n, g) GEMM over every node of every sample.
+    grad_w = s.reshape(-1, s.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    if not need_input_grad:
+        return np.empty((len(g), 0, 0)), grad_w
+    # adj_norm is symmetric, yet adj_norm.T @ x does not round like
+    # adj_norm @ x; the pinned gradients are the transposed product.
     grad_h = np.matmul(adj_norm.transpose(0, 2, 1), g @ w.T)
     return grad_h, grad_w
 

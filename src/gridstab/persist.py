@@ -1,13 +1,21 @@
-"""On-disk formats: network JSON, snapshot/fault JSONL, the features
-archive, model checkpoints and report CSVs.
+"""On-disk formats: network JSON, snapshot/fault JSONL, the features and
+checkpoint archives, and report CSVs.
 
 Every artifact carries a ``format_version``; loaders reject versions they
 do not understand.  JSON floats are written with Python's shortest-roundtrip
 repr, so identical inputs reproduce byte-identical files.
 
-The features file (format_version 3) is an uncompressed ``.npz`` archive of
-the dataset's :class:`~features.FeatureStore`, with no per-sample node
-matrix:
+Features and checkpoints are uncompressed ``.npz`` archives, written to the
+path as given and read by one reader.  Their first entry is a JSON
+``header`` (a 0-d string array) whose ``format_version`` and ``kind``
+the reader checks; it opens the archive with ``allow_pickle=False``.  Arrays
+keep their exact bytes, and every entry carries the fixed 1980 zip
+timestamp, so reruns are byte-identical.  A JSON file of an older release,
+or an archive of an older format_version, is a :class:`FormatError` that
+names the ``gridstab`` command that rewrites it.
+
+The features file (format_version 3, kind ``features``) holds the dataset's
+:class:`~features.FeatureStore`, with no per-sample node matrix:
 
 * per sample: ``day``, ``slot``, ``element_id``, ``label`` (-1 for
   unlabeled), ``fault_element_id``, and its rows ``global_index``,
@@ -17,12 +25,14 @@ matrix:
 * ``rows`` and ``line_values``: one template per line;
 * ``adjacency`` (bit-packed 0/1 rows) and ``node_mask``: one graph per line;
 * optional ``raw_keys``/``raw_states`` per (day, slot);
-* the JSON ``header`` (spec, spec hash, sizes, fingerprint) as a 0-d string
-  array.
+* in the header: the spec, spec hash, sizes and synth fingerprint.
 
-It is read with ``allow_pickle=False`` and stores floats as their exact
-bytes.  A format_version 2 archive, which held one node matrix per sample,
-is a :class:`FormatError` that says to re-run ``gridstab featurize``.
+The checkpoint (format_version 2, kind ``checkpoint``) holds one float64
+array per model parameter (``params/<name>``) and per scaler
+(``scalers/<name>``), in sorted name order.  Its header holds the variant,
+the feature spec hash, the calibrated threshold, the best epoch and the
+model config.  Format 1 was a JSON document with one float literal per
+weight.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -43,8 +54,9 @@ from .features import (
 )
 from .grid import (
     LABEL_NAMES, LABEL_VALUES, Bus, Element, FaultSample, GridError, Network,
-    Snapshot, validate_network,
+    Snapshot, _is_int, _is_real, validate_network,
 )
+from .model import VARIANTS, ModelConfig, TrainResult
 
 FORMAT_VERSION = 1
 
@@ -182,14 +194,65 @@ def load_faults(path) -> tuple[list[FaultSample], str]:
     return faults, header.get("synth_fingerprint", "")
 
 
-# --------------------------------------------------------------- features
+# ------------------------------------------------------------ .npz archives
 
 FEATURES_VERSION = 3
+CHECKPOINT_VERSION = 2
 _ZIP_MAGIC = b"PK\x03\x04"
+# kind -> (format_version, the command that writes it)
+_ARCHIVES = {"features": (FEATURES_VERSION, "featurize"),
+             "checkpoint": (CHECKPOINT_VERSION, "train")}
+
+
+def _write_archive(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``header`` (as a 0-d JSON string array) and then ``arrays``, in
+    order, as an uncompressed ``.npz`` archive at exactly ``path``."""
+    # An open handle keeps np.savez from appending ".npz" to the path; zip
+    # entries carry the fixed 1980 timestamp, so reruns are byte-identical.
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, header=np.array(_dump(header)), **arrays)
+
+
+def _read_archive(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The JSON header and the other arrays of a ``kind`` archive ("features"
+    or "checkpoint") of this release's format."""
+    version, command = _ARCHIVES[kind]
+    rerun = f"re-run `gridstab {command}` to write format_version {version}"
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_ZIP_MAGIC))
+    if magic.startswith(b"{"):
+        raise FormatError(f"{path}: JSON {kind} file from an older release; {rerun}")
+    if magic != _ZIP_MAGIC:
+        raise FormatError(f"{path}: not a {kind} .npz archive")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise FormatError(f"{path}: unreadable {kind} archive ({exc})") from exc
+    if "header" not in arrays:
+        raise FormatError(f"{path}: {kind} archive lacks arrays ['header']")
+    try:
+        header = json.loads(str(arrays.pop("header")))
+    except ValueError as exc:
+        raise FormatError(f"{path}: unreadable {kind} header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: {kind} header is not a JSON object")
+    v = header.get("format_version")
+    if _is_int(v) and 0 < v < version:
+        raise FormatError(f"{path}: {kind} archive of format_version {v} is from an "
+                          f"older release; {rerun}")
+    _check_version(header, path, version)
+    if header.get("kind") != kind:
+        raise FormatError(f"{path}: archive holds {header.get('kind')!r}, not {kind}")
+    return header, arrays
+
+
+# --------------------------------------------------------------- features
+
 _INDEX_ARRAYS = ("global_index", "table_index", "template_index", "graph_index")
 _PER_SAMPLE = ("day", "slot", "element_id", "label", "fault_element_id") + _INDEX_ARRAYS
 _STORE_ARRAYS = ("global_vecs", "tables", "rows", "line_values", "adjacency", "node_mask")
-_FEATURE_ARRAYS = ("header",) + _PER_SAMPLE + _STORE_ARRAYS
+_FEATURE_ARRAYS = _PER_SAMPLE + _STORE_ARRAYS
 _RAW_ARRAYS = ("raw_keys", "raw_states")
 
 
@@ -213,15 +276,15 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
     samples = dataset.samples
     store = FeatureStore.of(samples, dataset.global_dim, dataset.max_nodes)
     templates = store.templates
+    header = {
+        "format_version": FEATURES_VERSION, "kind": "features",
+        "synth_fingerprint": dataset.synth_fingerprint,
+        "feature_spec_hash": dataset.feature_spec_hash(),
+        "spec": _spec_to_doc(dataset.spec),
+        "n_elements": dataset.n_elements,
+        "max_nodes": dataset.max_nodes,
+    }
     arrays = {
-        "header": np.array(_dump({
-            "format_version": FEATURES_VERSION, "kind": "features",
-            "synth_fingerprint": dataset.synth_fingerprint,
-            "feature_spec_hash": dataset.feature_spec_hash(),
-            "spec": _spec_to_doc(dataset.spec),
-            "n_elements": dataset.n_elements,
-            "max_nodes": dataset.max_nodes,
-        })),
         "day": np.array([s.day for s in samples], dtype=np.int64),
         "slot": np.array([s.slot for s in samples], dtype=np.int64),
         "element_id": np.array([s.element_id for s in samples], dtype=np.int64),
@@ -241,44 +304,7 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
     if dataset.raw_states:
         arrays["raw_keys"] = np.array(list(dataset.raw_states), dtype=np.int64)
         arrays["raw_states"] = np.stack(list(dataset.raw_states.values()))
-    # An open handle keeps np.savez from appending ".npz" to the path; zip
-    # entries carry the fixed 1980 timestamp, so reruns are byte-identical.
-    with open(path, "wb") as fh:
-        np.savez(fh, allow_pickle=False, **arrays)
-
-
-def _read_feature_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and the arrays of a features archive of this format."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_ZIP_MAGIC))
-    if magic.startswith(b"{"):
-        raise FormatError(
-            f"{path}: JSON features file from an older release; re-run "
-            f"`gridstab featurize` to write format_version {FEATURES_VERSION}")
-    if magic != _ZIP_MAGIC:
-        raise FormatError(f"{path}: not a features .npz archive")
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
-        raise FormatError(f"{path}: unreadable features archive ({exc})") from exc
-    if "header" not in arrays:
-        raise FormatError(f"{path}: features archive lacks arrays ['header']")
-    try:
-        header = json.loads(str(arrays["header"]))
-    except ValueError as exc:
-        raise FormatError(f"{path}: unreadable features header ({exc})") from exc
-    if isinstance(header, dict) and header.get("format_version") == 2:
-        raise FormatError(
-            f"{path}: features archive of format_version 2 holds a node matrix "
-            f"per sample; re-run `gridstab featurize` to write format_version "
-            f"{FEATURES_VERSION}")
-    _check_version(header, path, FEATURES_VERSION)
-    wanted = _FEATURE_ARRAYS + (_RAW_ARRAYS if set(_RAW_ARRAYS) & set(arrays) else ())
-    missing = [name for name in wanted if name not in arrays]
-    if missing:
-        raise FormatError(f"{path}: features archive lacks arrays {missing}")
-    return header, arrays
+    _write_archive(path, header, arrays)
 
 
 def _check_feature_shapes(arrays: dict, header: dict, path) -> None:
@@ -322,7 +348,11 @@ def load_features(path) -> FeaturizedDataset:
     loaded store: samples that shared a global vector, or an adjacency and
     node mask, share them again, the latter read-only.
     """
-    header, arrays = _read_feature_arrays(path)
+    header, arrays = _read_archive(path, "features")
+    wanted = _FEATURE_ARRAYS + (_RAW_ARRAYS if set(_RAW_ARRAYS) & set(arrays) else ())
+    missing = [name for name in wanted if name not in arrays]
+    if missing:
+        raise FormatError(f"{path}: features archive lacks arrays {missing}")
     _check_feature_shapes(arrays, header, path)
     tables = arrays["tables"]
     tables.flags.writeable = False
@@ -350,62 +380,74 @@ def load_features(path) -> FeaturizedDataset:
 
 # ------------------------------------------------------------- checkpoint
 
+_CHECKPOINT_GROUPS = ("params", "scalers")
+# header field -> (test of a valid value, what it must be)
+_CHECKPOINT_FIELDS = {
+    "variant": (lambda v: isinstance(v, str) and v in VARIANTS, "a known model variant"),
+    "feature_spec_hash": (lambda v: isinstance(v, str), "a string"),
+    "threshold": (lambda v: _is_real(v) and math.isfinite(v), "a finite number"),
+    "best_epoch": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "config": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
 def save_checkpoint(result, path) -> None:
-    """TrainResult -> versioned JSON checkpoint (weights in row-major order)."""
-    doc = {
-        "format_version": FORMAT_VERSION,
+    """Write a TrainResult as a checkpoint archive at exactly ``path``."""
+    header = {
+        "format_version": CHECKPOINT_VERSION, "kind": "checkpoint",
         "variant": result.variant,
         "feature_spec_hash": result.feature_spec_hash,
         "threshold": result.threshold,
-        "calibration_feasible": result.calibration_feasible,
         "best_epoch": result.best_epoch,
         "config": dataclasses.asdict(result.config),
-        "layers": [
-            {"name": k, "shape": list(v.shape), "data": v.reshape(-1).tolist()}
-            for k, v in sorted(result.params.items())
-        ],
-        "scalers": [
-            {"name": k, "shape": list(v.shape), "data": v.reshape(-1).tolist()}
-            for k, v in sorted(result.scalers.items())
-        ],
     }
-    Path(path).write_text(_dump(doc) + "\n")
-
-
-def _named_arrays(doc: dict, key: str, path) -> dict[str, np.ndarray]:
-    """name -> array of each ``{"name", "shape", "data"}`` entry of ``doc[key]``."""
-    with _entry(path, key):
-        entries = list(doc[key])
-    arrays = {}
-    for i, entry in enumerate(entries):
-        with _entry(path, f"{key}[{i}]"):
-            arrays[entry["name"]] = np.array(entry["data"]).reshape(entry["shape"])
-    return arrays
+    arrays = {f"{group}/{name}": value
+              for group, named in zip(_CHECKPOINT_GROUPS, (result.params, result.scalers))
+              for name, value in sorted(named.items())}
+    _write_archive(path, header, arrays)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by :func:`save_checkpoint`.  A missing or
-    malformed field, or an invalid model config, is a :class:`FormatError`
-    naming the file and the field."""
-    from .model import ModelConfig, TrainResult
+    """Read a checkpoint archive written by :func:`save_checkpoint`.
 
-    doc = json.loads(Path(path).read_text())
-    _check_version(doc, path)
+    A missing or invalid header field, an invalid model config, or an array
+    that is not finite float64 is a :class:`FormatError` naming the file and
+    the field.  The arrays' shapes depend on the dataset's dims too, so
+    :meth:`~model.ScreeningModel.check_params` checks them against the
+    variant before any scoring.  A JSON checkpoint of an older release is a
+    :class:`FormatError` that says to re-run ``gridstab train``.
+    """
+    header, arrays = _read_archive(path, "checkpoint")
+    for field, (valid, want) in _CHECKPOINT_FIELDS.items():
+        if field not in header:
+            raise FormatError(f"{path}: checkpoint: missing field {field!r}")
+        if not valid(header[field]):
+            raise FormatError(f"{path}: checkpoint: {field} must be {want}, "
+                              f"not {header[field]!r}")
     with _entry(path, "config"):
-        cfg_doc = dict(doc["config"])
-        cfg_doc["mlp_hidden"] = tuple(cfg_doc.get("mlp_hidden", (200, 100)))
+        cfg_doc = dict(header["config"])
+        for field in dataclasses.fields(ModelConfig):
+            if field.name not in cfg_doc:
+                raise KeyError(field.name)
+        cfg_doc["mlp_hidden"] = tuple(cfg_doc["mlp_hidden"])
         config = ModelConfig(**cfg_doc)
         config.validate()
-    params = _named_arrays(doc, "layers", path)
-    scalers = _named_arrays(doc, "scalers", path)
-    with _entry(path, "checkpoint"):
-        return TrainResult(
-            variant=doc["variant"], params=params, scalers=scalers, history=[],
-            threshold=doc["threshold"],
-            calibration_feasible=doc["calibration_feasible"],
-            best_epoch=doc["best_epoch"], config=config,
-            feature_spec_hash=doc["feature_spec_hash"],
-        )
+    groups = {group: {} for group in _CHECKPOINT_GROUPS}
+    for key, value in arrays.items():
+        group, _, name = key.partition("/")
+        if group not in groups or not name:
+            raise FormatError(f"{path}: checkpoint: unexpected array {key!r}")
+        if value.dtype != np.float64:
+            raise FormatError(f"{path}: checkpoint: {key} has dtype {value.dtype}, "
+                              f"expected float64")
+        if not np.isfinite(value).all():
+            raise FormatError(f"{path}: checkpoint: {key} holds non-finite values")
+        groups[group][name] = value
+    return TrainResult(
+        variant=header["variant"], params=groups["params"], scalers=groups["scalers"],
+        history=[], threshold=float(header["threshold"]), best_epoch=header["best_epoch"],
+        config=config, feature_spec_hash=header["feature_spec_hash"],
+    )
 
 
 # ------------------------------------------------------------------- CSVs

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from gridstab import baselines
 from gridstab.baselines import (
-    PREV_DAY_THRESHOLD, PrevDayIndex, prev_day_scores, svm_train_expanded,
+    PREV_DAY_THRESHOLD, PrevDayIndex, _hinge_fit, prev_day_scores, svm_train_expanded,
 )
 from gridstab.grid import STABLE, UNSTABLE, FaultSample
 from gridstab.metrics import compute_metrics
@@ -108,6 +112,81 @@ def test_svm_accounting_identity_on_synthetic():
     margins = (x - params.feature_mu) / params.feature_sd @ params.weights  # noqa: F841
     assert acc["expanded"] <= acc["truly_unstable"] + acc["support_vectors"] + acc["false_positives"]
     assert acc["expanded"] >= max(acc["truly_unstable"], 1)
+
+
+def _hinge_fit_reference(x: np.ndarray, y_signed: np.ndarray, sample_weight: np.ndarray,
+                         penalty: float, iters: int = 400) -> tuple[np.ndarray, float]:
+    """``baselines._hinge_fit`` as it was before it reduced over the active
+    rows only, kept verbatim as the reference."""
+    n, d = x.shape
+    lam = 1.0 / (penalty * n)
+    w = np.zeros(d)
+    b = 0.0
+    w_sum = np.zeros(d)
+    b_sum = 0.0
+    averaged = 0
+    for t in range(1, iters + 1):
+        margin = y_signed * (x @ w + b)
+        active = margin < 1.0
+        coeff = sample_weight * active * y_signed
+        grad_w = lam * w - (coeff[:, None] * x).mean(axis=0)
+        grad_b = -coeff.mean()
+        step = 1.0 / np.sqrt(t)
+        w -= step * grad_w
+        b -= step * grad_b
+        if t > iters // 2:
+            w_sum += w
+            b_sum += b
+            averaged += 1
+    return w_sum / averaged, b_sum / averaged
+
+
+# Dyadic values keep the first steps exact, so margins land exactly on 1.
+SVM_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0]),
+                       st.floats(-4.0, 4.0, allow_nan=False))
+# Row 0 of class +1 and row 1 of class -1, mirrored, with a constant column of
+# zeros of both signs: every row is active in step 1, and in step 2 both
+# margins are exactly 1, so none is.
+MIRRORED = [[1.0, 0.0], [-1.0, -0.0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3, 4, 8, 16, 33]), d=st.integers(2, 5), data=st.data())
+@example(n=2, d=2, data=None)
+def test_svm_matches_reference_hinge_fit(n, d, data):
+    """Reducing over the active rows only keeps every byte of the fit.  A
+    one-column ``x`` is summed pairwise by numpy, so it is not covered."""
+    if data is None:
+        x, labels, weight = np.array(MIRRORED), np.array([1.0, 0.0]), np.ones(2)
+    else:
+        x = np.array(data.draw(st.lists(st.lists(SVM_VALUES, min_size=d, max_size=d),
+                                        min_size=n, max_size=n)))
+        constant = data.draw(st.none() | st.integers(0, d - 1))
+        if constant is not None:
+            x[:, constant] = x[0, constant]
+        labels = np.array([1.0, 0.0] + data.draw(
+            st.lists(st.sampled_from([0.0, 1.0]), min_size=n - 2, max_size=n - 2)))
+        weight = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]),
+                                             min_size=n, max_size=n)))
+    y_signed = np.where(labels > 0.5, 1.0, -1.0)
+    for iters in (2, 9):
+        w, b = _hinge_fit(x, y_signed, weight, 20000.0, iters=iters)
+        w_ref, b_ref = _hinge_fit_reference(x, y_signed, weight, 20000.0, iters=iters)
+        assert w.tobytes() == w_ref.tobytes() and float(b).hex() == float(b_ref).hex()
+    params, accounting = svm_train_expanded(x, labels)
+    with mock.patch.object(baselines, "_hinge_fit", _hinge_fit_reference):
+        ref, ref_accounting = svm_train_expanded(x, labels)
+    assert params.weights.tobytes() == ref.weights.tobytes()
+    assert float(params.bias).hex() == float(ref.bias).hex()
+    assert accounting == ref_accounting
+
+
+def test_mirrored_example_hits_margin_one():
+    """The pinned example reaches the cases it is there for."""
+    x, y = np.array(MIRRORED), np.array([1.0, -1.0])
+    w, b = _hinge_fit(x, y, np.ones(2), 20000.0, iters=1)   # one step, all active
+    assert (y * (x @ w + b)).tolist() == [1.0, 1.0]
+    assert np.signbit(x[1, 1]) and not np.signbit(x[0, 1])
 
 
 # ------------------------------------------------------------------- MLP

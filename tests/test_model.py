@@ -262,10 +262,16 @@ def test_variant_head_declarations():
 
 
 def test_model_config_validation():
+    """The GCN depth (3) and the embedding width (20) are fixed, so neither
+    is a config field; the sizes that are must be positive integers."""
+    with pytest.raises(TypeError):
+        ModelConfig(gcn_layers=2)
+    with pytest.raises(TypeError):
+        ModelConfig(embed_dim=16)
     with pytest.raises(ValueError):
-        ModelConfig(gcn_layers=2).validate()
+        ModelConfig(gcn_hidden=0).validate()
     with pytest.raises(ValueError):
-        ModelConfig(embed_dim=16).validate()
+        ModelConfig(global_encoder="lstm").validate()
 
 
 def toy_with_raw(n, seed):

@@ -9,6 +9,12 @@ history); and the ``save_checkpoint`` file.  Scores after
 datasets carry raw bus states, so the convolutional heads run too.  A
 digest only changes on purpose, and then the change must say why.
 
+The ``checkpoint`` digests changed once, on purpose: checkpoint format 2
+stores the parameters and scalers as float64 arrays in an ``.npz`` archive
+instead of JSON float literals, and its config no longer carries the fixed
+``gcn_layers`` and ``embed_dim``.  The ``init``, ``forward``, ``backward``,
+``train`` and ``scores`` digests did not move.
+
 The digests were made with Python 3.11.7 and numpy 2.4.6 linked to
 scipy-openblas 0.3.31 (x86_64, Haswell kernels).  Result
 bytes depend on which BLAS path runs, so another numpy or BLAS build may fail
@@ -51,7 +57,7 @@ GOLDEN = {
         "forward": "6d31872cf5e791bd7aa126604f352bf9b88eb3092acc328d9a6a2421173e41f5",
         "backward": "1a0d1382ee9a9e9e9a106c669fb82fd3b6791a97ba31aadeb8128dde712c5822",
         "train": "9763a8299da010bbea93951b93428039be6d5221926bc7c8ea6b7a44bbaceff5",
-        "checkpoint": "7a50f89b0907f2aa524fc49f50a58483f8eab8324fe3314781983e67c0238f20",
+        "checkpoint": "a96b1fb015c12cbc5693ef85c517cf43392f0fa9375045dd2fce2e577a2a413f",
         "scores": "967136ddaaa415af037ed5891d173ed9d5b90b1bbca791a8ee3446a97bbfa636",
     },
     "GraphModel": {
@@ -59,7 +65,7 @@ GOLDEN = {
         "forward": "40040d7570f457d12c6b096d5615e8ce379cdaeaff5ebb1221a5605cada99324",
         "backward": "8d36ecb6db7dfe0824e8f7fdb29fc56d16cb626145804ffa8a3ae86014dc79fd",
         "train": "7b98b2495e1216b49e993165d52c819d91715064de5d1cd27068015e19bcc92e",
-        "checkpoint": "9e807c8b8a6a51dd6b985ef29161239ae89c8da7aa268ba98be2480032e8f71f",
+        "checkpoint": "6eff13598f05634c9ae00ec2b529a09f801c61a4448f4ab11cb8c408dbf0ca0c",
         "scores": "0e85e3bb9dcc1af9ede308530a035ea3e7d1816146c8a199dda25100ac88e635",
     },
     "GraphModel-linear-gcn3": {
@@ -67,7 +73,7 @@ GOLDEN = {
         "forward": "82d860a4133fccee582b737b4d31940b3128ce46d089d49e6bf908c3d227c2df",
         "backward": "a97b2e2181d3c8ba61ec7a32d6bcb2d9d709a54efd6a7836d82b3ad9c3a672f1",
         "train": "ba17ea5119a74c0883cf634b227d306d92c58b8563dfb933a79fe4061265bb94",
-        "checkpoint": "330cee3fefe61be5a5b88dc0b6da6c892bb0dc99b100178ebcac205dae2a6d24",
+        "checkpoint": "aa75c861593c9c882e246f964555ae8f146fa7d851d7b7dacd8cff61859a9105",
         "scores": "768f221d6b0f7878bf64e0f04b63f947a433abdd84859f2058140a3e299c6fa9",
     },
     "GraphModel-maxpool": {
@@ -75,7 +81,7 @@ GOLDEN = {
         "forward": "56975845cf639e6a1153ffb0ca4950a6319aa641d36e28bcb0cfe51f1f02113d",
         "backward": "bbbf0ae1a5ae343f90f8f74dff413b68a23cf87fcfa4a0609cde38d569cd3d57",
         "train": "12b0bed3ab202c28205a27a84a99bc370c40693386bb51efa4ae240856c8a847",
-        "checkpoint": "4d247babda7d1e106dfd41407eda6d6acbdeca64cb0134ee59dc8e1132ffdcec",
+        "checkpoint": "5f124fe09daf8048bfcdd17b495f6c9f62289969108eebf9ea82aa22c414e5cf",
         "scores": "5e912372f66e319776b17e9a34b9e0daf72a8069e6e2302f00a4d8469af8f2f9",
     },
     "GraphModel-rawcnn": {
@@ -83,7 +89,7 @@ GOLDEN = {
         "forward": "261b829efea25fef7b4462600b3138d800fb159a744c9ebea92d816dc0f98318",
         "backward": "bf9025722df3d42fed070b163192d1604103bdad7f205e5ba0212c8bc28c136d",
         "train": "d16458bcf4b5d753538d872ebd8c69162d3a25bd9d49663e494adda106f0e29e",
-        "checkpoint": "24b8c82190c0de43b164986c5f451b77044fb9265f148658c90c9d3874e6017a",
+        "checkpoint": "26781d109d776d0a4409b5feab027b3f47ee9e623ba35b9b0d740e8ee817150e",
         "scores": "b7293fa7efd7063876ca191cdd78ffd1b1b46620400effcae1e7eecf36221084",
     },
     "GraphPool": {
@@ -91,7 +97,7 @@ GOLDEN = {
         "forward": "56975845cf639e6a1153ffb0ca4950a6319aa641d36e28bcb0cfe51f1f02113d",
         "backward": "bbbf0ae1a5ae343f90f8f74dff413b68a23cf87fcfa4a0609cde38d569cd3d57",
         "train": "12b0bed3ab202c28205a27a84a99bc370c40693386bb51efa4ae240856c8a847",
-        "checkpoint": "ff674fd6474a8af1c046ef5921093c47c3fa2e4e4255c8197997bad7fe011d09",
+        "checkpoint": "f0e7b9541bf4e8da3b92322cf33409efa0df9f411fc759e7c03e5118a98ed5f6",
         "scores": "5e912372f66e319776b17e9a34b9e0daf72a8069e6e2302f00a4d8469af8f2f9",
     },
     "MlpOnly": {
@@ -99,7 +105,7 @@ GOLDEN = {
         "forward": "3c5399b0a98f43da0e1cf569c00e75267b61c9a07e143d21b40d46ae5dba15b1",
         "backward": "cfe410abb0cc925b0cffa77580fcebf37b0447a393423f40726d2965c62d24e9",
         "train": "4a44daa3b84c667bcb03c91c98a491356737caf3c1b82c101ebc8137797a0197",
-        "checkpoint": "f31da05ae10d4b3a4b72bd353bc3866144d4d15deaf100b78cc76c2b6864ef7b",
+        "checkpoint": "55a6a6ce7f0ae07c1040e95c12802531f32006433b2dd55d7cf2a19b57c24ff9",
         "scores": "0c7e12f373418ef6acb87f5aad975445c1eb3756805f085a15479743b484f3c9",
     },
     "NoEmbedding": {
@@ -107,7 +113,7 @@ GOLDEN = {
         "forward": "a01a79a6b3ecadf51b0af521380ff6c3903cbb223f65950893159b4bb3e78531",
         "backward": "82595d2605f5b04c3bbd55bacfd146b99baed54b19a1f12fa02309838d9a1ddf",
         "train": "ae6858bd0662d805ab2c00955e4900e897037893e67d7c56cd0d883c6a12e199",
-        "checkpoint": "8b130dca0303588355b8b57519a4ebb5285e8d9679d5752c963e7cf13e2a2842",
+        "checkpoint": "82206df7ef19b725e4f148b09d13517a83077ebedf000f77928aab592fd481b0",
         "scores": "875665040bca1d2c6d707ca32a3d869519c44f024257a2a0bfb9bf6ec7a468b7",
     },
     "NoGlobal": {
@@ -115,7 +121,7 @@ GOLDEN = {
         "forward": "c5fef3bd64f7b29423d67bce9b7eb6d1db231dc3cc60ec8627aa7df63eebd515",
         "backward": "48837be4763aca17c3e2ba3336baeba92acdbfdf578409333c9debe33b2ff3e9",
         "train": "cf12345bb631105bfa723016fa8afedf3d691246949d2cf7b1440c1dfca437c1",
-        "checkpoint": "38f1e04707eec7e2040c0fc5b50d886074ebd816f77d022959476e02ebee3e57",
+        "checkpoint": "caf7511399ce9af9f09acf573ee0bb0d4341bfa6534f47841799a3ef8816c3ae",
         "scores": "9bb980666500d4123a4b40f6568bf10a365558f6d8190dac4f2ec1cdb0bff3b5",
     },
     "NoGraph": {
@@ -123,7 +129,7 @@ GOLDEN = {
         "forward": "1caa0ac54b481cd1f8b2094794e0ecbfaa249f1e4f2512e75845cfaad5778900",
         "backward": "7f6e4cbdf70eb7041f7ca5c7f7793eaad460491288cbfa224afc1d1c9ca73956",
         "train": "11f3e74521d25a565c4c41ac4e235d6b43161da4dcc7552648979142f54f1939",
-        "checkpoint": "12c7d69bfa2858e95f7630e5b388252aed86ad847096c0f66a90de1197f8e2b9",
+        "checkpoint": "85647ae63b171ce9cc2ca5b3f969e0b602e1d75a71523706915814712e0ec4a6",
         "scores": "090787c236dc2e5e90f25ddb026f923f6b23914edfd4d42528b8f4e0e43ab6c9",
     },
     "NoLocal": {
@@ -131,7 +137,7 @@ GOLDEN = {
         "forward": "bf9bbd0ce55621466a4a6190155bdcb2530eb41e2f9a645101fa9a888572a446",
         "backward": "9ceeae009140d7412dd6cde797a3581a9417e85b624d585a5a313884a983c901",
         "train": "baab95be09ea3863b24e9260fd08b4252813bb0d713006f1264a3039e381279d",
-        "checkpoint": "fe0911226ec7850e1180d3b2e0431de0f5b8c388f4d83defd3bc02f60d04b8d8",
+        "checkpoint": "fbb16956bca1b934a449c770de586a5e196eb78be57a9f32aa3e29f1cf225e3f",
         "scores": "82c398cd3272e219d3bcb6550f5a9ec80d20997cc9c1b38f5cf5ff53b4741346",
     },
 }

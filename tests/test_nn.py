@@ -187,6 +187,20 @@ def test_gcn_gradcheck():
     assert err < 1e-4
 
 
+def test_gcn_backward_without_input_grad():
+    """Skipping grad_h leaves grad_w's bytes alone, and the stand-in keeps
+    the batch axis."""
+    rng = np.random.default_rng(7)
+    a = np.stack([nn.normalize_adjacency(np.ones((4, 4)) - np.eye(4), np.ones(4, bool))] * 3)
+    _, cache = nn.gcn_forward(rng.normal(size=(3, 4, 5)), a, rng.normal(size=(5, 2)))
+    g = rng.normal(size=(3, 4, 2))
+    grad_h, grad_w = nn.gcn_backward(g, cache)
+    skipped, same_w = nn.gcn_backward(g, cache, need_input_grad=False)
+    assert grad_h.shape == (3, 4, 5)
+    assert skipped.shape == (3, 0, 0)
+    assert same_w.tobytes() == grad_w.tobytes()
+
+
 # -------------------------------------------------------------- embedding
 
 def test_embedding_lookup_and_sparse_backward():

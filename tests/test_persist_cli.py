@@ -546,41 +546,156 @@ def trained_checkpoint(tmp_path_factory):
     return ckpt, data / "features.npz"
 
 
-def _drop_layer(doc, name):
-    doc["layers"] = [layer for layer in doc["layers"] if layer["name"] != name]
+def _edit_checkpoint(change):
+    """A corruption that applies ``change(header, arrays)`` to a checkpoint
+    archive and writes it back."""
+    def corrupt(path):
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        header = json.loads(str(arrays.pop("header")))
+        change(header, arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.array(json.dumps(header)), **arrays)
+    return corrupt
 
 
-def _shrink(doc, key, name):
-    entry = next(entry for entry in doc[key] if entry["name"] == name)
-    entry["shape"][0] -= 1
-    entry["data"] = entry["data"][:-1]
+def _set(key, value):
+    return _edit_checkpoint(lambda header, arrays: header.__setitem__(key, value))
 
 
-@pytest.mark.parametrize("corrupt,messages", [
-    (lambda doc: doc["config"].__setitem__("bogus", 1), ["{path}: config: ", "'bogus'"]),
-    (lambda doc: _drop_layer(doc, "l2_w"), ["checkpoint lacks parameter 'l2_w'"]),
-    (lambda doc: doc.pop("threshold"), ["{path}: checkpoint: missing field 'threshold'"]),
-    (lambda doc: doc.__setitem__("feature_spec_hash", "0" * 16), ["feature_spec_hash"]),
-    (lambda doc: _shrink(doc, "layers", "out_w"),
-     ["checkpoint parameter 'out_w' has shape (", "expected ("]),
-    (lambda doc: _shrink(doc, "scalers", "global_mu"),
-     ["checkpoint scaler 'global_mu' has shape (", "expected ("]),
-], ids=["unknown-config-key", "missing-layer", "missing-threshold", "feature-hash",
-        "wrong-shape-out-w", "wrong-shape-global-mu"])
+def _set_array(key, convert):
+    return _edit_checkpoint(
+        lambda header, arrays: arrays.__setitem__(key, convert(arrays[key])))
+
+
+def _json_checkpoint(path):
+    path.write_text(json.dumps({"format_version": 1, "variant": "GraphModel",
+                                "layers": [], "scalers": []}) + "\n")
+
+
+BAD_CHECKPOINTS = {
+    "unknown-config-key": (
+        _edit_checkpoint(lambda header, arrays: header["config"].__setitem__("bogus", 1)),
+        ["{path}: config: ", "'bogus'"]),
+    "missing-layer": (_edit_checkpoint(lambda header, arrays: arrays.pop("params/l2_w")),
+                      ["checkpoint lacks parameter 'l2_w'"]),
+    "missing-threshold": (_edit_checkpoint(lambda header, arrays: header.pop("threshold")),
+                          ["{path}: checkpoint: missing field 'threshold'"]),
+    "feature-hash": (_set("feature_spec_hash", "0" * 16), ["feature_spec_hash"]),
+    "wrong-shape-out-w": (_set_array("params/out_w", lambda a: a[:-1]),
+                          ["checkpoint parameter 'out_w' has shape (", "expected ("]),
+    "wrong-shape-global-mu": (_set_array("scalers/global_mu", lambda a: a[:-1]),
+                              ["checkpoint scaler 'global_mu' has shape (", "expected ("]),
+    "nan-parameter": (_set_array("params/out_b", lambda a: np.full_like(a, np.nan)),
+                      ["{path}: checkpoint: params/out_b holds non-finite values"]),
+    "int-parameter": (_set_array("params/out_b", lambda a: a.astype(np.int64)),
+                      ["{path}: checkpoint: params/out_b has dtype int64"]),
+    "string-parameter": (_set_array("params/l1_w", lambda a: a.astype(str)),
+                         ["{path}: checkpoint: params/l1_w has dtype <U"]),
+    "nan-threshold": (_set("threshold", float("nan")),
+                      ["{path}: checkpoint: threshold must be a finite number"]),
+    "string-threshold": (_set("threshold", "x"),
+                         ["{path}: checkpoint: threshold must be a finite number"]),
+    "bool-threshold": (_set("threshold", True),
+                       ["{path}: checkpoint: threshold must be a finite number"]),
+    "negative-best-epoch": (_set("best_epoch", -1),
+                            ["{path}: checkpoint: best_epoch must be an integer >= 0"]),
+    "unknown-variant": (_set("variant", "Transformer"),
+                        ["{path}: checkpoint: variant must be a known model variant"]),
+    "missing-config-field": (
+        _edit_checkpoint(lambda header, arrays: header["config"].pop("gcn_hidden")),
+        ["{path}: config: missing field 'gcn_hidden'"]),
+    "stray-array": (_edit_checkpoint(lambda header, arrays: arrays.__setitem__(
+        "extra", np.zeros(1))), ["{path}: checkpoint: unexpected array 'extra'"]),
+    "json-format-1": (_json_checkpoint,
+                      ["{path}: JSON checkpoint file from an older release",
+                       "re-run `gridstab train`"]),
+}
+
+
+@pytest.mark.parametrize("corrupt,messages", list(BAD_CHECKPOINTS.values()),
+                         ids=list(BAD_CHECKPOINTS))
 def test_cli_eval_rejects_bad_checkpoint(tmp_path, capsys, trained_checkpoint, corrupt,
                                          messages):
     ckpt, features = trained_checkpoint
-    doc = json.loads(ckpt.read_text())
-    corrupt(doc)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path = tmp_path / "bad.npz"
+    path.write_bytes(ckpt.read_bytes())
+    corrupt(path)
+    out = tmp_path / "eval.csv"
     capsys.readouterr()
     assert run_cli("eval", "--checkpoint", str(path), "--features", str(features),
-                   "--day", "2") == 1
-    err = capsys.readouterr().err
+                   "--day", "2", "--out", str(out)) == 1
+    captured = capsys.readouterr()
     for message in messages:
-        assert message.format(path=path) in err
-    assert "Traceback" not in err
+        assert message.format(path=path) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_eval_rejects_non_finite_scores(tmp_path, capsys, monkeypatch,
+                                            trained_checkpoint):
+    ckpt, features = trained_checkpoint
+    real = cli.scores_for
+
+    def one_infinite(result, ds):
+        scores = real(result, ds)
+        scores[3] = np.inf
+        return scores
+
+    monkeypatch.setattr(cli, "scores_for", one_infinite)
+    out = tmp_path / "eval.csv"
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(ckpt), "--features", str(features),
+                   "--day", "2", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert f"{ckpt}: 1 of 176 scores on day 2 of {features} are not finite" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_checkpoint_archive_layout(tmp_path, trained_checkpoint):
+    """Header first, then every parameter and every scaler in name order,
+    as float64; loading and saving again gives the same bytes."""
+    ckpt, _ = trained_checkpoint
+    assert ckpt.read_bytes()[:4] == b"PK\x03\x04"
+    result = persist.load_checkpoint(ckpt)
+    with zipfile.ZipFile(ckpt) as archive:
+        names = [info.filename for info in archive.infolist()]
+        assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+    assert names == (["header.npy"]
+                     + [f"params/{name}.npy" for name in sorted(result.params)]
+                     + [f"scalers/{name}.npy" for name in sorted(result.scalers)])
+    with np.load(ckpt) as archive:
+        header = json.loads(str(archive["header"]))
+    assert (header["format_version"], header["kind"]) == (persist.CHECKPOINT_VERSION,
+                                                          "checkpoint")
+    assert "calibration_feasible" not in header and result.calibration_feasible
+    assert not {"gcn_layers", "embed_dim"} & set(header["config"])
+    again = tmp_path / "again.json"   # written at the path as given
+    persist.save_checkpoint(result, again)
+    assert again.read_bytes() == ckpt.read_bytes()
+
+
+def test_cli_train_writes_checkpoint_npz_by_default(monkeypatch, tmp_path,
+                                                    trained_checkpoint):
+    _, features = trained_checkpoint
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("train", "--features", str(features), "--train-day", "1",
+                   "--epochs", "0", "--seed", "7") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "checkpoint.history.csv", "checkpoint.npz"]
+    assert persist.load_checkpoint(tmp_path / "checkpoint.npz").best_epoch == 0
+
+
+@pytest.mark.parametrize("field", ["gcn_layers", "embed_dim"])
+def test_cli_rejects_removed_model_fields(tmp_path, capsys, field):
+    """The GCN depth and the embedding width are fixed, not config fields."""
+    config = _write_config(tmp_path / "cfg.json", {"model": {field: 3}})
+    capsys.readouterr()
+    assert run_cli("synth", "--config", config, "--out", str(tmp_path / "d"), *TINY) == 1
+    err = capsys.readouterr().err
+    assert f"unknown keys in config section 'model': ['{field}']" in err
+    assert "Traceback" not in err and not (tmp_path / "d").exists()
 
 
 BAD_SETTINGS = {
