@@ -34,9 +34,10 @@ columns written over them.
 :func:`featurize` does not build that matrix.  Its dataset holds a
 :class:`FeatureStore`: one global vector and one read-only bus table per
 snapshot, and the :class:`LineTemplates` of every AC line, stacked once per
-(network, max_nodes).  A sample is a row index into each.  The model gathers a
-whole batch's node rows from the store in one indexing call, and
-``sample.local.node_features`` copies one sample's rows out only when read.
+(network, max_nodes).  A sample is a row index into each.  The model gathers
+a training batch's node rows, or a scoring block's, from the store in one
+indexing call, and ``sample.local.node_features`` copies one sample's rows
+out only when read.
 
 The per-network parts live as long as the network: :func:`featurize`,
 :func:`global_stats` and :func:`local_subgraph` without an ``index`` share

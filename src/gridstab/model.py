@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .features import FeaturizedDataset, LineTemplates, gather_nodes
+from .features import FeaturizedDataset, FeatureStore, LineTemplates, gather_nodes
 from .grid import N_BUS_STATE, _is_int, _is_real
 from .metrics import calibrate_threshold, compute_metrics, undersample_balance
 
@@ -64,6 +64,10 @@ ABLATION_ALIASES = {
 
 
 EMBED_DIM = 20   # width of a faulted element's embedding row
+# Samples the GCN head scores at a time (the default training batch).  Only
+# that head is blocked: tests/test_blas_probes.py records why dense rows
+# would round apart.
+BLOCK = 64
 
 
 @dataclass
@@ -127,9 +131,12 @@ class Head:
     ``shapes`` in draw order, and the ``width`` of its output block.
 
     ``forward(params, batch, keep_caches)`` returns the head's output block
-    and the cache its ``backward`` reads.  Without ``keep_caches`` (scoring)
-    a head with large activations drops each layer's cache as it goes, so a
-    scoring batch holds one layer's activations at a time.
+    and the cache its ``backward`` reads.  With ``keep_caches`` (training)
+    the batch is :meth:`ScreeningModel.build_batch`'s.  Without it (scoring)
+    the batch is :meth:`ScreeningModel.index_batch`'s, which holds the local
+    inputs as row indices: the GCN head gathers and propagates them
+    :data:`BLOCK` samples at a time into one buffer pair, and the conv head
+    drops each stage's cache as it goes.  Scoring keeps no cache.
     """
 
     def init(self, rng: np.random.Generator, p: dict) -> None:
@@ -230,28 +237,51 @@ class GcnHead(Head):
         self.inputs = ("local", "adjacency" if graph else "identity")
         self.shapes = {"l1_w": (node_features, hidden), "l2_w": (hidden, hidden),
                        "l3_w": (hidden, width)}
+        self.layers = (("l1_w", True), ("l2_w", True), ("l3_w", final_relu))
         self.width = width
-        self.final_relu = final_relu
         self.pool = pool
 
     def forward(self, params: dict, batch: dict, keep_caches: bool = True):
-        a, mask = batch["a"], batch["mask"]
+        if not keep_caches:
+            return self.score(params, batch["local"]), None
         h3, layers = batch["h"], []
-        for name, relu in (("l1_w", True), ("l2_w", True), ("l3_w", self.final_relu)):
-            h3, cache = nn.gcn_forward(h3, a, params[name], apply_relu=relu)
-            if keep_caches:
-                layers.append(cache)
-            del cache
+        for name, relu in self.layers:
+            h3, cache = nn.gcn_forward(h3, batch["a"], params[name], apply_relu=relu)
+            layers.append(cache)
+        out, pooled = self._pool(h3, batch["mask"])
+        return out, (layers, h3.shape, pooled)
+
+    def score(self, params: dict, local: LocalRows) -> np.ndarray:
+        """The ``(n, width)`` output of ``local``'s samples, gathered and
+        propagated :data:`BLOCK` at a time.  Every layer writes into one pair
+        of flat buffers made for this call.  A GCN layer and the pooling act
+        on each sample alone, so a sample's bytes do not depend on its
+        block."""
+        n, m = len(local), local.max_nodes
+        ws = [params[name] for name, _ in self.layers]
+        nodes = min(n, BLOCK) * m
+        s_buf = np.empty(nodes * max(w.shape[0] for w in ws))
+        y_buf = np.empty(nodes * max(w.shape[1] for w in ws))
+        out = np.empty((n, self.width))
+        for lo in range(0, n, BLOCK):
+            h, mask, a = local.gather(slice(lo, lo + BLOCK))
+            k = len(h)
+            for w, (_, relu) in zip(ws, self.layers):
+                s = s_buf[:k * m * w.shape[0]].reshape(k, m, w.shape[0])
+                y = y_buf[:k * m * w.shape[1]].reshape(k, m, w.shape[1])
+                h, _ = nn.gcn_forward(h, a, w, apply_relu=relu, out=(s, y))
+            out[lo:lo + k] = self._pool(h, mask)[0]
+        return out
+
+    def _pool(self, h3: np.ndarray, mask: np.ndarray):
+        """Pool ``h3`` over each sample's real nodes; returns the pooled rows
+        and what :meth:`backward` needs to route the gradient."""
         if self.pool == "mean":
             cnt = mask.sum(axis=1, keepdims=True)
-            out = (h3 * mask[:, :, None]).sum(axis=1) / cnt
-            pooled = (mask, cnt)
-        else:
-            neg = np.where(mask[:, :, None] > 0, h3, -np.inf)
-            idx = neg.argmax(axis=1)
-            out = np.take_along_axis(h3, idx[:, None, :], axis=1)[:, 0, :]
-            pooled = idx
-        return out, (layers, h3.shape, pooled)
+            return (h3 * mask[:, :, None]).sum(axis=1) / cnt, (mask, cnt)
+        neg = np.where(mask[:, :, None] > 0, h3, -np.inf)
+        idx = neg.argmax(axis=1)
+        return np.take_along_axis(h3, idx[:, None, :], axis=1)[:, 0, :], idx
 
     def backward(self, params: dict, cache, g: np.ndarray, grads: dict) -> None:
         (c1, c2, c3), shape, pooled = cache
@@ -407,10 +437,12 @@ class ScreeningModel:
             scalers["raw_sd"] = _safe_sd(raws.std(axis=(0, 1)))
         self.scalers = scalers
 
-    def build_batch(self, dataset: FeaturizedDataset, indices) -> dict:
+    def index_batch(self, dataset: FeaturizedDataset, indices) -> dict:
+        """The batch scoring reads: the standardized ``global`` vectors,
+        ``raw`` states and ``ids`` of the samples at ``indices``, and under
+        ``local`` their :class:`LocalRows`, with no node row gathered."""
         sc = self.scalers
-        batch: dict[str, np.ndarray | None] = dict.fromkeys(
-            ("global", "raw", "h", "a", "mask", "ids"))
+        batch: dict = dict.fromkeys(("global", "raw", "ids", "local"))
         store = dataset.store
         glob, table, template, graph = store.index[indices].T
         samples = [dataset.samples[i] for i in indices]
@@ -421,29 +453,26 @@ class ScreeningModel:
             raws = (raws - sc["raw_mu"]) / sc["raw_sd"]
             batch["raw"] = raws.transpose(0, 2, 1)[:, :, None, :]   # (B, 13, 1, n_bus)
         if "local" in self.inputs:
-            templates = store.templates
-            mask = templates.node_mask[graph].astype(float)
-            h = gather_nodes(store.tables, templates, table[:, None], template[:, None],
-                             np.arange(mask.shape[1]))
-            h -= sc["local_mu"]
-            h /= sc["local_sd"]
-            h *= mask[:, :, None]
-            batch["h"] = h
-            batch["mask"] = mask
-            a = _propagation(templates, self._graph)
-            # A batch of every graph once, in order (one screened snapshot),
-            # reads the stack itself: the same bytes, and no copy.
-            in_order = len(graph) == len(a) and np.array_equal(graph, np.arange(len(a)))
-            batch["a"] = a if in_order else a[graph]
+            batch["local"] = LocalRows(store, table, template, graph, sc, self._graph)
         if "ids" in self.inputs:
             batch["ids"] = np.array([s.element_id for s in samples], dtype=int)
+        return batch
+
+    def build_batch(self, dataset: FeaturizedDataset, indices) -> dict:
+        """The batch training reads: :meth:`index_batch`'s ``global``, ``raw``
+        and ``ids``, and the whole batch's gathered node rows ``h``, node
+        ``mask`` and propagation matrices ``a``."""
+        batch = self.index_batch(dataset, indices)
+        local = batch.pop("local")
+        batch["h"], batch["mask"], batch["a"] = (None,) * 3 if local is None else local.gather()
         return batch
 
     # -------------------------------------------------------- forward/backward
 
     def forward(self, params: dict, batch: dict, keep_caches: bool = True):
         """Scores of a batch and the caches :meth:`backward` reads.  Scoring
-        passes ``keep_caches=False`` and gets no caches."""
+        passes an :meth:`index_batch` with ``keep_caches=False`` and gets no
+        caches."""
         outs, head_caches = zip(*(head.forward(params, batch, keep_caches)
                                   for head in self.heads))
         z_out, out_cache = nn.dense_forward(np.concatenate(outs, axis=1),
@@ -470,9 +499,47 @@ class ScreeningModel:
         scores = np.empty(len(dataset.samples))
         for start in range(0, len(dataset.samples), batch_size):
             idx = range(start, min(start + batch_size, len(dataset.samples)))
-            batch = self.build_batch(dataset, idx)
+            batch = self.index_batch(dataset, idx)
             scores[list(idx)], _ = self.forward(params, batch, keep_caches=False)
         return scores
+
+
+@dataclass(frozen=True)
+class LocalRows:
+    """The local inputs of a batch as indices into a dataset's store: each
+    sample's ``table``, ``template`` and ``graph`` row, with the model's
+    scalers and propagation kind (``adjacency``, or the masked identity)."""
+
+    store: FeatureStore
+    table: np.ndarray
+    template: np.ndarray
+    graph: np.ndarray
+    scalers: dict
+    adjacency: bool
+
+    def __len__(self) -> int:
+        return len(self.graph)
+
+    @property
+    def max_nodes(self) -> int:
+        return self.store.templates.node_mask.shape[1]
+
+    def gather(self, rows: slice = slice(None)):
+        """Standardized, masked node rows ``h``, node ``mask`` and propagation
+        matrices ``a`` of the samples ``rows``."""
+        sc, templates = self.scalers, self.store.templates
+        table, template, graph = self.table[rows], self.template[rows], self.graph[rows]
+        mask = templates.node_mask[graph].astype(float)
+        h = gather_nodes(self.store.tables, templates, table[:, None], template[:, None],
+                         np.arange(mask.shape[1]))
+        h -= sc["local_mu"]
+        h /= sc["local_sd"]
+        h *= mask[:, :, None]
+        a = _propagation(templates, self.adjacency)
+        # Every graph once, in order (one screened snapshot), reads the stack
+        # itself: the same bytes, and no copy.
+        in_order = len(graph) == len(a) and np.array_equal(graph, np.arange(len(a)))
+        return h, mask, a if in_order else a[graph]
 
 
 def _propagation(templates: LineTemplates, graph: bool) -> np.ndarray:
@@ -556,7 +623,7 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
         total = 0.0
         for start in range(0, n, 512):
             idx = range(start, min(start + 512, n))
-            y, _ = model.forward(params, model.build_batch(train_set, idx),
+            y, _ = model.forward(params, model.index_batch(train_set, idx),
                                  keep_caches=False)
             loss, _ = nn.bce_loss(y, labels[list(idx)], tc.positive_class_only_loss)
             total += loss * len(list(idx))

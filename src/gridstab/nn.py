@@ -133,17 +133,21 @@ def normalize_adjacency(adj: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def gcn_forward(h: np.ndarray, adj_norm: np.ndarray, w: np.ndarray,
-                apply_relu: bool = True):
+                apply_relu: bool = True, out: tuple | None = None):
     """One propagation step: act(adj_norm @ h @ w).
 
-    h: (batch, n, f); adj_norm: (batch, n, n).
+    h: (batch, n, f); adj_norm: (batch, n, n).  ``out=(s, y)`` writes
+    ``adj_norm @ h`` into ``s`` (batch, n, f) and the result into ``y``
+    (batch, n, w.shape[1]) instead of allocating them, with the same bytes;
+    the returned result and cache are then those arrays.
     """
     if h.shape[-1] != w.shape[0]:
         raise ShapeError(f"gcn: feature dim {h.shape[-1]} vs weight {w.shape}")
     if adj_norm.shape[-1] != h.shape[1]:
         raise ShapeError("gcn: adjacency size does not match node count")
-    s = adj_norm @ h
-    y = s @ w
+    s, y = (None, None) if out is None else out
+    s = np.matmul(adj_norm, h, out=s)
+    y = np.matmul(s, w, out=y)
     if apply_relu:
         np.maximum(y, 0.0, out=y)
     # ReLU keeps exactly the positive entries, so y > 0 wherever s @ w > 0.

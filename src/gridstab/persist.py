@@ -107,14 +107,29 @@ def save_network(network: Network, path, synth_fingerprint: str = "") -> None:
     Path(path).write_text(_dump(doc) + "\n")
 
 
+# annotation of a record field -> (test of a valid value, what it must be)
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_real(v) and math.isfinite(v), "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _records(doc: dict, key: str, cls, path) -> tuple:
-    """One ``cls`` per entry of the list ``doc[key]``."""
+    """One ``cls`` per entry of the list ``doc[key]``, each field of the type
+    it is declared with (a bool is not a number)."""
     with _entry(path, key):
         entries = list(doc[key])
     records = []
     for i, entry in enumerate(entries):
         with _entry(path, f"{key}[{i}]"):
-            records.append(cls(**entry))
+            record = cls(**entry)
+            for f in dataclasses.fields(cls):
+                valid, want = _FIELD_TYPES[f.type]
+                value = getattr(record, f.name)
+                if not valid(value):
+                    raise ValueError(f"{f.name} must be {want}, not {value!r}")
+            records.append(record)
     return tuple(records)
 
 
@@ -177,7 +192,10 @@ def save_faults(faults, path, synth_fingerprint: str = "") -> None:
 
 
 def load_faults(path) -> tuple[list[FaultSample], str]:
+    """The fault rows of ``path``; a second row for one (day, slot,
+    element_id) is a :class:`FormatError` naming both lines."""
     faults = []
+    first_line: dict[tuple, int] = {}
     with open(path) as fh:
         header = json.loads(fh.readline())
         _check_version(header, path)
@@ -187,6 +205,11 @@ def load_faults(path) -> tuple[list[FaultSample], str]:
                 label = doc["label"]
                 if label is not None and label not in LABEL_VALUES:
                     raise ValueError(f"unknown label {label!r}")
+                key = (doc["day"], doc["slot"], doc["element_id"])
+                seen = first_line.setdefault(key, lineno)
+                if seen != lineno:
+                    raise ValueError(f"repeats the fault (day, slot, element_id) = "
+                                     f"{key} of line {seen}")
                 faults.append(FaultSample(
                     day=doc["day"], slot=doc["slot"], element_id=doc["element_id"],
                     label=LABEL_VALUES[label] if label is not None else None,
@@ -307,7 +330,7 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
     _write_archive(path, header, arrays)
 
 
-def _check_feature_shapes(arrays: dict, header: dict, path) -> None:
+def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
     n = arrays["day"].shape[:1]
     for name in _PER_SAMPLE:
         if arrays[name].shape[:1] != n:
@@ -338,22 +361,32 @@ def _check_feature_shapes(arrays: dict, header: dict, path) -> None:
     rows = arrays["rows"]
     if rows.size and (rows.min() < 0 or rows.max() >= arrays["tables"].shape[1]):
         raise FormatError(f"{path}: 'rows' points outside the rows of 'tables'")
+    for name in ("global_vecs", "tables", "raw_states"):
+        got = arrays.get(name)
+        if got is None:
+            continue
+        if got.dtype.kind != "f":
+            raise FormatError(f"{path}: array {name!r} has dtype {got.dtype}, "
+                              f"expected floats")
+        if not np.isfinite(got).all():
+            raise FormatError(f"{path}: array {name!r} holds non-finite values")
 
 
 def load_features(path) -> FeaturizedDataset:
     """Read a features archive written by :func:`save_features`.
 
     Raises :class:`FormatError` naming the file for anything else, including
-    a features file of format_version 1 or 2.  The samples are read from the
-    loaded store: samples that shared a global vector, or an adjacency and
-    node mask, share them again, the latter read-only.
+    a features file of format_version 1 or 2, and a NaN or infinity in the
+    global vectors, tables or raw states, which it names.  The samples are
+    read from the loaded store: samples that shared a global vector, or an
+    adjacency and node mask, share them again, the latter read-only.
     """
     header, arrays = _read_archive(path, "features")
     wanted = _FEATURE_ARRAYS + (_RAW_ARRAYS if set(_RAW_ARRAYS) & set(arrays) else ())
     missing = [name for name in wanted if name not in arrays]
     if missing:
         raise FormatError(f"{path}: features archive lacks arrays {missing}")
-    _check_feature_shapes(arrays, header, path)
+    _check_feature_arrays(arrays, header, path)
     tables = arrays["tables"]
     tables.flags.writeable = False
     templates = LineTemplates(rows=arrays["rows"], line_values=arrays["line_values"],

@@ -170,6 +170,22 @@ def test_gcn_shape_mismatch():
         nn.gcn_forward(np.ones((1, 2, 3)), np.ones((1, 3, 3)), np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("relu", [True, False])
+def test_gcn_forward_into_buffers_gives_the_same_bytes(relu):
+    """``out=(s, y)`` views of flat buffers, as blocked scoring passes them:
+    the same result, cache and bytes as the allocating call."""
+    rng = np.random.default_rng(8)
+    a = np.stack([nn.normalize_adjacency(np.ones((6, 6)) - np.eye(6), np.ones(6, bool))] * 5)
+    h, w = rng.normal(size=(5, 6, 7)), rng.normal(size=(7, 3))
+    want, want_cache = nn.gcn_forward(h, a, w, apply_relu=relu)
+    s_buf, y_buf = np.full(5 * 6 * 9, np.nan), np.full(5 * 6 * 4, np.nan)
+    s, y = s_buf[:5 * 6 * 7].reshape(5, 6, 7), y_buf[:5 * 6 * 3].reshape(5, 6, 3)
+    got, cache = nn.gcn_forward(h, a, w, apply_relu=relu, out=(s, y))
+    assert got is y and cache[0] is s and cache[3] is y
+    assert got.tobytes() == want.tobytes()
+    assert s.tobytes() == want_cache[0].tobytes()
+
+
 def test_gcn_gradcheck():
     rng = np.random.default_rng(6)
     adj = np.zeros((5, 5))

@@ -109,6 +109,14 @@ def _jsonl_features(path):
                     + json.dumps({"day": 0, "slot": 0, "element_id": 0}) + "\n")
 
 
+def _poison(path, name, value):
+    """Write ``value`` into the first entry of array ``name``."""
+    with np.load(path) as archive:
+        array = archive[name].copy()
+    array.flat[0] = value
+    _rewrite_archive(path, **{name: array})
+
+
 def _header_version(path, version):
     with np.load(path) as archive:
         header = json.loads(str(archive["header"]))
@@ -126,8 +134,13 @@ def _header_version(path, version):
     (lambda p: _header_version(p, 4), "unsupported format_version 4"),
     (lambda p: _header_version(p, 2), "re-run `gridstab featurize`"),
     (lambda p: _rewrite_archive(p, rows=np.full((4, 8), 9)), "'rows' points outside"),
+    (lambda p: _poison(p, "tables", np.nan), "array 'tables' holds non-finite values"),
+    (lambda p: _poison(p, "global_vecs", np.inf),
+     "array 'global_vecs' holds non-finite values"),
+    (lambda p: _poison(p, "tables", -np.inf), "array 'tables' holds non-finite values"),
 ], ids=["format-1-jsonl", "truncated", "not-zip", "missing-array", "bad-index",
-        "unknown-version", "format-2", "bad-rows"])
+        "unknown-version", "format-2", "bad-rows", "nan-table", "inf-global",
+        "minus-inf-table"])
 def test_bad_features_file_is_a_format_error(tmp_path, capsys, corrupt, message):
     path = tmp_path / "features.npz"
     persist.save_features(make_toy_dataset(4, seed=5), path)
@@ -429,6 +442,13 @@ def _corrupt_jsonl_line(path, index, corrupt):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _repeat_jsonl_line(path, source, target):
+    """Overwrite line ``target`` (0-based) with a copy of line ``source``."""
+    lines = path.read_text().splitlines()
+    lines[target] = lines[source]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _corrupt_network(path, corrupt):
     doc = json.loads(path.read_text())
     corrupt(doc)
@@ -445,7 +465,19 @@ def _corrupt_network(path, corrupt):
     ("network.json",
      lambda p: _corrupt_network(p, lambda doc: doc["buses"][2].__setitem__("colour", 1)),
      "buses[2]: "),
-], ids=["snapshot-without-slot", "fault-label-maybe", "unknown-bus-field"])
+    ("faults.jsonl", lambda p: _repeat_jsonl_line(p, 3, 4),
+     "line 5: repeats the fault (day, slot, element_id) = "),
+    ("network.json",
+     lambda p: _corrupt_network(p, lambda doc: doc["buses"][0].__setitem__("voltage_mag", "x")),
+     "buses[0]: voltage_mag must be a finite number, not 'x'"),
+    ("network.json",
+     lambda p: _corrupt_network(p, lambda doc: doc["buses"][0].__setitem__("degree", "x")),
+     "buses[0]: degree must be an integer, not 'x'"),
+    ("network.json",
+     lambda p: _corrupt_network(p, lambda doc: doc["elements"][1].__setitem__("to_bus", True)),
+     "elements[1]: to_bus must be an integer, not True"),
+], ids=["snapshot-without-slot", "fault-label-maybe", "unknown-bus-field",
+        "repeated-fault-row", "string-voltage", "string-degree", "bool-endpoint"])
 def test_cli_malformed_dataset_file_is_a_format_error(tmp_path, capsys, name, corrupt,
                                                       message):
     data = tmp_path / "data"
