@@ -21,7 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .features import FeaturizedDataset, FeatureStore, LineTemplates, gather_nodes
+from .features import (
+    LINE_COLUMNS, FeaturizedDataset, FeatureStore, LineTemplates, gather_nodes,
+)
 from .grid import N_BUS_STATE, _is_int, _is_real
 from .metrics import calibrate_threshold, compute_metrics, undersample_balance
 
@@ -68,6 +70,9 @@ EMBED_DIM = 20   # width of a faulted element's embedding row
 # that head is blocked: tests/test_blas_probes.py records why dense rows
 # would round apart.
 BLOCK = 64
+# Views of GcnHead's arena: scoring's, then training's (see GcnHead).
+SCORE_VIEWS = ("x", "y", "t", "a")
+TRAIN_VIEWS = SCORE_VIEWS + ("s0", "s1", "s2")
 
 
 @dataclass
@@ -131,12 +136,12 @@ class Head:
     ``shapes`` in draw order, and the ``width`` of its output block.
 
     ``forward(params, batch, keep_caches)`` returns the head's output block
-    and the cache its ``backward`` reads.  With ``keep_caches`` (training)
-    the batch is :meth:`ScreeningModel.build_batch`'s.  Without it (scoring)
-    the batch is :meth:`ScreeningModel.index_batch`'s, which holds the local
-    inputs as row indices: the GCN head gathers and propagates them
-    :data:`BLOCK` samples at a time into one buffer pair, and the conv head
-    drops each stage's cache as it goes.  Scoring keeps no cache.
+    and the cache its ``backward`` reads.  Training and scoring pass the same
+    batch, :meth:`ScreeningModel.index_batch`'s, which holds the local inputs
+    as row indices (:class:`LocalRows`): the GCN head gathers them into its
+    arena, a whole training batch at once or :data:`BLOCK` samples at a time
+    when scoring.  Without ``keep_caches`` (scoring) the conv head drops each
+    stage's cache as it goes, and no head keeps a cache.
     """
 
     def init(self, rng: np.random.Generator, p: dict) -> None:
@@ -230,7 +235,20 @@ class ConvPoolHead(Head):
 class GcnHead(Head):
     """GCN layers ``l1``-``l3`` over the local subgraph, pooled over its real
     nodes.  ``inputs`` names the propagation matrix: the normalized
-    ``adjacency``, or the masked ``identity`` when the graph is ablated."""
+    ``adjacency``, or the masked ``identity`` when the graph is ablated.
+
+    The head's node-level arrays live in one flat float64 arena, cut into
+    ``(k, max_nodes, <= w)`` views for a block or batch of k samples: the
+    node rows ``x``, the layer outputs (alternating between ``y`` and ``x``),
+    a scratch ``t`` and the propagation matrices ``a`` (:data:`SCORE_VIEWS`);
+    training also keeps each layer's propagated input ``s0``-``s2``
+    (:data:`TRAIN_VIEWS`).  The arena is sized for the largest block or
+    batch run so far and replaced, the old one released first, only when a
+    larger one comes; it dies with the head.  A training cache keeps each
+    layer's ``s`` and bool ReLU mask, not its float output.  Its views are
+    overwritten by the next forward, so :meth:`backward` refuses a cache
+    that another forward has followed.
+    """
 
     def __init__(self, node_features: int, hidden: int, width: int,
                  final_relu: bool, pool: str, graph: bool):
@@ -240,60 +258,95 @@ class GcnHead(Head):
         self.layers = (("l1_w", True), ("l2_w", True), ("l3_w", final_relu))
         self.width = width
         self.pool = pool
+        self._arena: np.ndarray | None = None
+        self._stamp = 0      # forwards run; a training cache records its own
 
     def forward(self, params: dict, batch: dict, keep_caches: bool = True):
+        local = batch["local"]
         if not keep_caches:
-            return self.score(params, batch["local"]), None
-        h3, layers = batch["h"], []
-        for name, relu in self.layers:
-            h3, cache = nn.gcn_forward(h3, batch["a"], params[name], apply_relu=relu)
-            layers.append(cache)
-        out, pooled = self._pool(h3, batch["mask"])
-        return out, (layers, h3.shape, pooled)
+            return self.score(params, local), None
+        views = self._views(len(local), local.max_nodes, TRAIN_VIEWS)
+        out, layers, pooled = self._run(params, local, slice(None), views, keep_caches=True)
+        return out, (self._stamp, layers, pooled, views)
 
     def score(self, params: dict, local: LocalRows) -> np.ndarray:
         """The ``(n, width)`` output of ``local``'s samples, gathered and
-        propagated :data:`BLOCK` at a time.  Every layer writes into one pair
-        of flat buffers made for this call.  A GCN layer and the pooling act
-        on each sample alone, so a sample's bytes do not depend on its
-        block."""
-        n, m = len(local), local.max_nodes
-        ws = [params[name] for name, _ in self.layers]
-        nodes = min(n, BLOCK) * m
-        s_buf = np.empty(nodes * max(w.shape[0] for w in ws))
-        y_buf = np.empty(nodes * max(w.shape[1] for w in ws))
+        propagated :data:`BLOCK` at a time in the arena.  A GCN layer and the
+        pooling act on each sample alone, so a sample's bytes do not depend
+        on its block."""
+        n = len(local)
+        views = self._views(min(n, BLOCK), local.max_nodes, SCORE_VIEWS)
         out = np.empty((n, self.width))
         for lo in range(0, n, BLOCK):
-            h, mask, a = local.gather(slice(lo, lo + BLOCK))
-            k = len(h)
-            for w, (_, relu) in zip(ws, self.layers):
-                s = s_buf[:k * m * w.shape[0]].reshape(k, m, w.shape[0])
-                y = y_buf[:k * m * w.shape[1]].reshape(k, m, w.shape[1])
-                h, _ = nn.gcn_forward(h, a, w, apply_relu=relu, out=(s, y))
-            out[lo:lo + k] = self._pool(h, mask)[0]
+            pooled = self._run(params, local, slice(lo, lo + BLOCK), views)[0]
+            out[lo:lo + len(pooled)] = pooled
         return out
 
-    def _pool(self, h3: np.ndarray, mask: np.ndarray):
-        """Pool ``h3`` over each sample's real nodes; returns the pooled rows
-        and what :meth:`backward` needs to route the gradient."""
+    def _views(self, k: int, m: int, names: tuple[str, ...]) -> dict:
+        """Flat views ``names`` of the arena, each long enough for k samples
+        of m nodes at the head's widest row.  Every forward takes its views
+        here once, which stamps it."""
+        self._stamp += 1
+        size = k * m * max(m, *(n for shape in self.shapes.values() for n in shape))
+        if self._arena is None or self._arena.size < size * len(names):
+            self._arena = None      # release the old arena before making the new one
+            self._arena = np.empty(size * len(names))
+        return {name: self._arena[i * size:(i + 1) * size] for i, name in enumerate(names)}
+
+    def _run(self, params: dict, local: LocalRows, rows: slice, views: dict,
+             keep_caches: bool = False):
+        """Gather the samples ``rows`` into ``views``, run the layers and pool;
+        returns the pooled rows, each layer's cache (with ``keep_caches``) and
+        what :meth:`backward` needs to route the pooled gradient."""
+        h, mask, a = local.gather(rows, out=(views["x"], views["a"]))
+        k, m = mask.shape
+        layers, dst = [], "y"
+        for i, (name, relu) in enumerate(self.layers):
+            w = params[name]
+            s = _shaped(views[f"s{i}" if keep_caches else "t"], k, m, w.shape[0])
+            h, _ = nn.gcn_forward(h, a, w, apply_relu=relu,
+                                  out=(s, _shaped(views[dst], k, m, w.shape[1])))
+            if keep_caches:
+                layers.append((s, a, w, h > 0.0 if relu else None, relu))
+            dst = "x" if dst == "y" else "y"
+        out, pooled = self._pool(h, mask, _shaped(views["t"], k, m, self.width))
+        return out, layers, pooled
+
+    def _pool(self, h3: np.ndarray, mask: np.ndarray, scratch: np.ndarray):
+        """Pool ``h3`` over each sample's real nodes, with the masked
+        activations in ``scratch``; returns the pooled rows and what
+        :meth:`backward` needs to route the gradient."""
         if self.pool == "mean":
             cnt = mask.sum(axis=1, keepdims=True)
-            return (h3 * mask[:, :, None]).sum(axis=1) / cnt, (mask, cnt)
-        neg = np.where(mask[:, :, None] > 0, h3, -np.inf)
-        idx = neg.argmax(axis=1)
+            masked = np.multiply(h3, mask[:, :, None], out=scratch)
+            return masked.sum(axis=1) / cnt, (mask, cnt)
+        scratch.fill(-np.inf)
+        np.copyto(scratch, h3, where=mask[:, :, None] > 0)
+        idx = scratch.argmax(axis=1)
         return np.take_along_axis(h3, idx[:, None, :], axis=1)[:, 0, :], idx
 
     def backward(self, params: dict, cache, g: np.ndarray, grads: dict) -> None:
-        (c1, c2, c3), shape, pooled = cache
+        stamp, layers, pooled, views = cache
+        if stamp != self._stamp:
+            raise TrainingError(f"GCN caches of forward {stamp} were overwritten by "
+                                f"forward {self._stamp}; run backward on the last "
+                                f"forward's caches")
+        k, m = layers[0][0].shape[:2]
+        g_h = _shaped(views["x"], k, m, self.width)
         if self.pool == "mean":
             mask, cnt = pooled
-            g_h3 = (g / cnt)[:, None, :] * mask[:, :, None]
+            np.multiply((g / cnt)[:, None, :], mask[:, :, None], out=g_h)
         else:
-            g_h3 = np.zeros(shape)
-            np.put_along_axis(g_h3, pooled[:, None, :], g[:, None, :], axis=1)
-        g_h2, grads["l3_w"] = nn.gcn_backward(g_h3, c3)
-        g_h1, grads["l2_w"] = nn.gcn_backward(g_h2, c2)
-        _, grads["l1_w"] = nn.gcn_backward(g_h1, c1, need_input_grad=False)
+            g_h.fill(0.0)
+            np.put_along_axis(g_h, pooled[:, None, :], g[:, None, :], axis=1)
+        dst = "y"
+        for (name, _), layer in zip(reversed(self.layers), reversed(layers)):
+            n_in = layer[2].shape[0]
+            out = (g_h, _shaped(views["t"], k, m, n_in), _shaped(views[dst], k, m, n_in))
+            # Layer 1's input is data, so its input gradient is not computed.
+            g_h, grads[name] = nn.gcn_backward(
+                g_h, layer, need_input_grad=layer is not layers[0], out=out)
+            dst = "x" if dst == "y" else "y"
 
 
 class EmbeddingHead(Head):
@@ -371,13 +424,23 @@ class ScreeningModel:
         self.heads = build_heads(self.variant, config, dims)
         self.inputs = {name for head in self.heads for name in head.inputs}
         self.width = sum(head.width for head in self.heads)
-        self.scalers: dict[str, np.ndarray] = {}
+        self.scalers = {}
         self._scaler_shapes = {"global": (dims["global_dim"],),
                                "local": (dims["node_features"],), "raw": (N_BUS_STATE,)}
         # Propagation matrices are kept on the dataset store's templates, which
         # featurize shares per network, so a model built per snapshot (as
         # scores_for does) normalizes no line the process has seen.
         self._graph = "adjacency" in self.inputs
+
+    @property
+    def scalers(self) -> dict[str, np.ndarray]:
+        return self._scalers
+
+    @scalers.setter
+    def scalers(self, scalers: dict[str, np.ndarray]) -> None:
+        self._scalers = scalers
+        # id(store) -> (store, its LocalTables under these scalers)
+        self._local_tables: dict[int, tuple[FeatureStore, LocalTables]] = {}
 
     def init_params(self, rng: np.random.Generator) -> dict:
         p: dict[str, np.ndarray] = {}
@@ -438,9 +501,10 @@ class ScreeningModel:
         self.scalers = scalers
 
     def index_batch(self, dataset: FeaturizedDataset, indices) -> dict:
-        """The batch scoring reads: the standardized ``global`` vectors,
-        ``raw`` states and ``ids`` of the samples at ``indices``, and under
-        ``local`` their :class:`LocalRows`, with no node row gathered."""
+        """The batch training and scoring read: the standardized ``global``
+        vectors, ``raw`` states and ``ids`` of the samples at ``indices``,
+        and under ``local`` their :class:`LocalRows`, with no node row
+        gathered."""
         sc = self.scalers
         batch: dict = dict.fromkeys(("global", "raw", "ids", "local"))
         store = dataset.store
@@ -453,26 +517,32 @@ class ScreeningModel:
             raws = (raws - sc["raw_mu"]) / sc["raw_sd"]
             batch["raw"] = raws.transpose(0, 2, 1)[:, :, None, :]   # (B, 13, 1, n_bus)
         if "local" in self.inputs:
-            batch["local"] = LocalRows(store, table, template, graph, sc, self._graph)
+            batch["local"] = LocalRows(self._local_source(store), table, template, graph)
         if "ids" in self.inputs:
             batch["ids"] = np.array([s.element_id for s in samples], dtype=int)
         return batch
 
     def build_batch(self, dataset: FeaturizedDataset, indices) -> dict:
-        """The batch training reads: :meth:`index_batch`'s ``global``, ``raw``
-        and ``ids``, and the whole batch's gathered node rows ``h``, node
-        ``mask`` and propagation matrices ``a``."""
-        batch = self.index_batch(dataset, indices)
-        local = batch.pop("local")
-        batch["h"], batch["mask"], batch["a"] = (None,) * 3 if local is None else local.gather()
-        return batch
+        """The batch of one training step: :meth:`index_batch`'s.  There is
+        one batch path; the GCN head gathers the node rows into its arena in
+        :meth:`forward` (``batch["local"].gather()`` gives them as arrays)."""
+        return self.index_batch(dataset, indices)
+
+    def _local_source(self, store: FeatureStore) -> LocalTables:
+        """``store``'s :class:`LocalTables` under this model's scalers, made
+        on first use and kept until the scalers are replaced."""
+        hit = self._local_tables.get(id(store))
+        if hit is None:
+            source = LocalTables.of(store, self.scalers, self._graph)
+            hit = self._local_tables[id(store)] = (store, source)
+        return hit[1]
 
     # -------------------------------------------------------- forward/backward
 
     def forward(self, params: dict, batch: dict, keep_caches: bool = True):
-        """Scores of a batch and the caches :meth:`backward` reads.  Scoring
-        passes an :meth:`index_batch` with ``keep_caches=False`` and gets no
-        caches."""
+        """Scores of an :meth:`index_batch` and the caches :meth:`backward`
+        reads; scoring passes ``keep_caches=False`` and gets no caches.  The
+        GCN head's caches hold only until its next forward."""
         outs, head_caches = zip(*(head.forward(params, batch, keep_caches)
                                   for head in self.heads))
         z_out, out_cache = nn.dense_forward(np.concatenate(outs, axis=1),
@@ -505,41 +575,91 @@ class ScreeningModel:
 
 
 @dataclass(frozen=True)
-class LocalRows:
-    """The local inputs of a batch as indices into a dataset's store: each
-    sample's ``table``, ``template`` and ``graph`` row, with the model's
-    scalers and propagation kind (``adjacency``, or the masked identity)."""
+class LocalTables:
+    """A store's node inputs standardized by one model's local scalers: the
+    ``tables``, the templates' ``rows``, their standardized ``line_values``,
+    each graph's ``node_mask`` and ``propagation`` matrix.
 
-    store: FeatureStore
+    Standardizing ``(x - mu) / sd`` is elementwise, so gathering standardized
+    rows gives the bytes of standardizing gathered ones.  Padded nodes read
+    the standardized zero row and are then masked to the signed zero that
+    ``((0 - mu) / sd) * 0`` gives.
+    """
+
+    tables: np.ndarray         # (T, R, F) float64, read-only
+    rows: np.ndarray           # (L, m) intp
+    line_values: np.ndarray    # (L, m, len(LINE_COLUMNS)) float64, read-only
+    node_mask: np.ndarray      # (P, m) bool
+    propagation: np.ndarray    # (P, m, m)
+
+    @classmethod
+    def of(cls, store: FeatureStore, scalers: dict, adjacency: bool) -> LocalTables:
+        mu, sd = scalers["local_mu"], scalers["local_sd"]
+        # In the tables' own dtype, then widened exactly, as a gathered row
+        # was standardized in place.
+        tables = store.tables.copy()
+        lines = store.templates.line_values.astype(tables.dtype)
+        for array, cols in ((tables, slice(None)), (lines, LINE_COLUMNS)):
+            array -= mu[cols]
+            array /= sd[cols]
+        tables, lines = tables.astype(float, copy=False), lines.astype(float, copy=False)
+        for array in (tables, lines):
+            array.flags.writeable = False
+        templates = store.templates
+        return cls(tables, templates.rows, lines, templates.node_mask,
+                   _propagation(templates, adjacency))
+
+
+@dataclass(frozen=True)
+class LocalRows:
+    """The local inputs of a batch as row indices: each sample's ``table``,
+    ``template`` and ``graph`` row into its dataset's :class:`LocalTables`."""
+
+    source: LocalTables
     table: np.ndarray
     template: np.ndarray
     graph: np.ndarray
-    scalers: dict
-    adjacency: bool
 
     def __len__(self) -> int:
         return len(self.graph)
 
     @property
     def max_nodes(self) -> int:
-        return self.store.templates.node_mask.shape[1]
+        return self.source.node_mask.shape[1]
 
-    def gather(self, rows: slice = slice(None)):
-        """Standardized, masked node rows ``h``, node ``mask`` and propagation
-        matrices ``a`` of the samples ``rows``."""
-        sc, templates = self.scalers, self.store.templates
+    def gather(self, rows: slice = slice(None), out: tuple | None = None):
+        """Standardized, masked node rows ``h``, float node ``mask`` and
+        propagation matrices ``a`` of the samples ``rows``.
+
+        ``out=(h, a)`` names flat float64 buffers to write ``h`` and ``a``
+        into, with the same bytes.  Every graph once, in order (one screened
+        snapshot), returns the propagation stack itself: the same bytes, and
+        no copy.
+        """
+        src = self.source
         table, template, graph = self.table[rows], self.template[rows], self.graph[rows]
-        mask = templates.node_mask[graph].astype(float)
-        h = gather_nodes(self.store.tables, templates, table[:, None], template[:, None],
-                         np.arange(mask.shape[1]))
-        h -= sc["local_mu"]
-        h /= sc["local_sd"]
-        h *= mask[:, :, None]
-        a = _propagation(templates, self.adjacency)
-        # Every graph once, in order (one screened snapshot), reads the stack
-        # itself: the same bytes, and no copy.
-        in_order = len(graph) == len(a) and np.array_equal(graph, np.arange(len(a)))
-        return h, mask, a if in_order else a[graph]
+        node_mask = src.node_mask[graph]
+        k, m = node_mask.shape
+        n_rows, f = src.tables.shape[1:]
+        h_out, a_out = (None, None) if out is None else (
+            _shaped(out[0], k, m, f), _shaped(out[1], k, m, m))
+        # The store's loader checks every index; mode="clip" lets np.take
+        # write into ``out`` without a temporary.
+        h = np.take(src.tables.reshape(-1, f), table[:, None] * n_rows + src.rows[template],
+                    axis=0, out=h_out, mode="clip")
+        h[..., LINE_COLUMNS] = src.line_values[template]
+        if not node_mask.all():      # x * 1.0 == x, so a full mask is skipped
+            h *= node_mask[:, :, None]
+        a = src.propagation
+        if not (len(graph) == len(a) and np.array_equal(graph, np.arange(len(a)))):
+            a = np.take(a, graph, axis=0, out=a_out, mode="clip")
+        return h, node_mask.astype(float), a
+
+
+def _shaped(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading ``prod(shape)`` entries of the flat array ``flat``, viewed
+    as ``shape``."""
+    return flat[:math.prod(shape)].reshape(shape)
 
 
 def _propagation(templates: LineTemplates, graph: bool) -> np.ndarray:

@@ -154,22 +154,34 @@ def gcn_forward(h: np.ndarray, adj_norm: np.ndarray, w: np.ndarray,
     return y, (s, adj_norm, w, y, apply_relu)
 
 
-def gcn_backward(grad_y: np.ndarray, cache, need_input_grad: bool = True):
+def gcn_backward(grad_y: np.ndarray, cache, need_input_grad: bool = True,
+                 out: tuple | None = None):
     """(grad_h, grad_w) of one propagation step.
 
-    Without ``need_input_grad`` (the first layer, whose input is data)
-    ``grad_h`` is not computed; an empty ``(batch, 0, 0)`` array stands in
-    for it, so every call still returns a gradient with the batch axis.
+    The cache is :func:`gcn_forward`'s, or the same tuple with the bool
+    ReLU mask ``y > 0`` in place of ``y``.  Without ``need_input_grad`` (the
+    first layer, whose input is data) ``grad_h`` is not computed; an empty
+    ``(batch, 0, 0)`` array stands in for it, so every call still returns a
+    gradient with the batch axis.  ``out=(g, t, grad_h)`` writes the masked
+    upstream gradient into ``g`` (which may be ``grad_y`` itself), ``g @ w.T``
+    into ``t`` and the input gradient into ``grad_h`` instead of allocating
+    them, with the same bytes; a ``None`` entry is allocated.
     """
     s, adj_norm, w, y, apply_relu = cache
-    g = grad_y * (y > 0.0) if apply_relu else grad_y
+    g, t, grad_h = (None, None, None) if out is None else out
+    if apply_relu:
+        # A bool mask multiplies like (y > 0.0): by exactly 1.0 or 0.0.
+        g = np.multiply(grad_y, y if y.dtype == bool else y > 0.0, out=g)
+    else:
+        g = grad_y
     # One (f, B·n) x (B·n, g) GEMM over every node of every sample.
     grad_w = s.reshape(-1, s.shape[-1]).T @ g.reshape(-1, g.shape[-1])
     if not need_input_grad:
         return np.empty((len(g), 0, 0)), grad_w
     # adj_norm is symmetric, yet adj_norm.T @ x does not round like
     # adj_norm @ x; the pinned gradients are the transposed product.
-    grad_h = np.matmul(adj_norm.transpose(0, 2, 1), g @ w.T)
+    t = np.matmul(g, w.T, out=t)
+    grad_h = np.matmul(adj_norm.transpose(0, 2, 1), t, out=grad_h)
     return grad_h, grad_w
 
 

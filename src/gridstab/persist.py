@@ -115,6 +115,15 @@ _FIELD_TYPES = {
 }
 
 
+def _checked(name: str, value, kind: str):
+    """``value``, which must be of the record field type ``kind`` (a key of
+    ``_FIELD_TYPES``); a ValueError naming the field otherwise."""
+    valid, want = _FIELD_TYPES[kind]
+    if not valid(value):
+        raise ValueError(f"{name} must be {want}, not {value!r}")
+    return value
+
+
 def _records(doc: dict, key: str, cls, path) -> tuple:
     """One ``cls`` per entry of the list ``doc[key]``, each field of the type
     it is declared with (a bool is not a number)."""
@@ -125,10 +134,7 @@ def _records(doc: dict, key: str, cls, path) -> tuple:
         with _entry(path, f"{key}[{i}]"):
             record = cls(**entry)
             for f in dataclasses.fields(cls):
-                valid, want = _FIELD_TYPES[f.type]
-                value = getattr(record, f.name)
-                if not valid(value):
-                    raise ValueError(f"{f.name} must be {want}, not {value!r}")
+                _checked(f.name, getattr(record, f.name), f.type)
             records.append(record)
     return tuple(records)
 
@@ -160,7 +166,23 @@ def save_snapshots(snapshots, path, synth_fingerprint: str = "") -> None:
             }) + "\n")
 
 
+def _state_array(doc: dict, name: str) -> np.ndarray:
+    """``doc[name]`` as a 2-d array of numbers (a bool is not a number).
+    Its shape against the network and its finiteness are
+    :func:`grid.validate_snapshot`'s, which names the snapshot."""
+    want = f"{name} must be a 2-d array of numbers"
+    try:
+        array = np.array(doc[name])
+    except ValueError:      # ragged rows
+        raise ValueError(f"{want}, not ragged rows") from None
+    if array.dtype.kind not in "iuf" or array.ndim != 2:
+        raise ValueError(f"{want}, not {array.dtype} values of shape {array.shape}")
+    return array
+
+
 def load_snapshots(path) -> tuple[list[Snapshot], str]:
+    """The snapshot records of ``path``, with integer ``day`` and ``slot``
+    and numeric 2-d ``bus_states`` and ``element_states``."""
     snapshots = []
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -169,9 +191,10 @@ def load_snapshots(path) -> tuple[list[Snapshot], str]:
             with _entry(path, f"line {lineno}"):
                 doc = json.loads(line)
                 snapshots.append(Snapshot(
-                    day=doc["day"], slot=doc["slot"],
-                    bus_states=np.array(doc["bus_states"]),
-                    element_states=np.array(doc["element_states"]),
+                    day=_checked("day", doc["day"], "int"),
+                    slot=_checked("slot", doc["slot"], "int"),
+                    bus_states=_state_array(doc, "bus_states"),
+                    element_states=_state_array(doc, "element_states"),
                 ))
     return snapshots, header.get("synth_fingerprint", "")
 
@@ -192,8 +215,9 @@ def save_faults(faults, path, synth_fingerprint: str = "") -> None:
 
 
 def load_faults(path) -> tuple[list[FaultSample], str]:
-    """The fault rows of ``path``; a second row for one (day, slot,
-    element_id) is a :class:`FormatError` naming both lines."""
+    """The fault rows of ``path``, with integer ``day``, ``slot`` and
+    ``element_id``; a second row for one (day, slot, element_id) is a
+    :class:`FormatError` naming both lines."""
     faults = []
     first_line: dict[tuple, int] = {}
     with open(path) as fh:
@@ -205,15 +229,14 @@ def load_faults(path) -> tuple[list[FaultSample], str]:
                 label = doc["label"]
                 if label is not None and label not in LABEL_VALUES:
                     raise ValueError(f"unknown label {label!r}")
-                key = (doc["day"], doc["slot"], doc["element_id"])
+                key = tuple(_checked(name, doc[name], "int")
+                            for name in ("day", "slot", "element_id"))
                 seen = first_line.setdefault(key, lineno)
                 if seen != lineno:
                     raise ValueError(f"repeats the fault (day, slot, element_id) = "
                                      f"{key} of line {seen}")
                 faults.append(FaultSample(
-                    day=doc["day"], slot=doc["slot"], element_id=doc["element_id"],
-                    label=LABEL_VALUES[label] if label is not None else None,
-                ))
+                    *key, label=LABEL_VALUES[label] if label is not None else None))
     return faults, header.get("synth_fingerprint", "")
 
 

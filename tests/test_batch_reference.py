@@ -2,7 +2,9 @@
 the per-sample implementation, which stacked each sample's own node matrix,
 global vector and propagation matrix.  The reference below is that
 implementation, kept only here; its propagation matrices are computed per
-sample, without a cache."""
+sample, without a cache.  ``build_batch`` holds the local inputs as row
+indices, so its ``h``, ``mask`` and ``a`` are read from
+``batch["local"].gather()``."""
 
 import numpy as np
 import pytest
@@ -88,11 +90,19 @@ def assert_batches_match_reference(variant, ds, orders):
     for name, value in want.items():
         assert same(model.scalers[name], value), name
     for indices in orders:
-        got = model.build_batch(ds, indices)
+        got = gathered(model.build_batch(ds, indices))
         expected = ref_build_batch(model, ds, indices)
         assert sorted(got) == sorted(expected)
         for key in expected:
             assert same(got[key], expected[key]), (variant, key)
+
+
+def gathered(batch):
+    """``batch`` with its ``local`` rows replaced by the gathered ``h``,
+    ``mask`` and ``a``."""
+    local = batch.pop("local")
+    batch["h"], batch["mask"], batch["a"] = (None,) * 3 if local is None else local.gather()
+    return batch
 
 
 def index_orders(n, seed):

@@ -45,23 +45,23 @@ def test_build_batch_adjacency_is_per_sample_normalization(
     monkeypatch.setattr(nn, "normalize_adjacency",
                         lambda *args: calls.append(1) or real(*args))
     n = len(ds.samples)
-    batch = model.build_batch(ds, range(n))
-    again = model.build_batch(ds, range(n - 1, -1, -1))
+    _, _, a = model.build_batch(ds, range(n))["local"].gather()
+    _, _, again = model.build_batch(ds, range(n - 1, -1, -1))["local"].gather()
     for i, s in enumerate(ds.samples):
         if variant == "GraphModel":
             want = real(s.local.adjacency, s.local.node_mask)
         else:
             want = np.diag(s.local.node_mask.astype(float))
-        assert batch["a"][i].tobytes() == want.tobytes()
-        assert again["a"][n - 1 - i].tobytes() == want.tobytes()
+        assert a[i].tobytes() == want.tobytes()
+        assert again[n - 1 - i].tobytes() == want.tobytes()
     pairs = {(id(s.local.adjacency), id(s.local.node_mask)) for s in ds.samples}
     assert len(calls) == (len(pairs) if variant == "GraphModel" else 0)
     assert [set(vars(s)) for s in ds.samples] == attributes
     # The propagation cache is process-wide: a second model reuses it.
     calls.clear()
-    second = small_model(variant, ds).build_batch(ds, range(n))
+    _, _, second = small_model(variant, ds).build_batch(ds, range(n))["local"].gather()
     assert calls == []
-    assert second["a"].tobytes() == batch["a"].tobytes()
+    assert second.tobytes() == a.tobytes()
 
 
 def test_zero_weights_give_half():
@@ -137,8 +137,7 @@ def test_no_graph_equals_per_node_mlp_with_pool():
     y, _ = model.forward(params, batch)
 
     # identity propagation: three per-node dense layers, masked mean pool
-    h = batch["h"]
-    mask = batch["mask"]
+    h, mask, _ = batch["local"].gather()
     h1 = np.maximum(h @ params["l1_w"], 0.0)
     h2 = np.maximum(h1 @ params["l2_w"], 0.0)
     h3 = np.maximum(h2 @ params["l3_w"], 0.0)
@@ -156,7 +155,7 @@ def test_no_graph_equals_per_node_mlp_with_pool():
 
 def test_ablated_variants_do_not_read_ablated_inputs():
     ds = make_toy_dataset(4, seed=7)
-    for variant, missing in [("NoGlobal", "global"), ("NoLocal", "h"),
+    for variant, missing in [("NoGlobal", "global"), ("NoLocal", "local"),
                              ("MlpOnly", "ids")]:
         model = small_model(variant, ds)
         batch = model.build_batch(ds, range(4))

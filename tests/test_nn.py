@@ -217,6 +217,32 @@ def test_gcn_backward_without_input_grad():
     assert same_w.tobytes() == grad_w.tobytes()
 
 
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("need_input_grad", [True, False])
+@pytest.mark.parametrize("bool_mask", [False, True])
+def test_gcn_backward_into_buffers_gives_the_same_bytes(relu, need_input_grad, bool_mask):
+    """``out=(g, t, grad_h)`` writes into the given arrays, which may start
+    with any numbers; ``g`` may be ``grad_y`` itself.  A bool ReLU mask in
+    the cache in place of ``y`` multiplies like ``y > 0``."""
+    rng = np.random.default_rng(8)
+    adj = rng.random((6, 7, 7))
+    adj = adj + adj.transpose(0, 2, 1)
+    _, cache = nn.gcn_forward(rng.normal(size=(6, 7, 5)), adj, rng.normal(size=(5, 4)),
+                              apply_relu=relu)
+    grad_y = rng.normal(size=(6, 7, 4))
+    grad_y[0, 0, :] = -0.0
+    want_h, want_w = nn.gcn_backward(grad_y.copy(), cache, need_input_grad)
+    if bool_mask:
+        cache = (*cache[:3], cache[3] > 0.0, cache[4])
+    g = grad_y.copy()
+    t, grad_h = rng.normal(size=(6, 7, 5)), rng.normal(size=(6, 7, 5))
+    got_h, got_w = nn.gcn_backward(g, cache, need_input_grad, out=(g, t, grad_h))
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_h.shape == want_h.shape and got_h.tobytes() == want_h.tobytes()
+    if need_input_grad:
+        assert got_h is grad_h
+
+
 # -------------------------------------------------------------- embedding
 
 def test_embedding_lookup_and_sparse_backward():

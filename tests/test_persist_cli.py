@@ -476,8 +476,25 @@ def _corrupt_network(path, corrupt):
     ("network.json",
      lambda p: _corrupt_network(p, lambda doc: doc["elements"][1].__setitem__("to_bus", True)),
      "elements[1]: to_bus must be an integer, not True"),
+    ("snapshots.jsonl",
+     lambda p: _corrupt_jsonl_line(p, 1, lambda doc: doc["bus_states"][2].__setitem__(4, "x")),
+     "line 2: bus_states must be a 2-d array of numbers, not <U"),
+    ("snapshots.jsonl",
+     lambda p: _corrupt_jsonl_line(p, 1, lambda doc: doc.__setitem__("day", "0")),
+     "line 2: day must be an integer, not '0'"),
+    ("faults.jsonl",
+     lambda p: _corrupt_jsonl_line(p, 2, lambda doc: doc.__setitem__("slot", 0.0)),
+     "line 3: slot must be an integer, not 0.0"),
+    ("faults.jsonl",
+     lambda p: _corrupt_jsonl_line(p, 2, lambda doc: doc.__setitem__("element_id", 1.0)),
+     "line 3: element_id must be an integer, not 1.0"),
+    ("faults.jsonl",
+     lambda p: _corrupt_jsonl_line(p, 2, lambda doc: doc.__setitem__("element_id", True)),
+     "line 3: element_id must be an integer, not True"),
 ], ids=["snapshot-without-slot", "fault-label-maybe", "unknown-bus-field",
-        "repeated-fault-row", "string-voltage", "string-degree", "bool-endpoint"])
+        "repeated-fault-row", "string-voltage", "string-degree", "bool-endpoint",
+        "string-in-bus-states", "string-day", "float-slot", "float-element-id",
+        "bool-element-id"])
 def test_cli_malformed_dataset_file_is_a_format_error(tmp_path, capsys, name, corrupt,
                                                       message):
     data = tmp_path / "data"

@@ -3,9 +3,10 @@ memory guard.
 
 ``GcnHead.score`` gathers, standardizes and propagates ``model.BLOCK``
 samples at a time.  The reference below is the whole-chunk scoring it
-replaced, kept only here: each 512-sample chunk is one ``build_batch`` (which
-``test_batch_reference.py`` pins), and the GCN layers run over the whole
-chunk, dropping each layer's cache as they go.
+replaced, kept only here: each 512-sample chunk is one ``build_batch`` whose
+local rows are gathered whole (``test_batch_reference.py`` pins both), and
+the GCN layers run over the whole chunk, dropping each layer's cache as they
+go.
 """
 
 import dataclasses
@@ -30,8 +31,7 @@ SMALL = ModelConfig(gcn_hidden=8, sg_dim=8, sl_dim=8, stats_hidden=12,
 # ------------------------------------------------------ the whole-chunk scoring
 
 def ref_gcn_forward(head, params, batch):
-    a, mask = batch["a"], batch["mask"]
-    h3 = batch["h"]
+    h3, mask, a = batch["local"].gather()
     for name, relu in (("l1_w", True), ("l2_w", True), ("l3_w", head.layers[2][1])):
         h3, cache = nn.gcn_forward(h3, a, params[name], apply_relu=relu)
         del cache
