@@ -242,7 +242,10 @@ def cmd_eval(args) -> int:
     result = persist.load_checkpoint(_require(Path(args.checkpoint), "checkpoint"))
     ds = persist.load_features(_require(Path(args.features), "features"))
     eval_ds = _day_slice(ds, args.day)
-    scores = scores_for(result, eval_ds)
+    try:
+        scores = scores_for(result, eval_ds)
+    except TrainingError as exc:     # the checkpoint does not fit these features
+        raise CliError(f"{args.checkpoint}: {exc}") from exc
     bad = int(np.count_nonzero(~np.isfinite(scores)))
     if bad:
         raise CliError(f"{args.checkpoint}: {bad} of {len(scores)} scores on day "

@@ -160,7 +160,8 @@ class Head:
 class DenseStack(Head):
     """ReLU dense layers ``{name}_w``/``{name}_b`` mapping ``sizes[i]`` to
     ``sizes[i + 1]``.  As a head it reads the standardized global vector; as
-    the tail of another head it is fed through :meth:`run`."""
+    the tail of another head it is fed through :meth:`run`, and its
+    :meth:`backward` returns the gradient of its input."""
 
     inputs = ("global",)
 
@@ -183,10 +184,15 @@ class DenseStack(Head):
             x = nn.relu(z)
         return x, caches
 
-    def backward(self, params: dict, caches, g: np.ndarray, grads: dict) -> np.ndarray:
-        """Write the layers' grads; return the gradient of the stack's input."""
+    def backward(self, params: dict, caches, g: np.ndarray, grads: dict,
+                 need_input_grad: bool = False) -> np.ndarray | None:
+        """Write the layers' grads; return the gradient of the stack's input
+        with ``need_input_grad`` (a tail), else ``None`` (a head, whose input
+        is data)."""
         for name, (z, cache) in zip(reversed(self.names), reversed(caches)):
-            g, grads[f"{name}_w"], grads[f"{name}_b"] = nn.dense_backward(g * (z > 0.0), cache)
+            g, grads[f"{name}_w"], grads[f"{name}_b"] = nn.dense_backward(
+                g * (z > 0.0), cache,
+                need_input_grad=need_input_grad or name != self.names[0])
         return g
 
 
@@ -227,9 +233,11 @@ class ConvPoolHead(Head):
 
     def backward(self, params: dict, cache, g: np.ndarray, grads: dict) -> None:
         convs, shape, tail = cache
-        g = self.tail.backward(params, tail, g, grads).reshape(shape)
+        g = self.tail.backward(params, tail, g, grads, need_input_grad=True).reshape(shape)
         for i in range(len(convs), 0, -1):
-            g, grads[f"c{i}_k"], grads[f"c{i}_b"] = nn.conv_maxpool_backward(g, convs[i - 1])
+            # Stage 1's input is data, so its input gradient is not computed.
+            g, grads[f"c{i}_k"], grads[f"c{i}_b"] = nn.conv_maxpool_backward(
+                g, convs[i - 1], need_input_grad=i > 1)
 
 
 class GcnHead(Head):
@@ -318,7 +326,8 @@ class GcnHead(Head):
         :meth:`backward` needs to route the gradient."""
         if self.pool == "mean":
             cnt = mask.sum(axis=1, keepdims=True)
-            masked = np.multiply(h3, mask[:, :, None], out=scratch)
+            # x * 1.0 == x, so a block with no padded node is not multiplied.
+            masked = h3 if mask.all() else np.multiply(h3, mask[:, :, None], out=scratch)
             return masked.sum(axis=1) / cnt, (mask, cnt)
         scratch.fill(-np.inf)
         np.copyto(scratch, h3, where=mask[:, :, None] > 0)
@@ -370,7 +379,7 @@ class EmbeddingHead(Head):
 
     def backward(self, params: dict, cache, g: np.ndarray, grads: dict) -> None:
         emb, tail = cache
-        g = self.tail.backward(params, tail, g, grads)
+        g = self.tail.backward(params, tail, g, grads, need_input_grad=True)
         grads["emb_table"] = nn.embedding_backward(g, emb)
 
 

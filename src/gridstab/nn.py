@@ -47,18 +47,31 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return x @ w + b, (x, w)
 
 
-def dense_backward(grad_y: np.ndarray, cache):
+def dense_backward(grad_y: np.ndarray, cache, need_input_grad: bool = True):
+    """(grad_x, grad_w, grad_b); ``grad_x`` is ``None`` without
+    ``need_input_grad`` (a first layer, whose input is data)."""
     x, w = cache
-    return grad_y @ w.T, x.T @ grad_y, grad_y.sum(axis=0)
+    grad_x = grad_y @ w.T if need_input_grad else None
+    return grad_x, x.T @ grad_y, grad_y.sum(axis=0)
 
 
 # ------------------------------------------------- convolution + max-pool
+#
+# Each stage is one GEMM over the unfolded input ("im2col"; Chellapilla et
+# al., 2006), with the operand shapes and memory layouts that
+# ``np.einsum(..., optimize=True)`` used to hand to ``matmul``.  The layouts
+# are part of the pinned bytes: on this BLAS build a 2-d ``matmul`` rounds an
+# F-contiguous operand differently from its C-contiguous copy
+# (``tests/test_blas_probes.py``), so each operand below is copied, or left
+# a transposed view, exactly as einsum did.
 
 def conv_maxpool_forward(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray):
     """Valid cross-correlation, bias, ReLU, then the max of each adjacent pair
     of columns along the last axis; an odd last column is dropped.
 
     x: (batch, c_in, h, w); kernels: (c_out, c_in, kh, kw); biases: (c_out,).
+    The output is a ``(batch, c_out, h', w')`` view of a ``(c_out, batch, h',
+    w')`` array.
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeError("conv expects 4-d input and kernels")
@@ -68,42 +81,70 @@ def conv_maxpool_forward(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray)
         raise ShapeError(f"conv: {c_in} input channels vs kernel {kc}")
     if kh > h or kw > w:
         raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    if w - kw + 1 < 2:
-        raise ShapeError(f"conv output width {w - kw + 1} has no pair to pool")
+    hc, wc = h - kh + 1, w - kw + 1
+    if wc < 2:
+        raise ShapeError(f"conv output width {wc} has no pair to pool")
 
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    conv = np.einsum("bchwij,ocij->bohw", windows, kernels, optimize=True)
-    conv = conv + biases[None, :, None, None]
-    act = np.maximum(conv, 0.0)
-
-    wo = act.shape[3] // 2
-    pairs = act[..., :2 * wo].reshape(*act.shape[:3], wo, 2)
-    argmax = pairs.argmax(axis=4)[..., None]
-    pooled = np.take_along_axis(pairs, argmax, axis=4)[..., 0]
-    return pooled, (x, kernels, conv, argmax)
-
-
-def conv_maxpool_backward(grad_out: np.ndarray, cache):
-    x, kernels, conv, argmax = cache
-    c_out, _, kh, kw = kernels.shape
-    hc, wc = conv.shape[2], conv.shape[3]
-
-    grad_act = np.zeros_like(conv)
-    # Splitting the last axis is always a view, so the put writes into grad_act.
-    pairs = grad_act[..., :2 * grad_out.shape[3]].reshape(*argmax.shape[:4], 2)
-    np.put_along_axis(pairs, argmax, grad_out[..., None], axis=4)
-
-    grad_conv = grad_act * (conv > 0.0)
-    grad_b = grad_conv.sum(axis=(0, 2, 3))
-    grad_k = np.zeros_like(kernels)
-    grad_x = np.zeros_like(x)
+    # cols[c, i, j] is tap (i, j)'s input window, C-contiguous.
+    cols = np.empty((c_in, kh, kw, b, hc, wc))
     for i in range(kh):
         for j in range(kw):
-            patch = x[:, :, i:i + hc, j:j + wc]
-            grad_k[:, :, i, j] = np.einsum("bohw,bchw->oc", grad_conv, patch, optimize=True)
-            grad_x[:, :, i:i + hc, j:j + wc] += np.einsum(
-                "bohw,oc->bchw", grad_conv, kernels[:, :, i, j], optimize=True)
-    return grad_x, grad_k, grad_b
+            cols[:, i, j] = x[:, :, i:i + hc, j:j + wc].transpose(1, 0, 2, 3)
+    conv = kernels.reshape(c_out, -1) @ cols.reshape(c_in * kh * kw, -1)
+    del cols
+    conv += biases[:, None]
+    conv = conv.reshape(c_out, b, hc, wc)
+    act = np.maximum(conv, 0.0)
+
+    wo = wc // 2
+    even, odd = act[..., 0:2 * wo:2], act[..., 1:2 * wo:2]
+    # argmax's rule: the odd column wins only when strictly larger, or when
+    # it is NaN and the even one is not.
+    right = odd > even
+    right |= np.isnan(odd) & ~np.isnan(even)
+    pooled = np.where(right, odd, even)
+    return pooled.transpose(1, 0, 2, 3), (x, kernels, conv > 0.0, right)
+
+
+def conv_maxpool_backward(grad_out: np.ndarray, cache, need_input_grad: bool = True):
+    """(grad_x, grad_kernels, grad_biases) of one conv+max-pool stage.
+
+    Without ``need_input_grad`` (the first stage, whose input is data) the
+    input gradient is not computed; an empty ``(batch, 0, 0, 0)`` array
+    stands in for it, so every call still returns a gradient with the batch
+    axis.
+    """
+    x, kernels, positive, right = cache
+    c_out, c_in, kh, kw = kernels.shape
+    _, b, hc, wc = positive.shape
+    wo = right.shape[3]
+
+    # Route each pooled gradient to its pair's winner, then through the ReLU.
+    g = grad_out.transpose(1, 0, 2, 3)
+    grad_conv = np.zeros(positive.shape)
+    np.copyto(grad_conv[..., 1:2 * wo:2], g, where=right)
+    np.copyto(grad_conv[..., 0:2 * wo:2], g, where=~right)
+    grad_conv *= positive
+    grad_b = grad_conv.transpose(1, 0, 2, 3).sum(axis=(0, 2, 3))
+    gc = grad_conv.reshape(c_out, -1)     # gc.T is an F-contiguous operand
+
+    grad_k = np.empty(kernels.shape)
+    grad_x = np.zeros((c_in, b, x.shape[2], x.shape[3])) if need_input_grad else None
+    for i in range(kh):
+        for j in range(kw):
+            patch = x[:, :, i:i + hc, j:j + wc].transpose(1, 0, 2, 3)
+            if 1 in patch.shape:
+                # einsum dropped a size-1 axis by reducing into a copy in the
+                # input's memory order: for the first stage's (batch, bus,
+                # channel) raw states, an F-contiguous operand.
+                patch = patch.copy(order="K")
+            grad_k[:, :, i, j] = (patch.reshape(c_in, -1) @ gc.T).T
+            if need_input_grad:
+                grad_x[:, :, i:i + hc, j:j + wc] += (
+                    kernels[:, :, i, j].T @ gc).reshape(c_in, b, hc, wc)
+    if not need_input_grad:
+        return np.empty((b, 0, 0, 0)), grad_k, grad_b
+    return grad_x.transpose(1, 0, 2, 3), grad_k, grad_b
 
 
 # ------------------------------------------------------ graph convolution
@@ -250,7 +291,14 @@ def adam_init(params: dict, lr: float = 0.001) -> AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
-    """One in-place bias-corrected update; missing grads are treated as zero."""
+    """One in-place bias-corrected update of ``params`` and of ``state``'s
+    moments; missing grads are treated as zero.
+
+    Every product keeps the operands of ``m = b1·m + (1−b1)·g``,
+    ``v = b2·v + ((1−b2)·g)·g`` and ``p −= (lr·m̂) / (sqrt(v̂) + eps)``, so
+    the bytes are those of the expressions written out, with two scratch
+    arrays per parameter.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
@@ -261,11 +309,21 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
             g = np.zeros_like(p)
         if g.shape != p.shape:
             raise ShapeError(f"adam: grad shape {g.shape} vs param {p.shape} for {key}")
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
-        m_hat = state.m[key] / bc1
-        v_hat = state.v[key] / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[key], state.v[key]
+        step = np.multiply(1.0 - b1, g)
+        m *= b1
+        m += step
+        scale = np.multiply(1.0 - b2, g)
+        scale *= g
+        v *= b2
+        v += scale
+        np.divide(m, bc1, out=step)
+        step *= state.lr
+        np.divide(v, bc2, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += state.eps
+        step /= scale
+        p -= step
 
 
 # ---------------------------------------------------------- verification

@@ -53,8 +53,8 @@ from .features import (
     FeatureStore, GlobalFeatureSpec, LineTemplates, LocalGraph, StatKind,
 )
 from .grid import (
-    LABEL_NAMES, LABEL_VALUES, Bus, Element, FaultSample, GridError, Network,
-    Snapshot, _is_int, _is_real, validate_network,
+    LABEL_NAMES, LABEL_VALUES, N_BUS_STATE, Bus, Element, FaultSample, GridError,
+    Network, Snapshot, _is_int, _is_real, validate_network,
 )
 from .model import VARIANTS, ModelConfig, TrainResult
 
@@ -270,11 +270,23 @@ def _read_archive(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"{path}: JSON {kind} file from an older release; {rerun}")
     if magic != _ZIP_MAGIC:
         raise FormatError(f"{path}: not a {kind} .npz archive")
+    unreadable = (zipfile.BadZipFile, ValueError, EOFError)
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        archive = np.load(path, allow_pickle=False)
+    except unreadable as exc:
         raise FormatError(f"{path}: unreadable {kind} archive ({exc})") from exc
+    arrays = {}
+    with archive:
+        for name in archive.files:
+            try:
+                arrays[name] = archive[name]
+            except unreadable as exc:
+                raise FormatError(f"{path}: unreadable {kind} array {name!r} "
+                                  f"({exc})") from exc
+            # np.load hands back the raw bytes of a member that is not .npy.
+            if not isinstance(arrays[name], np.ndarray):
+                raise FormatError(f"{path}: {kind} archive member {name!r} is not "
+                                  f"a .npy array")
     if "header" not in arrays:
         raise FormatError(f"{path}: {kind} archive lacks arrays ['header']")
     try:
@@ -354,29 +366,42 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
 
 
 def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
-    n = arrays["day"].shape[:1]
-    for name in _PER_SAMPLE:
-        if arrays[name].shape[:1] != n:
-            raise FormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                              f"expected {n[0]} rows")
+    """Raise :class:`FormatError` naming the file and the array for an
+    array of the wrong dtype or shape, arrays that disagree on a row count,
+    an index that points outside its target, a label that is none of the
+    labels, or a non-finite float."""
     with _entry(path, "header"):
         m, global_dim = int(header["max_nodes"]), len(header["spec"])
-    # name -> (dtype kinds, shape after the leading axis; None matches any size)
-    store = {
-        "global_vecs": ("f", (global_dim,)),
-        "tables": ("f", (None, NODE_FEATURES)),
-        "rows": ("iu", (m,)),
-        "line_values": ("fiu", (m, len(LINE_COLUMNS))),
-        "adjacency": ("u", (m, (m + 7) // 8)),
-        "node_mask": ("b", (m,)),
+    # name -> (dtype kinds, shape after the leading axis (None matches any
+    # size), what one row is: arrays naming the same thing share a row count)
+    schema = {
+        **{name: ("iu", (), "sample") for name in _PER_SAMPLE},
+        "global_vecs": ("f", (global_dim,), "global vector"),
+        "tables": ("f", (None, NODE_FEATURES), "table"),
+        "rows": ("iu", (m,), "template"),
+        "line_values": ("fiu", (m, len(LINE_COLUMNS)), "template"),
+        "adjacency": ("u", (m, (m + 7) // 8), "graph"),
+        "node_mask": ("b", (m,), "graph"),
+        "raw_keys": ("iu", (2,), "raw state"),
+        "raw_states": ("f", (None, N_BUS_STATE), "raw state"),
     }
-    for name, (kinds, tail) in store.items():
-        got = arrays[name]
+    groups: dict[str, dict[str, int]] = {}
+    for name, (kinds, tail, group) in schema.items():
+        got = arrays.get(name)
+        if got is None:
+            continue
         if (got.dtype.kind not in kinds or got.ndim != 1 + len(tail)
                 or any(w is not None and g != w for g, w in zip(got.shape[1:], tail))):
             raise FormatError(f"{path}: array {name!r} has dtype {got.dtype} and shape "
                               f"{got.shape}, expected kind {kinds!r} and rows of "
                               f"shape {tail}")
+        if got.dtype.kind == "f" and not np.isfinite(got).all():
+            raise FormatError(f"{path}: array {name!r} holds non-finite values")
+        groups.setdefault(group, {})[name] = len(got)
+    for row, counts in groups.items():
+        if len(set(counts.values())) > 1:
+            raise FormatError(f"{path}: arrays {sorted(counts)} must hold one row per "
+                              f"{row}; their row counts are {counts}")
     for index, target in zip(_INDEX_ARRAYS, ("global_vecs", "tables", "rows", "node_mask")):
         idx = arrays[index]
         if idx.size and (idx.min() < 0 or idx.max() >= len(arrays[target])):
@@ -384,25 +409,21 @@ def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
     rows = arrays["rows"]
     if rows.size and (rows.min() < 0 or rows.max() >= arrays["tables"].shape[1]):
         raise FormatError(f"{path}: 'rows' points outside the rows of 'tables'")
-    for name in ("global_vecs", "tables", "raw_states"):
-        got = arrays.get(name)
-        if got is None:
-            continue
-        if got.dtype.kind != "f":
-            raise FormatError(f"{path}: array {name!r} has dtype {got.dtype}, "
-                              f"expected floats")
-        if not np.isfinite(got).all():
-            raise FormatError(f"{path}: array {name!r} holds non-finite values")
+    labels = (-1, *sorted(LABEL_NAMES))
+    if not np.isin(arrays["label"], labels).all():
+        raise FormatError(f"{path}: array 'label' holds values other than {labels} "
+                          f"(-1 is unlabeled)")
 
 
 def load_features(path) -> FeaturizedDataset:
     """Read a features archive written by :func:`save_features`.
 
     Raises :class:`FormatError` naming the file for anything else, including
-    a features file of format_version 1 or 2, and a NaN or infinity in the
-    global vectors, tables or raw states, which it names.  The samples are
-    read from the loaded store: samples that shared a global vector, or an
-    adjacency and node mask, share them again, the latter read-only.
+    a features file of format_version 1 or 2, an array of the wrong dtype or
+    shape, and a NaN or infinity in any float array, each of which it
+    names.  The samples are read from the loaded store: samples that shared
+    a global vector, or an adjacency and node mask, share them again, the
+    latter read-only.
     """
     header, arrays = _read_archive(path, "features")
     wanted = _FEATURE_ARRAYS + (_RAW_ARRAYS if set(_RAW_ARRAYS) & set(arrays) else ())

@@ -19,6 +19,12 @@ not be shrunk blindly.  Measured with numpy 2.4.6 and scipy-openblas 0.3.31
 * ``(k, 200) @ (200, 100)``, MlpOnly's first layer, differs for every
   k <= 50 and for no larger k;
 * DeepCnn5's head output changed when scored in 100-row blocks.
+
+A 2-d ``matmul`` also rounds by operand layout: an F-contiguous operand
+gives other bytes than its C-contiguous copy.  ``nn``'s conv layer pins
+bytes that ``np.einsum`` produced, so it copies each GEMM operand, or
+leaves it a transposed view, exactly as einsum did; a cleanup that
+"tidies" those copies changes the DeepCnn5 and rawcnn goldens.
 """
 
 import numpy as np
@@ -66,3 +72,19 @@ def test_out_buffers_give_the_same_bytes():
     np.matmul(s, w, out=y)
     assert s.tobytes() == (a @ h).tobytes()
     assert y.tobytes() == ((a @ h) @ w).tobytes()
+
+
+def test_gemm_bytes_depend_on_operand_layout():
+    """The first conv stage's kernel-gradient GEMM at 64 samples of the
+    benchmark's 54-bus world (16 channels, kernel 3: 64 x 52 columns):
+    ``(13, 3328) @ (3328, 16)`` with both operands F-contiguous, as the
+    layer passes them, against the same product with a C-contiguous copy of
+    the first.  Measured: 206 of the 208 entries differ (by up to 5e-13)."""
+    rng = np.random.default_rng(0)
+    patch = rng.normal(size=(64 * 52, 13)).T
+    grad = rng.normal(size=(16, 64 * 52)).T
+    assert patch.flags.f_contiguous and grad.flags.f_contiguous
+    f = patch @ grad
+    c = np.ascontiguousarray(patch) @ grad
+    assert np.allclose(f, c)
+    assert f.tobytes() != c.tobytes()

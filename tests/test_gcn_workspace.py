@@ -17,8 +17,10 @@ import pytest
 
 from gridstab import nn
 from gridstab.features import default_feature_spec, featurize
-from gridstab.model import ModelConfig, ScreeningModel, TrainingError, _dims_for
+from gridstab.model import GcnHead, ModelConfig, ScreeningModel, TrainingError, _dims_for
 from gridstab.synth import SynthConfig, build_dataset
+
+from conftest import make_toy_dataset
 
 CASES = {
     "GraphModel": ("GraphModel", ModelConfig()),
@@ -113,3 +115,36 @@ def test_training_step_allocates_little_beyond_the_arena(synth_ds):
     mb = [p / 1e6 for p in peaks]
     assert mb[0] < 16.0, mb
     assert max(mb[1:]) < 4.0, mb
+
+
+def test_mean_pool_of_full_and_padded_blocks(monkeypatch):
+    """A block whose samples have no padded node is pooled without the mask
+    multiply, since x * 1.0 == x.  Full, padded and full blocks, trained and
+    scored on one model, give the bytes of a fresh model that always
+    multiplies."""
+    ds = make_toy_dataset(120, seed=12)
+    full = [i for i, s in enumerate(ds.samples) if s.local.node_mask.all()]
+    padded = [i for i, s in enumerate(ds.samples) if not s.local.node_mask.all()]
+    assert len(full) >= 8 and len(padded) >= 8
+    model = fresh_model("GraphModel", ModelConfig(), ds)
+    params = model.init_params(np.random.default_rng(13))
+    runs = []
+    for idx in (full, padded, full):
+        part = dataclasses.replace(ds, samples=[ds.samples[i] for i in idx])
+        runs.append((step(model, params, ds, idx), model.predict(params, part)))
+
+    def always_multiply(self, h3, mask, scratch):
+        cnt = mask.sum(axis=1, keepdims=True)
+        masked = np.multiply(h3, mask[:, :, None], out=scratch)
+        return masked.sum(axis=1) / cnt, (mask, cnt)
+
+    monkeypatch.setattr(GcnHead, "_pool", always_multiply)
+    for idx, ((y, grads), scores) in zip((full, padded, full), runs):
+        want_model = fresh_model("GraphModel", ModelConfig(), ds, model.scalers)
+        want_y, want_grads = step(want_model, params, ds, idx)
+        assert y.tobytes() == want_y.tobytes()
+        for name, grad in want_grads.items():
+            assert grads[name].tobytes() == grad.tobytes(), name
+        part = dataclasses.replace(ds, samples=[ds.samples[i] for i in idx])
+        want = fresh_model("GraphModel", ModelConfig(), ds, model.scalers).predict(params, part)
+        assert scores.tobytes() == want.tobytes()

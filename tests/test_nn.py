@@ -3,6 +3,8 @@ import pytest
 
 from gridstab import nn
 
+from test_conv_reference import ref_conv_maxpool_backward, ref_conv_maxpool_forward
+
 
 def quadratic_closure(forward_backward):
     """Wrap a layer into a sum-of-squares loss closure for grad_check."""
@@ -29,17 +31,29 @@ def test_dense_shape_mismatch():
 
 
 def test_dense_gradcheck():
+    """With the input gradient, and without it (x is then frozen data)."""
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(4, 3))
     target = rng.normal(size=(4, 2))
-    params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+    params = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(3, 2)),
+              "b": rng.normal(size=2)}
 
-    def closure(p):
-        y, cache = nn.dense_forward(x, p["w"], p["b"])
-        _, gw, gb = nn.dense_backward(2.0 * (y - target), cache)
-        return float(((y - target) ** 2).sum()), {"w": gw, "b": gb}
+    def closure(p, need_input_grad):
+        y, cache = nn.dense_forward(p["x"], p["w"], p["b"])
+        grad_y = 2.0 * (y - target)
+        gx, gw, gb = nn.dense_backward(grad_y, cache, need_input_grad=need_input_grad)
+        full = nn.dense_backward(grad_y, cache)
+        assert gw.tobytes() == full[1].tobytes() and gb.tobytes() == full[2].tobytes()
+        grads = {"w": gw, "b": gb}
+        if need_input_grad:
+            grads["x"] = gx
+        else:
+            assert gx is None
+        return float(((y - target) ** 2).sum()), grads
 
-    err, _ = nn.grad_check(closure, params)
+    err, _ = nn.grad_check(lambda p: closure(p, True), params)
+    assert err < 1e-4
+    x = params.pop("x")
+    err, _ = nn.grad_check(lambda p: closure({**p, "x": x}, False), params)
     assert err < 1e-4
 
 
@@ -98,6 +112,45 @@ def test_conv_input_gradient():
 
     err, _ = nn.grad_check(closure, {"x": x0})
     assert err < 1e-4
+
+
+def test_conv_backward_without_input_grad_keeps_the_other_bytes():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(7, 3, 1, 12))
+    y, cache = nn.conv_maxpool_forward(x, rng.normal(size=(4, 3, 1, 3)), rng.normal(size=4))
+    grad_out = rng.normal(size=y.shape)
+    gx, gk, gb = nn.conv_maxpool_backward(grad_out, cache, need_input_grad=False)
+    full = nn.conv_maxpool_backward(grad_out, cache)
+    assert gx.shape == (7, 0, 0, 0) and full[0].shape == x.shape
+    assert gk.tobytes() == full[1].tobytes() and gb.tobytes() == full[2].tobytes()
+
+
+def test_conv_nan_wins_its_pair_as_under_argmax():
+    """The pair pool picks and routes to the column ``argmax`` would: the
+    odd one only when strictly larger, or NaN against a number."""
+    nan = np.nan
+    # Pairs (NaN, 1), (1, NaN), (NaN, NaN), (2, 1), (1, 2), (3, 3).
+    x = np.array([nan, 1.0, 1.0, nan, nan, nan, 2.0, 1.0, 1.0, 2.0, 3.0, 3.0])[None, None, None]
+    k, b = np.ones((1, 1, 1, 1)), np.zeros(1)
+    got, cache = nn.conv_maxpool_forward(x, k, b)
+    want, ref_cache = ref_conv_maxpool_forward(x, k, b, pool=(1, 2))
+    assert got.tobytes() == want.tobytes()
+    grad_out = np.arange(1.0, 7.0).reshape(got.shape)
+    gx = nn.conv_maxpool_backward(grad_out, cache)[0]
+    assert gx.tobytes() == ref_conv_maxpool_backward(grad_out, ref_cache)[0].tobytes()
+    assert gx.reshape(-1).tolist() == [0, 0, 0, 0, 0, 0, 4, 0, 0, 5, 6, 0]
+
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(5, 2, 1, 9))
+    x[rng.random(x.shape) < 0.2] = nan
+    k, b = rng.normal(size=(3, 2, 1, 2)), rng.normal(size=3)
+    got, cache = nn.conv_maxpool_forward(x, k, b)
+    want, ref_cache = ref_conv_maxpool_forward(x, k, b, pool=(1, 2))
+    assert got.tobytes() == want.tobytes()
+    grad_out = rng.normal(size=got.shape)
+    for g, r in zip(nn.conv_maxpool_backward(grad_out, cache),
+                    ref_conv_maxpool_backward(grad_out, ref_cache)):
+        assert g.tobytes() == r.tobytes()
 
 
 # ------------------------------------------------- adjacency normalization
@@ -318,6 +371,50 @@ def test_adam_deterministic():
             nn.adam_step(params, {"w": params["w"] * 0.5 + 1.0}, state)
         return params["w"]
     assert np.array_equal(run(), run())
+
+
+def ref_adam_step(params, grads, state):
+    """``adam_step`` as it was before it updated the moments in place."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    for key, p in params.items():
+        g = grads.get(key)
+        if g is None:
+            g = np.zeros_like(p)
+        if g.shape != p.shape:
+            raise nn.ShapeError(f"adam: grad shape {g.shape} vs param {p.shape} for {key}")
+        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
+        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
+        m_hat = state.m[key] / bc1
+        v_hat = state.v[key] / bc2
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def test_adam_in_place_matches_reference_bytes():
+    """50 steps with a missing grad, an all-zero grad and a 1-element
+    parameter give the reference's params, moments and step count."""
+    rng = np.random.default_rng(10)
+    shapes = {"w": (5, 3), "b": (3,), "one": (1,), "missing": (4,), "zero": (2, 2)}
+    start = {k: rng.normal(size=s) for k, s in shapes.items()}
+    runs = []
+    for step in (nn.adam_step, ref_adam_step):
+        params = {k: v.copy() for k, v in start.items()}
+        state = nn.adam_init(params, lr=0.01)
+        grad_rng = np.random.default_rng(11)
+        for _ in range(50):
+            grads = {k: grad_rng.normal(scale=10.0 ** grad_rng.integers(-6, 3), size=s)
+                     for k, s in shapes.items() if k not in ("missing", "zero")}
+            grads["zero"] = np.zeros(shapes["zero"])
+            step(params, grads, state)
+        runs.append((params, state))
+    (params, state), (ref_params, ref_state) = runs
+    assert state.t == ref_state.t == 50
+    for key in shapes:
+        assert params[key].tobytes() == ref_params[key].tobytes(), key
+        assert state.m[key].tobytes() == ref_state.m[key].tobytes(), key
+        assert state.v[key].tobytes() == ref_state.v[key].tobytes(), key
 
 
 def test_adam_defaults_match_contract():

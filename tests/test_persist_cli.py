@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,9 +142,10 @@ def _header_version(path, version):
     (lambda p: _poison(p, "global_vecs", np.inf),
      "array 'global_vecs' holds non-finite values"),
     (lambda p: _poison(p, "tables", -np.inf), "array 'tables' holds non-finite values"),
+    (lambda p: _poison(p, "label", 7), "array 'label' holds values other than (-1, 0, 1)"),
 ], ids=["format-1-jsonl", "truncated", "not-zip", "missing-array", "bad-index",
         "unknown-version", "format-2", "bad-rows", "nan-table", "inf-global",
-        "minus-inf-table"])
+        "minus-inf-table", "unknown-label"])
 def test_bad_features_file_is_a_format_error(tmp_path, capsys, corrupt, message):
     path = tmp_path / "features.npz"
     persist.save_features(make_toy_dataset(4, seed=5), path)
@@ -819,3 +824,118 @@ def test_cli_eval_rejects_non_finite_threshold(tmp_path, capsys, trained_checkpo
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+# ------------------------------------------------------- archive loader fuzz
+
+def _rewrite_member(src, dst, entry, change):
+    """Copy the ``.npz`` archive ``src`` to ``dst`` with the bytes of member
+    ``entry`` passed through ``change``; a ``None`` result drops it."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for info in zin.infolist():
+            data = zin.read(info)
+            if info.filename == f"{entry}.npy":
+                data = change(data)
+                if data is None:
+                    continue
+            zout.writestr(info.filename, data)
+
+
+def _wrong_dtypes(array):
+    """Dtypes no loader accepts for an entry of ``array``'s kind."""
+    kind = array.dtype.kind
+    if kind == "U":                  # the JSON header
+        return [np.float64, np.int64, np.bool_]
+    wrong = [np.complex128, np.str_, np.int64 if kind == "b" else np.bool_]
+    if kind == "i":
+        wrong.append(np.float64)
+    if kind == "f":
+        wrong.append(np.int64)
+    return wrong
+
+
+def _wrong_shapes(array):
+    if array.ndim == 0:
+        return [np.stack([array, array]), array[None]]
+    shapes = [array[:-1], array[..., None]]
+    if array.ndim >= 2:
+        shapes.append(array[..., :-1])
+    return shapes
+
+
+def _array_change(data, mutation, draw):
+    """``draw``n mutation of the .npy bytes ``data``: the array with a wrong
+    dtype, a NaN or infinity in its first entry, or a wrong shape."""
+    array = np.load(io.BytesIO(data), allow_pickle=False)
+    if mutation == "dtype":
+        dtype = draw(st.sampled_from(_wrong_dtypes(array)))
+        # The header's JSON text converts to no number, so it is replaced.
+        array = np.ones((), dtype) if array.dtype.kind == "U" else array.astype(dtype)
+    elif mutation in ("nan", "inf"):
+        value = np.nan if mutation == "nan" else draw(st.sampled_from([np.inf, -np.inf]))
+        array = array.astype(np.float64) if array.dtype.kind != "U" else np.array(0.0)
+        array.flat[0] = value
+    else:
+        array = draw(st.sampled_from(_wrong_shapes(array)))
+    out = io.BytesIO()
+    np.save(out, array)
+    return out.getvalue()
+
+
+def _member_names(path):
+    with zipfile.ZipFile(path) as archive:
+        return [name.removesuffix(".npy") for name in archive.namelist()]
+
+
+def _eval_rejects(ckpt, features, out):
+    """Run ``gridstab eval`` and return its stderr, asserting exit 1, no
+    standard output and no output file."""
+    err, stdout = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+        code = run_cli("eval", "--checkpoint", str(ckpt), "--features", str(features),
+                       "--day", "2", "--out", str(out))
+    assert code == 1 and stdout.getvalue() == "" and not out.exists()
+    assert "Traceback" not in err.getvalue()
+    return err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["checkpoint", "features"]),
+       mutation=st.sampled_from(["dtype", "nan", "inf", "shape", "missing", "truncated"]),
+       data=st.data())
+def test_eval_names_the_file_and_entry_of_a_mutated_archive(trained_checkpoint, kind,
+                                                            mutation, data):
+    """One entry of a valid checkpoint or features archive gets a wrong
+    dtype, a NaN, an infinity or a wrong shape, is dropped, or is cut short:
+    ``eval`` exits 1 with the file and the entry in the message."""
+    ckpt, features = trained_checkpoint
+    src = ckpt if kind == "checkpoint" else features
+    entry = data.draw(st.sampled_from(_member_names(src)), label="entry")
+    if mutation == "missing":
+        change = lambda raw: None                                      # noqa: E731
+    elif mutation == "truncated":
+        change = lambda raw: raw[:data.draw(st.integers(0, len(raw) - 1))]  # noqa: E731
+    else:
+        change = lambda raw: _array_change(raw, mutation, data.draw)   # noqa: E731
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / f"bad-{kind}.npz"
+        _rewrite_member(src, bad, entry, change)
+        err = _eval_rejects(bad if kind == "checkpoint" else ckpt,
+                            bad if kind == "features" else features, Path(tmp) / "eval.csv")
+    assert str(bad) in err, err
+    names = {entry, entry.partition("/")[2]} - {""}
+    assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err) for name in names), err
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["checkpoint", "features"]), cut=st.floats(0.0, 0.999))
+def test_eval_rejects_a_truncated_archive(trained_checkpoint, kind, cut):
+    ckpt, features = trained_checkpoint
+    src = ckpt if kind == "checkpoint" else features
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / f"bad-{kind}.npz"
+        raw = src.read_bytes()
+        bad.write_bytes(raw[:int(cut * len(raw))])
+        err = _eval_rejects(bad if kind == "checkpoint" else ckpt,
+                            bad if kind == "features" else features, Path(tmp) / "eval.csv")
+    assert str(bad) in err, err
