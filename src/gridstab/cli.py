@@ -20,7 +20,7 @@ import numpy as np
 
 from . import persist, report, synth
 from .features import featurize
-from .grid import _is_int, _is_real, validate_snapshot
+from .grid import _is_int, _is_real
 from .metrics import compute_metrics
 from .model import ABLATION_ALIASES, VARIANT_ALIASES, TrainingError, scores_for, train
 from .report import ExperimentConfig
@@ -48,15 +48,29 @@ def _apply_section(instance, section: dict, name: str):
     return instance
 
 
+def _json_type(value) -> str:
+    return {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+            type(None): "null"}.get(type(value), "a number")
+
+
 def load_experiment_config(path: str | None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is None:
         return cfg
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:     # unreadable, not UTF-8, or not JSON
+        raise CliError(f"{path}: unreadable JSON config ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: a config must be a JSON object, not {_json_type(doc)}")
     known = {"synth", "feature", "model", "train", "eval"}
     unknown = set(doc) - known
     if unknown:
         raise CliError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in doc.items():
+        if not isinstance(section, dict):
+            raise CliError(f"{path}: config section {name!r} must be a JSON object, "
+                           f"not {_json_type(section)}")
     if "synth" in doc:
         _apply_section(cfg.synth, doc["synth"], "synth")
     if "model" in doc:
@@ -128,16 +142,24 @@ def _require(path: Path, kind: str) -> Path:
     return path
 
 
+def _dataset_archive(data_dir: Path, kind: str) -> Path:
+    """The ``kind`` archive of a dataset directory.  A directory that holds
+    the JSON-lines file of an older release instead is a FormatError."""
+    path, old = data_dir / f"{kind}.npz", data_dir / f"{kind}.jsonl"
+    if not path.exists() and old.exists():
+        raise persist.FormatError(f"{old}: JSON-lines {kind} file from an older release; "
+                                  f"re-run `gridstab synth` to write {path.name}")
+    return _require(path, kind)
+
+
 def _load_dataset_dir(data_dir: Path):
+    """The network, snapshots and faults of a dataset directory written by
+    ``synth`` (network.json, snapshots.npz and faults.npz), each checked
+    against the network, and their synth fingerprint."""
     network, fp_net = persist.load_network(_require(data_dir / "network.json", "network"))
-    snapshot_path = _require(data_dir / "snapshots.jsonl", "snapshots")
-    snapshots, fp_snap = persist.load_snapshots(snapshot_path)
-    for snap in snapshots:
-        errors = validate_snapshot(network, snap)
-        if errors:
-            raise CliError(f"{snapshot_path}: snapshot day {snap.day} slot {snap.slot}: "
-                           + "; ".join(errors))
-    faults, fp_faults = persist.load_faults(_require(data_dir / "faults.jsonl", "faults"))
+    snapshots, fp_snap = persist.load_snapshots(_dataset_archive(data_dir, "snapshots"),
+                                                network)
+    faults, fp_faults = persist.load_faults(_dataset_archive(data_dir, "faults"), network)
     if not (fp_net == fp_snap == fp_faults):
         raise CliError(f"dataset files in {data_dir} carry mismatched fingerprints")
     return network, snapshots, faults, fp_net
@@ -170,8 +192,8 @@ def cmd_synth(args) -> int:
     network, snapshots, faults, oracle = synth.build_dataset(cfg.synth)
     fp = persist.fingerprint(cfg.synth)
     persist.save_network(network, out / "network.json", fp)
-    persist.save_snapshots(snapshots, out / "snapshots.jsonl", fp)
-    persist.save_faults(faults, out / "faults.jsonl", fp)
+    persist.save_snapshots(snapshots, out / "snapshots.npz", fp)
+    persist.save_faults(faults, out / "faults.npz", fp)
     unstable = sum(1 for f in faults if f.label == 1)
     print(f"wrote {out}: {network.n_bus} buses, {len(network.elements)} elements, "
           f"{len(snapshots)} snapshots, {len(faults)} faults "
@@ -329,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file or directory")
         p.add_argument("--target-kkd", dest="target_kkd", type=float)
         if data:
-            p.add_argument("--data", required=True, help="dataset directory from synth")
+            p.add_argument("--data", required=True,
+                           help="dataset directory written by synth (network.json, "
+                                "snapshots.npz, faults.npz)")
         if features:
             p.add_argument("--features", required=True,
                            help="features .npz archive written by featurize")
@@ -337,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--train-day", dest="train_day", type=int, required=True)
             p.add_argument("--eval-day", dest="eval_day", type=int, required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", help="generate a synthetic dataset (network.json, "
+                                     "snapshots.npz and faults.npz in --out)")
     common(p)
     p.add_argument("--buses", type=int)
     p.add_argument("--days", type=int)
@@ -355,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model variant "
                                      "(default out: checkpoint.npz)")
     common(p, features=True)
-    p.add_argument("--data", help="dataset directory (for fingerprint checks)")
+    p.add_argument("--data", help="dataset directory written by synth "
+                                  "(for fingerprint checks)")
     p.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="graph")
     p.add_argument("--ablate", choices=sorted(ABLATION_ALIASES))
     p.add_argument("--train-day", dest="train_day", type=int, required=True)

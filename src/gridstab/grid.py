@@ -22,7 +22,6 @@ ELEMENT_KINDS = (AC_LINE, TRANSFORMER, DC_LINE)
 STABLE = 0
 UNSTABLE = 1
 LABEL_NAMES = {STABLE: "Stable", UNSTABLE: "Unstable"}
-LABEL_VALUES = {name: value for value, name in LABEL_NAMES.items()}
 
 # Column order of the per-bus state vector.  AC sums aggregate the signed
 # flows of incident AC lines (+ when the bus is the measured I side).
@@ -226,14 +225,34 @@ def validate_network(network: Network) -> list[str]:
 
 
 def validate_snapshot(network: Network, snapshot: Snapshot) -> list[str]:
+    """Every violation of one snapshot; an empty list means it is valid."""
+    return validate_states(network, snapshot.bus_states[None],
+                           snapshot.element_states[None])[1]
+
+
+def validate_states(network: Network, bus_states: np.ndarray,
+                    element_states: np.ndarray) -> tuple[int, list[str]]:
+    """The first snapshot of a stack that violates the network, and its
+    violations; ``(0, [])`` when every snapshot is valid.
+
+    ``bus_states`` stacks S snapshots' (n_bus, 13) states and
+    ``element_states`` their (n_elements, 2) flows.  A wrong shape is every
+    snapshot's, so it is the first snapshot's violation.
+    """
+    if not len(bus_states):
+        return 0, []
     errors: list[str] = []
-    if snapshot.bus_states.shape != (network.n_bus, N_BUS_STATE):
-        errors.append(
-            f"bus-state-shape: expected {(network.n_bus, N_BUS_STATE)}, "
-            f"got {snapshot.bus_states.shape}"
-        )
-    if snapshot.element_states.shape != (len(network.elements), 2):
-        errors.append("element-state-shape")
-    if not np.isfinite(snapshot.bus_states).all() or not np.isfinite(snapshot.element_states).all():
-        errors.append("non-finite-state")
-    return errors
+    stacks = {"bus_states": bus_states, "element_states": element_states}
+    shapes = {"bus-state-shape": (network.n_bus, N_BUS_STATE),
+              "element-state-shape": (len(network.elements), 2)}
+    for (name, states), (violation, want) in zip(stacks.items(), shapes.items()):
+        if states.shape[1:] != want:
+            errors.append(f"{violation}: {name} expected {want}, got {states.shape[1:]}")
+    finite = {name: np.isfinite(states.reshape(len(states), -1)).all(axis=1)
+              for name, states in stacks.items()}
+    valid = finite["bus_states"] & finite["element_states"]
+    first = 0 if errors else int(np.argmin(valid))
+    if not valid[first]:
+        errors.append("non-finite-state: " + ", ".join(
+            name for name, ok in finite.items() if not ok[first]))
+    return first, errors

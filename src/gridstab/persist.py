@@ -1,18 +1,22 @@
-"""On-disk formats: network JSON, snapshot/fault JSONL, the features and
+"""On-disk formats: network JSON, the snapshots, faults, features and
 checkpoint archives, and report CSVs.
 
 Every artifact carries a ``format_version``; loaders reject versions they
-do not understand.  JSON floats are written with Python's shortest-roundtrip
-repr, so identical inputs reproduce byte-identical files.
+do not understand.  The network is JSON with Python's shortest-roundtrip
+float repr.  The rest are uncompressed ``.npz`` archives, written at the
+path as given and read by one reader with ``allow_pickle=False``.  An
+archive's first entry is a JSON ``header`` (a 0-d string array) whose
+``format_version`` and ``kind`` the reader checks, and each loader names the
+file and the array it rejects.  Arrays keep their exact bytes and every zip
+entry carries the fixed 1980 timestamp, so reruns are byte-identical.  A
+JSON file of an older release, or an archive of an older format_version, is
+a :class:`FormatError` naming the ``gridstab`` command that rewrites it.
 
-Features and checkpoints are uncompressed ``.npz`` archives, written to the
-path as given and read by one reader.  Their first entry is a JSON
-``header`` (a 0-d string array) whose ``format_version`` and ``kind``
-the reader checks; it opens the archive with ``allow_pickle=False``.  Arrays
-keep their exact bytes, and every entry carries the fixed 1980 zip
-timestamp, so reruns are byte-identical.  A JSON file of an older release,
-or an archive of an older format_version, is a :class:`FormatError` that
-names the ``gridstab`` command that rewrites it.
+The snapshots archive (format_version 2, kind ``snapshots``) holds int64
+``day`` and ``slot`` and float64 ``bus_states`` (S, n_bus, 13) and
+``element_states`` (S, n_elements, 2); the faults archive (format_version
+2, kind ``faults``) holds int64 ``day``, ``slot``, ``element_id`` and
+``label`` (-1 for unlabeled).  Their headers hold the synth fingerprint.
 
 The features file (format_version 3, kind ``features``) holds the dataset's
 :class:`~features.FeatureStore`, with no per-sample node matrix:
@@ -44,6 +48,7 @@ import json
 import math
 import zipfile
 from contextlib import contextmanager
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +58,8 @@ from .features import (
     FeatureStore, GlobalFeatureSpec, LineTemplates, LocalGraph, StatKind,
 )
 from .grid import (
-    LABEL_NAMES, LABEL_VALUES, N_BUS_STATE, Bus, Element, FaultSample, GridError,
-    Network, Snapshot, _is_int, _is_real, validate_network,
+    LABEL_NAMES, N_BUS_STATE, Bus, Element, FaultSample, GridError, Network, Snapshot,
+    _is_int, _is_real, validate_network, validate_states,
 )
 from .model import VARIANTS, ModelConfig, TrainResult
 
@@ -101,8 +106,9 @@ def save_network(network: Network, path, synth_fingerprint: str = "") -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "synth_fingerprint": synth_fingerprint,
-        "buses": [dataclasses.asdict(b) for b in network.buses],
-        "elements": [dataclasses.asdict(e) for e in network.elements],
+        # each flat record's own field dict: dataclasses.asdict would deep-copy
+        "buses": [vars(b) for b in network.buses],
+        "elements": [vars(e) for e in network.elements],
     }
     Path(path).write_text(_dump(doc) + "\n")
 
@@ -115,15 +121,6 @@ _FIELD_TYPES = {
 }
 
 
-def _checked(name: str, value, kind: str):
-    """``value``, which must be of the record field type ``kind`` (a key of
-    ``_FIELD_TYPES``); a ValueError naming the field otherwise."""
-    valid, want = _FIELD_TYPES[kind]
-    if not valid(value):
-        raise ValueError(f"{name} must be {want}, not {value!r}")
-    return value
-
-
 def _records(doc: dict, key: str, cls, path) -> tuple:
     """One ``cls`` per entry of the list ``doc[key]``, each field of the type
     it is declared with (a bool is not a number)."""
@@ -134,7 +131,10 @@ def _records(doc: dict, key: str, cls, path) -> tuple:
         with _entry(path, f"{key}[{i}]"):
             record = cls(**entry)
             for f in dataclasses.fields(cls):
-                _checked(f.name, getattr(record, f.name), f.type)
+                valid, want = _FIELD_TYPES[f.type]
+                value = getattr(record, f.name)
+                if not valid(value):
+                    raise ValueError(f"{f.name} must be {want}, not {value!r}")
             records.append(record)
     return tuple(records)
 
@@ -150,109 +150,24 @@ def load_network(path) -> tuple[Network, str]:
     return network, doc.get("synth_fingerprint", "")
 
 
-# -------------------------------------------------------------- snapshots
-
-def save_snapshots(snapshots, path, synth_fingerprint: str = "") -> None:
-    with open(path, "w") as fh:
-        fh.write(_dump({
-            "format_version": FORMAT_VERSION, "kind": "snapshots",
-            "synth_fingerprint": synth_fingerprint,
-        }) + "\n")
-        for s in snapshots:
-            fh.write(_dump({
-                "day": s.day, "slot": s.slot,
-                "bus_states": s.bus_states.tolist(),
-                "element_states": s.element_states.tolist(),
-            }) + "\n")
-
-
-def _state_array(doc: dict, name: str) -> np.ndarray:
-    """``doc[name]`` as a 2-d array of numbers (a bool is not a number).
-    Its shape against the network and its finiteness are
-    :func:`grid.validate_snapshot`'s, which names the snapshot."""
-    want = f"{name} must be a 2-d array of numbers"
-    try:
-        array = np.array(doc[name])
-    except ValueError:      # ragged rows
-        raise ValueError(f"{want}, not ragged rows") from None
-    if array.dtype.kind not in "iuf" or array.ndim != 2:
-        raise ValueError(f"{want}, not {array.dtype} values of shape {array.shape}")
-    return array
-
-
-def load_snapshots(path) -> tuple[list[Snapshot], str]:
-    """The snapshot records of ``path``, with integer ``day`` and ``slot``
-    and numeric 2-d ``bus_states`` and ``element_states``."""
-    snapshots = []
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        _check_version(header, path)
-        for lineno, line in enumerate(fh, start=2):
-            with _entry(path, f"line {lineno}"):
-                doc = json.loads(line)
-                snapshots.append(Snapshot(
-                    day=_checked("day", doc["day"], "int"),
-                    slot=_checked("slot", doc["slot"], "int"),
-                    bus_states=_state_array(doc, "bus_states"),
-                    element_states=_state_array(doc, "element_states"),
-                ))
-    return snapshots, header.get("synth_fingerprint", "")
-
-
-# ----------------------------------------------------------------- faults
-
-def save_faults(faults, path, synth_fingerprint: str = "") -> None:
-    with open(path, "w") as fh:
-        fh.write(_dump({
-            "format_version": FORMAT_VERSION, "kind": "faults",
-            "synth_fingerprint": synth_fingerprint,
-        }) + "\n")
-        for f in faults:
-            fh.write(_dump({
-                "day": f.day, "slot": f.slot, "element_id": f.element_id,
-                "label": LABEL_NAMES[f.label] if f.label is not None else None,
-            }) + "\n")
-
-
-def load_faults(path) -> tuple[list[FaultSample], str]:
-    """The fault rows of ``path``, with integer ``day``, ``slot`` and
-    ``element_id``; a second row for one (day, slot, element_id) is a
-    :class:`FormatError` naming both lines."""
-    faults = []
-    first_line: dict[tuple, int] = {}
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        _check_version(header, path)
-        for lineno, line in enumerate(fh, start=2):
-            with _entry(path, f"line {lineno}"):
-                doc = json.loads(line)
-                label = doc["label"]
-                if label is not None and label not in LABEL_VALUES:
-                    raise ValueError(f"unknown label {label!r}")
-                key = tuple(_checked(name, doc[name], "int")
-                            for name in ("day", "slot", "element_id"))
-                seen = first_line.setdefault(key, lineno)
-                if seen != lineno:
-                    raise ValueError(f"repeats the fault (day, slot, element_id) = "
-                                     f"{key} of line {seen}")
-                faults.append(FaultSample(
-                    *key, label=LABEL_VALUES[label] if label is not None else None))
-    return faults, header.get("synth_fingerprint", "")
-
-
 # ------------------------------------------------------------ .npz archives
 
+DATASET_VERSION = 2
 FEATURES_VERSION = 3
 CHECKPOINT_VERSION = 2
 _ZIP_MAGIC = b"PK\x03\x04"
 # kind -> (format_version, the command that writes it)
-_ARCHIVES = {"features": (FEATURES_VERSION, "featurize"),
+_ARCHIVES = {"snapshots": (DATASET_VERSION, "synth"),
+             "faults": (DATASET_VERSION, "synth"),
+             "features": (FEATURES_VERSION, "featurize"),
              "checkpoint": (CHECKPOINT_VERSION, "train")}
 
 
-def _write_archive(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``header`` (as a 0-d JSON string array) and then ``arrays``, in
-    order, as an uncompressed ``.npz`` archive at exactly ``path``."""
+def _write_archive(path, kind: str, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write the ``kind`` archive's header (``header`` with its format_version
+    and kind, as a 0-d JSON string array) and then ``arrays``, in order, as
+    an uncompressed ``.npz`` archive at exactly ``path``."""
+    header = {"format_version": _ARCHIVES[kind][0], "kind": kind, **header}
     # An open handle keeps np.savez from appending ".npz" to the path; zip
     # entries carry the fixed 1980 timestamp, so reruns are byte-identical.
     with open(path, "wb") as fh:
@@ -260,8 +175,8 @@ def _write_archive(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def _read_archive(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """The JSON header and the other arrays of a ``kind`` archive ("features"
-    or "checkpoint") of this release's format."""
+    """The JSON header and the other arrays of a ``kind`` archive (a key of
+    ``_ARCHIVES``) of this release's format."""
     version, command = _ARCHIVES[kind]
     rerun = f"re-run `gridstab {command}` to write format_version {version}"
     with open(path, "rb") as fh:
@@ -305,12 +220,127 @@ def _read_archive(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
+def _columns(records, names) -> dict[str, np.ndarray]:
+    """One int64 array per field of ``names`` over ``records``; an unlabeled
+    record's label (None) is -1."""
+    return {name: np.array([-1 if v is None else v for v in map(attrgetter(name), records)],
+                           dtype=np.int64) for name in names}
+
+
+def _check_arrays(path, kind: str, arrays: dict, schema: dict, optional=(),
+                  finite: bool = True) -> None:
+    """Raise :class:`FormatError` naming the file and the array for a
+    missing array (other than one of ``optional``), an array whose dtype
+    kind or shape ``schema`` does not allow, arrays that disagree on a row
+    count, (when ``finite``) a NaN or infinity in a float array, or a
+    ``label`` that is none of the labels.
+
+    ``schema`` maps each array's name to its dtype kinds, its shape after the
+    leading axis (None matches any size) and what one row is: arrays naming
+    the same thing share a row count.
+    """
+    missing = [name for name in schema if name not in arrays and name not in optional]
+    if missing:
+        raise FormatError(f"{path}: {kind} archive lacks arrays {missing}")
+    groups: dict[str, dict[str, int]] = {}
+    for name, (kinds, tail, group) in schema.items():
+        got = arrays.get(name)
+        if got is None:
+            continue
+        if (got.dtype.kind not in kinds or got.ndim != 1 + len(tail)
+                or any(w is not None and g != w for g, w in zip(got.shape[1:], tail))):
+            raise FormatError(f"{path}: array {name!r} has dtype {got.dtype} and shape "
+                              f"{got.shape}, expected kind {kinds!r} and rows of "
+                              f"shape {tail}")
+        if finite and got.dtype.kind == "f" and not np.isfinite(got).all():
+            raise FormatError(f"{path}: array {name!r} holds non-finite values")
+        groups.setdefault(group, {})[name] = len(got)
+    for row, counts in groups.items():
+        if len(set(counts.values())) > 1:
+            raise FormatError(f"{path}: arrays {sorted(counts)} must hold one row per "
+                              f"{row}; their row counts are {counts}")
+    labels = (-1, *sorted(LABEL_NAMES))
+    if "label" in schema and not np.isin(arrays["label"], labels).all():
+        raise FormatError(f"{path}: array 'label' holds values other than {labels} "
+                          f"(-1 is unlabeled)")
+
+
+def _check_unique(path, arrays: dict, names: tuple, row: str) -> None:
+    """Raise :class:`FormatError` naming two rows that repeat one key of the
+    columns ``names``."""
+    keys = np.column_stack([arrays[name] for name in names])
+    order = np.lexsort(keys.T[::-1])      # stable: equal keys keep row order
+    repeats = np.flatnonzero((keys[order[1:]] == keys[order[:-1]]).all(axis=1))
+    if repeats.size:
+        first, again = order[repeats[0]], order[repeats[0] + 1]
+        raise FormatError(f"{path}: {row} {again} repeats the ({', '.join(names)}) = "
+                          f"{tuple(keys[first].tolist())} of {row} {first}")
+
+
+# ------------------------------------------------------ snapshots and faults
+
+_SNAPSHOT_KEY = ("day", "slot")
+_STATES = ("bus_states", "element_states")    # their shapes are validate_states'
+_SNAPSHOT_SCHEMA = {**{name: ("iu", (), "snapshot") for name in _SNAPSHOT_KEY},
+                    **{name: ("f", (None, None), "snapshot") for name in _STATES}}
+_FAULT_SCHEMA = {name: ("iu", (), "fault") for name in (*_SNAPSHOT_KEY, "element_id", "label")}
+
+
+def save_snapshots(snapshots, path, synth_fingerprint: str = "") -> None:
+    """Write ``snapshots`` as a snapshots archive at exactly ``path``."""
+    _write_archive(path, "snapshots", {"synth_fingerprint": synth_fingerprint}, {
+        **_columns(snapshots, _SNAPSHOT_KEY),
+        **{name: np.array([getattr(s, name) for s in snapshots], dtype=np.float64)
+           for name in _STATES}})
+
+
+def load_snapshots(path, network: Network) -> tuple[list[Snapshot], str]:
+    """The snapshots of ``network``'s grid in a snapshots archive, whose
+    states are views of its stacks, and their synth fingerprint.  A
+    :class:`FormatError` names the file and the array it rejects, two rows
+    with one (day, slot), or the first snapshot that
+    :func:`grid.validate_states` rejects and its violations."""
+    header, arrays = _read_archive(path, "snapshots")
+    _check_arrays(path, "snapshots", arrays, _SNAPSHOT_SCHEMA, finite=False)
+    _check_unique(path, arrays, _SNAPSHOT_KEY, "snapshot")
+    days, slots = (arrays[name].tolist() for name in _SNAPSHOT_KEY)
+    states = [arrays[name] for name in _STATES]
+    first, errors = validate_states(network, *states)
+    if errors:
+        raise FormatError(f"{path}: snapshot day {days[first]} slot {slots[first]}: "
+                          + "; ".join(errors))
+    return list(map(Snapshot, days, slots, *states)), header.get("synth_fingerprint", "")
+
+
+def save_faults(faults, path, synth_fingerprint: str = "") -> None:
+    """Write ``faults`` as a faults archive at exactly ``path``."""
+    _write_archive(path, "faults", {"synth_fingerprint": synth_fingerprint},
+                   _columns(faults, _FAULT_SCHEMA))
+
+
+def load_faults(path, network: Network) -> tuple[list[FaultSample], str]:
+    """The faults of a faults archive, and their synth fingerprint.  A
+    :class:`FormatError` names the file and the array it rejects, two rows
+    with one (day, slot, element_id), a label that is none of the labels,
+    or a faulted element that is not one of ``network``'s AC lines."""
+    header, arrays = _read_archive(path, "faults")
+    _check_arrays(path, "faults", arrays, _FAULT_SCHEMA)
+    _check_unique(path, arrays, (*_SNAPSHOT_KEY, "element_id"), "fault")
+    element_id = arrays["element_id"]
+    not_ac = ~np.isin(element_id, network.ac_line_ids())
+    if not_ac.any():
+        row = int(np.argmax(not_ac))
+        raise FormatError(f"{path}: array 'element_id' names element {element_id[row]} "
+                          f"in fault {row}, which is not an AC line of the network")
+    keys = (arrays[name].tolist() for name in (*_SNAPSHOT_KEY, "element_id"))
+    labels = [None if label < 0 else label for label in arrays["label"].tolist()]
+    return list(map(FaultSample, *keys, labels)), header.get("synth_fingerprint", "")
+
+
 # --------------------------------------------------------------- features
 
 _INDEX_ARRAYS = ("global_index", "table_index", "template_index", "graph_index")
 _PER_SAMPLE = ("day", "slot", "element_id", "label", "fault_element_id") + _INDEX_ARRAYS
-_STORE_ARRAYS = ("global_vecs", "tables", "rows", "line_values", "adjacency", "node_mask")
-_FEATURE_ARRAYS = _PER_SAMPLE + _STORE_ARRAYS
 _RAW_ARRAYS = ("raw_keys", "raw_states")
 
 
@@ -335,7 +365,6 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
     store = FeatureStore.of(samples, dataset.global_dim, dataset.max_nodes)
     templates = store.templates
     header = {
-        "format_version": FEATURES_VERSION, "kind": "features",
         "synth_fingerprint": dataset.synth_fingerprint,
         "feature_spec_hash": dataset.feature_spec_hash(),
         "spec": _spec_to_doc(dataset.spec),
@@ -343,11 +372,7 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
         "max_nodes": dataset.max_nodes,
     }
     arrays = {
-        "day": np.array([s.day for s in samples], dtype=np.int64),
-        "slot": np.array([s.slot for s in samples], dtype=np.int64),
-        "element_id": np.array([s.element_id for s in samples], dtype=np.int64),
-        "label": np.array([-1 if s.label is None else s.label for s in samples],
-                          dtype=np.int64),
+        **_columns(samples, ("day", "slot", "element_id", "label")),
         "fault_element_id": np.array([s.local.fault_element_id for s in samples],
                                      dtype=np.int64),
         **{name: column.astype(np.int64) for name, column
@@ -362,18 +387,15 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
     if dataset.raw_states:
         arrays["raw_keys"] = np.array(list(dataset.raw_states), dtype=np.int64)
         arrays["raw_states"] = np.stack(list(dataset.raw_states.values()))
-    _write_archive(path, header, arrays)
+    _write_archive(path, "features", header, arrays)
 
 
 def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
-    """Raise :class:`FormatError` naming the file and the array for an
-    array of the wrong dtype or shape, arrays that disagree on a row count,
-    an index that points outside its target, a label that is none of the
-    labels, or a non-finite float."""
+    """Raise :class:`FormatError` naming the file and the array for what
+    :func:`_check_arrays` rejects or an index that points outside its
+    target."""
     with _entry(path, "header"):
         m, global_dim = int(header["max_nodes"]), len(header["spec"])
-    # name -> (dtype kinds, shape after the leading axis (None matches any
-    # size), what one row is: arrays naming the same thing share a row count)
     schema = {
         **{name: ("iu", (), "sample") for name in _PER_SAMPLE},
         "global_vecs": ("f", (global_dim,), "global vector"),
@@ -385,23 +407,8 @@ def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
         "raw_keys": ("iu", (2,), "raw state"),
         "raw_states": ("f", (None, N_BUS_STATE), "raw state"),
     }
-    groups: dict[str, dict[str, int]] = {}
-    for name, (kinds, tail, group) in schema.items():
-        got = arrays.get(name)
-        if got is None:
-            continue
-        if (got.dtype.kind not in kinds or got.ndim != 1 + len(tail)
-                or any(w is not None and g != w for g, w in zip(got.shape[1:], tail))):
-            raise FormatError(f"{path}: array {name!r} has dtype {got.dtype} and shape "
-                              f"{got.shape}, expected kind {kinds!r} and rows of "
-                              f"shape {tail}")
-        if got.dtype.kind == "f" and not np.isfinite(got).all():
-            raise FormatError(f"{path}: array {name!r} holds non-finite values")
-        groups.setdefault(group, {})[name] = len(got)
-    for row, counts in groups.items():
-        if len(set(counts.values())) > 1:
-            raise FormatError(f"{path}: arrays {sorted(counts)} must hold one row per "
-                              f"{row}; their row counts are {counts}")
+    raw_optional = () if set(_RAW_ARRAYS) & set(arrays) else _RAW_ARRAYS
+    _check_arrays(path, "features", arrays, schema, optional=raw_optional)
     for index, target in zip(_INDEX_ARRAYS, ("global_vecs", "tables", "rows", "node_mask")):
         idx = arrays[index]
         if idx.size and (idx.min() < 0 or idx.max() >= len(arrays[target])):
@@ -409,10 +416,6 @@ def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
     rows = arrays["rows"]
     if rows.size and (rows.min() < 0 or rows.max() >= arrays["tables"].shape[1]):
         raise FormatError(f"{path}: 'rows' points outside the rows of 'tables'")
-    labels = (-1, *sorted(LABEL_NAMES))
-    if not np.isin(arrays["label"], labels).all():
-        raise FormatError(f"{path}: array 'label' holds values other than {labels} "
-                          f"(-1 is unlabeled)")
 
 
 def load_features(path) -> FeaturizedDataset:
@@ -426,10 +429,6 @@ def load_features(path) -> FeaturizedDataset:
     latter read-only.
     """
     header, arrays = _read_archive(path, "features")
-    wanted = _FEATURE_ARRAYS + (_RAW_ARRAYS if set(_RAW_ARRAYS) & set(arrays) else ())
-    missing = [name for name in wanted if name not in arrays]
-    if missing:
-        raise FormatError(f"{path}: features archive lacks arrays {missing}")
     _check_feature_arrays(arrays, header, path)
     tables = arrays["tables"]
     tables.flags.writeable = False
@@ -471,7 +470,6 @@ _CHECKPOINT_FIELDS = {
 def save_checkpoint(result, path) -> None:
     """Write a TrainResult as a checkpoint archive at exactly ``path``."""
     header = {
-        "format_version": CHECKPOINT_VERSION, "kind": "checkpoint",
         "variant": result.variant,
         "feature_spec_hash": result.feature_spec_hash,
         "threshold": result.threshold,
@@ -481,7 +479,7 @@ def save_checkpoint(result, path) -> None:
     arrays = {f"{group}/{name}": value
               for group, named in zip(_CHECKPOINT_GROUPS, (result.params, result.scalers))
               for name, value in sorted(named.items())}
-    _write_archive(path, header, arrays)
+    _write_archive(path, "checkpoint", header, arrays)
 
 
 def load_checkpoint(path):

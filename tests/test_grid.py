@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 from gridstab.grid import (
     AC_LINE, TRANSFORMER, Bus, Element, GridError, Network,
     adjacency_lists, bfs, build_adjacency, neighbor_lists, validate_network,
+    validate_snapshot, validate_states,
 )
 from gridstab.synth import SynthConfig, generate_network
 
-from conftest import chain_network
+from conftest import chain_network, zero_snapshot
 from test_bfs_reference import (
     endpoint_pairs, random_networks, ref_bfs_nodes, ref_bfs_order, ref_neighbors,
     ref_reachable_count, ref_two_hop_bus_set,
@@ -102,6 +103,24 @@ def test_validate_duplicate_and_self_loop():
     errors = validate_network(net)
     assert any(e.startswith("duplicate-bus-id") for e in errors)
     assert any(e.startswith("self-loop") for e in errors)
+
+
+def test_validate_states_names_the_first_bad_snapshot():
+    net = chain_network(4)
+    bus, elem = np.zeros((5, 4, 13)), np.zeros((5, 3, 2))
+    assert validate_states(net, bus, elem) == (0, [])
+    assert validate_states(net, bus[:0], elem[:0]) == (0, [])
+    bus[3, 1, 2], elem[4, 0, 0], elem[3, 2, 1] = np.nan, np.inf, -np.inf
+    assert validate_states(net, bus, elem) == (
+        3, ["non-finite-state: bus_states, element_states"])
+    # a wrong shape is every snapshot's: the first one is named
+    assert validate_states(net, bus[:, :3], elem[:, :, :1]) == (0, [
+        "bus-state-shape: bus_states expected (4, 13), got (3, 13)",
+        "element-state-shape: element_states expected (3, 2), got (3, 1)"])
+    snap = zero_snapshot(net)
+    assert validate_snapshot(net, snap) == []
+    snap.element_states[1, 1] = np.nan
+    assert validate_snapshot(net, snap) == ["non-finite-state: element_states"]
 
 
 def test_adjacency_properties_on_random_networks():

@@ -158,6 +158,9 @@ def test_conv_nan_wins_its_pair_as_under_argmax():
 def test_normalize_two_node_line():
     out = nn.normalize_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2, bool))
     assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]])
+    # symmetric within allclose's tolerance, not exactly
+    near = nn.normalize_adjacency(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]), np.ones(2, bool))
+    assert np.allclose(near, out)
 
 
 def test_normalize_isolated_node():

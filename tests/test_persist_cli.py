@@ -1,7 +1,12 @@
 import contextlib
+import dataclasses
 import io
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 import tempfile
 import zipfile
 from pathlib import Path
@@ -35,20 +40,32 @@ def test_network_round_trip(tmp_path, small_world):
 
 
 def test_snapshot_round_trip(tmp_path, small_world):
-    path = tmp_path / "snaps.jsonl"
-    snaps = small_world["snapshots"][:3]
+    """The loaded snapshots hold build_dataset's keys and exact state bytes;
+    saving them again gives the same archive."""
+    path = tmp_path / "snapshots.npz"
+    snaps = small_world["snapshots"]
     persist.save_snapshots(snaps, path, "fp")
-    loaded, _ = persist.load_snapshots(path)
+    loaded, fp = persist.load_snapshots(path, small_world["network"])
+    assert fp == "fp" and len(loaded) == len(snaps)
     for a, b in zip(snaps, loaded):
-        assert np.array_equal(a.bus_states, b.bus_states)
-        assert np.array_equal(a.element_states, b.element_states)
+        assert (a.day, a.slot) == (b.day, b.slot)
+        assert a.bus_states.dtype == b.bus_states.dtype == np.float64
+        assert a.bus_states.tobytes() == b.bus_states.tobytes()
+        assert a.element_states.tobytes() == b.element_states.tobytes()
+    again = tmp_path / "again.npz"
+    persist.save_snapshots(loaded, again, "fp")
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_fault_round_trip(tmp_path, small_world):
-    path = tmp_path / "faults.jsonl"
-    persist.save_faults(small_world["faults"][:50], path, "fp")
-    loaded, _ = persist.load_faults(path)
-    assert loaded == small_world["faults"][:50]
+    path = tmp_path / "faults.npz"
+    faults = [dataclasses.replace(f, label=None) if i % 7 == 0 else f
+              for i, f in enumerate(small_world["faults"])]
+    persist.save_faults(faults, path, "fp")
+    loaded, fp = persist.load_faults(path, small_world["network"])
+    assert fp == "fp"
+    assert [dataclasses.astuple(f) for f in loaded] == [dataclasses.astuple(f) for f in faults]
+    assert all(type(v) is int for f in loaded[:20] for v in (f.day, f.slot, f.element_id))
 
 
 def assert_round_trip(ds, path):
@@ -176,24 +193,38 @@ def test_checkpoint_round_trip_bit_identical_predictions(tmp_path):
     assert loaded.threshold == result.threshold
 
 
-def test_unknown_format_version_rejected(tmp_path):
+def test_unknown_format_version_rejected(tmp_path, small_world):
     path = tmp_path / "network.json"
     path.write_text(json.dumps({"format_version": 99, "buses": [], "elements": []}))
     with pytest.raises(persist.FormatError):
         persist.load_network(path)
-    jsonl = tmp_path / "faults.jsonl"
-    jsonl.write_text(json.dumps({"format_version": 2, "kind": "faults"}) + "\n")
-    with pytest.raises(persist.FormatError):
-        persist.load_faults(jsonl)
+    faults = tmp_path / "faults.npz"
+    for version, message in ((99, "unsupported format_version 99"),
+                             (1, "re-run `gridstab synth`")):
+        persist.save_faults(small_world["faults"][:5], faults)
+        _header_version(faults, version)
+        with pytest.raises(persist.FormatError, match=re.escape(message)):
+            persist.load_faults(faults, small_world["network"])
+    faults.write_text(json.dumps({"format_version": 1, "kind": "faults"}) + "\n")
+    with pytest.raises(persist.FormatError, match="JSON faults file from an older release"):
+        persist.load_faults(faults, small_world["network"])
 
 
 def test_artifacts_begin_with_format_version(tmp_path, small_world):
     persist.save_network(small_world["network"], tmp_path / "n.json")
     doc = json.loads((tmp_path / "n.json").read_text())
     assert "format_version" in doc
-    persist.save_faults(small_world["faults"][:5], tmp_path / "f.jsonl")
-    first = json.loads((tmp_path / "f.jsonl").read_text().splitlines()[0])
-    assert first["format_version"] == persist.FORMAT_VERSION
+    persist.save_snapshots(small_world["snapshots"][:2], tmp_path / "s.npz")
+    persist.save_faults(small_world["faults"][:5], tmp_path / "f.npz")
+    for kind, arrays in (("snapshots", ["day", "slot", "bus_states", "element_states"]),
+                         ("faults", ["day", "slot", "element_id", "label"])):
+        path = tmp_path / f"{kind[0]}.npz"
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == [f"{n}.npy" for n in ["header", *arrays]]
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path) as archive:
+            header = json.loads(str(archive["header"]))
+        assert (header["format_version"], header["kind"]) == (persist.DATASET_VERSION, kind)
 
 
 # -------------------------------------------------------------------- CLI
@@ -201,8 +232,8 @@ def test_artifacts_begin_with_format_version(tmp_path, small_world):
 def test_cli_synth_featurize_train_eval(tmp_path):
     data = tmp_path / "data"
     assert run_cli("synth", "--out", str(data), *TINY) == 0
-    for name in ("network.json", "snapshots.jsonl", "faults.jsonl"):
-        assert (data / name).exists()
+    assert sorted(p.name for p in data.iterdir()) == [
+        "faults.npz", "network.json", "snapshots.npz"]
 
     assert run_cli("featurize", "--data", str(data)) == 0
     features = data / "features.npz"
@@ -277,8 +308,8 @@ def test_cli_rerun_byte_identical(tmp_path):
                        "--day", "2", "--out", str(csv)) == 0
         return {
             "network": (data / "network.json").read_bytes(),
-            "snapshots": (data / "snapshots.jsonl").read_bytes(),
-            "faults": (data / "faults.jsonl").read_bytes(),
+            "snapshots": (data / "snapshots.npz").read_bytes(),
+            "faults": (data / "faults.npz").read_bytes(),
             "features": (data / "features.npz").read_bytes(),
             "checkpoint": ckpt.read_bytes(),
             "eval": csv.read_bytes(),
@@ -320,45 +351,59 @@ def test_cli_train_and_calibration_slices_are_disjoint_and_match_report(
     assert {s.fault_key for s in pair.train_ds.samples} <= seen["train"]
 
 
+def _edit_arrays(path, change):
+    """Apply ``change`` to the dict of the arrays of the ``.npz`` archive at
+    ``path`` (its header included) and write them back in order."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    change(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _set_state(index, row, column, value):
+    """A change that writes ``value`` into one bus state of snapshot ``index``."""
+    return lambda arrays: arrays["bus_states"].__setitem__((index, row, column), value)
+
+
+def _restack_states(stack):
+    """A change that replaces the bus-state stack by ``stack(bus_states)``."""
+    return lambda arrays: arrays.__setitem__("bus_states", stack(arrays["bus_states"]))
+
+
 @pytest.mark.parametrize("corrupt,violation", [
-    (lambda states: states[3].__setitem__(0, float("nan")), "non-finite-state"),
-    (lambda states: states.pop(), "bus-state-shape"),
+    (_set_state(5, 3, 0, np.nan), "snapshot day 0 slot 5: non-finite-state: bus_states"),
+    (_restack_states(lambda states: states[:, :-1]), "snapshot day 0 slot 0: bus-state-shape"),
 ], ids=["nan-state", "missing-bus-row"])
 def test_cli_featurize_rejects_bad_snapshot(tmp_path, capsys, corrupt, violation):
     data = tmp_path / "data"
     assert run_cli("synth", "--out", str(data), *TINY) == 0
-    path = data / "snapshots.jsonl"
-    lines = path.read_text().splitlines()
-    doc = json.loads(lines[5])
-    corrupt(doc["bus_states"])
-    lines[5] = json.dumps(doc)
-    path.write_text("\n".join(lines) + "\n")
+    _edit_arrays(data / "snapshots.npz", corrupt)
     capsys.readouterr()
     assert run_cli("featurize", "--data", str(data)) == 1
     err = capsys.readouterr().err
-    assert violation in err
+    assert f"snapshots.npz: {violation}" in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("corrupt,violation", [
-    (lambda states: states.append(list(states[0])), "bus-state-shape"),
-    (lambda states: [row.append(0.0) for row in states], "bus-state-shape"),
-    (lambda states: states[2].__setitem__(4, float("nan")), "non-finite-state"),
+@pytest.mark.parametrize("corrupt,snapshot,violation", [
+    (_restack_states(lambda states: np.concatenate([states, states[:, :1]], axis=1)),
+     (0, 0), "bus-state-shape: bus_states expected (24, 13), got (25, 13)"),
+    (_restack_states(lambda states: np.pad(states, ((0, 0), (0, 0), (0, 1)))),
+     (0, 0), "bus-state-shape: bus_states expected (24, 13), got (24, 14)"),
+    (_set_state(-1, 2, 4, np.nan), (2, 7), "non-finite-state: bus_states"),
 ], ids=["extra-bus-row", "extra-state-column", "nan-state"])
 @pytest.mark.parametrize("command", ["featurize", "train"])
-def test_cli_validates_snapshots_at_load(tmp_path, capsys, corrupt, violation, command):
+def test_cli_validates_snapshots_at_load(tmp_path, capsys, corrupt, snapshot, violation,
+                                         command):
     """A bad snapshot fails when the dataset is loaded, even on a day the
-    command does not featurize."""
+    command does not featurize.  A wrong shape is every snapshot's, so the
+    first snapshot is named."""
     data = tmp_path / "data"
     assert run_cli("synth", "--out", str(data), *TINY) == 0
     assert run_cli("featurize", "--data", str(data), "--days", "0") == 0
     features = data / "features.npz"
-    path = data / "snapshots.jsonl"
-    lines = path.read_text().splitlines()
-    doc = json.loads(lines[-1])
-    corrupt(doc["bus_states"])
-    lines[-1] = json.dumps(doc)
-    path.write_text("\n".join(lines) + "\n")
+    _edit_arrays(data / "snapshots.npz", corrupt)
     out = tmp_path / "out"
     argv = {
         "featurize": ["featurize", "--data", str(data), "--days", "0", "--out", str(out)],
@@ -368,8 +413,8 @@ def test_cli_validates_snapshots_at_load(tmp_path, capsys, corrupt, violation, c
     capsys.readouterr()
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
-    assert (f"snapshots.jsonl: snapshot day {doc['day']} slot {doc['slot']}: {violation}"
-            in captured.err)
+    day, slot = snapshot
+    assert f"snapshots.npz: snapshot day {day} slot {slot}: {violation}" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
@@ -439,19 +484,22 @@ def test_direct_dataset_determinism():
     assert a[0] == b[0] and a[2] == b[2]
 
 
-def _corrupt_jsonl_line(path, index, corrupt):
-    lines = path.read_text().splitlines()
-    doc = json.loads(lines[index])
-    corrupt(doc)
-    lines[index] = json.dumps(doc)
-    path.write_text("\n".join(lines) + "\n")
+def _set_entry(name, index, value):
+    return lambda arrays: arrays[name].__setitem__(index, value)
 
 
-def _repeat_jsonl_line(path, source, target):
-    """Overwrite line ``target`` (0-based) with a copy of line ``source``."""
-    lines = path.read_text().splitlines()
-    lines[target] = lines[source]
-    path.write_text("\n".join(lines) + "\n")
+def _retype(name, dtype):
+    return lambda arrays: arrays.__setitem__(name, arrays[name].astype(dtype))
+
+
+def _repeat_row(source, target):
+    """A change that overwrites row ``target`` of every array but the header
+    with row ``source``."""
+    def change(arrays):
+        for name, array in arrays.items():
+            if name != "header":
+                array[target] = array[source]
+    return change
 
 
 def _corrupt_network(path, corrupt):
@@ -461,17 +509,15 @@ def _corrupt_network(path, corrupt):
 
 
 @pytest.mark.parametrize("name,corrupt,message", [
-    ("snapshots.jsonl",
-     lambda p: _corrupt_jsonl_line(p, 5, lambda doc: doc.pop("slot")),
-     "line 6: missing field 'slot'"),
-    ("faults.jsonl",
-     lambda p: _corrupt_jsonl_line(p, 3, lambda doc: doc.__setitem__("label", "Maybe")),
-     "line 4: unknown label 'Maybe'"),
+    ("snapshots.npz", lambda p: _edit_arrays(p, lambda arrays: arrays.pop("slot")),
+     "snapshots archive lacks arrays ['slot']"),
+    ("faults.npz", lambda p: _edit_arrays(p, _set_entry("label", 3, 2)),
+     "array 'label' holds values other than (-1, 0, 1)"),
     ("network.json",
      lambda p: _corrupt_network(p, lambda doc: doc["buses"][2].__setitem__("colour", 1)),
      "buses[2]: "),
-    ("faults.jsonl", lambda p: _repeat_jsonl_line(p, 3, 4),
-     "line 5: repeats the fault (day, slot, element_id) = "),
+    ("faults.npz", lambda p: _edit_arrays(p, _repeat_row(3, 4)),
+     "fault 4 repeats the (day, slot, element_id) = "),
     ("network.json",
      lambda p: _corrupt_network(p, lambda doc: doc["buses"][0].__setitem__("voltage_mag", "x")),
      "buses[0]: voltage_mag must be a finite number, not 'x'"),
@@ -481,29 +527,42 @@ def _corrupt_network(path, corrupt):
     ("network.json",
      lambda p: _corrupt_network(p, lambda doc: doc["elements"][1].__setitem__("to_bus", True)),
      "elements[1]: to_bus must be an integer, not True"),
-    ("snapshots.jsonl",
-     lambda p: _corrupt_jsonl_line(p, 1, lambda doc: doc["bus_states"][2].__setitem__(4, "x")),
-     "line 2: bus_states must be a 2-d array of numbers, not <U"),
-    ("snapshots.jsonl",
-     lambda p: _corrupt_jsonl_line(p, 1, lambda doc: doc.__setitem__("day", "0")),
-     "line 2: day must be an integer, not '0'"),
-    ("faults.jsonl",
-     lambda p: _corrupt_jsonl_line(p, 2, lambda doc: doc.__setitem__("slot", 0.0)),
-     "line 3: slot must be an integer, not 0.0"),
-    ("faults.jsonl",
-     lambda p: _corrupt_jsonl_line(p, 2, lambda doc: doc.__setitem__("element_id", 1.0)),
-     "line 3: element_id must be an integer, not 1.0"),
-    ("faults.jsonl",
-     lambda p: _corrupt_jsonl_line(p, 2, lambda doc: doc.__setitem__("element_id", True)),
-     "line 3: element_id must be an integer, not True"),
+    ("snapshots.npz", lambda p: _edit_arrays(p, _retype("bus_states", str)),
+     "array 'bus_states' has dtype <U"),
+    ("snapshots.npz", lambda p: _edit_arrays(p, _retype("day", str)),
+     "array 'day' has dtype <U"),
+    ("faults.npz", lambda p: _edit_arrays(p, _retype("slot", float)),
+     "array 'slot' has dtype float64"),
+    ("faults.npz", lambda p: _edit_arrays(p, _retype("element_id", float)),
+     "array 'element_id' has dtype float64"),
+    ("faults.npz", lambda p: _edit_arrays(p, _retype("element_id", bool)),
+     "array 'element_id' has dtype bool"),
+    ("snapshots.npz", lambda p: _edit_arrays(p, _set_entry("slot", 1, 0)),
+     "snapshot 1 repeats the (day, slot) = (0, 0) of snapshot 0"),
+    ("faults.npz", lambda p: _edit_arrays(p, lambda arrays: arrays.__setitem__(
+        "label", arrays["label"][:-1])), "arrays ['day', 'element_id', 'label', 'slot'] "
+                                         "must hold one row per fault"),
+    ("faults.npz", lambda p: _edit_arrays(p, _set_entry("element_id", 0, 1)),
+     "array 'element_id' names element 1 in fault 0, which is not an AC line"),
+    ("faults.npz", lambda p: _edit_arrays(p, _set_entry("element_id", 5, 10 ** 6)),
+     "array 'element_id' names element 1000000 in fault 5, which is not an AC line"),
+    ("snapshots.npz", lambda p: _edit_arrays(p, _set_entry(
+        "element_states", (2, 0, 1), np.inf)),
+     "snapshot day 0 slot 2: non-finite-state: element_states"),
+    ("snapshots.npz", lambda p: _edit_arrays(p, lambda arrays: arrays.__setitem__(
+        "element_states", arrays["element_states"][:, :-1])),
+     "snapshot day 0 slot 0: element-state-shape: element_states expected ("),
 ], ids=["snapshot-without-slot", "fault-label-maybe", "unknown-bus-field",
         "repeated-fault-row", "string-voltage", "string-degree", "bool-endpoint",
         "string-in-bus-states", "string-day", "float-slot", "float-element-id",
-        "bool-element-id"])
+        "bool-element-id", "repeated-snapshot", "short-label-array", "fault-on-transformer",
+        "fault-on-unknown-element", "inf-element-state", "missing-element-row"])
 def test_cli_malformed_dataset_file_is_a_format_error(tmp_path, capsys, name, corrupt,
                                                       message):
     data = tmp_path / "data"
     assert run_cli("synth", "--out", str(data), *TINY) == 0
+    network, _ = persist.load_network(data / "network.json")
+    assert network.elements[1].kind == "Transformer"     # fault-on-transformer's
     corrupt(data / name)
     capsys.readouterr()
     assert run_cli("featurize", "--data", str(data)) == 1
@@ -511,6 +570,24 @@ def test_cli_malformed_dataset_file_is_a_format_error(tmp_path, capsys, name, co
     assert f"{data / name}: {message}" in err
     assert "Traceback" not in err
     assert not (data / "features.npz").exists()
+
+
+@pytest.mark.parametrize("kind", ["snapshots", "faults"])
+def test_cli_jsonl_dataset_directory_is_a_format_error(tmp_path, capsys, kind):
+    """A dataset directory of an older release, with a JSON-lines file in
+    place of an archive, names that file and the command that rewrites it."""
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    (data / f"{kind}.npz").unlink()
+    old = data / f"{kind}.jsonl"
+    old.write_text(json.dumps({"format_version": 1, "kind": kind}) + "\n")
+    out = tmp_path / "features.npz"
+    capsys.readouterr()
+    assert run_cli("featurize", "--data", str(data), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert (f"{old}: JSON-lines {kind} file from an older release; re-run `gridstab synth` "
+            f"to write {kind}.npz") in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_cli_featurize_days_without_data_writes_nothing(tmp_path, capsys):
@@ -812,6 +889,42 @@ def test_cli_rejects_bad_run_settings(tmp_path, capsys, trained_checkpoint, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[]", "{path}: a config must be a JSON object, not an array"),
+    ('{"synth": []}', "{path}: config section 'synth' must be a JSON object, not an array"),
+    ('{"synth": null}', "{path}: config section 'synth' must be a JSON object, not null"),
+    ('{"feature": []}', "{path}: config section 'feature' must be a JSON object, not an array"),
+    ("not json", "{path}: unreadable JSON config (Expecting value: line 1 column 1 (char 0))"),
+    ('{"train": {"balance": "no"}}',
+     "config section 'train': balance must be true or false, not 'no'"),
+    ('{"train": {"positive_class_only_loss": 2}}',
+     "config section 'train': positive_class_only_loss must be true or false, not 2"),
+    ('{"model": {"gcn_final_relu": "yes"}}',
+     "{path}: config section 'model': gcn_final_relu must be true or false, not 'yes'"),
+], ids=["root-list", "section-list", "section-null", "feature-list", "not-json",
+        "balance-string", "loss-flag-int", "final-relu-string"])
+def test_cli_rejects_a_malformed_config(tmp_path, capsys, text, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("synth", "--config", str(config), "--out", str(out), *TINY) == 1
+    captured = capsys.readouterr()
+    assert message.format(path=config) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_python_dash_m_gridstab_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path]) if path else src)
+    done = subprocess.run([sys.executable, "-m", "gridstab", "synth", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: gridstab synth")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cli_eval_rejects_non_finite_threshold(tmp_path, capsys, trained_checkpoint, value):
     ckpt, features = trained_checkpoint
@@ -887,29 +1000,37 @@ def _member_names(path):
         return [name.removesuffix(".npy") for name in archive.namelist()]
 
 
-def _eval_rejects(ckpt, features, out):
-    """Run ``gridstab eval`` and return its stderr, asserting exit 1, no
-    standard output and no output file."""
+def _rejects(*argv, out):
+    """Run the CLI and return its stderr, asserting exit 1, no standard
+    output and no output file ``out``."""
     err, stdout = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
-        code = run_cli("eval", "--checkpoint", str(ckpt), "--features", str(features),
-                       "--day", "2", "--out", str(out))
+        code = run_cli(*argv, "--out", str(out))
     assert code == 1 and stdout.getvalue() == "" and not out.exists()
     assert "Traceback" not in err.getvalue()
     return err.getvalue()
 
 
-@settings(max_examples=80, deadline=None)
-@given(kind=st.sampled_from(["checkpoint", "features"]),
+def _eval_rejects(ckpt, features, out):
+    return _rejects("eval", "--checkpoint", str(ckpt), "--features", str(features),
+                    "--day", "2", out=out)
+
+
+DATASET_FILES = ("network.json", "snapshots.npz", "faults.npz")
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["checkpoint", "features", "snapshots", "faults"]),
        mutation=st.sampled_from(["dtype", "nan", "inf", "shape", "missing", "truncated"]),
        data=st.data())
 def test_eval_names_the_file_and_entry_of_a_mutated_archive(trained_checkpoint, kind,
                                                             mutation, data):
-    """One entry of a valid checkpoint or features archive gets a wrong
-    dtype, a NaN, an infinity or a wrong shape, is dropped, or is cut short:
-    ``eval`` exits 1 with the file and the entry in the message."""
+    """One entry of a valid checkpoint, features, snapshots or faults archive
+    gets a wrong dtype, a NaN, an infinity or a wrong shape, is dropped, or
+    is cut short: ``eval`` (or ``featurize``, for the dataset archives) exits
+    1 with the file and the entry in the message."""
     ckpt, features = trained_checkpoint
-    src = ckpt if kind == "checkpoint" else features
+    src = {"checkpoint": ckpt, "features": features}.get(kind, features.parent / f"{kind}.npz")
     entry = data.draw(st.sampled_from(_member_names(src)), label="entry")
     if mutation == "missing":
         change = lambda raw: None                                      # noqa: E731
@@ -918,10 +1039,20 @@ def test_eval_names_the_file_and_entry_of_a_mutated_archive(trained_checkpoint, 
     else:
         change = lambda raw: _array_change(raw, mutation, data.draw)   # noqa: E731
     with tempfile.TemporaryDirectory() as tmp:
-        bad = Path(tmp) / f"bad-{kind}.npz"
-        _rewrite_member(src, bad, entry, change)
-        err = _eval_rejects(bad if kind == "checkpoint" else ckpt,
-                            bad if kind == "features" else features, Path(tmp) / "eval.csv")
+        if kind in ("snapshots", "faults"):
+            dataset = Path(tmp) / "data"
+            dataset.mkdir()
+            for name in DATASET_FILES:
+                shutil.copy(features.parent / name, dataset)
+            bad = dataset / f"{kind}.npz"
+            _rewrite_member(src, bad, entry, change)
+            err = _rejects("featurize", "--data", str(dataset), out=Path(tmp) / "f.npz")
+        else:
+            bad = Path(tmp) / f"bad-{kind}.npz"
+            _rewrite_member(src, bad, entry, change)
+            err = _eval_rejects(bad if kind == "checkpoint" else ckpt,
+                                bad if kind == "features" else features,
+                                Path(tmp) / "eval.csv")
     assert str(bad) in err, err
     names = {entry, entry.partition("/")[2]} - {""}
     assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err) for name in names), err
