@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeaturizedDataset
-
 PREV_DAY_THRESHOLD = 0.03
 
 
@@ -32,9 +30,9 @@ class PrevDayIndex:
         return float(np.mean(history)) if history else 0.0
 
 
-def prev_day_scores(index: PrevDayIndex, faults) -> np.ndarray:
-    """Yesterday's per-element label mean as a score for each fault sample."""
-    return np.array([index.mean_label(fs.element_id) for fs in faults])
+def prev_day_scores(index: PrevDayIndex, element_ids) -> np.ndarray:
+    """Yesterday's per-element label mean as a score for each faulted element."""
+    return np.array([index.mean_label(element_id) for element_id in element_ids])
 
 
 # ------------------------------------------------------------------- SVM
@@ -143,6 +141,3 @@ def svm_train_expanded(features: np.ndarray, labels: np.ndarray,
     accounting["stage2_total"] = int(idx2.size)
     return params, accounting
 
-
-def svm_dataset_features(dataset: FeaturizedDataset) -> np.ndarray:
-    return np.stack([s.global_vec for s in dataset.samples])

@@ -155,32 +155,21 @@ def _dataset_archive(data_dir: Path, kind: str) -> Path:
 def _load_dataset_dir(data_dir: Path):
     """The network, snapshots and faults of a dataset directory written by
     ``synth`` (network.json, snapshots.npz and faults.npz), each checked
-    against the network, and their synth fingerprint."""
+    against the network and every fault against the snapshots, and their
+    synth fingerprint."""
     network, fp_net = persist.load_network(_require(data_dir / "network.json", "network"))
-    snapshots, fp_snap = persist.load_snapshots(_dataset_archive(data_dir, "snapshots"),
-                                                network)
-    faults, fp_faults = persist.load_faults(_dataset_archive(data_dir, "faults"), network)
+    snapshots_path = _dataset_archive(data_dir, "snapshots")
+    snapshots, fp_snap = persist.load_snapshots(snapshots_path, network)
+    faults_path = _dataset_archive(data_dir, "faults")
+    faults, fp_faults = persist.load_faults(faults_path, network)
     if not (fp_net == fp_snap == fp_faults):
         raise CliError(f"dataset files in {data_dir} carry mismatched fingerprints")
+    keys = {(s.day, s.slot) for s in snapshots}
+    for row, f in enumerate(faults):
+        if (f.day, f.slot) not in keys:
+            raise persist.FormatError(f"{faults_path}: fault {row} names day {f.day} slot "
+                                      f"{f.slot}, with no snapshot in {snapshots_path.name}")
     return network, snapshots, faults, fp_net
-
-
-def _day_slice(ds, day: int, lo_slot: int = 0, hi_slot: float = math.inf):
-    idx = [i for i, s in enumerate(ds.samples)
-           if s.day == day and lo_slot <= s.slot < hi_slot]
-    if not idx:
-        raise CliError(f"features contain no samples for day {day} "
-                       f"slots [{lo_slot}, {hi_slot})")
-    return dataclasses.replace(ds, samples=[ds.samples[i] for i in idx])
-
-
-def _train_cal_split(ds, day: int, calibration_frac: float):
-    """Training and calibration slices of one day, cut by report.day_cut."""
-    slots = {s.slot for s in ds.samples if s.day == day}
-    if not slots:
-        raise CliError(f"features contain no samples for day {day}")
-    cut = report.day_cut(max(slots) + 1, calibration_frac)
-    return _day_slice(ds, day, 0, cut), _day_slice(ds, day, cut)
 
 
 # ---------------------------------------------------------------- commands
@@ -228,7 +217,7 @@ def cmd_featurize(args) -> int:
                    include_raw=True, synth_fingerprint=fp)
     out = Path(args.out) if args.out else data_dir / "features.npz"
     persist.save_features(ds, out)
-    print(f"wrote {out}: {len(ds.samples)} samples, global dim {ds.global_dim}, "
+    print(f"wrote {out}: {len(ds)} samples, global dim {ds.global_dim}, "
           f"local {ds.max_nodes}x{ds.store.tables.shape[-1]}")
     return EXIT_OK
 
@@ -247,7 +236,7 @@ def cmd_train(args) -> int:
         if fp != ds.synth_fingerprint:
             raise CliError("features fingerprint does not match the dataset directory")
     variant = _resolve_variant(args)
-    train_ds, cal_ds = _train_cal_split(ds, args.train_day, cfg.calibration_frac)
+    train_ds, cal_ds = report.split_day(ds, args.train_day, cfg.calibration_frac)
     result = train(variant, train_ds, cal_ds, cfg.model, cfg.train)
     out = Path(args.out) if args.out else Path("checkpoint.npz")
     persist.save_checkpoint(result, out)
@@ -263,7 +252,7 @@ def cmd_eval(args) -> int:
         raise CliError(f"--threshold must be a finite number, not {args.threshold!r}")
     result = persist.load_checkpoint(_require(Path(args.checkpoint), "checkpoint"))
     ds = persist.load_features(_require(Path(args.features), "features"))
-    eval_ds = _day_slice(ds, args.day)
+    eval_ds = report.day_slice(ds, args.day)
     try:
         scores = scores_for(result, eval_ds)
     except TrainingError as exc:     # the checkpoint does not fit these features
@@ -274,37 +263,30 @@ def cmd_eval(args) -> int:
                        f"{args.day} of {args.features} are not finite")
     threshold = args.threshold if args.threshold is not None else result.threshold
     row = compute_metrics(scores, eval_ds.labels(), threshold)
-    rows = [report._row_dict(args.day, row)]
-    print(report.format_table(rows))
-    if args.out:
-        persist.save_report_csv(rows, args.out)
-    return EXIT_OK
+    return _emit([report._row_dict(args.day, row)], args.out)
 
 
 def cmd_baseline(args) -> int:
     cfg = resolve_config(args)
     bundle = _bundle_from_dir(Path(args.data), cfg)
     pair = report.prepare_day_pair(bundle, args.train_day, args.eval_day)
-    if args.baseline == "prevday":
-        row = report.run_prev_day(bundle, pair, cfg.train.target_kkd)
-    elif args.baseline == "svm":
-        row = report.run_svm(bundle, pair, cfg.train.target_kkd)
-    else:
-        row, _ = report.run_model_system(pair, "MlpOnly", cfg.model, cfg.train)
-    rows = [report._row_dict(args.baseline, row)]
-    print(report.format_table(rows, label="baseline"))
-    if args.out:
-        persist.save_report_csv(rows, args.out)
-    return EXIT_OK
+    system = "MlpOnly" if args.baseline == "mlp" else args.baseline
+    row = report.run_system(bundle, pair, system)
+    return _emit([report._row_dict(args.baseline, row)], args.out, "baseline")
 
 
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
     bundle = _bundle_from_dir(Path(args.data), cfg)
-    rows = report.ablation_table(bundle, args.train_day, args.eval_day)
-    print(report.format_table(rows, label="variant"))
-    if args.out:
-        persist.save_report_csv(rows, args.out)
+    return _emit(report.ablation_table(bundle, args.train_day, args.eval_day), args.out,
+                 "variant")
+
+
+def _emit(rows: list[dict], out, label: str = "date") -> int:
+    """Print ``rows`` as a table and, given ``out``, write them as a CSV."""
+    print(report.format_table(rows, label=label))
+    if out:
+        persist.save_report_csv(rows, out)
     return EXIT_OK
 
 
@@ -313,15 +295,12 @@ def cmd_report(args) -> int:
     bundle = _bundle_from_dir(Path(args.data), cfg)
     out_dir = Path(args.out) if args.out else Path(args.data)
     variant = VARIANT_ALIASES[args.variant]
-    rows = report.daily_report(bundle, "model", variant=variant)
-    print(report.format_table(rows))
-    persist.save_report_csv(rows, out_dir / "report_daily.csv")
+    _emit(report.daily_report(bundle, "model", variant=variant), out_dir / "report_daily.csv")
     if args.compare:
         train_day = cfg.synth.days - 2
-        cmp_rows = report.comparison_table(bundle, train_day, train_day + 1)
         print()
-        print(report.format_table(cmp_rows, label="model"))
-        persist.save_report_csv(cmp_rows, out_dir / "report_compare.csv")
+        _emit(report.comparison_table(bundle, train_day, train_day + 1),
+              out_dir / "report_compare.csv", "model")
     return EXIT_OK
 
 

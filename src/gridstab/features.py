@@ -17,27 +17,20 @@ k of incident AC lines and reduces a (g, 6, k) stack along its last axis.
 Rows are never padded, so every value keeps the bytes of the same reduction
 of its own range.
 
-Each part of a local subgraph is computed once for what it depends on:
+Each part of a local subgraph is computed once for what it depends on (see
+:func:`local_subgraph`'s column table): the per-(bus, snapshot) and per-bus
+columns in one bus table per snapshot, and the BFS order, node mask, padded
+adjacency and per-(line, bus) columns in a per-line template.  A sample's
+node matrix is its kept buses' rows of the bus table with the template's
+per-(line, bus) columns written over them.
 
-* per bus and snapshot: the bus state (columns 0-12) and the incident-AC-line
-  aggregates (21-44), in one bus table per snapshot;
-* per bus only: the degree and structure statistics (47-58) except
-  ``deg_sub`` (48), in the same table;
-* per line: the BFS order, node mask and padded adjacency;
-* per (line, bus): the hop one-hot (13-20), the endpoint flags (45-46) and
-  ``deg_sub`` (48).
-
-The last two live in a per-line template.  A sample's node matrix is its
-kept buses' rows of the bus table with the template's per-(line, bus)
-columns written over them.
-
-:func:`featurize` does not build that matrix.  Its dataset holds a
-:class:`FeatureStore`: one global vector and one read-only bus table per
-snapshot, and the :class:`LineTemplates` of every AC line, stacked once per
-(network, max_nodes).  A sample is a row index into each.  The model gathers
-a training batch's node rows, or a scoring block's, from the store in one
-indexing call, and ``sample.local.node_features`` copies one sample's rows
-out only when read.
+:func:`featurize` does not build that matrix, nor any per-sample object.
+Its dataset is int columns over a :class:`FeatureStore`: one global vector
+and one read-only bus table per snapshot, and the :class:`LineTemplates` of
+every AC line, stacked once per (network, max_nodes).  A sample is a row of
+the columns, which holds its fault and its row index into each array.  The
+model gathers a training batch's node rows, or a scoring block's, from the
+store in one indexing call.
 
 The per-network parts live as long as the network: :func:`featurize`,
 :func:`global_stats` and :func:`local_subgraph` without an ``index`` share
@@ -50,12 +43,14 @@ nothing else refers to the network.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -669,12 +664,10 @@ class LocalGraph:
     """Padded fault-local subgraph: masked-out rows/columns stay all-zero.
 
     ``LocalGraph(adjacency, node_features, node_mask, fault_element_id)``
-    holds its own arrays; the adjacency is 0/1.  A featurized or loaded
-    sample's graph is instead a position in a store's tables and templates
-    (:meth:`stored`).  Its ``adjacency`` and ``node_mask`` are then its graph's
-    read-only arrays, shared by every sample of that graph, and its
-    ``node_features`` are copied out of the store when first read and kept on
-    the sample.  The model reads the store, never that copy.
+    holds its own arrays; the adjacency is 0/1.  A stored graph
+    (:meth:`stored`) is a position in a store's tables and templates: its
+    ``adjacency`` and ``node_mask`` are its graph's shared read-only arrays,
+    and its ``node_features`` are copied out of the store when first read.
     """
 
     def __init__(self, adjacency: np.ndarray, node_features: np.ndarray,
@@ -767,6 +760,19 @@ def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
                              element_id)
 
 
+# A dataset's int64 columns: the fault, its subgraph's element, its store rows.
+FAULT_COLUMNS = ("day", "slot", "element_id", "label")
+INDEX_COLUMNS = ("global_index", "table_index", "template_index", "graph_index")
+COLUMNS = (*FAULT_COLUMNS, "fault_element_id", *INDEX_COLUMNS)
+
+
+def int_columns(records, names) -> dict[str, np.ndarray]:
+    """One int64 array per field of ``names`` over ``records``; an unlabeled
+    record's label (None) is -1."""
+    return {name: np.array([-1 if v is None else v for v in map(attrgetter(name), records)],
+                           dtype=np.int64) for name in names}
+
+
 @dataclass
 class FeaturizedSample:
     day: int
@@ -783,76 +789,93 @@ class FeaturizedSample:
 
 @dataclass(eq=False)
 class FeatureStore:
-    """The arrays a dataset's samples are read from, one set per dataset.
+    """The arrays a dataset's index columns point into, shared by its views.
 
-    Row ``i`` of ``index`` locates sample ``i``: its global vector, its table,
-    its template and its graph (see :class:`LineTemplates`).  Sample ``i``'s
-    node matrix is ``gather_nodes(tables, templates, table, template, :)``.
-    From :func:`featurize` there is one global vector and one table per
-    snapshot, and the network's templates are shared, not copied.
+    A sample's node matrix is ``gather_nodes(tables, templates, table,
+    template, :)`` (see :class:`LineTemplates`).  From :func:`featurize`
+    there is one global vector and one table per snapshot, and the network's
+    templates are shared, not copied.
     """
 
     global_vecs: np.ndarray    # (V, global_dim)
     tables: np.ndarray         # (T, R, NODE_FEATURES), read-only
     templates: LineTemplates
-    index: np.ndarray          # (N, 4) intp: global vector, table, template, graph
 
     @classmethod
     def of(cls, samples: list[FeaturizedSample], global_dim: int,
-           max_nodes: int) -> FeatureStore:
-        """The store of ``samples``.
-
-        Global vectors are stacked once per distinct vector object.  Samples
-        whose graphs all sit in one set of tables and templates keep them.
-        Otherwise (hand-built graphs, or the graphs of several stores) the
-        store gets one table and one template per graph, which reads each
-        graph's ``node_features``, and one graph per distinct (adjacency,
-        node_mask) pair of objects.
-        """
+           max_nodes: int) -> tuple[FeatureStore, dict[str, np.ndarray]]:
+        """The store and the columns of hand-built ``samples``: one global
+        vector per distinct vector object, one table and one template per
+        sample (its graph's ``node_features``), and one graph per distinct
+        (adjacency, node_mask) pair of objects."""
         vecs, global_index = _dedupe([s.global_vec for s in samples], id)
-        global_vecs = _stack(vecs, (global_dim,))
         graphs = [s.local for s in samples]
-        sources = {None if g.source is None else (id(g.source[0]), id(g.source[1]))
-                   for g in graphs}
-        if len(sources) == 1 and None not in sources:
-            tables, templates = graphs[0].source[:2]
-            places = [g.source[2:] for g in graphs]
-        else:
-            tables = _stack([g.node_features for g in graphs], (max_nodes, NODE_FEATURES))
-            tables.flags.writeable = False
-            m = tables.shape[1]
-            pairs, graph_index = _dedupe(graphs, lambda g: (id(g.adjacency), id(g.node_mask)))
-            templates = LineTemplates(
-                rows=np.tile(np.arange(m), (len(graphs), 1)),
-                line_values=tables[:, :, LINE_COLUMNS],
-                adjacency=pack_adjacency(_stack([g.adjacency for g in pairs], (m, m))),
-                node_mask=_stack([g.node_mask for g in pairs], (m,), bool),
-            )
-            places = [(i, i, g) for i, g in enumerate(graph_index.tolist())]
-        index = np.array([(g, *place) for g, place in zip(global_index.tolist(), places)],
-                         dtype=np.intp).reshape(len(samples), 4)
-        return cls(global_vecs=global_vecs, tables=tables, templates=templates, index=index)
+        tables = _stack([g.node_features for g in graphs], (max_nodes, NODE_FEATURES))
+        tables.flags.writeable = False
+        m = tables.shape[1]
+        pairs, graph_index = _dedupe(graphs, lambda g: (id(g.adjacency), id(g.node_mask)))
+        templates = LineTemplates(
+            rows=np.tile(np.arange(m), (len(graphs), 1)),
+            line_values=tables[:, :, LINE_COLUMNS],
+            adjacency=pack_adjacency(_stack([g.adjacency for g in pairs], (m, m))),
+            node_mask=_stack([g.node_mask for g in pairs], (m,), bool),
+        )
+        own = np.arange(len(samples), dtype=np.int64)
+        columns = {**int_columns(samples, FAULT_COLUMNS),
+                   **int_columns(graphs, ("fault_element_id",)),
+                   **dict(zip(INDEX_COLUMNS, (global_index.astype(np.int64), own, own,
+                                              graph_index.astype(np.int64))))}
+        return cls(global_vecs=_stack(vecs, (global_dim,)), tables=tables,
+                   templates=templates), columns
 
 
-@dataclass
 class FeaturizedDataset:
-    """Featurized samples and the :class:`FeatureStore` they are read from.
+    """Featurized samples: int64 ``columns`` (:data:`COLUMNS`, ``label`` -1
+    when unlabeled) whose index columns point into a :class:`FeatureStore`.
 
-    The store is built from the samples when the dataset is constructed
-    (``dataclasses.replace`` builds a new one).  Rebinding a sample's
-    ``global_vec`` or ``local`` afterwards is not seen by the model.
+    Sample ``i`` is row ``i`` of every column.  :meth:`take` gives a view
+    that shares the store, the header and ``raw_states`` ((day, slot) ->
+    (n_bus, 13), when carried).  ``FeaturizedDataset(samples, spec, ...)``
+    builds a dataset from hand-built :class:`FeaturizedSample` objects, and
+    ``samples`` builds such objects on each read, for tests and the
+    benchmark; a change to one is not seen by the dataset.
     """
 
-    samples: list[FeaturizedSample]
-    spec: GlobalFeatureSpec
-    n_elements: int
-    max_nodes: int = LOCAL_NODES
-    synth_fingerprint: str = ""
-    raw_states: dict = field(default_factory=dict)   # (day, slot) -> (n_bus, 13)
-    store: FeatureStore = field(init=False, repr=False, compare=False)
+    def __init__(self, samples: list[FeaturizedSample] | None = None,
+                 spec: GlobalFeatureSpec | None = None, n_elements: int = 0,
+                 max_nodes: int = LOCAL_NODES, synth_fingerprint: str = "",
+                 raw_states: dict | None = None, *, columns: dict | None = None,
+                 store: FeatureStore | None = None):
+        if samples is not None:
+            store, columns = FeatureStore.of(samples, len(spec), max_nodes)
+        self.spec, self.n_elements, self.max_nodes = spec, n_elements, max_nodes
+        self.synth_fingerprint = synth_fingerprint
+        self.raw_states = {} if raw_states is None else raw_states
+        self.columns: dict[str, np.ndarray] = {name: columns[name] for name in COLUMNS}
+        self.store = store
 
-    def __post_init__(self):
-        self.store = FeatureStore.of(self.samples, self.global_dim, self.max_nodes)
+    def __len__(self) -> int:
+        return len(self.columns["label"])
+
+    def take(self, rows) -> FeaturizedDataset:
+        """The samples at ``rows``, in that order, as a view."""
+        view = copy.copy(self)
+        view.columns = {name: column[rows] for name, column in self.columns.items()}
+        return view
+
+    @property
+    def samples(self) -> list[FeaturizedSample]:
+        """Every sample, built on each read.  Samples share their global
+        vector, and their graph's read-only adjacency and node mask; each
+        copies its node matrix out of the store when it is first read."""
+        store = self.store
+        vecs = list(store.global_vecs)
+        return [
+            FeaturizedSample(day, slot, element_id, None if label < 0 else label, vecs[g],
+                             LocalGraph.stored(store.tables, store.templates, table,
+                                               template, graph, fault_id))
+            for day, slot, element_id, label, fault_id, g, table, template, graph
+            in zip(*(self.columns[name].tolist() for name in COLUMNS))]
 
     @property
     def global_dim(self) -> int:
@@ -868,7 +891,17 @@ class FeaturizedDataset:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=float)
+        """The labels as floats, NaN for unlabeled."""
+        return np.where(self.columns["label"] < 0, np.nan, self.columns["label"])
+
+    def global_rows(self, rows=slice(None)) -> np.ndarray:
+        """The global vectors of the samples at ``rows``."""
+        return self.store.global_vecs[self.columns["global_index"][rows]]
+
+    def raw_rows(self, rows=slice(None)) -> np.ndarray:
+        """The (n, n_bus, 13) raw states of the samples at ``rows``."""
+        keys = zip(*(self.columns[name][rows].tolist() for name in ("day", "slot")))
+        return np.stack([self.raw_states[key] for key in keys])
 
 
 def snapshot_globals(network: Network, snapshots, faults,
@@ -902,32 +935,33 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
     """Featurize fault samples against their snapshots (deterministic order).
 
     Snapshots are validated and their global vectors computed by
-    :func:`snapshot_globals`; all samples of one snapshot share its vector
-    and its bus table, and all samples of one line its template and graph,
-    which the network's index holds.  No sample's node matrix is built.
+    :func:`snapshot_globals`.  The store holds one global vector and one bus
+    table per snapshot, in first-seen fault order, and the network index's
+    templates; each fault is one row of the columns.
     """
     index = _network_index(network)
     per_snapshot = snapshot_globals(network, snapshots, faults, spec)
     tables = np.empty((len(per_snapshot), network.n_bus + 1, NODE_FEATURES))
-    table_of = {}
-    for k, (key, (snap, _)) in enumerate(per_snapshot.items()):
+    for k, (snap, _) in enumerate(per_snapshot.values()):
         index.bus_table(snap, out=tables[k])
-        table_of[key] = k
     tables.flags.writeable = False
-    samples = []
+    table_of = {key: (k, snap) for k, (key, (snap, _)) in enumerate(per_snapshot.items())}
+    places = []
     for fs in faults:
-        key = (fs.day, fs.slot)
-        snap, global_vec = per_snapshot[key]
-        samples.append(FeaturizedSample(
-            day=fs.day, slot=fs.slot, element_id=fs.element_id, label=fs.label,
-            global_vec=global_vec,
-            local=local_subgraph(network, snap, fs.element_id, max_nodes, index,
-                                 table=(tables, table_of[key])),
-        ))
+        k, snap = table_of[(fs.day, fs.slot)]
+        local = local_subgraph(network, snap, fs.element_id, max_nodes, index,
+                               table=(tables, k))
+        places.append(local.source[2:])      # its table, template and graph
+    table, template, graph = np.array(places, dtype=np.int64).reshape(-1, 3).T.copy()
+    columns = int_columns(faults, FAULT_COLUMNS)
+    columns.update(fault_element_id=columns["element_id"], global_index=table,
+                   table_index=table, template_index=template, graph_index=graph)
+    vecs = _stack([vec for _, vec in per_snapshot.values()], (len(spec),))
+    store = FeatureStore(vecs, tables, index.templates(max_nodes)[1])
     raw_states = ({key: global_raw(snap) for key, (snap, _) in per_snapshot.items()}
                   if include_raw else {})
     return FeaturizedDataset(
-        samples=samples, spec=spec, n_elements=len(network.elements),
-        max_nodes=max_nodes, synth_fingerprint=synth_fingerprint,
-        raw_states=raw_states,
+        spec=spec, n_elements=len(network.elements), max_nodes=max_nodes,
+        synth_fingerprint=synth_fingerprint, raw_states=raw_states,
+        columns=columns, store=store,
     )

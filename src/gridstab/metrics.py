@@ -108,18 +108,22 @@ def calibrate_threshold(scores, labels, target_kkd: float = 98.0) -> float:
     return float(np.sort(scores[truth])[-k])
 
 
-def undersample_balance(samples, seed: int):
-    """Keep every unstable sample, subsample stable ones to the same count.
-
-    ``samples`` is any sequence whose items expose a ``label`` attribute.
-    Deterministic in the seed; raises unless both classes are present.
-    """
-    unstable = [s for s in samples if s.label == 1]
-    stable = [s for s in samples if s.label == 0]
-    if not unstable or not stable:
+def balanced_rows(labels, seed: int) -> np.ndarray:
+    """Rows of every unstable label (1), then of as many stable ones (0),
+    each in order; stable rows are subsampled when they outnumber the
+    unstable ones.  Deterministic in the seed; raises unless both classes
+    are present."""
+    labels = np.asarray(labels)
+    unstable, stable = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+    if not unstable.size or not stable.size:
         raise ValueError("undersampling needs both classes present")
-    if len(stable) <= len(unstable):
-        return list(unstable) + list(stable)
-    rng = np.random.default_rng([seed, 7])
-    picked = rng.choice(len(stable), size=len(unstable), replace=False)
-    return list(unstable) + [stable[i] for i in sorted(picked)]
+    if len(stable) > len(unstable):
+        rng = np.random.default_rng([seed, 7])
+        stable = stable[np.sort(rng.choice(len(stable), size=len(unstable), replace=False))]
+    return np.concatenate([unstable, stable])
+
+
+def undersample_balance(samples, seed: int) -> list:
+    """The items of ``samples`` at :func:`balanced_rows` of their ``label``
+    attributes."""
+    return [samples[i] for i in balanced_rows([s.label for s in samples], seed)]

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .features import (
-    LINE_COLUMNS, FeaturizedDataset, FeatureStore, LineTemplates, gather_nodes,
+    INDEX_COLUMNS, LINE_COLUMNS, FeaturizedDataset, FeatureStore, LineTemplates,
+    gather_nodes,
 )
 from .grid import N_BUS_STATE, _is_int, _is_real
-from .metrics import calibrate_threshold, compute_metrics, undersample_balance
+from .metrics import balanced_rows, calibrate_threshold, compute_metrics
 
 log = logging.getLogger(__name__)
 
@@ -66,6 +67,7 @@ ABLATION_ALIASES = {
 
 
 EMBED_DIM = 20   # width of a faulted element's embedding row
+_LOCAL_INDEX = INDEX_COLUMNS[1:]    # a sample's table, template and graph columns
 # Samples the GCN head scores at a time (the default training batch).  Only
 # that head is blocked: tests/test_blas_probes.py records why dense rows
 # would round apart.
@@ -502,9 +504,9 @@ class ScreeningModel:
         """Per-dimension standardization statistics from the training data."""
         scalers = {}
         store = dataset.store
-        glob, table, template, graph = store.index.T
+        table, template, graph = (dataset.columns[name] for name in _LOCAL_INDEX)
         if "global" in self.inputs:
-            g = store.global_vecs[glob]
+            g = dataset.global_rows()
             scalers["global_mu"] = g.mean(axis=0)
             scalers["global_sd"] = _safe_sd(g.std(axis=0))
         if "local" in self.inputs:
@@ -515,7 +517,7 @@ class ScreeningModel:
             scalers["local_mu"] = rows.mean(axis=0)
             scalers["local_sd"] = _safe_sd(rows.std(axis=0))
         if "raw" in self.inputs:
-            raws = np.stack([dataset.raw_states[(s.day, s.slot)] for s in dataset.samples])
+            raws = dataset.raw_rows()
             scalers["raw_mu"] = raws.mean(axis=(0, 1))
             scalers["raw_sd"] = _safe_sd(raws.std(axis=(0, 1)))
         self.scalers = scalers
@@ -527,19 +529,17 @@ class ScreeningModel:
         gathered."""
         sc = self.scalers
         batch: dict = dict.fromkeys(("global", "raw", "ids", "local"))
-        store = dataset.store
-        glob, table, template, graph = store.index[indices].T
-        samples = [dataset.samples[i] for i in indices]
+        columns = dataset.columns
         if "global" in self.inputs:
-            batch["global"] = (store.global_vecs[glob] - sc["global_mu"]) / sc["global_sd"]
+            batch["global"] = (dataset.global_rows(indices) - sc["global_mu"]) / sc["global_sd"]
         if "raw" in self.inputs:
-            raws = np.stack([dataset.raw_states[(s.day, s.slot)] for s in samples])
-            raws = (raws - sc["raw_mu"]) / sc["raw_sd"]
+            raws = (dataset.raw_rows(indices) - sc["raw_mu"]) / sc["raw_sd"]
             batch["raw"] = raws.transpose(0, 2, 1)[:, :, None, :]   # (B, 13, 1, n_bus)
         if "local" in self.inputs:
-            batch["local"] = LocalRows(self._local_source(store), table, template, graph)
+            batch["local"] = LocalRows(self._local_source(dataset.store),
+                                       *(columns[name][indices] for name in _LOCAL_INDEX))
         if "ids" in self.inputs:
-            batch["ids"] = np.array([s.element_id for s in samples], dtype=int)
+            batch["ids"] = columns["element_id"][indices]
         return batch
 
     def build_batch(self, dataset: FeaturizedDataset, indices) -> dict:
@@ -586,9 +586,10 @@ class ScreeningModel:
 
     def predict(self, params: dict, dataset: FeaturizedDataset,
                 batch_size: int = 512) -> np.ndarray:
-        scores = np.empty(len(dataset.samples))
-        for start in range(0, len(dataset.samples), batch_size):
-            idx = range(start, min(start + batch_size, len(dataset.samples)))
+        n = len(dataset)
+        scores = np.empty(n)
+        for start in range(0, n, batch_size):
+            idx = range(start, min(start + batch_size, n))
             batch = self.index_batch(dataset, idx)
             scores[list(idx)], _ = self.forward(params, batch, keep_caches=False)
         return scores
@@ -730,12 +731,11 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
     mc = model_config or ModelConfig()
     tc = train_config or TrainConfig()
     tc.validate()
-    if not train_set.samples:
+    if not len(train_set):
         raise TrainingError("empty training set")
 
     if tc.balance:
-        balanced = undersample_balance(train_set.samples, tc.seed)
-        train_set = replace(train_set, samples=balanced)
+        train_set = train_set.take(balanced_rows(train_set.columns["label"], tc.seed))
 
     dims = _dims_for(train_set)
     model = ScreeningModel(variant, mc, dims)
@@ -746,7 +746,7 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
     shuffle_rng = np.random.default_rng([tc.seed, 102])
 
     labels = train_set.labels()
-    n = len(train_set.samples)
+    n = len(train_set)
     best = {"acc": -1.0, "params": _copy_params(params), "threshold": 0.5, "epoch": 0}
     history = []
 

@@ -18,14 +18,15 @@ The snapshots archive (format_version 2, kind ``snapshots``) holds int64
 2, kind ``faults``) holds int64 ``day``, ``slot``, ``element_id`` and
 ``label`` (-1 for unlabeled).  Their headers hold the synth fingerprint.
 
-The features file (format_version 3, kind ``features``) holds the dataset's
-:class:`~features.FeatureStore`, with no per-sample node matrix:
+The features file (format_version 3, kind ``features``) holds a dataset's
+int64 columns and the :class:`~features.FeatureStore` they point into, as
+they are, with no per-sample node matrix:
 
 * per sample: ``day``, ``slot``, ``element_id``, ``label`` (-1 for
   unlabeled), ``fault_element_id``, and its rows ``global_index``,
   ``table_index``, ``template_index`` and ``graph_index`` in the arrays below;
 * ``global_vecs`` and ``tables``: one global vector and one bus table per
-  snapshot (per distinct vector, and per graph, for hand-built samples);
+  snapshot (per distinct vector, and per sample, for hand-built samples);
 * ``rows`` and ``line_values``: one template per line;
 * ``adjacency`` (bit-packed 0/1 rows) and ``node_mask``: one graph per line;
 * optional ``raw_keys``/``raw_states`` per (day, slot);
@@ -48,14 +49,13 @@ import json
 import math
 import zipfile
 from contextlib import contextmanager
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .features import (
-    LINE_COLUMNS, NODE_FEATURES, FeatureField, FeaturizedDataset, FeaturizedSample,
-    FeatureStore, GlobalFeatureSpec, LineTemplates, LocalGraph, StatKind,
+    COLUMNS, INDEX_COLUMNS, LINE_COLUMNS, NODE_FEATURES, FeatureField, FeaturizedDataset,
+    FeatureStore, GlobalFeatureSpec, LineTemplates, StatKind, int_columns,
 )
 from .grid import (
     LABEL_NAMES, N_BUS_STATE, Bus, Element, FaultSample, GridError, Network, Snapshot,
@@ -140,7 +140,10 @@ def _records(doc: dict, key: str, cls, path) -> tuple:
 
 
 def load_network(path) -> tuple[Network, str]:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:     # unreadable, not UTF-8, or not JSON
+        raise FormatError(f"{path}: unreadable network JSON ({exc})") from exc
     _check_version(doc, path)
     network = Network(buses=_records(doc, "buses", Bus, path),
                       elements=_records(doc, "elements", Element, path))
@@ -220,13 +223,6 @@ def _read_archive(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _columns(records, names) -> dict[str, np.ndarray]:
-    """One int64 array per field of ``names`` over ``records``; an unlabeled
-    record's label (None) is -1."""
-    return {name: np.array([-1 if v is None else v for v in map(attrgetter(name), records)],
-                           dtype=np.int64) for name in names}
-
-
 def _check_arrays(path, kind: str, arrays: dict, schema: dict, optional=(),
                   finite: bool = True) -> None:
     """Raise :class:`FormatError` naming the file and the array for a
@@ -289,7 +285,7 @@ _FAULT_SCHEMA = {name: ("iu", (), "fault") for name in (*_SNAPSHOT_KEY, "element
 def save_snapshots(snapshots, path, synth_fingerprint: str = "") -> None:
     """Write ``snapshots`` as a snapshots archive at exactly ``path``."""
     _write_archive(path, "snapshots", {"synth_fingerprint": synth_fingerprint}, {
-        **_columns(snapshots, _SNAPSHOT_KEY),
+        **int_columns(snapshots, _SNAPSHOT_KEY),
         **{name: np.array([getattr(s, name) for s in snapshots], dtype=np.float64)
            for name in _STATES}})
 
@@ -315,7 +311,7 @@ def load_snapshots(path, network: Network) -> tuple[list[Snapshot], str]:
 def save_faults(faults, path, synth_fingerprint: str = "") -> None:
     """Write ``faults`` as a faults archive at exactly ``path``."""
     _write_archive(path, "faults", {"synth_fingerprint": synth_fingerprint},
-                   _columns(faults, _FAULT_SCHEMA))
+                   int_columns(faults, _FAULT_SCHEMA))
 
 
 def load_faults(path, network: Network) -> tuple[list[FaultSample], str]:
@@ -339,8 +335,6 @@ def load_faults(path, network: Network) -> tuple[list[FaultSample], str]:
 
 # --------------------------------------------------------------- features
 
-_INDEX_ARRAYS = ("global_index", "table_index", "template_index", "graph_index")
-_PER_SAMPLE = ("day", "slot", "element_id", "label", "fault_element_id") + _INDEX_ARRAYS
 _RAW_ARRAYS = ("raw_keys", "raw_states")
 
 
@@ -355,15 +349,9 @@ def _spec_from_doc(doc: list) -> GlobalFeatureSpec:
 
 
 def save_features(dataset: FeaturizedDataset, path) -> None:
-    """Write ``dataset`` as a columnar ``.npz`` archive at exactly ``path``.
-
-    The archive holds the store of the samples as they are now
-    (:meth:`FeatureStore.of`), so samples that share a global vector, or an
-    adjacency and node mask, share them again when loaded.
-    """
-    samples = dataset.samples
-    store = FeatureStore.of(samples, dataset.global_dim, dataset.max_nodes)
-    templates = store.templates
+    """Write ``dataset``'s columns and store, as they are, as a columnar
+    ``.npz`` archive at exactly ``path``."""
+    store, templates = dataset.store, dataset.store.templates
     header = {
         "synth_fingerprint": dataset.synth_fingerprint,
         "feature_spec_hash": dataset.feature_spec_hash(),
@@ -372,11 +360,7 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
         "max_nodes": dataset.max_nodes,
     }
     arrays = {
-        **_columns(samples, ("day", "slot", "element_id", "label")),
-        "fault_element_id": np.array([s.local.fault_element_id for s in samples],
-                                     dtype=np.int64),
-        **{name: column.astype(np.int64) for name, column
-           in zip(_INDEX_ARRAYS, store.index.T)},
+        **dataset.columns,
         "global_vecs": store.global_vecs,
         "tables": store.tables,
         "rows": templates.rows,
@@ -397,7 +381,7 @@ def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
     with _entry(path, "header"):
         m, global_dim = int(header["max_nodes"]), len(header["spec"])
     schema = {
-        **{name: ("iu", (), "sample") for name in _PER_SAMPLE},
+        **{name: ("iu", (), "sample") for name in COLUMNS},
         "global_vecs": ("f", (global_dim,), "global vector"),
         "tables": ("f", (None, NODE_FEATURES), "table"),
         "rows": ("iu", (m,), "template"),
@@ -409,7 +393,7 @@ def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
     }
     raw_optional = () if set(_RAW_ARRAYS) & set(arrays) else _RAW_ARRAYS
     _check_arrays(path, "features", arrays, schema, optional=raw_optional)
-    for index, target in zip(_INDEX_ARRAYS, ("global_vecs", "tables", "rows", "node_mask")):
+    for index, target in zip(INDEX_COLUMNS, ("global_vecs", "tables", "rows", "node_mask")):
         idx = arrays[index]
         if idx.size and (idx.min() < 0 or idx.max() >= len(arrays[target])):
             raise FormatError(f"{path}: {index!r} points outside {target!r}")
@@ -424,33 +408,24 @@ def load_features(path) -> FeaturizedDataset:
     Raises :class:`FormatError` naming the file for anything else, including
     a features file of format_version 1 or 2, an array of the wrong dtype or
     shape, and a NaN or infinity in any float array, each of which it
-    names.  The samples are read from the loaded store: samples that shared
-    a global vector, or an adjacency and node mask, share them again, the
-    latter read-only.
+    names.  The dataset's columns and store are the archive's arrays.
     """
     header, arrays = _read_archive(path, "features")
     _check_feature_arrays(arrays, header, path)
-    tables = arrays["tables"]
-    tables.flags.writeable = False
+    arrays["tables"].flags.writeable = False
     templates = LineTemplates(rows=arrays["rows"], line_values=arrays["line_values"],
                               adjacency=arrays["adjacency"], node_mask=arrays["node_mask"])
-    vecs = list(arrays["global_vecs"])
-    columns = zip(*(arrays[name].tolist() for name in _PER_SAMPLE))
-    samples = [
-        FeaturizedSample(
-            day=day, slot=slot, element_id=element_id,
-            label=None if label < 0 else label, global_vec=vecs[g],
-            local=LocalGraph.stored(tables, templates, table, template, graph, fault_id))
-        for day, slot, element_id, label, fault_id, g, table, template, graph in columns
-    ]
     raw_states = {}
     if "raw_keys" in arrays:
         raw_states = {(day, slot): raw for (day, slot), raw
                       in zip(arrays["raw_keys"].tolist(), arrays["raw_states"])}
     return FeaturizedDataset(
-        samples=samples, spec=_spec_from_doc(header["spec"]),
+        spec=_spec_from_doc(header["spec"]),
         n_elements=header["n_elements"], max_nodes=header["max_nodes"],
         synth_fingerprint=header.get("synth_fingerprint", ""), raw_states=raw_states,
+        columns={name: arrays[name].astype(np.int64, copy=False) for name in COLUMNS},
+        store=FeatureStore(global_vecs=arrays["global_vecs"], tables=arrays["tables"],
+                           templates=templates),
     )
 
 

@@ -10,17 +10,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, synth
-from .features import (
-    FeaturizedDataset, GlobalFeatureSpec, default_feature_spec, featurize, snapshot_globals,
-)
+from .features import FeaturizedDataset, GlobalFeatureSpec, default_feature_spec, featurize
 from .grid import Network, Snapshot
-from .metrics import MetricRow, calibrate_threshold, compute_metrics, undersample_balance
-from .model import ModelConfig, TrainConfig, TrainResult, reads_raw, scores_for, train
+from .metrics import MetricRow, balanced_rows, calibrate_threshold, compute_metrics
+from .model import (
+    VARIANTS, ModelConfig, TrainConfig, TrainResult, reads_raw, scores_for, train,
+)
 from .persist import fingerprint
 
 log = logging.getLogger(__name__)
 
-COMPARISON_SYSTEMS = ("Baseline", "MLP", "SVM", "GraphModel", "GraphPool", "DeepCnn5")
+# (row label, system) of each table
+COMPARISON_ROWS = (
+    ("Baseline", "prevday"), ("MLP", "MlpOnly"), ("SVM", "svm"),
+    ("GraphModel", "GraphModel"), ("GraphPool", "GraphPool"), ("DeepCnn5", "DeepCnn5"),
+)
 ABLATION_ROWS = (
     ("full", "GraphModel"),
     ("no-global", "NoGlobal"),
@@ -50,9 +54,8 @@ class Bundle:
     spec: GlobalFeatureSpec
     synth_fingerprint: str
 
-    def faults_of(self, day: int, lo_slot: int = 0, hi_slot: int | None = None) -> list:
-        hi = math.inf if hi_slot is None else hi_slot
-        return [f for f in self.faults if f.day == day and lo_slot <= f.slot < hi]
+    def faults_of(self, day: int) -> list:
+        return [f for f in self.faults if f.day == day]
 
 
 def build_bundle(config: ExperimentConfig) -> Bundle:
@@ -66,11 +69,14 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
 
 @dataclass
 class DayPair:
+    """Views of one featurized train day and the featurized eval day."""
+
     train_day: int
     eval_day: int
-    train_ds: FeaturizedDataset      # balanced training slice
-    cal_ds: FeaturizedDataset        # raw calibration tail of the train day
+    train_ds: FeaturizedDataset      # balanced training slots of the train day
+    cal_ds: FeaturizedDataset        # calibration tail of the train day
     eval_ds: FeaturizedDataset       # full eval day
+    fit_ds: FeaturizedDataset        # every fault of the training slots
 
 
 def day_cut(n_slots: int, calibration_frac: float) -> int:
@@ -79,24 +85,46 @@ def day_cut(n_slots: int, calibration_frac: float) -> int:
     return max(1, int(round(n_slots * (1.0 - calibration_frac))))
 
 
+def day_slice(dataset: FeaturizedDataset, day: int, lo_slot: int = 0,
+              hi_slot: float = math.inf) -> FeaturizedDataset:
+    """The view of ``day``'s samples in slots [lo_slot, hi_slot); a
+    ValueError when there are none."""
+    slot = dataset.columns["slot"]
+    rows = np.flatnonzero((dataset.columns["day"] == day) & (lo_slot <= slot)
+                          & (slot < hi_slot))
+    if not rows.size:
+        raise ValueError(f"features contain no samples for day {day} "
+                         f"slots [{lo_slot}, {hi_slot})")
+    return dataset.take(rows)
+
+
+def split_day(dataset: FeaturizedDataset, day: int,
+              calibration_frac: float) -> tuple[FeaturizedDataset, FeaturizedDataset]:
+    """The training and calibration views of ``day``, cut by :func:`day_cut`
+    on the day's own slot count (its last slot + 1)."""
+    whole = day_slice(dataset, day)
+    cut = day_cut(int(whole.columns["slot"].max()) + 1, calibration_frac)
+    return day_slice(whole, day, 0, cut), day_slice(whole, day, cut)
+
+
 def prepare_day_pair(bundle: Bundle, train_day: int, eval_day: int,
                      include_raw: bool = False) -> DayPair:
+    """Featurize the train day once and split it (:func:`split_day`); the
+    training view is balanced.  Featurize the eval day."""
     cfg = bundle.config
-    cut = day_cut(cfg.synth.slots_per_day, cfg.calibration_frac)
-    train_faults = bundle.faults_of(train_day, 0, cut)
-    cal_faults = bundle.faults_of(train_day, cut, None)
-    eval_faults = bundle.faults_of(eval_day)
-    if not train_faults or not cal_faults or not eval_faults:
-        raise ValueError(f"missing day data for pair ({train_day}, {eval_day})")
-
-    balanced = undersample_balance(train_faults, cfg.train.seed)
     kw = dict(spec=bundle.spec, max_nodes=cfg.max_nodes, include_raw=include_raw,
               synth_fingerprint=bundle.synth_fingerprint)
+    train_faults, eval_faults = bundle.faults_of(train_day), bundle.faults_of(eval_day)
+    if not train_faults or not eval_faults:
+        raise ValueError(f"missing day data for pair ({train_day}, {eval_day})")
+    day = featurize(bundle.network, bundle.snapshots, train_faults, **kw)
+    fit_ds, cal_ds = split_day(day, train_day, cfg.calibration_frac)
     return DayPair(
         train_day=train_day, eval_day=eval_day,
-        train_ds=featurize(bundle.network, bundle.snapshots, balanced, **kw),
-        cal_ds=featurize(bundle.network, bundle.snapshots, cal_faults, **kw),
+        train_ds=fit_ds.take(balanced_rows(fit_ds.columns["label"], cfg.train.seed)),
+        cal_ds=cal_ds,
         eval_ds=featurize(bundle.network, bundle.snapshots, eval_faults, **kw),
+        fit_ds=fit_ds,
     )
 
 
@@ -111,21 +139,15 @@ def evaluate_model(pair: DayPair, result: TrainResult) -> MetricRow:
     return compute_metrics(scores, pair.eval_ds.labels(), result.threshold)
 
 
-def run_model_system(pair: DayPair, variant: str, model_config: ModelConfig,
-                     train_config: TrainConfig) -> tuple[MetricRow, TrainResult]:
-    result = train_on_pair(pair, variant, model_config, train_config)
-    return evaluate_model(pair, result), result
-
-
 def run_prev_day(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
     """Previous-day baseline: calibrate on the train-day tail scored by the
     day before it, then predict the eval day from the train day's labels."""
     train_day = pair.train_day
     eval_index = baselines.PrevDayIndex.from_faults(bundle.faults, train_day)
-    scores = baselines.prev_day_scores(eval_index, pair.eval_ds.samples)
+    scores = baselines.prev_day_scores(eval_index, pair.eval_ds.columns["element_id"])
     if train_day >= 1:
         cal_index = baselines.PrevDayIndex.from_faults(bundle.faults, train_day - 1)
-        cal_scores = baselines.prev_day_scores(cal_index, pair.cal_ds.samples)
+        cal_scores = baselines.prev_day_scores(cal_index, pair.cal_ds.columns["element_id"])
         threshold = calibrate_threshold(cal_scores, pair.cal_ds.labels(), target_kkd)
     else:
         threshold = baselines.PREV_DAY_THRESHOLD + 1e-9
@@ -133,20 +155,25 @@ def run_prev_day(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
 
 
 def run_svm(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
-    cfg = bundle.config
-    cut = day_cut(cfg.synth.slots_per_day, cfg.calibration_frac)
-    train_faults = bundle.faults_of(pair.train_day, 0, cut)
-    per_snapshot = snapshot_globals(bundle.network, bundle.snapshots, train_faults,
-                                    bundle.spec)
-    x_train = np.stack([per_snapshot[(f.day, f.slot)][1] for f in train_faults])
-    y_train = np.array([f.label for f in train_faults], dtype=float)
-    params, accounting = baselines.svm_train_expanded(x_train, y_train)
+    """The boundary-expansion SVM on the global vectors of every fault of the
+    training slots (unbalanced), calibrated on the train-day tail."""
+    params, accounting = baselines.svm_train_expanded(pair.fit_ds.global_rows(),
+                                                      pair.fit_ds.labels())
     log.info("svm expansion: %s", accounting)
+    cal_margins = params.margins(pair.cal_ds.global_rows())
+    threshold = calibrate_threshold(cal_margins, pair.cal_ds.labels(), target_kkd)
+    return compute_metrics(params.margins(pair.eval_ds.global_rows()), pair.eval_ds.labels(),
+                           threshold)
 
-    cal_x = baselines.svm_dataset_features(pair.cal_ds)
-    threshold = calibrate_threshold(params.margins(cal_x), pair.cal_ds.labels(), target_kkd)
-    eval_x = baselines.svm_dataset_features(pair.eval_ds)
-    return compute_metrics(params.margins(eval_x), pair.eval_ds.labels(), threshold)
+
+def run_system(bundle: Bundle, pair: DayPair, system: str) -> MetricRow:
+    """The row of ``system`` on ``pair``: "prevday", "svm" or a model variant."""
+    cfg = bundle.config
+    if system == "prevday":
+        return run_prev_day(bundle, pair, cfg.train.target_kkd)
+    if system == "svm":
+        return run_svm(bundle, pair, cfg.train.target_kkd)
+    return evaluate_model(pair, train_on_pair(pair, system, cfg.model, cfg.train))
 
 
 def daily_report(bundle: Bundle, system: str, days: list[int] | None = None,
@@ -157,53 +184,38 @@ def daily_report(bundle: Bundle, system: str, days: list[int] | None = None,
     selects the architecture.
     """
     cfg = bundle.config
+    if system not in ("model", "prevday", "svm"):
+        raise ValueError(f"unknown system {system!r}")
     if days is None:
         days = list(range(cfg.synth.days - 1))
     raw = system == "model" and reads_raw(variant, cfg.model)
-    rows = []
-    for d in days:
-        pair = prepare_day_pair(bundle, d, d + 1, include_raw=raw)
-        if system == "model":
-            row, _ = run_model_system(pair, variant, cfg.model, cfg.train)
-        elif system == "prevday":
-            row = run_prev_day(bundle, pair, cfg.train.target_kkd)
-        elif system == "svm":
-            row = run_svm(bundle, pair, cfg.train.target_kkd)
-        else:
-            raise ValueError(f"unknown system {system!r}")
-        rows.append(_row_dict(d + 1, row))
-    return rows
+    name = variant if system == "model" else system
+    pairs = (prepare_day_pair(bundle, d, d + 1, include_raw=raw) for d in days)
+    return [_row_dict(pair.eval_day, run_system(bundle, pair, name)) for pair in pairs]
 
 
 def comparison_table(bundle: Bundle, train_day: int, eval_day: int) -> list[dict]:
     """The six-system comparison on one day pair."""
-    cfg = bundle.config
-    pair = prepare_day_pair(bundle, train_day, eval_day, include_raw=True)
-    rows = []
-    for name in COMPARISON_SYSTEMS:
-        if name == "Baseline":
-            row = run_prev_day(bundle, pair, cfg.train.target_kkd)
-        elif name == "SVM":
-            row = run_svm(bundle, pair, cfg.train.target_kkd)
-        elif name == "MLP":
-            row, _ = run_model_system(pair, "MlpOnly", cfg.model, cfg.train)
-        else:
-            row, _ = run_model_system(pair, name, cfg.model, cfg.train)
-        rows.append(_row_dict(name, row))
-        log.info("comparison %s: %s", name, row.formatted())
-    return rows
+    return _pair_table(bundle, train_day, eval_day, COMPARISON_ROWS, "comparison")
 
 
 def ablation_table(bundle: Bundle, train_day: int, eval_day: int) -> list[dict]:
     """Full model against the three variants that each remove one feature family."""
+    return _pair_table(bundle, train_day, eval_day, ABLATION_ROWS, "ablation")
+
+
+def _pair_table(bundle: Bundle, train_day: int, eval_day: int, systems: tuple,
+                name: str) -> list[dict]:
+    """One row per (label, system) of ``systems`` on one day pair, featurized
+    with raw states when a system reads them."""
     cfg = bundle.config
-    raw = any(reads_raw(variant, cfg.model) for _, variant in ABLATION_ROWS)
+    raw = any(reads_raw(system, cfg.model) for _, system in systems if system in VARIANTS)
     pair = prepare_day_pair(bundle, train_day, eval_day, include_raw=raw)
     rows = []
-    for label, variant in ABLATION_ROWS:
-        row, _ = run_model_system(pair, variant, cfg.model, cfg.train)
+    for label, system in systems:
+        row = run_system(bundle, pair, system)
         rows.append(_row_dict(label, row))
-        log.info("ablation %s: %s", label, row.formatted())
+        log.info("%s %s: %s", name, label, row.formatted())
     return rows
 
 

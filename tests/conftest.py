@@ -89,6 +89,14 @@ def make_toy_dataset(n: int, seed: int, separable: bool = True,
                              n_elements=n_elements, max_nodes=max_nodes)
 
 
+def with_samples(ds: FeaturizedDataset, samples: list) -> FeaturizedDataset:
+    """A dataset with ``ds``'s header and raw states, built from the
+    hand-built ``samples``."""
+    return FeaturizedDataset(samples=samples, spec=ds.spec, n_elements=ds.n_elements,
+                             max_nodes=ds.max_nodes, synth_fingerprint=ds.synth_fingerprint,
+                             raw_states=ds.raw_states)
+
+
 def same_array(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 

@@ -28,8 +28,7 @@ def faults_for_day(day, labels_by_element):
 
 def next_day_score(index, element_id):
     """The previous-day score of one fault on ``element_id`` the next day."""
-    fault = FaultSample(day=index.day + 1, slot=0, element_id=element_id, label=None)
-    return float(prev_day_scores(index, [fault])[0])
+    return float(prev_day_scores(index, [element_id])[0])
 
 
 def test_prev_day_mean_rule():
@@ -58,8 +57,7 @@ def test_prev_day_zero_threshold_flags_any_history():
 def test_prev_day_scores_vector():
     index = PrevDayIndex.from_faults(
         faults_for_day(0, {0: [UNSTABLE, STABLE], 1: [STABLE, STABLE]}), day=0)
-    faults = [FaultSample(day=1, slot=0, element_id=e, label=None) for e in (0, 1, 2)]
-    assert prev_day_scores(index, faults).tolist() == [0.5, 0.0, 0.0]
+    assert prev_day_scores(index, [0, 1, 2]).tolist() == [0.5, 0.0, 0.0]
 
 
 # ------------------------------------------------------------------- SVM

@@ -5,9 +5,10 @@ a sample's own node matrix."""
 import numpy as np
 import pytest
 
-from gridstab import features, nn
+from gridstab import features, nn, persist, report
 from gridstab.features import LocalGraph, default_feature_spec, featurize
 from gridstab.model import ModelConfig, TrainConfig, scores_for, train
+from gridstab.synth import SynthConfig
 
 from conftest import reset_memos
 
@@ -86,7 +87,7 @@ def test_a_store_holds_one_table_per_snapshot_and_one_template_per_line(small_wo
     assert len(store.global_vecs) == 3
     assert len(store.templates.rows) == len(store.templates.node_mask) == len(lines)
     assert not store.tables.flags.writeable
-    glob, table, template, graph = store.index.T
+    glob, table, template, graph = (ds.columns[name] for name in features.INDEX_COLUMNS)
     assert glob.tolist() == table.tolist() == [f.slot for f in faults]
     assert template.tolist() == graph.tolist() == [lines.index(f.element_id) for f in faults]
 
@@ -99,3 +100,30 @@ def test_a_hand_built_adjacency_must_be_zero_or_one():
     with pytest.raises(ValueError, match="only 0 and 1"):
         features.FeaturizedDataset([sample], features.GlobalFeatureSpec(
             fields=default_feature_spec().fields[:8]), n_elements=1, max_nodes=3)
+
+
+def test_no_program_path_walks_the_samples(tmp_path, monkeypatch):
+    """Featurizing, the features file, the day split, training, scoring and
+    both baselines read the columns and the store.  ``samples`` is built on
+    each read, so a walk inside ``predict`` or ``index_batch`` would rebuild
+    it for every batch, on screen's per-snapshot path too."""
+    def refuse(dataset):
+        raise AssertionError("a dataset's samples were read")
+
+    monkeypatch.setattr(features.FeaturizedDataset, "samples", property(refuse))
+    cfg = report.ExperimentConfig(synth=SynthConfig(n_bus=20, days=3, slots_per_day=8, seed=3),
+                                  model=SMALL, train=TrainConfig(epochs=1, seed=1))
+    bundle = report.build_bundle(cfg)
+    ds = featurize(bundle.network, bundle.snapshots, bundle.faults, bundle.spec,
+                   include_raw=True)
+    persist.save_features(ds, tmp_path / "features.npz")
+    loaded = persist.load_features(tmp_path / "features.npz")
+    train_ds, cal_ds = report.split_day(loaded, 1, cfg.calibration_frac)
+    for variant in ("GraphModel", "DeepCnn5"):
+        result = train(variant, train_ds, cal_ds, SMALL, cfg.train)
+        assert scores_for(result, report.day_slice(loaded, 2)).shape == (len(loaded) // 3,)
+    pair = report.prepare_day_pair(bundle, 1, 2, include_raw=True)
+    rows = report.comparison_table(bundle, 1, 2)
+    assert report.run_svm(bundle, pair, 98.0) == report.run_system(bundle, pair, "svm")
+    assert report.run_prev_day(bundle, pair, 98.0) == report.run_system(bundle, pair, "prevday")
+    assert len(rows) == len(report.COMPARISON_ROWS)

@@ -9,7 +9,6 @@ batches of different sizes through one model and compare every output with
 a fresh model's.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -61,7 +60,7 @@ def test_reused_arena_gives_a_fresh_models_bytes(synth_ds, case):
     model = fresh_model(variant, config, synth_ds)
     params = model.init_params(np.random.default_rng(3))
     rng = np.random.default_rng(4)
-    part = dataclasses.replace(synth_ds, samples=synth_ds.samples[:150])
+    part = synth_ds.take(range(150))
     for k in SIZES:
         idx = rng.permutation(len(synth_ds.samples))[:k]
         y, grads = step(model, params, synth_ds, idx)
@@ -86,7 +85,7 @@ def test_backward_on_overwritten_caches_raises(synth_ds, between):
     if between == "forward":
         model.forward(params, model.build_batch(synth_ds, idx + 16))
     else:
-        model.predict(params, dataclasses.replace(synth_ds, samples=synth_ds.samples[:40]))
+        model.predict(params, synth_ds.take(range(40)))
     _, grad_y = nn.bce_loss(y, synth_ds.labels()[idx])
     with pytest.raises(TrainingError, match="overwritten"):
         model.backward(params, caches, grad_y)
@@ -130,7 +129,7 @@ def test_mean_pool_of_full_and_padded_blocks(monkeypatch):
     params = model.init_params(np.random.default_rng(13))
     runs = []
     for idx in (full, padded, full):
-        part = dataclasses.replace(ds, samples=[ds.samples[i] for i in idx])
+        part = ds.take(idx)
         runs.append((step(model, params, ds, idx), model.predict(params, part)))
 
     def always_multiply(self, h3, mask, scratch):
@@ -145,6 +144,6 @@ def test_mean_pool_of_full_and_padded_blocks(monkeypatch):
         assert y.tobytes() == want_y.tobytes()
         for name, grad in want_grads.items():
             assert grads[name].tobytes() == grad.tobytes(), name
-        part = dataclasses.replace(ds, samples=[ds.samples[i] for i in idx])
+        part = ds.take(idx)
         want = fresh_model("GraphModel", ModelConfig(), ds, model.scalers).predict(params, part)
         assert scores.tobytes() == want.tobytes()

@@ -12,7 +12,7 @@ from gridstab.model import (
     scores_for, train,
 )
 
-from conftest import make_toy_dataset
+from conftest import make_toy_dataset, with_samples
 
 SMALL = ModelConfig(gcn_hidden=8, sg_dim=8, sl_dim=8, stats_hidden=12,
                     sid_hidden=4, mlp_hidden=(10, 6))
@@ -105,7 +105,7 @@ def test_node_permutation_invariance():
                 fault_element_id=s.local.fault_element_id,
             ),
         ))
-    permuted = dataclasses.replace(ds, samples=permuted_samples)
+    permuted = with_samples(ds, permuted_samples)
     out, _ = model.forward(params, model.build_batch(permuted, range(5)))
     assert np.allclose(base, out, atol=1e-12)
 
@@ -116,7 +116,7 @@ def test_max_pool_permutation_invariance():
     params = model.init_params(np.random.default_rng(4))
     base, _ = model.forward(params, model.build_batch(ds, range(4)))
     perm = np.random.default_rng(5).permutation(ds.max_nodes)
-    permuted = dataclasses.replace(ds, samples=[
+    permuted = with_samples(ds, [
         FeaturizedSample(
             day=s.day, slot=s.slot, element_id=s.element_id, label=s.label,
             global_vec=s.global_vec,
@@ -228,7 +228,7 @@ def test_shuffled_labels_hit_noise_floor():
 def test_empty_train_set_rejected():
     ds = make_toy_dataset(4, seed=16)
     with pytest.raises(TrainingError):
-        train("GraphModel", dataclasses.replace(ds, samples=[]), ds, SMALL,
+        train("GraphModel", ds.take([]), ds, SMALL,
               TrainConfig(epochs=1))
 
 
@@ -290,7 +290,8 @@ RAW_READERS = [
 @pytest.mark.parametrize("variant,config", RAW_READERS)
 def test_raw_reader_without_raw_states_is_a_training_error(variant, config):
     with_raw = toy_with_raw(16, seed=41)
-    no_raw = dataclasses.replace(with_raw, raw_states={})
+    no_raw = with_raw.take(range(len(with_raw)))
+    no_raw.raw_states = {}
     with pytest.raises(TrainingError, match="reads raw bus states.*carries no raw states"):
         train(variant, no_raw, no_raw, config, TrainConfig(epochs=1, balance=False))
     result = train(variant, with_raw, with_raw, config, TrainConfig(epochs=0, balance=False))

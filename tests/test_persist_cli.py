@@ -10,6 +10,7 @@ import sys
 import tempfile
 import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gridstab.features import LocalGraph, featurize
 from gridstab.model import ModelConfig, TrainConfig, scores_for, train
 from gridstab.synth import SynthConfig, build_dataset
 
-from conftest import assert_identical_datasets, make_toy_dataset
+from conftest import assert_identical_datasets, make_toy_dataset, with_samples
 
 TINY = ["--buses", "24", "--days", "3", "--slots", "8", "--seed", "7"]
 
@@ -83,9 +84,12 @@ def assert_round_trip(ds, path):
 
 
 def test_features_round_trip(tmp_path):
-    ds = make_toy_dataset(12, seed=1)
+    toy = make_toy_dataset(12, seed=1)
+    samples = toy.samples
     for i in (3, 7):
-        ds.samples[i].label = None
+        samples[i].label = None
+    ds = with_samples(toy, samples)
+    assert [s.label for s in ds.samples].count(None) == 2
     rng = np.random.default_rng(1)
     ds.raw_states = {(s.day, s.slot): rng.normal(size=(5, 13)) for s in ds.samples}
     # the toy samples' fault_element_id (0) differs from their element_id
@@ -99,18 +103,24 @@ def test_features_round_trip(tmp_path):
        data=st.data())
 def test_features_round_trip_with_any_sharing(tmp_path_factory, n, seed, raw, data):
     """Round trips stay exact whatever arrays the samples share."""
-    ds = make_toy_dataset(n, seed=seed, max_nodes=6)
-    base = list(ds.samples)
+    toy = make_toy_dataset(n, seed=seed, max_nodes=6)
+    samples = toy.samples
+    base = list(samples)
     picks = st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)
     vec_of, adj_of, mask_of = data.draw(picks), data.draw(picks), data.draw(picks)
     labels = data.draw(st.lists(st.sampled_from([None, 0, 1]), min_size=n, max_size=n))
-    for i, s in enumerate(ds.samples):
+    for i, s in enumerate(samples):
         s.label = labels[i]
         s.global_vec = base[vec_of[i]].global_vec
         s.local = LocalGraph(adjacency=base[adj_of[i]].local.adjacency,
                              node_features=s.local.node_features,
                              node_mask=base[mask_of[i]].local.node_mask,
                              fault_element_id=s.element_id)
+    ds = with_samples(toy, samples)
+    # the builder keeps every value of the samples and every array they share
+    assert_identical_datasets(ds, SimpleNamespace(
+        spec=toy.spec, n_elements=toy.n_elements, max_nodes=toy.max_nodes,
+        synth_fingerprint=toy.synth_fingerprint, samples=samples, raw_states={}))
     if raw:
         rng = np.random.default_rng(seed)
         ds.raw_states = {(s.day, s.slot): rng.normal(size=(4, 13)) for s in ds.samples}
@@ -347,7 +357,7 @@ def test_cli_train_and_calibration_slices_are_disjoint_and_match_report(
     cut = report.day_cut(bundle.config.synth.slots_per_day, bundle.config.calibration_frac)
     assert seen["cal"] == {s.fault_key for s in pair.cal_ds.samples}
     assert seen["train"] == {f"d{f.day}s{f.slot}e{f.element_id}"
-                             for f in bundle.faults_of(1, 0, cut)}
+                             for f in bundle.faults_of(1) if f.slot < cut}
     assert {s.fault_key for s in pair.train_ds.samples} <= seen["train"]
 
 
@@ -552,11 +562,14 @@ def _corrupt_network(path, corrupt):
     ("snapshots.npz", lambda p: _edit_arrays(p, lambda arrays: arrays.__setitem__(
         "element_states", arrays["element_states"][:, :-1])),
      "snapshot day 0 slot 0: element-state-shape: element_states expected ("),
+    ("faults.npz", lambda p: _edit_arrays(p, _set_entry("day", 0, 9)),
+     "fault 0 names day 9 slot 0, with no snapshot in snapshots.npz"),
 ], ids=["snapshot-without-slot", "fault-label-maybe", "unknown-bus-field",
         "repeated-fault-row", "string-voltage", "string-degree", "bool-endpoint",
         "string-in-bus-states", "string-day", "float-slot", "float-element-id",
         "bool-element-id", "repeated-snapshot", "short-label-array", "fault-on-transformer",
-        "fault-on-unknown-element", "inf-element-state", "missing-element-row"])
+        "fault-on-unknown-element", "inf-element-state", "missing-element-row",
+        "fault-without-snapshot"])
 def test_cli_malformed_dataset_file_is_a_format_error(tmp_path, capsys, name, corrupt,
                                                       message):
     data = tmp_path / "data"
@@ -568,6 +581,23 @@ def test_cli_malformed_dataset_file_is_a_format_error(tmp_path, capsys, name, co
     assert run_cli("featurize", "--data", str(data)) == 1
     err = capsys.readouterr().err
     assert f"{data / name}: {message}" in err
+    assert "Traceback" not in err
+    assert not (data / "features.npz").exists()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda path: path.write_text("nope"),
+    lambda path: path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2]),
+    lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes()),
+], ids=["not-json", "truncated", "not-utf8"])
+def test_cli_unreadable_network_json_names_the_file(tmp_path, capsys, corrupt):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    corrupt(data / "network.json")
+    capsys.readouterr()
+    assert run_cli("featurize", "--data", str(data)) == 1
+    err = capsys.readouterr().err
+    assert f"error: {data / 'network.json'}: unreadable network JSON (" in err
     assert "Traceback" not in err
     assert not (data / "features.npz").exists()
 
