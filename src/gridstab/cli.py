@@ -71,26 +71,20 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
         if not isinstance(section, dict):
             raise CliError(f"{path}: config section {name!r} must be a JSON object, "
                            f"not {_json_type(section)}")
-    if "synth" in doc:
-        _apply_section(cfg.synth, doc["synth"], "synth")
-    if "model" in doc:
-        _apply_section(cfg.model, doc["model"], "model")
-        try:
-            cfg.model.validate()
-        except ValueError as exc:
-            raise CliError(f"{path}: config section 'model': {exc}") from exc
-    if "train" in doc:
-        _apply_section(cfg.train, doc["train"], "train")
-    feature = doc.get("feature", {})
-    unknown = set(feature) - {"regions", "max_nodes"}
-    if unknown:
-        raise CliError(f"unknown keys in config section 'feature': {sorted(unknown)}")
+    for name in ("synth", "model", "train"):
+        _apply_section(getattr(cfg, name), doc.get(name, {}), name)
+    try:
+        cfg.model.validate()
+    except ValueError as exc:
+        raise CliError(f"{path}: config section 'model': {exc}") from exc
+    for name, keys in (("feature", {"regions", "max_nodes"}),
+                       ("eval", {"target_kkd", "calibration_frac"})):
+        unknown = set(doc.get(name, {})) - keys
+        if unknown:
+            raise CliError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+    feature, evaluation = doc.get("feature", {}), doc.get("eval", {})
     cfg.feature_regions = feature.get("regions", cfg.feature_regions)
     cfg.max_nodes = feature.get("max_nodes", cfg.max_nodes)
-    evaluation = doc.get("eval", {})
-    unknown = set(evaluation) - {"target_kkd", "calibration_frac"}
-    if unknown:
-        raise CliError(f"unknown keys in config section 'eval': {sorted(unknown)}")
     cfg.train.target_kkd = evaluation.get("target_kkd", cfg.train.target_kkd)
     cfg.calibration_frac = evaluation.get("calibration_frac", cfg.calibration_frac)
     return cfg
@@ -222,12 +216,6 @@ def cmd_featurize(args) -> int:
     return EXIT_OK
 
 
-def _resolve_variant(args) -> str:
-    if getattr(args, "ablate", None):
-        return ABLATION_ALIASES[args.ablate]
-    return VARIANT_ALIASES[args.variant]
-
-
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     ds = persist.load_features(_require(Path(args.features), "features"))
@@ -235,7 +223,7 @@ def cmd_train(args) -> int:
         _, _, _, fp = _load_dataset_dir(Path(args.data))
         if fp != ds.synth_fingerprint:
             raise CliError("features fingerprint does not match the dataset directory")
-    variant = _resolve_variant(args)
+    variant = ABLATION_ALIASES[args.ablate] if args.ablate else VARIANT_ALIASES[args.variant]
     train_ds, cal_ds = report.split_day(ds, args.train_day, cfg.calibration_frac)
     result = train(variant, train_ds, cal_ds, cfg.model, cfg.train)
     out = Path(args.out) if args.out else Path("checkpoint.npz")
@@ -267,17 +255,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg = resolve_config(args)
-    bundle = _bundle_from_dir(Path(args.data), cfg)
-    pair = report.prepare_day_pair(bundle, args.train_day, args.eval_day)
+    bundle = _bundle_from_dir(Path(args.data), resolve_config(args))
     system = "MlpOnly" if args.baseline == "mlp" else args.baseline
-    row = report.run_system(bundle, pair, system)
-    return _emit([report._row_dict(args.baseline, row)], args.out, "baseline")
+    rows = report.pair_table(bundle, args.train_day, args.eval_day, ((args.baseline, system),))
+    return _emit(rows, args.out, "baseline")
 
 
 def cmd_ablate(args) -> int:
-    cfg = resolve_config(args)
-    bundle = _bundle_from_dir(Path(args.data), cfg)
+    bundle = _bundle_from_dir(Path(args.data), resolve_config(args))
     return _emit(report.ablation_table(bundle, args.train_day, args.eval_day), args.out,
                  "variant")
 
@@ -291,16 +276,13 @@ def _emit(rows: list[dict], out, label: str = "date") -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = resolve_config(args)
-    bundle = _bundle_from_dir(Path(args.data), cfg)
+    bundle = _bundle_from_dir(Path(args.data), resolve_config(args))
     out_dir = Path(args.out) if args.out else Path(args.data)
-    variant = VARIANT_ALIASES[args.variant]
-    _emit(report.daily_report(bundle, "model", variant=variant), out_dir / "report_daily.csv")
+    daily, compared = report.daily_report(bundle, VARIANT_ALIASES[args.variant], args.compare)
+    _emit(daily, out_dir / "report_daily.csv")
     if args.compare:
-        train_day = cfg.synth.days - 2
         print()
-        _emit(report.comparison_table(bundle, train_day, train_day + 1),
-              out_dir / "report_compare.csv", "model")
+        _emit(compared, out_dir / "report_compare.csv", "model")
     return EXIT_OK
 
 
@@ -324,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, features=False, pair=False):
+    def command(name, func, summary, data=False, features=False, pair=False, epochs=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="run-configuration JSON")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output file or directory")
@@ -339,58 +323,45 @@ def build_parser() -> argparse.ArgumentParser:
         if pair:
             p.add_argument("--train-day", dest="train_day", type=int, required=True)
             p.add_argument("--eval-day", dest="eval_day", type=int, required=True)
+        if epochs:
+            p.add_argument("--epochs", type=int)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset (network.json, "
-                                     "snapshots.npz and faults.npz in --out)")
-    common(p)
+    p = command("synth", cmd_synth, "generate a synthetic dataset (network.json, "
+                                    "snapshots.npz and faults.npz in --out)")
     p.add_argument("--buses", type=int)
     p.add_argument("--days", type=int)
     p.add_argument("--slots", type=int)
     p.add_argument("--unstable-rate", dest="unstable_rate", type=float)
-    p.set_defaults(func=cmd_synth)
-    p.required_out = True
 
-    p = sub.add_parser("featurize", help="turn a dataset into model features "
-                                         "(default out: <data>/features.npz)")
-    common(p, data=True)
+    p = command("featurize", cmd_featurize, "turn a dataset into model features "
+                                            "(default out: <data>/features.npz)", data=True)
     p.add_argument("--days", dest="day_subset", help="comma-separated day subset")
-    p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", help="train one model variant "
-                                     "(default out: checkpoint.npz)")
-    common(p, features=True)
+    p = command("train", cmd_train, "train one model variant (default out: checkpoint.npz)",
+                features=True, epochs=True)
     p.add_argument("--data", help="dataset directory written by synth "
                                   "(for fingerprint checks)")
     p.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="graph")
     p.add_argument("--ablate", choices=sorted(ABLATION_ALIASES))
     p.add_argument("--train-day", dest="train_day", type=int, required=True)
-    p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on one day")
-    common(p, features=True)
+    p = command("eval", cmd_eval, "evaluate a checkpoint on one day", features=True)
     p.add_argument("--checkpoint", required=True, help="checkpoint written by train")
     p.add_argument("--day", type=int, required=True)
     p.add_argument("--threshold", type=float)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("baseline", help="run one baseline on a day pair")
-    common(p, data=True, pair=True)
+    p = command("baseline", cmd_baseline, "run one baseline on a day pair", data=True,
+                pair=True, epochs=True)
     p.add_argument("--baseline", choices=["prevday", "svm", "mlp"], required=True)
-    p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("ablate", help="feature-family ablation table")
-    common(p, data=True, pair=True)
-    p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_ablate)
+    command("ablate", cmd_ablate, "feature-family ablation table", data=True, pair=True,
+            epochs=True)
 
-    p = sub.add_parser("report", help="per-day report and model comparison")
-    common(p, data=True)
+    p = command("report", cmd_report, "per-day report and model comparison", data=True,
+                epochs=True)
     p.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="graph")
     p.add_argument("--compare", action="store_true")
-    p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_report)
     return parser
 
 

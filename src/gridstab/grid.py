@@ -217,6 +217,8 @@ def validate_network(network: Network) -> list[str]:
             dangling = True
         elif elem.from_bus == elem.to_bus:
             errors.append(f"self-loop: element {elem.id} on bus {elem.from_bus}")
+        if elem.rating <= 0:
+            errors.append(f"non-positive-rating: element {elem.id}")
 
     if n > 0 and not dangling:
         if len(bfs(neighbor_lists(network), [0])[0]) < n:

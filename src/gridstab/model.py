@@ -94,7 +94,8 @@ class ModelConfig:
 
     def validate(self) -> None:
         if self.global_encoder not in ("stats", "rawcnn"):
-            raise ValueError(f"unknown global encoder {self.global_encoder!r}")
+            raise ValueError(f"global_encoder must be 'stats' or 'rawcnn', not "
+                             f"{self.global_encoder!r}")
         if self.pool not in (None, "mean", "max"):
             raise ValueError(f"pool must be null, 'mean' or 'max', not {self.pool!r}")
         if not isinstance(self.mlp_hidden, (tuple, list)) or not self.mlp_hidden:

@@ -343,8 +343,20 @@ def _spec_to_doc(spec: GlobalFeatureSpec) -> list:
 
 
 def _spec_from_doc(doc: list) -> GlobalFeatureSpec:
+    """The spec of a header's list of [quantity, stat, range_kind, region]
+    entries; a ValueError names a malformed entry or an unknown stat."""
+    if not isinstance(doc, list):
+        raise ValueError(f"spec must be a list, not {doc!r}")
+    stats = {kind.value: kind for kind in StatKind}
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ValueError(f"spec[{i}] must be a [quantity, stat, range_kind, region] "
+                             f"list, not {entry!r}")
+        if not isinstance(entry[1], str) or entry[1] not in stats:
+            raise ValueError(f"spec[{i}] stat must be one of {sorted(stats)}, "
+                             f"not {entry[1]!r}")
     return GlobalFeatureSpec(fields=tuple(
-        FeatureField(q, StatKind(s), rk, reg) for q, s, rk, reg in doc
+        FeatureField(q, stats[s], rk, reg) for q, s, rk, reg in doc
     ))
 
 
@@ -374,12 +386,17 @@ def save_features(dataset: FeaturizedDataset, path) -> None:
     _write_archive(path, "features", header, arrays)
 
 
-def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
-    """Raise :class:`FormatError` naming the file and the array for what
-    :func:`_check_arrays` rejects or an index that points outside its
-    target."""
+def _check_feature_arrays(arrays: dict, header: dict, path) -> GlobalFeatureSpec:
+    """The header's spec.  Raise :class:`FormatError` naming the file and the
+    header field for a missing or malformed ``n_elements``, ``max_nodes`` or
+    ``spec``, and naming the array for what :func:`_check_arrays` rejects or
+    an index that points outside its target."""
     with _entry(path, "header"):
-        m, global_dim = int(header["max_nodes"]), len(header["spec"])
+        for name in ("n_elements", "max_nodes"):
+            if not _is_int(header[name]) or header[name] < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {header[name]!r}")
+        spec = _spec_from_doc(header["spec"])
+    m, global_dim = header["max_nodes"], len(spec)
     schema = {
         **{name: ("iu", (), "sample") for name in COLUMNS},
         "global_vecs": ("f", (global_dim,), "global vector"),
@@ -400,6 +417,15 @@ def _check_feature_arrays(arrays: dict, header: dict, path) -> None:
     rows = arrays["rows"]
     if rows.size and (rows.min() < 0 or rows.max() >= arrays["tables"].shape[1]):
         raise FormatError(f"{path}: 'rows' points outside the rows of 'tables'")
+    ids = np.concatenate([arrays["element_id"], arrays["fault_element_id"]])
+    if ids.size and ids.min() < 0:
+        raise FormatError(f"{path}: arrays 'element_id' and 'fault_element_id' must hold "
+                          f"ids >= 0, not {ids.min()}")
+    if ids.size and ids.max() >= header["n_elements"]:
+        raise FormatError(f"{path}: header: n_elements must be greater than every "
+                          f"element_id and fault_element_id ({ids.max()}), not "
+                          f"{header['n_elements']}")
+    return spec
 
 
 def load_features(path) -> FeaturizedDataset:
@@ -411,7 +437,7 @@ def load_features(path) -> FeaturizedDataset:
     names.  The dataset's columns and store are the archive's arrays.
     """
     header, arrays = _read_archive(path, "features")
-    _check_feature_arrays(arrays, header, path)
+    spec = _check_feature_arrays(arrays, header, path)
     arrays["tables"].flags.writeable = False
     templates = LineTemplates(rows=arrays["rows"], line_values=arrays["line_values"],
                               adjacency=arrays["adjacency"], node_mask=arrays["node_mask"])
@@ -420,8 +446,7 @@ def load_features(path) -> FeaturizedDataset:
         raw_states = {(day, slot): raw for (day, slot), raw
                       in zip(arrays["raw_keys"].tolist(), arrays["raw_states"])}
     return FeaturizedDataset(
-        spec=_spec_from_doc(header["spec"]),
-        n_elements=header["n_elements"], max_nodes=header["max_nodes"],
+        spec=spec, n_elements=header["n_elements"], max_nodes=header["max_nodes"],
         synth_fingerprint=header.get("synth_fingerprint", ""), raw_states=raw_states,
         columns={name: arrays[name].astype(np.int64, copy=False) for name in COLUMNS},
         store=FeatureStore(global_vecs=arrays["global_vecs"], tables=arrays["tables"],

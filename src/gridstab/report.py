@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,17 +108,24 @@ def split_day(dataset: FeaturizedDataset, day: int,
 
 
 def prepare_day_pair(bundle: Bundle, train_day: int, eval_day: int,
-                     include_raw: bool = False) -> DayPair:
-    """Featurize the train day once and split it (:func:`split_day`); the
-    training view is balanced.  Featurize the eval day."""
+                     include_raw: bool = False,
+                     train_day_ds: FeaturizedDataset | None = None) -> DayPair:
+    """Featurize the train day once, unless ``train_day_ds`` already holds
+    it, and split it (:func:`split_day`); the training view is balanced.
+    Featurize the eval day.  A ValueError names the two days, before
+    anything is featurized, when they are one day or either has no faults."""
     cfg = bundle.config
+    if train_day == eval_day:
+        raise ValueError(f"train day {train_day} and eval day {eval_day} are one day: "
+                         f"its eval rows would hold its training and calibration slots")
     kw = dict(spec=bundle.spec, max_nodes=cfg.max_nodes, include_raw=include_raw,
               synth_fingerprint=bundle.synth_fingerprint)
     train_faults, eval_faults = bundle.faults_of(train_day), bundle.faults_of(eval_day)
     if not train_faults or not eval_faults:
         raise ValueError(f"missing day data for pair ({train_day}, {eval_day})")
-    day = featurize(bundle.network, bundle.snapshots, train_faults, **kw)
-    fit_ds, cal_ds = split_day(day, train_day, cfg.calibration_frac)
+    if train_day_ds is None:
+        train_day_ds = featurize(bundle.network, bundle.snapshots, train_faults, **kw)
+    fit_ds, cal_ds = split_day(train_day_ds, train_day, cfg.calibration_frac)
     return DayPair(
         train_day=train_day, eval_day=eval_day,
         train_ds=fit_ds.take(balanced_rows(fit_ds.columns["label"], cfg.train.seed)),
@@ -176,54 +183,75 @@ def run_system(bundle: Bundle, pair: DayPair, system: str) -> MetricRow:
     return evaluate_model(pair, train_on_pair(pair, system, cfg.model, cfg.train))
 
 
-def daily_report(bundle: Bundle, system: str, days: list[int] | None = None,
-                 variant: str = "GraphModel") -> list[dict]:
-    """One row per (train day d, eval day d+1) window.
+def run_systems(bundle: Bundle, pair: DayPair, systems,
+                rows: dict | None = None) -> dict[str, MetricRow]:
+    """The row of each distinct system of ``systems`` on ``pair``, each run
+    once; a system already in ``rows`` (rows of this pair) is not run again."""
+    rows = dict(rows or {})
+    for system in systems:
+        if system not in rows:
+            rows[system] = run_system(bundle, pair, system)
+            log.info("%s on days (%d, %d): %s", system, pair.train_day, pair.eval_day,
+                     rows[system].formatted())
+    return rows
 
-    ``system`` is "model", "prevday" or "svm"; for "model" the variant
-    selects the architecture.
+
+def _include_raw(bundle: Bundle, systems) -> bool:
+    """Whether a system of ``systems`` reads raw bus states; a ValueError
+    names those that :func:`run_system` does not know."""
+    unknown = set(systems) - {"prevday", "svm", *VARIANTS}
+    if unknown:
+        raise ValueError(f"unknown systems {sorted(unknown)}")
+    return any(reads_raw(system, bundle.config.model) for system in systems
+               if system in VARIANTS)
+
+
+def daily_report(bundle: Bundle, system: str,
+                 compare: bool = False) -> tuple[list[dict], list[dict]]:
+    """The rows of ``system`` (any name :func:`run_system` takes), one per
+    (train day d, eval day d+1) pair, and, with ``compare``, the
+    :data:`COMPARISON_ROWS` table on the last pair (else no rows).
+
+    Each day is featurized once, with raw states when a system of the run
+    reads them: a pair's eval day is the next pair's train day.  The
+    comparison reuses the last pair and ``system``'s row on it.
     """
-    cfg = bundle.config
-    if system not in ("model", "prevday", "svm"):
-        raise ValueError(f"unknown system {system!r}")
-    if days is None:
-        days = list(range(cfg.synth.days - 1))
-    raw = system == "model" and reads_raw(variant, cfg.model)
-    name = variant if system == "model" else system
-    pairs = (prepare_day_pair(bundle, d, d + 1, include_raw=raw) for d in days)
-    return [_row_dict(pair.eval_day, run_system(bundle, pair, name)) for pair in pairs]
+    compared = [name for _, name in COMPARISON_ROWS] if compare else []
+    raw = _include_raw(bundle, [system, *compared])
+    if compare and bundle.config.synth.days < 2:
+        raise ValueError("the comparison needs a day pair, and the data holds day 0 only")
+    daily, pair = [], None
+    for day in range(1, bundle.config.synth.days):
+        pair = prepare_day_pair(bundle, day - 1, day, raw, pair and pair.eval_ds)
+        rows = run_systems(bundle, pair, [system])
+        daily.append(_row_dict(day, rows[system]))
+    if not compare:
+        return daily, []
+    rows = run_systems(bundle, pair, compared, rows)
+    return daily, [_row_dict(label, rows[name]) for label, name in COMPARISON_ROWS]
 
 
 def comparison_table(bundle: Bundle, train_day: int, eval_day: int) -> list[dict]:
     """The six-system comparison on one day pair."""
-    return _pair_table(bundle, train_day, eval_day, COMPARISON_ROWS, "comparison")
+    return pair_table(bundle, train_day, eval_day, COMPARISON_ROWS)
 
 
 def ablation_table(bundle: Bundle, train_day: int, eval_day: int) -> list[dict]:
     """Full model against the three variants that each remove one feature family."""
-    return _pair_table(bundle, train_day, eval_day, ABLATION_ROWS, "ablation")
+    return pair_table(bundle, train_day, eval_day, ABLATION_ROWS)
 
 
-def _pair_table(bundle: Bundle, train_day: int, eval_day: int, systems: tuple,
-                name: str) -> list[dict]:
-    """One row per (label, system) of ``systems`` on one day pair, featurized
-    with raw states when a system reads them."""
-    cfg = bundle.config
-    raw = any(reads_raw(system, cfg.model) for _, system in systems if system in VARIANTS)
-    pair = prepare_day_pair(bundle, train_day, eval_day, include_raw=raw)
-    rows = []
-    for label, system in systems:
-        row = run_system(bundle, pair, system)
-        rows.append(_row_dict(label, row))
-        log.info("%s %s: %s", name, label, row.formatted())
-    return rows
+def pair_table(bundle: Bundle, train_day: int, eval_day: int, table: tuple) -> list[dict]:
+    """The (label, system) rows of ``table`` on one day pair, featurized with
+    raw states when a system reads them."""
+    systems = [system for _, system in table]
+    pair = prepare_day_pair(bundle, train_day, eval_day, _include_raw(bundle, systems))
+    rows = run_systems(bundle, pair, systems)
+    return [_row_dict(label, rows[system]) for label, system in table]
 
 
 def _row_dict(date, row: MetricRow) -> dict:
-    return {
-        "date": date, "threshold": row.threshold,
-        "kkd": row.kkd, "ryd": row.ryd, "ysl": row.ysl, "acc": row.acc,
-    }
+    return {"date": date, **asdict(row)}
 
 
 def format_table(rows: list[dict], label: str = "date") -> str:

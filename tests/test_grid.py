@@ -105,6 +105,14 @@ def test_validate_duplicate_and_self_loop():
     assert any(e.startswith("self-loop") for e in errors)
 
 
+@pytest.mark.parametrize("rating", [0.0, -5.0])
+def test_validate_non_positive_rating(rating):
+    net = chain_network(3)
+    bad = Element(id=1, kind=TRANSFORMER, from_bus=1, to_bus=2, rating=rating)
+    net = Network(buses=net.buses, elements=(net.elements[0], bad))
+    assert validate_network(net) == ["non-positive-rating: element 1"]
+
+
 def test_validate_states_names_the_first_bad_snapshot():
     net = chain_network(4)
     bus, elem = np.zeros((5, 4, 13)), np.zeros((5, 3, 2))

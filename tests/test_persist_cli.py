@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -148,11 +149,24 @@ def _poison(path, name, value):
     _rewrite_archive(path, **{name: array})
 
 
-def _header_version(path, version):
+def _set_header(path, key, value):
+    """Set ``key`` of the archive's JSON header to ``value``; ``...`` drops it."""
     with np.load(path) as archive:
         header = json.loads(str(archive["header"]))
-    header["format_version"] = version
+    header[key] = value
+    if value is ...:
+        del header[key]
     _rewrite_archive(path, header=np.array(json.dumps(header)))
+
+
+def _header_version(path, version):
+    _set_header(path, "format_version", version)
+
+
+def _set_spec_entry(path, entry):
+    with np.load(path) as archive:
+        spec = json.loads(str(archive["header"]))["spec"]
+    _set_header(path, "spec", [entry, *spec[1:]])
 
 
 @pytest.mark.parametrize("corrupt,message", [
@@ -170,9 +184,27 @@ def _header_version(path, version):
      "array 'global_vecs' holds non-finite values"),
     (lambda p: _poison(p, "tables", -np.inf), "array 'tables' holds non-finite values"),
     (lambda p: _poison(p, "label", 7), "array 'label' holds values other than (-1, 0, 1)"),
+    (lambda p: _set_header(p, "n_elements", ...), "header: missing field 'n_elements'"),
+    (lambda p: _set_header(p, "n_elements", "x"),
+     "header: n_elements must be an integer >= 1, not 'x'"),
+    (lambda p: _set_header(p, "n_elements", 0),
+     "header: n_elements must be an integer >= 1, not 0"),
+    (lambda p: _poison(p, "element_id", 6), "header: n_elements must be greater than every "
+                                            "element_id and fault_element_id (6), not 6"),
+    (lambda p: _poison(p, "fault_element_id", -1),
+     "arrays 'element_id' and 'fault_element_id' must hold ids >= 0, not -1"),
+    (lambda p: _set_header(p, "max_nodes", "8"),
+     "header: max_nodes must be an integer >= 1, not '8'"),
+    (lambda p: _set_header(p, "spec", {}), "header: spec must be a list, not {}"),
+    (lambda p: _set_spec_entry(p, 5),
+     "header: spec[0] must be a [quantity, stat, range_kind, region] list, not 5"),
+    (lambda p: _set_spec_entry(p, ["P_G", "Foo", "grid", None]),
+     "header: spec[0] stat must be one of ['Interq', 'Kurt', "),
 ], ids=["format-1-jsonl", "truncated", "not-zip", "missing-array", "bad-index",
         "unknown-version", "format-2", "bad-rows", "nan-table", "inf-global",
-        "minus-inf-table", "unknown-label"])
+        "minus-inf-table", "unknown-label", "missing-n-elements", "string-n-elements",
+        "zero-n-elements", "element-id-past-n-elements", "negative-fault-element-id",
+        "string-max-nodes", "spec-object", "spec-entry-number", "unknown-stat"])
 def test_bad_features_file_is_a_format_error(tmp_path, capsys, corrupt, message):
     path = tmp_path / "features.npz"
     persist.save_features(make_toy_dataset(4, seed=5), path)
@@ -472,7 +504,10 @@ def test_cli_deepcnn5_trains_from_features_file(tmp_path):
      "dangling-endpoint"),
     (lambda doc: doc["buses"].append(dict(doc["buses"][0], id=len(doc["buses"]))),
      "disconnected-graph"),
-], ids=["dangling-endpoint", "disconnected-bus"])
+    (lambda doc: doc["elements"][3].__setitem__("rating", 0), "non-positive-rating: element 3"),
+    (lambda doc: doc["elements"][0].__setitem__("rating", -5),
+     "non-positive-rating: element 0"),
+], ids=["dangling-endpoint", "disconnected-bus", "zero-rating", "negative-rating"])
 def test_cli_featurize_rejects_bad_network(tmp_path, capsys, corrupt, violation):
     data = tmp_path / "data"
     assert run_cli("synth", "--out", str(data), *TINY) == 0
@@ -669,8 +704,8 @@ def test_daily_report_with_rawcnn_encoder():
                                                     seed=7))
     cfg.model.global_encoder = "rawcnn"
     cfg.train.epochs = 1
-    rows = report.daily_report(report.build_bundle(cfg), "model", variant="GraphModel")
-    assert [row["date"] for row in rows] == [1]
+    rows, compared = report.daily_report(report.build_bundle(cfg), "GraphModel")
+    assert [row["date"] for row in rows] == [1] and compared == []
 
 
 @pytest.mark.parametrize("model,field", [
@@ -943,6 +978,117 @@ def test_cli_rejects_a_malformed_config(tmp_path, capsys, text, message):
     assert message.format(path=config) in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+# ------------------------------------------------------- text input fuzz
+
+def _base_config():
+    """Every config field at its default, on a tiny world.  ``target_kkd`` sits
+    only in the eval section, which would override the train section's."""
+    cfg = report.ExperimentConfig(synth=SynthConfig(n_bus=24, days=3, slots_per_day=8,
+                                                    seed=7))
+    train = dataclasses.asdict(cfg.train)
+    return {"synth": dataclasses.asdict(cfg.synth), "model": dataclasses.asdict(cfg.model),
+            "train": {key: value for key, value in train.items() if key != "target_kkd"},
+            "feature": {"regions": cfg.feature_regions, "max_nodes": cfg.max_nodes},
+            "eval": {"target_kkd": cfg.train.target_kkd,
+                     "calibration_frac": cfg.calibration_frac}}
+
+
+def _wrong_type(value):
+    return 5 if value is None or isinstance(value, str) else "x"
+
+
+def _field_mutations(draw, value):
+    """The values that replace a field holding ``value``: a wrong type, NaN
+    or an infinity, null (unless the field holds null) and, for an object,
+    a list."""
+    values = [_wrong_type(value), draw(st.sampled_from([math.nan, math.inf, -math.inf]))]
+    if value is not None:
+        values.append(None)
+    if isinstance(value, dict):
+        values.append(list(value.values()))
+    return values
+
+
+def _mutate_config(path, draw):
+    """Write a config with one field or one section mutated, or cut short;
+    return the names the message must hold."""
+    doc = _base_config()
+    kind = draw(st.sampled_from(["field", "section", "truncate"]))
+    section = draw(st.sampled_from(sorted(doc)))
+    names = [f"{path}: unreadable JSON config"]
+    if kind == "field":
+        field = draw(st.sampled_from(sorted(doc[section])))
+        doc[section][field] = draw(st.sampled_from(_field_mutations(draw, doc[section][field])))
+        names = [field]
+    elif kind == "section":
+        doc[section] = draw(st.sampled_from([list(doc[section].values()), None, 5]))
+        names = [repr(section)]
+    text = json.dumps(doc)
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    path.write_text(text)
+    return names
+
+
+def _mutate_network(path, draw):
+    """Rewrite ``network.json`` with one record field, one record or the
+    file's end mutated; return the names the message must hold."""
+    doc = json.loads(path.read_text())
+    kind = draw(st.sampled_from(["field", "list", "repeat", "rating", "truncate"]))
+    key = "elements" if kind == "rating" else draw(st.sampled_from(["buses", "elements"]))
+    i = draw(st.integers(0, len(doc[key]) - 1))
+    record = doc[key][i]
+    if kind == "field":
+        field = draw(st.sampled_from(sorted(record)))
+        record[field] = draw(st.sampled_from(_field_mutations(draw, record[field])))
+        names = [f"{key}[{i}]: {field} must be"]
+    elif kind == "list":
+        doc[key][i] = list(record.values())
+        names = [f"{key}[{i}]: "]
+    elif kind == "repeat":
+        doc[key].append(dict(record))
+        names = [f"duplicate-{'bus' if key == 'buses' else 'element'}-id: {record['id']}"]
+    elif kind == "rating":
+        record["rating"] = draw(st.sampled_from([0, 0.0, -5, -1e-9]))
+        names = [f"non-positive-rating: element {record['id']}"]
+    text = json.dumps(doc)
+    if kind == "truncate":
+        text, names = text[:draw(st.integers(0, len(text) - 1))], ["unreadable network JSON"]
+    path.write_text(text)
+    return names
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    data = tmp_path_factory.mktemp("dataset") / "data"
+    assert run_cli("synth", "--out", str(data), *TINY) == 0
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(target=st.sampled_from(["config", "network"]), data=st.data())
+def test_a_mutated_text_input_is_named(tiny_dataset, target, data):
+    """One field of a config or of ``network.json`` gets a wrong type, null,
+    a list for an object, NaN or an infinity; or one record is repeated, one
+    rating is not positive, or the file is cut short.  ``synth`` (for the
+    config) or ``featurize`` (for the network) exits 1 with the file and the
+    field in the message, no traceback and no output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if target == "config":
+            bad = tmp / "cfg.json"
+            names = _mutate_config(bad, data.draw)
+            err = _rejects("synth", "--config", str(bad), out=tmp / "out")
+        else:
+            dataset = tmp / "data"
+            shutil.copytree(tiny_dataset, dataset)
+            bad = dataset / "network.json"
+            names = _mutate_network(bad, data.draw)
+            err = _rejects("featurize", "--data", str(dataset), out=tmp / "features.npz")
+    assert target == "config" or str(bad) in err, err
+    assert all(name in err for name in names), (names, err)
 
 
 def test_python_dash_m_gridstab_runs_the_cli():
