@@ -112,25 +112,24 @@ def svm_train_expanded(features: np.ndarray, labels: np.ndarray,
     w1, b1 = _hinge_fit(x, y_signed, class_weight, penalty)
     margin = x @ w1 + b1
 
-    truly_unstable = set(np.where(labels > 0.5)[0])
-    support = set(np.where(np.abs(margin) <= 1.0)[0])
-    false_pos = set(np.where((labels < 0.5) & (margin >= 0.0))[0])
-    expanded = truly_unstable | support | false_pos
+    support = np.abs(margin) <= 1.0
+    false_pos = (labels < 0.5) & (margin >= 0.0)
+    grown = (labels > 0.5) | support | false_pos
+    expanded, stable_rest = np.flatnonzero(grown), np.flatnonzero(~grown)
     accounting = {
-        "truly_unstable": len(truly_unstable),
-        "support_vectors": len(support),
-        "false_positives": len(false_pos),
-        "expanded": len(expanded),
+        "truly_unstable": n_pos,
+        "support_vectors": int(np.count_nonzero(support)),
+        "false_positives": int(np.count_nonzero(false_pos)),
+        "expanded": expanded.size,
     }
 
-    stable_rest = np.array(sorted(set(range(n)) - expanded - truly_unstable), dtype=int)
     w_norm = float(np.linalg.norm(w1))
     distance = np.abs(margin[stable_rest]) / max(w_norm, 1e-12)
-    take = min(len(expanded), stable_rest.size)
+    take = min(expanded.size, stable_rest.size)
     nearest = stable_rest[np.argsort(distance, kind="stable")[:take]]
 
-    idx2 = np.concatenate([np.array(sorted(expanded), dtype=int), nearest])
-    y2 = np.concatenate([np.ones(len(expanded)), -np.ones(len(nearest))])
+    idx2 = np.concatenate([expanded, nearest])
+    y2 = np.concatenate([np.ones(expanded.size), -np.ones(len(nearest))])
     x2 = x[idx2]
     weight2 = np.ones(idx2.size)
     w2, b2 = _hinge_fit(x2, y2, weight2, penalty, iters=800)

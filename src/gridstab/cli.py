@@ -1,5 +1,14 @@
 """Multi-command CLI wrapping the record -> train -> apply workflow.
 
+A run config (``--config``) is a JSON object of sections, and :data:`LAYOUT`
+gives each key of a section its rule and the setting it sets: ``synth`` holds
+the :class:`~synth.SynthConfig` fields, ``feature`` ``regions`` and
+``max_nodes``, ``model`` the :class:`~model.ModelConfig` fields, ``train`` the
+:class:`~model.TrainConfig` fields but ``target_kkd``, and ``eval``
+``target_kkd`` (the calibration target) and ``calibration_frac``.  A flag
+(:data:`FLAGS`) sets its key after the file.  An unknown or repeated key, or
+a value its rule rejects, exits 1 naming the file, the section and the key.
+
 Exit codes: 0 success, 1 missing or mismatched inputs / bad arguments.
 Calibration always reaches its target, so 3 (``EXIT_INFEASIBLE``, kept for
 scripts) is no longer returned.  Set GRIDSTAB_LOG to control log verbosity.
@@ -11,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -20,9 +28,10 @@ import numpy as np
 
 from . import persist, report, synth
 from .features import featurize
-from .grid import _is_int, _is_real
+from .grid import FINITE, _is_real, at_least, check_fields
 from .metrics import compute_metrics
-from .model import ABLATION_ALIASES, VARIANT_ALIASES, TrainingError, scores_for, train
+from .model import (ABLATION_ALIASES, VARIANT_ALIASES, ModelConfig, TrainConfig,
+                    TrainingError, scores_for, train)
 from .report import ExperimentConfig
 
 log = logging.getLogger("gridstab")
@@ -36,16 +45,23 @@ class CliError(RuntimeError):
     pass
 
 
-def _apply_section(instance, section: dict, name: str):
-    fields = {f.name for f in dataclasses.fields(instance)}
-    unknown = set(section) - fields
-    if unknown:
-        raise CliError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    for key, value in section.items():
-        if isinstance(getattr(instance, key), tuple) and isinstance(value, list):
-            value = tuple(value)
-        setattr(instance, key, value)
-    return instance
+# config section -> key -> (the ExperimentConfig attribute it sets, its rule)
+LAYOUT = {
+    "synth": {key: (f"synth.{key}", rule) for key, rule in synth.SynthConfig.RULES.items()},
+    "feature": {"regions": ("feature_regions", at_least(0)),
+                "max_nodes": ("max_nodes", at_least(1))},
+    "model": {key: (f"model.{key}", rule) for key, rule in ModelConfig.RULES.items()},
+    "train": {key: (f"train.{key}", rule) for key, rule in TrainConfig.RULES.items()
+              if key != "target_kkd"},
+    "eval": {"target_kkd": ("train.target_kkd", TrainConfig.RULES["target_kkd"]),
+             "calibration_frac": ("calibration_frac", (
+                 lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)"))},
+}
+# command-line flag -> the (section, key) of each config key it sets
+FLAGS = {"seed": (("synth", "seed"), ("train", "seed")), "buses": (("synth", "n_bus"),),
+         "days": (("synth", "days"),), "slots": (("synth", "slots_per_day"),),
+         "unstable_rate": (("synth", "target_unstable_rate"),),
+         "epochs": (("train", "epochs"),), "target_kkd": (("eval", "target_kkd"),)}
 
 
 def _json_type(value) -> str:
@@ -53,81 +69,54 @@ def _json_type(value) -> str:
             type(None): "null"}.get(type(value), "a number")
 
 
-def load_experiment_config(path: str | None) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if path is None:
-        return cfg
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:     # unreadable, not UTF-8, or not JSON
-        raise CliError(f"{path}: unreadable JSON config ({exc})") from exc
+def _apply(cfg: ExperimentConfig, doc, where: str) -> None:
+    """Set the attribute of ``cfg`` that each key of each section of ``doc``
+    names in :data:`LAYOUT`, once every key of the section passes its rule.
+    A CliError, prefixed with ``where``, names the section and the key."""
     if not isinstance(doc, dict):
-        raise CliError(f"{path}: a config must be a JSON object, not {_json_type(doc)}")
-    known = {"synth", "feature", "model", "train", "eval"}
-    unknown = set(doc) - known
+        raise CliError(f"{where}a config must be a JSON object, not {_json_type(doc)}")
+    unknown = set(doc) - set(LAYOUT)
     if unknown:
-        raise CliError(f"unknown config sections: {sorted(unknown)}")
+        raise CliError(f"{where}unknown config sections: {sorted(unknown)}")
     for name, section in doc.items():
         if not isinstance(section, dict):
-            raise CliError(f"{path}: config section {name!r} must be a JSON object, "
+            raise CliError(f"{where}config section {name!r} must be a JSON object, "
                            f"not {_json_type(section)}")
-    for name in ("synth", "model", "train"):
-        _apply_section(getattr(cfg, name), doc.get(name, {}), name)
-    try:
-        cfg.model.validate()
-    except ValueError as exc:
-        raise CliError(f"{path}: config section 'model': {exc}") from exc
-    for name, keys in (("feature", {"regions", "max_nodes"}),
-                       ("eval", {"target_kkd", "calibration_frac"})):
-        unknown = set(doc.get(name, {})) - keys
+        layout = LAYOUT[name]
+        unknown = set(section) - set(layout)
         if unknown:
-            raise CliError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    feature, evaluation = doc.get("feature", {}), doc.get("eval", {})
-    cfg.feature_regions = feature.get("regions", cfg.feature_regions)
-    cfg.max_nodes = feature.get("max_nodes", cfg.max_nodes)
-    cfg.train.target_kkd = evaluation.get("target_kkd", cfg.train.target_kkd)
-    cfg.calibration_frac = evaluation.get("calibration_frac", cfg.calibration_frac)
-    return cfg
+            raise CliError(f"{where}unknown keys in config section {name!r}: "
+                           f"{sorted(unknown)}")
+        try:
+            check_fields(section, {key: layout[key][1] for key in section})
+        except ValueError as exc:
+            raise CliError(f"{where}config section {name!r}: {exc}") from exc
+        for key, value in section.items():
+            owner, _, attr = layout[key][0].rpartition(".")
+            setattr(getattr(cfg, owner) if owner else cfg, attr,
+                    tuple(value) if isinstance(value, list) else value)
 
 
 def resolve_config(args) -> ExperimentConfig:
-    cfg = load_experiment_config(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
-        cfg.synth.seed = args.seed
-        cfg.train.seed = args.seed
-    for name, target in (("buses", "n_bus"), ("days", "days"), ("slots", "slots_per_day"),
-                         ("unstable_rate", "target_unstable_rate")):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg.synth, target, value)
-    if getattr(args, "epochs", None) is not None:
-        cfg.train.epochs = args.epochs
-    if getattr(args, "target_kkd", None) is not None:
-        cfg.train.target_kkd = args.target_kkd
-    _check_settings(cfg)
+    """The defaults, overridden by the ``--config`` file's keys and then by
+    the flags of :data:`FLAGS`, each value checked where it enters."""
+    cfg, path = ExperimentConfig(), getattr(args, "config", None)
+    if path is not None:
+        _apply(cfg, persist.read_json(path, "JSON config"), f"{path}: ")
+    for flag, keys in FLAGS.items():
+        for section, key in keys if getattr(args, flag, None) is not None else ():
+            _apply(cfg, {section: {key: getattr(args, flag)}}, "")
     log.info("resolved config: %s", json.dumps(dataclasses.asdict(cfg), default=str,
                                                sort_keys=True))
     return cfg
 
 
-def _check_settings(cfg: ExperimentConfig) -> None:
-    """Reject settings that featurize, the day split, training or synth cannot
-    use, naming the config section and the field."""
-    if not _is_int(cfg.max_nodes) or cfg.max_nodes < 1:
-        raise CliError(f"config section 'feature': max_nodes must be an integer >= 1, "
-                       f"not {cfg.max_nodes!r}")
-    if not _is_int(cfg.feature_regions) or cfg.feature_regions < 0:
-        raise CliError(f"config section 'feature': regions must be an integer >= 0, "
-                       f"not {cfg.feature_regions!r}")
-    frac = cfg.calibration_frac
-    if not _is_real(frac) or not 0.0 < frac < 1.0:
-        raise CliError(f"config section 'eval': calibration_frac must be a number in "
-                       f"(0, 1), not {frac!r}")
-    for name, section in (("train", cfg.train), ("synth", cfg.synth)):
-        try:
-            section.validate()
-        except ValueError as exc:
-            raise CliError(f"config section {name!r}: {exc}") from exc
+def _output(path) -> Path | None:
+    """``path``, when given, as an output file; a CliError names it when its
+    directory does not exist."""
+    if path and not Path(path).parent.is_dir():
+        raise CliError(f"--out {path}: directory {Path(path).parent} does not exist")
+    return Path(path) if path else None
 
 
 def _require(path: Path, kind: str) -> Path:
@@ -199,6 +188,7 @@ def cmd_featurize(args) -> int:
     wanted = _parse_days(args.day_subset) if args.day_subset else None
     cfg = resolve_config(args)
     data_dir = Path(args.data)
+    out = _output(args.out) or data_dir / "features.npz"
     network, snapshots, faults, fp = _load_dataset_dir(data_dir)
     if wanted is not None:
         faults = [f for f in faults if f.day in wanted]
@@ -209,7 +199,6 @@ def cmd_featurize(args) -> int:
     spec = report.default_feature_spec(cfg.feature_regions)
     ds = featurize(network, snapshots, faults, spec, max_nodes=cfg.max_nodes,
                    include_raw=True, synth_fingerprint=fp)
-    out = Path(args.out) if args.out else data_dir / "features.npz"
     persist.save_features(ds, out)
     print(f"wrote {out}: {len(ds)} samples, global dim {ds.global_dim}, "
           f"local {ds.max_nodes}x{ds.store.tables.shape[-1]}")
@@ -217,7 +206,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+    cfg, out = resolve_config(args), _output(args.out or "checkpoint.npz")
     ds = persist.load_features(_require(Path(args.features), "features"))
     if args.data:
         _, _, _, fp = _load_dataset_dir(Path(args.data))
@@ -226,7 +215,6 @@ def cmd_train(args) -> int:
     variant = ABLATION_ALIASES[args.ablate] if args.ablate else VARIANT_ALIASES[args.variant]
     train_ds, cal_ds = report.split_day(ds, args.train_day, cfg.calibration_frac)
     result = train(variant, train_ds, cal_ds, cfg.model, cfg.train)
-    out = Path(args.out) if args.out else Path("checkpoint.npz")
     persist.save_checkpoint(result, out)
     persist.save_history_csv(result.history, out.with_suffix(".history.csv"))
     print(f"wrote {out}: variant {variant}, best epoch {result.best_epoch}, "
@@ -236,8 +224,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     resolve_config(args)
-    if args.threshold is not None and not math.isfinite(args.threshold):
-        raise CliError(f"--threshold must be a finite number, not {args.threshold!r}")
+    if args.threshold is not None:
+        check_fields({"--threshold": args.threshold}, {"--threshold": FINITE})
+    out = _output(args.out)
     result = persist.load_checkpoint(_require(Path(args.checkpoint), "checkpoint"))
     ds = persist.load_features(_require(Path(args.features), "features"))
     eval_ds = report.day_slice(ds, args.day)
@@ -251,19 +240,21 @@ def cmd_eval(args) -> int:
                        f"{args.day} of {args.features} are not finite")
     threshold = args.threshold if args.threshold is not None else result.threshold
     row = compute_metrics(scores, eval_ds.labels(), threshold)
-    return _emit([report._row_dict(args.day, row)], args.out)
+    return _emit([report._row_dict(args.day, row)], out)
 
 
 def cmd_baseline(args) -> int:
-    bundle = _bundle_from_dir(Path(args.data), resolve_config(args))
+    cfg, out = resolve_config(args), _output(args.out)
+    bundle = _bundle_from_dir(Path(args.data), cfg)
     system = "MlpOnly" if args.baseline == "mlp" else args.baseline
     rows = report.pair_table(bundle, args.train_day, args.eval_day, ((args.baseline, system),))
-    return _emit(rows, args.out, "baseline")
+    return _emit(rows, out, "baseline")
 
 
 def cmd_ablate(args) -> int:
-    bundle = _bundle_from_dir(Path(args.data), resolve_config(args))
-    return _emit(report.ablation_table(bundle, args.train_day, args.eval_day), args.out,
+    cfg, out = resolve_config(args), _output(args.out)
+    bundle = _bundle_from_dir(Path(args.data), cfg)
+    return _emit(report.ablation_table(bundle, args.train_day, args.eval_day), out,
                  "variant")
 
 
@@ -276,8 +267,11 @@ def _emit(rows: list[dict], out, label: str = "date") -> int:
 
 
 def cmd_report(args) -> int:
-    bundle = _bundle_from_dir(Path(args.data), resolve_config(args))
-    out_dir = Path(args.out) if args.out else Path(args.data)
+    cfg = resolve_config(args)
+    out_dir = Path(args.out or args.data)
+    if args.out:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    bundle = _bundle_from_dir(Path(args.data), cfg)
     daily, compared = report.daily_report(bundle, VARIANT_ALIASES[args.variant], args.compare)
     _emit(daily, out_dir / "report_daily.csv")
     if args.compare:

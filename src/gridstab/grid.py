@@ -9,6 +9,7 @@ N-1 contingency on one snapshot.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from collections import deque
 
@@ -188,6 +189,27 @@ def _is_int(n) -> bool:
 
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+# A rule is (test of a valid value, what a valid value is), as check_fields reads it.
+FLAG = (lambda v: isinstance(v, bool), "true or false")
+# (an integer past the float range is no finite float: math.isfinite raises on it)
+FINITE = (lambda v: _is_real(v) and abs(v) <= sys.float_info.max, "a finite number")
+
+
+def at_least(low: int, what: str | None = None) -> tuple:
+    """The rule of an integer >= ``low`` (a bool is not an integer)."""
+    return (lambda v: _is_int(v) and v >= low), what or f"an integer >= {low}"
+
+
+def check_fields(values, rules: dict) -> None:
+    """Raise a ValueError naming the first field of ``rules`` whose value in
+    the mapping ``values`` fails its rule; a field missing from ``values`` is
+    a KeyError."""
+    for name, (valid, what) in rules.items():
+        value = values[name]
+        if not valid(value):
+            raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
 def validate_network(network: Network) -> list[str]:

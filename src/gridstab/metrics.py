@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _is_real
+from .grid import _is_real, check_fields
+
+# the rule of a reliability target, as check_fields reads it
+TARGET_KKD = (lambda v: _is_real(v) and 0.0 <= v <= 100.0, "a number in [0, 100]")
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,7 @@ def calibrate_threshold(scores, labels, target_kkd: float = 98.0) -> float:
     if labels.shape != scores.shape:
         raise ValueError(f"calibration labels have shape {labels.shape}, "
                          f"scores {scores.shape}")
-    if not (_is_real(target_kkd) and 0.0 <= target_kkd <= 100.0):
-        raise ValueError(f"target_kkd must be a number in [0, 100], not {target_kkd!r}")
+    check_fields({"target_kkd": target_kkd}, {"target_kkd": TARGET_KKD})
     truth = labels > 0.5
     s_tf = int(truth.sum())
     if s_tf == 0:

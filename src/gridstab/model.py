@@ -25,8 +25,8 @@ from .features import (
     INDEX_COLUMNS, LINE_COLUMNS, FeaturizedDataset, FeatureStore, LineTemplates,
     gather_nodes,
 )
-from .grid import N_BUS_STATE, _is_int, _is_real
-from .metrics import balanced_rows, calibrate_threshold, compute_metrics
+from .grid import FINITE, FLAG, N_BUS_STATE, _is_int, at_least, check_fields
+from .metrics import TARGET_KKD, balanced_rows, calibrate_threshold, compute_metrics
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +72,7 @@ _LOCAL_INDEX = INDEX_COLUMNS[1:]    # a sample's table, template and graph colum
 # that head is blocked: tests/test_blas_probes.py records why dense rows
 # would round apart.
 BLOCK = 64
+PREDICT_ROWS = 512   # samples per forward call of predict, and per loss block
 # Views of GcnHead's arena: scoring's, then training's (see GcnHead).
 SCORE_VIEWS = ("x", "y", "t", "a")
 TRAIN_VIEWS = SCORE_VIEWS + ("s0", "s1", "s2")
@@ -92,23 +93,21 @@ class ModelConfig:
     gcn_final_relu: bool = True
     pool: str | None = None            # None: variant default
 
-    def validate(self) -> None:
-        if self.global_encoder not in ("stats", "rawcnn"):
-            raise ValueError(f"global_encoder must be 'stats' or 'rawcnn', not "
-                             f"{self.global_encoder!r}")
-        if self.pool not in (None, "mean", "max"):
-            raise ValueError(f"pool must be null, 'mean' or 'max', not {self.pool!r}")
-        if not isinstance(self.mlp_hidden, (tuple, list)) or not self.mlp_hidden:
-            raise ValueError(f"mlp_hidden must be a non-empty list of layer sizes, "
-                             f"not {self.mlp_hidden!r}")
-        sizes = {name: getattr(self, name) for name in (
+    # field -> (test of a valid value, what it must be), as check_fields reads it
+    RULES = {
+        "global_encoder": (lambda v: v in ("stats", "rawcnn"), "'stats' or 'rawcnn'"),
+        "pool": (lambda v: v in (None, "mean", "max"), "null, 'mean' or 'max'"),
+        "mlp_hidden": (lambda v: isinstance(v, (tuple, list)) and v
+                       and all(_is_int(n) and n >= 1 for n in v),
+                       "a non-empty list of positive integers"),
+        **{name: at_least(1, "a positive integer") for name in (
             "gcn_hidden", "sg_dim", "sl_dim", "stats_hidden", "sid_hidden",
-            "cnn_channels", "cnn_kernel", "cnn_stages")}
-        sizes.update((f"mlp_hidden[{i}]", n) for i, n in enumerate(self.mlp_hidden))
-        for name, n in sizes.items():
-            if not _is_int(n) or n < 1:
-                raise ValueError(f"{name} must be a positive integer, not {n!r}")
-        _check_flags(self, "gcn_final_relu")
+            "cnn_channels", "cnn_kernel", "cnn_stages")},
+        "gcn_final_relu": FLAG,
+    }
+
+    def validate(self) -> None:
+        check_fields(vars(self), self.RULES)
 
 
 @dataclass
@@ -121,28 +120,13 @@ class TrainConfig:
     balance: bool = True
     positive_class_only_loss: bool = False
 
+    RULES = {"epochs": at_least(0), "batch_size": at_least(1),
+             "lr": (lambda v: FINITE[0](v) and v > 0.0, "a finite number > 0"),
+             "seed": at_least(0), "target_kkd": TARGET_KKD,
+             "balance": FLAG, "positive_class_only_loss": FLAG}
+
     def validate(self) -> None:
-        if not _is_int(self.epochs) or self.epochs < 0:
-            raise ValueError(f"epochs must be an integer >= 0, not {self.epochs!r}")
-        if not _is_int(self.batch_size) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, not {self.batch_size!r}")
-        if not _is_real(self.lr) or not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be a finite number > 0, not {self.lr!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
-        if not _is_real(self.target_kkd) or not 0.0 <= self.target_kkd <= 100.0:
-            raise ValueError(f"target_kkd must be a number in [0, 100], not "
-                             f"{self.target_kkd!r}")
-        _check_flags(self, "balance", "positive_class_only_loss")
-
-
-def _check_flags(config, *names: str) -> None:
-    """A ValueError naming the first of the ``config`` fields ``names`` that
-    is not a bool (a truthy string or number is not a flag)."""
-    for name in names:
-        value = getattr(config, name)
-        if not isinstance(value, bool):
-            raise ValueError(f"{name} must be true or false, not {value!r}")
+        check_fields(vars(self), self.RULES)
 
 
 class Head:
@@ -586,7 +570,7 @@ class ScreeningModel:
         return grads
 
     def predict(self, params: dict, dataset: FeaturizedDataset,
-                batch_size: int = 512) -> np.ndarray:
+                batch_size: int = PREDICT_ROWS) -> np.ndarray:
         n = len(dataset)
         scores = np.empty(n)
         for start in range(0, n, batch_size):
@@ -765,13 +749,12 @@ def train(variant: str, train_set: FeaturizedDataset, val_set: FeaturizedDataset
                         threshold=thr, epoch=epoch)
 
     def full_loss() -> float:
-        total = 0.0
-        for start in range(0, n, 512):
-            idx = range(start, min(start + 512, n))
-            y, _ = model.forward(params, model.index_batch(train_set, idx),
-                                 keep_caches=False)
-            loss, _ = nn.bce_loss(y, labels[list(idx)], tc.positive_class_only_loss)
-            total += loss * len(list(idx))
+        """The mean of the per-block losses over :meth:`predict`'s blocks."""
+        y, total = model.predict(params, train_set), 0.0
+        for start in range(0, n, PREDICT_ROWS):
+            block = slice(start, start + PREDICT_ROWS)
+            loss, _ = nn.bce_loss(y[block], labels[block], tc.positive_class_only_loss)
+            total += loss * y[block].size
         return total / n
 
     epoch_row(0, full_loss())

@@ -46,7 +46,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -58,8 +57,8 @@ from .features import (
     FeatureStore, GlobalFeatureSpec, LineTemplates, StatKind, int_columns,
 )
 from .grid import (
-    LABEL_NAMES, N_BUS_STATE, Bus, Element, FaultSample, GridError, Network, Snapshot,
-    _is_int, _is_real, validate_network, validate_states,
+    FINITE, LABEL_NAMES, N_BUS_STATE, Bus, Element, FaultSample, GridError, Network, Snapshot,
+    _is_int, at_least, check_fields, validate_network, validate_states,
 )
 from .model import VARIANTS, ModelConfig, TrainResult
 
@@ -100,6 +99,25 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a ValueError names the keys it repeats."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated keys {sorted({k for k in keys if keys.count(k) > 1})}")
+    return doc
+
+
+def read_json(path, what: str):
+    """The JSON document in the file ``path``.  A file that cannot be read,
+    is not UTF-8 or not JSON, or repeats a key of an object, is a
+    :class:`FormatError` naming the file as ``what``."""
+    try:
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{path}: unreadable {what} ({exc})") from exc
+
+
 # ---------------------------------------------------------------- network
 
 def save_network(network: Network, path, synth_fingerprint: str = "") -> None:
@@ -113,37 +131,30 @@ def save_network(network: Network, path, synth_fingerprint: str = "") -> None:
     Path(path).write_text(_dump(doc) + "\n")
 
 
-# annotation of a record field -> (test of a valid value, what it must be)
+# annotation of a record field -> its rule (a bool is not a number)
 _FIELD_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_real(v) and math.isfinite(v), "a finite number"),
+    "float": FINITE,
     "str": (lambda v: isinstance(v, str), "a string"),
 }
 
 
 def _records(doc: dict, key: str, cls, path) -> tuple:
     """One ``cls`` per entry of the list ``doc[key]``, each field of the type
-    it is declared with (a bool is not a number)."""
+    it is declared with."""
+    rules = {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(cls)}
     with _entry(path, key):
         entries = list(doc[key])
     records = []
     for i, entry in enumerate(entries):
         with _entry(path, f"{key}[{i}]"):
-            record = cls(**entry)
-            for f in dataclasses.fields(cls):
-                valid, want = _FIELD_TYPES[f.type]
-                value = getattr(record, f.name)
-                if not valid(value):
-                    raise ValueError(f"{f.name} must be {want}, not {value!r}")
-            records.append(record)
+            records.append(cls(**entry))
+            check_fields(vars(records[-1]), rules)
     return tuple(records)
 
 
 def load_network(path) -> tuple[Network, str]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:     # unreadable, not UTF-8, or not JSON
-        raise FormatError(f"{path}: unreadable network JSON ({exc})") from exc
+    doc = read_json(path, "network JSON")
     _check_version(doc, path)
     network = Network(buses=_records(doc, "buses", Bus, path),
                       elements=_records(doc, "elements", Element, path))
@@ -392,9 +403,7 @@ def _check_feature_arrays(arrays: dict, header: dict, path) -> GlobalFeatureSpec
     ``spec``, and naming the array for what :func:`_check_arrays` rejects or
     an index that points outside its target."""
     with _entry(path, "header"):
-        for name in ("n_elements", "max_nodes"):
-            if not _is_int(header[name]) or header[name] < 1:
-                raise ValueError(f"{name} must be an integer >= 1, not {header[name]!r}")
+        check_fields(header, {"n_elements": at_least(1), "max_nodes": at_least(1)})
         spec = _spec_from_doc(header["spec"])
     m, global_dim = header["max_nodes"], len(spec)
     schema = {
@@ -457,12 +466,12 @@ def load_features(path) -> FeaturizedDataset:
 # ------------------------------------------------------------- checkpoint
 
 _CHECKPOINT_GROUPS = ("params", "scalers")
-# header field -> (test of a valid value, what it must be)
+# header field -> its rule
 _CHECKPOINT_FIELDS = {
     "variant": (lambda v: isinstance(v, str) and v in VARIANTS, "a known model variant"),
-    "feature_spec_hash": (lambda v: isinstance(v, str), "a string"),
-    "threshold": (lambda v: _is_real(v) and math.isfinite(v), "a finite number"),
-    "best_epoch": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "feature_spec_hash": _FIELD_TYPES["str"],
+    "threshold": FINITE,
+    "best_epoch": at_least(0),
     "config": (lambda v: isinstance(v, dict), "an object"),
 }
 
@@ -493,20 +502,12 @@ def load_checkpoint(path):
     :class:`FormatError` that says to re-run ``gridstab train``.
     """
     header, arrays = _read_archive(path, "checkpoint")
-    for field, (valid, want) in _CHECKPOINT_FIELDS.items():
-        if field not in header:
-            raise FormatError(f"{path}: checkpoint: missing field {field!r}")
-        if not valid(header[field]):
-            raise FormatError(f"{path}: checkpoint: {field} must be {want}, "
-                              f"not {header[field]!r}")
+    with _entry(path, "checkpoint"):
+        check_fields(header, _CHECKPOINT_FIELDS)
     with _entry(path, "config"):
-        cfg_doc = dict(header["config"])
-        for field in dataclasses.fields(ModelConfig):
-            if field.name not in cfg_doc:
-                raise KeyError(field.name)
-        cfg_doc["mlp_hidden"] = tuple(cfg_doc["mlp_hidden"])
-        config = ModelConfig(**cfg_doc)
-        config.validate()
+        cfg_doc = header["config"]
+        check_fields(cfg_doc, ModelConfig.RULES)
+        config = ModelConfig(**{**cfg_doc, "mlp_hidden": tuple(cfg_doc["mlp_hidden"])})
     groups = {group: {} for group in _CHECKPOINT_GROUPS}
     for key, value in arrays.items():
         group, _, name = key.partition("/")

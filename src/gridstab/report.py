@@ -73,7 +73,7 @@ class DayPair:
 
     train_day: int
     eval_day: int
-    train_ds: FeaturizedDataset      # balanced training slots of the train day
+    train_ds: FeaturizedDataset      # training slots of the train day, balanced or not
     cal_ds: FeaturizedDataset        # calibration tail of the train day
     eval_ds: FeaturizedDataset       # full eval day
     fit_ds: FeaturizedDataset        # every fault of the training slots
@@ -111,7 +111,8 @@ def prepare_day_pair(bundle: Bundle, train_day: int, eval_day: int,
                      include_raw: bool = False,
                      train_day_ds: FeaturizedDataset | None = None) -> DayPair:
     """Featurize the train day once, unless ``train_day_ds`` already holds
-    it, and split it (:func:`split_day`); the training view is balanced.
+    it, and split it (:func:`split_day`); the training view is balanced
+    when ``train.balance`` is set.
     Featurize the eval day.  A ValueError names the two days, before
     anything is featurized, when they are one day or either has no faults."""
     cfg = bundle.config
@@ -126,10 +127,11 @@ def prepare_day_pair(bundle: Bundle, train_day: int, eval_day: int,
     if train_day_ds is None:
         train_day_ds = featurize(bundle.network, bundle.snapshots, train_faults, **kw)
     fit_ds, cal_ds = split_day(train_day_ds, train_day, cfg.calibration_frac)
+    train_ds = fit_ds
+    if cfg.train.balance:
+        train_ds = fit_ds.take(balanced_rows(fit_ds.columns["label"], cfg.train.seed))
     return DayPair(
-        train_day=train_day, eval_day=eval_day,
-        train_ds=fit_ds.take(balanced_rows(fit_ds.columns["label"], cfg.train.seed)),
-        cal_ds=cal_ds,
+        train_day=train_day, eval_day=eval_day, train_ds=train_ds, cal_ds=cal_ds,
         eval_ds=featurize(bundle.network, bundle.snapshots, eval_faults, **kw),
         fit_ds=fit_ds,
     )

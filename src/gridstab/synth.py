@@ -19,8 +19,8 @@ import numpy as np
 
 from .grid import (
     AC_LINE, DC_LINE, TRANSFORMER, STABLE, UNSTABLE,
-    Bus, Element, FaultSample, Network, Snapshot, _is_int, _is_real, adjacency_lists,
-    bfs, build_adjacency, neighbor_lists,
+    FINITE, Bus, Element, FaultSample, Network, Snapshot, _is_real, adjacency_lists, at_least,
+    bfs, build_adjacency, check_fields, neighbor_lists,
 )
 
 REF_CURVE = 0.8            # curve level at which Bus/Element base values hold
@@ -41,27 +41,22 @@ class SynthConfig:
         "local_overload": 0.45, "global_stress": 0.25, "latent": 0.30,
     })
 
+    # field -> (test of a valid value, what it must be), as check_fields reads it
+    RULES = {
+        "n_bus": at_least(10), "days": at_least(1), "slots_per_day": at_least(1),
+        "seed": at_least(0),
+        "target_unstable_rate": (lambda v: _is_real(v) and 0.0 < v < 0.5,
+                                 "a number in (0, 0.5)"),
+        "noise_amp": FINITE,
+        "ar_coeff": (lambda v: _is_real(v) and 0.0 <= v < 1.0, "a number in [0, 1)"),
+        "oracle_weights": (lambda v: isinstance(v, dict) and all(map(FINITE[0], v.values()))
+                           and {"local_overload", "global_stress", "latent"} <= set(v),
+                           "an object that maps 'local_overload', 'global_stress' and "
+                           "'latent' to finite numbers"),
+    }
+
     def validate(self) -> None:
-        for name, low in (("n_bus", 10), ("days", 1), ("slots_per_day", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
-        rate, ar, noise = self.target_unstable_rate, self.ar_coeff, self.noise_amp
-        if not _is_real(rate) or not 0.0 < rate < 0.5:
-            raise ValueError(f"target_unstable_rate must be a number in (0, 0.5), "
-                             f"not {rate!r}")
-        if not _is_real(ar) or not 0.0 <= ar < 1.0:
-            raise ValueError(f"ar_coeff must be a number in [0, 1), not {ar!r}")
-        if not _is_real(noise) or not math.isfinite(noise):
-            raise ValueError(f"noise_amp must be a finite number, not {noise!r}")
-        weights = self.oracle_weights
-        if not isinstance(weights, dict) or not all(
-                _is_real(w) and math.isfinite(w) for w in weights.values()):
-            raise ValueError(f"oracle_weights must map names to finite numbers, "
-                             f"not {weights!r}")
-        missing = {"local_overload", "global_stress", "latent"} - set(weights)
-        if missing:
-            raise ValueError(f"oracle_weights missing {sorted(missing)}")
+        check_fields(vars(self), self.RULES)
 
 
 def generate_network(config: SynthConfig) -> Network:

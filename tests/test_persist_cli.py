@@ -708,6 +708,30 @@ def test_daily_report_with_rawcnn_encoder():
     assert [row["date"] for row in rows] == [1] and compared == []
 
 
+@pytest.mark.parametrize("balance", [True, False])
+def test_report_pairs_follow_train_balance(monkeypatch, balance):
+    """``train.balance`` decides whether a report pair's training view is
+    balanced, and a model of the pair trains on that view."""
+    cfg = report.ExperimentConfig(synth=SynthConfig(n_bus=24, days=2, slots_per_day=8,
+                                                    seed=7))
+    cfg.train.balance, cfg.train.epochs = balance, 1
+    bundle = report.build_bundle(cfg)
+    pair = report.prepare_day_pair(bundle, 0, 1)
+    unstable = int(np.count_nonzero(pair.fit_ds.labels()))
+    assert 0 < 2 * unstable < len(pair.fit_ds)
+    assert len(pair.train_ds) == (2 * unstable if balance else len(pair.fit_ds))
+    trained_on = []
+    real = report.train
+
+    def recording_train(variant, train_set, *rest):
+        trained_on.append(len(train_set))
+        return real(variant, train_set, *rest)
+
+    monkeypatch.setattr(report, "train", recording_train)
+    report.run_system(bundle, pair, "MlpOnly")
+    assert trained_on == [len(pair.train_ds)]
+
+
 @pytest.mark.parametrize("model,field", [
     ({"pool": "avg"}, "pool"),
     ({"mlp_hidden": []}, "mlp_hidden"),
@@ -828,6 +852,43 @@ def test_cli_eval_rejects_bad_checkpoint(tmp_path, capsys, trained_checkpoint, c
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["featurize", "train", "eval", "baseline", "ablate"])
+def test_cli_a_missing_output_directory_stops_before_any_work(
+        tmp_path, monkeypatch, trained_checkpoint, command):
+    """An output file whose directory is missing is named before any input
+    is loaded or anything is featurized or trained."""
+    ckpt, features = trained_checkpoint
+    data = features.parent
+    work = []
+    for module, name in ((cli, "_load_dataset_dir"), (cli, "featurize"), (cli, "train"),
+                         (persist, "load_features"), (persist, "load_checkpoint"),
+                         (report, "featurize"), (report, "train")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name, **kw: work.append(_name))
+    pair = ["--data", str(data), "--train-day", "1", "--eval-day", "2"]
+    argv = {"featurize": ["--data", str(data)],
+            "train": ["--features", str(features), "--train-day", "1"],
+            "eval": ["--features", str(features), "--checkpoint", str(ckpt), "--day", "2"],
+            "baseline": [*pair, "--baseline", "mlp"],
+            "ablate": pair}[command]
+    out = tmp_path / "missing" / "out.csv"
+    err = _rejects(command, *argv, out=out)
+    assert f"error: --out {out}: directory {out.parent} does not exist" in err
+    assert work == []
+
+
+def test_cli_report_makes_its_out_directory_first(tmp_path, monkeypatch):
+    out = tmp_path / "reports" / "today"
+    made = []
+
+    def load(data_dir):
+        made.append(out.is_dir())
+        raise cli.CliError("stop")
+
+    monkeypatch.setattr(cli, "_load_dataset_dir", load)
+    assert run_cli("report", "--data", str(tmp_path / "data"), "--out", str(out)) == 1
+    assert made == [True]
+
+
 def test_cli_eval_rejects_non_finite_scores(tmp_path, capsys, monkeypatch,
                                             trained_checkpoint):
     ckpt, features = trained_checkpoint
@@ -906,8 +967,10 @@ BAD_SETTINGS = {
                            "config section 'eval': calibration_frac"),
     "batch-size-0": ({"train": {"batch_size": 0}}, "config section 'train': batch_size"),
     "lr-negative": ({"train": {"lr": -0.1}}, "config section 'train': lr"),
-    "target-kkd-120": ({"eval": {"target_kkd": 120}}, "config section 'train': target_kkd"),
+    "target-kkd-120": ({"eval": {"target_kkd": 120}}, "config section 'eval': target_kkd"),
     "seed-negative": ({"train": {"seed": -1}}, "config section 'train': seed"),
+    "train-target-kkd": ({"train": {"target_kkd": 95}},
+                         "unknown keys in config section 'train': ['target_kkd']"),
 }
 
 BAD_SYNTH = {
@@ -926,6 +989,8 @@ BAD_SYNTH = {
         "local_overload": "0.45", "global_stress": 0.25, "latent": 0.3}}},
         "config section 'synth': oracle_weights"),
     "n-bus-small": ({"synth": {"n_bus": 5}}, "config section 'synth': n_bus"),
+    "noise-past-float-range": ({"synth": {"noise_amp": 10 ** 400}},
+                               "config section 'synth': noise_amp"),
 }
 
 
@@ -937,6 +1002,8 @@ BAD_SYNTH = {
       for name, (doc, message) in BAD_SYNTH.items()),
     pytest.param("train", {}, ["--epochs", "-1"], "config section 'train': epochs",
                  id="train-epochs-flag-negative"),
+    pytest.param("train", {}, ["--target-kkd", "120"], "config section 'eval': target_kkd",
+                 id="train-target-kkd-flag-120"),
 ])
 def test_cli_rejects_bad_run_settings(tmp_path, capsys, trained_checkpoint, command,
                                       doc, flags, message):
@@ -980,11 +1047,33 @@ def test_cli_rejects_a_malformed_config(tmp_path, capsys, text, message):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"eval": {"target_kkd": 120}},
+     "config section 'eval': target_kkd must be a number in [0, 100], not 120"),
+    ({"train": {"epochs": -1}}, "config section 'train': epochs must be an integer >= 0, "
+                                "not -1"),
+    ({"feature": {"max_nodes": 0}}, "config section 'feature': max_nodes must be an "
+                                    "integer >= 1, not 0"),
+    ({"synth": {"oracle_weights": {"latent": 1.0}}},
+     "config section 'synth': oracle_weights must be an object that maps"),
+    ({"model": {"mlp_hidden": [200, 0]}},
+     "config section 'model': mlp_hidden must be a non-empty list of positive integers, "
+     "not [200, 0]"),
+    ({"train": {"bogus": 1}}, "unknown keys in config section 'train': ['bogus']"),
+    ({"bogus": {}}, "unknown config sections: ['bogus']"),
+], ids=["eval", "train", "feature", "synth", "model", "unknown-key", "unknown-section"])
+def test_a_config_error_names_the_file_and_the_section(tmp_path, capsys, doc, message):
+    config = _write_config(tmp_path / "cfg.json", doc)
+    capsys.readouterr()
+    assert run_cli("synth", "--config", config, "--out", str(tmp_path / "out"), *TINY) == 1
+    assert f"error: {config}: {message}" in capsys.readouterr().err
+
+
 # ------------------------------------------------------- text input fuzz
 
 def _base_config():
-    """Every config field at its default, on a tiny world.  ``target_kkd`` sits
-    only in the eval section, which would override the train section's."""
+    """Every config field at its default, on a tiny world.  ``target_kkd`` is
+    a key of the eval section only."""
     cfg = report.ExperimentConfig(synth=SynthConfig(n_bus=24, days=3, slots_per_day=8,
                                                     seed=7))
     train = dataclasses.asdict(cfg.train)
@@ -993,6 +1082,18 @@ def _base_config():
             "feature": {"regions": cfg.feature_regions, "max_nodes": cfg.max_nodes},
             "eval": {"target_kkd": cfg.train.target_kkd,
                      "calibration_frac": cfg.calibration_frac}}
+
+
+def _dumps(value, repeat=None, key=None) -> str:
+    """The JSON text of ``value``, in which the object ``repeat`` (the same
+    object, not an equal one) lists its ``key`` twice."""
+    if isinstance(value, dict):
+        items = [*value.items(), *([(key, value[key])] if value is repeat else [])]
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v, repeat, key)}"
+                               for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dumps(v, repeat, key) for v in value) + "]"
+    return json.dumps(value)
 
 
 def _wrong_type(value):
@@ -1012,20 +1113,22 @@ def _field_mutations(draw, value):
 
 
 def _mutate_config(path, draw):
-    """Write a config with one field or one section mutated, or cut short;
-    return the names the message must hold."""
+    """Write a config with one field or one section mutated, one field
+    repeated, or cut short; return the names the message must hold."""
     doc = _base_config()
-    kind = draw(st.sampled_from(["field", "section", "truncate"]))
+    kind = draw(st.sampled_from(["field", "section", "repeat-key", "truncate"]))
     section = draw(st.sampled_from(sorted(doc)))
+    field = draw(st.sampled_from(sorted(doc[section])))
     names = [f"{path}: unreadable JSON config"]
     if kind == "field":
-        field = draw(st.sampled_from(sorted(doc[section])))
         doc[section][field] = draw(st.sampled_from(_field_mutations(draw, doc[section][field])))
         names = [field]
     elif kind == "section":
         doc[section] = draw(st.sampled_from([list(doc[section].values()), None, 5]))
         names = [repr(section)]
-    text = json.dumps(doc)
+    elif kind == "repeat-key":
+        names = [f"{path}: unreadable JSON config (repeated keys [{field!r}])"]
+    text = _dumps(doc, doc[section] if kind == "repeat-key" else None, field)
     if kind == "truncate":
         text = text[:draw(st.integers(0, len(text) - 1))]
     path.write_text(text)
@@ -1034,14 +1137,16 @@ def _mutate_config(path, draw):
 
 def _mutate_network(path, draw):
     """Rewrite ``network.json`` with one record field, one record or the
-    file's end mutated; return the names the message must hold."""
+    file's end mutated, or one record field repeated; return the names the
+    message must hold."""
     doc = json.loads(path.read_text())
-    kind = draw(st.sampled_from(["field", "list", "repeat", "rating", "truncate"]))
+    kind = draw(st.sampled_from(["field", "list", "repeat", "repeat-key", "rating",
+                                 "truncate"]))
     key = "elements" if kind == "rating" else draw(st.sampled_from(["buses", "elements"]))
     i = draw(st.integers(0, len(doc[key]) - 1))
     record = doc[key][i]
+    field = draw(st.sampled_from(sorted(record)))
     if kind == "field":
-        field = draw(st.sampled_from(sorted(record)))
         record[field] = draw(st.sampled_from(_field_mutations(draw, record[field])))
         names = [f"{key}[{i}]: {field} must be"]
     elif kind == "list":
@@ -1050,10 +1155,12 @@ def _mutate_network(path, draw):
     elif kind == "repeat":
         doc[key].append(dict(record))
         names = [f"duplicate-{'bus' if key == 'buses' else 'element'}-id: {record['id']}"]
+    elif kind == "repeat-key":
+        names = [f"unreadable network JSON (repeated keys [{field!r}])"]
     elif kind == "rating":
         record["rating"] = draw(st.sampled_from([0, 0.0, -5, -1e-9]))
         names = [f"non-positive-rating: element {record['id']}"]
-    text = json.dumps(doc)
+    text = _dumps(doc, record if kind == "repeat-key" else None, field)
     if kind == "truncate":
         text, names = text[:draw(st.integers(0, len(text) - 1))], ["unreadable network JSON"]
     path.write_text(text)
@@ -1071,8 +1178,8 @@ def tiny_dataset(tmp_path_factory):
 @given(target=st.sampled_from(["config", "network"]), data=st.data())
 def test_a_mutated_text_input_is_named(tiny_dataset, target, data):
     """One field of a config or of ``network.json`` gets a wrong type, null,
-    a list for an object, NaN or an infinity; or one record is repeated, one
-    rating is not positive, or the file is cut short.  ``synth`` (for the
+    a list for an object, NaN or an infinity; or one field or one record is
+    repeated, one rating is not positive, or the file is cut short.  ``synth`` (for the
     config) or ``featurize`` (for the network) exits 1 with the file and the
     field in the message, no traceback and no output."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -1089,6 +1196,22 @@ def test_a_mutated_text_input_is_named(tiny_dataset, target, data):
             err = _rejects("featurize", "--data", str(dataset), out=tmp / "features.npz")
     assert target == "config" or str(bad) in err, err
     assert all(name in err for name in names), (names, err)
+
+
+def test_a_repeated_key_is_named(tmp_path, tiny_dataset):
+    """JSON keeps the last of two equal keys; both readers reject the file
+    instead, naming it and the key."""
+    config = tmp_path / "cfg.json"
+    config.write_text('{"train": {"epochs": -1, "epochs": 1}}')
+    err = _rejects("synth", "--config", str(config), *TINY, out=tmp_path / "out")
+    assert f"{config}: unreadable JSON config (repeated keys ['epochs'])" in err
+    dataset = tmp_path / "data"
+    shutil.copytree(tiny_dataset, dataset)
+    network = dataset / "network.json"
+    doc = json.loads(network.read_text())
+    network.write_text(_dumps(doc, doc["elements"][3], "rating"))
+    err = _rejects("featurize", "--data", str(dataset), out=tmp_path / "features.npz")
+    assert f"{network}: unreadable network JSON (repeated keys ['rating'])" in err
 
 
 def test_python_dash_m_gridstab_runs_the_cli():
