@@ -26,7 +26,7 @@ from .model import (
     ModelConfig, ScreeningModel, TrainConfig, TrainResult, scores_for, train,
 )
 from .baselines import (
-    LinearSvmParams, PrevDayIndex, svm_train_expanded,
+    LinearSvmParams, prev_day_scores, svm_train_expanded,
 )
 from .metrics import (
     ConfusionCounts, MetricRow, calibrate_threshold, compute_metrics,

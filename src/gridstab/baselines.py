@@ -3,36 +3,24 @@ SVM.  The MLP baseline is the ``MlpOnly`` model variant (see :mod:`.model`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 PREV_DAY_THRESHOLD = 0.03
 
 
-@dataclass
-class PrevDayIndex:
-    """Per-element label history over one day's slots."""
-
-    day: int
-    labels: dict[int, list[int]] = field(default_factory=dict)
-
-    @classmethod
-    def from_faults(cls, faults, day: int) -> "PrevDayIndex":
-        index = cls(day=day)
-        for fs in faults:
-            if fs.day == day:
-                index.labels.setdefault(fs.element_id, []).append(int(fs.label))
-        return index
-
-    def mean_label(self, element_id: int) -> float:
-        history = self.labels.get(element_id)
-        return float(np.mean(history)) if history else 0.0
-
-
-def prev_day_scores(index: PrevDayIndex, element_ids) -> np.ndarray:
-    """Yesterday's per-element label mean as a score for each faulted element."""
-    return np.array([index.mean_label(element_id) for element_id in element_ids])
+def prev_day_scores(day_ids, day_labels, element_ids) -> np.ndarray:
+    """Each of ``element_ids``' mean label over one day's labeled faults,
+    whose element ids and labels are ``day_ids`` and ``day_labels`` (-1 for
+    unlabeled); 0 for an element with no labeled fault that day."""
+    day_ids, day_labels, element_ids = (np.asarray(a, dtype=np.int64)
+                                        for a in (day_ids, day_labels, element_ids))
+    day_ids, day_labels = day_ids[day_labels >= 0], day_labels[day_labels >= 0]
+    size = max(day_ids.max(initial=-1), element_ids.max(initial=-1)) + 1
+    count = np.bincount(day_ids, minlength=size)
+    total = np.bincount(day_ids, weights=day_labels.astype(float), minlength=size)
+    return np.divide(total, count, out=np.zeros(size), where=count > 0)[element_ids]
 
 
 # ------------------------------------------------------------------- SVM

@@ -282,10 +282,6 @@ def cmd_report(args) -> int:
 
 def _bundle_from_dir(data_dir: Path, cfg: ExperimentConfig) -> report.Bundle:
     network, snapshots, faults, fp = _load_dataset_dir(data_dir)
-    # the stored dataset is authoritative for its own shape
-    cfg.synth.n_bus = network.n_bus
-    cfg.synth.days = max(s.day for s in snapshots) + 1
-    cfg.synth.slots_per_day = max(s.slot for s in snapshots) + 1
     spec = report.default_feature_spec(cfg.feature_regions)
     return report.Bundle(config=cfg, network=network, snapshots=snapshots,
                          faults=faults, spec=spec, synth_fingerprint=fp)

@@ -28,9 +28,9 @@ per-(line, bus) columns written over them.
 Its dataset is int columns over a :class:`FeatureStore`: one global vector
 and one read-only bus table per snapshot, and the :class:`LineTemplates` of
 every AC line, stacked once per (network, max_nodes).  A sample is a row of
-the columns, which holds its fault and its row index into each array.  The
-model gathers a training batch's node rows, or a scoring block's, from the
-store in one indexing call.
+the columns, which holds its fault, its snapshot's table row and its line's
+template row.  The model gathers a training batch's node rows, or a scoring
+block's, from the store in one indexing call.
 
 The per-network parts live as long as the network: :func:`featurize`,
 :func:`global_stats` and :func:`local_subgraph` without an ``index`` share
@@ -388,21 +388,6 @@ class LineTemplate:
     node_mask: np.ndarray      # (max_nodes,) bool
 
 
-def _dedupe(items: list, key) -> tuple[list, np.ndarray]:
-    """Distinct items by ``key`` in first-seen order, and each item's index
-    into them."""
-    slot: dict = {}
-    distinct = []
-    index = np.empty(len(items), dtype=np.intp)
-    for i, item in enumerate(items):
-        k = key(item)
-        if k not in slot:
-            slot[k] = len(distinct)
-            distinct.append(item)
-        index[i] = slot[k]
-    return distinct, index
-
-
 def _stack(arrays: list, tail: tuple, dtype=np.float64) -> np.ndarray:
     return np.stack(arrays) if arrays else np.zeros((0, *tail), dtype=dtype)
 
@@ -416,25 +401,25 @@ def pack_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class LineTemplates:
-    """Subgraph templates and graphs, each stacked along a leading axis.
+    """Subgraph templates, each array stacked along one leading axis ``L``.
 
-    Template ``t`` places a sample's nodes: node ``j`` is row ``rows[t, j]``
-    of the sample's table, with ``line_values[t, j]`` written into
-    LINE_COLUMNS.  Graph ``g`` is a 0/1 adjacency, packed by
-    :func:`pack_adjacency`, and a node mask.  :func:`featurize` uses one
-    object per (network, max_nodes), in which template and graph ``i`` are
-    both the ``i``-th AC line's.  A dataset of hand-built graphs gets one
-    template per graph and one graph per distinct (adjacency, node_mask) pair.
+    Template ``t`` places a sample's nodes and links them: node ``j`` is row
+    ``rows[t, j]`` of the sample's table, with ``line_values[t, j]`` written
+    into LINE_COLUMNS, and its graph is the 0/1 ``adjacency[t]``, packed by
+    :func:`pack_adjacency`, over the nodes of ``node_mask[t]``.
+    :func:`featurize` uses one object per (network, max_nodes), in which
+    template ``i`` is the ``i``-th AC line's.  A dataset of hand-built
+    samples gets one template per sample.
 
     The arrays are read-only.  ``propagation`` is where the model keeps the
-    propagation matrix of every graph, once per kind, so that every dataset
-    whose store holds these templates shares them.
+    propagation matrix of every template, once per kind, so that every
+    dataset whose store holds these templates shares them.
     """
 
     rows: np.ndarray           # (L, max_nodes) intp
     line_values: np.ndarray    # (L, max_nodes, len(LINE_COLUMNS))
-    adjacency: np.ndarray      # (P, max_nodes, ceil(max_nodes / 8)) uint8
-    node_mask: np.ndarray      # (P, max_nodes) bool
+    adjacency: np.ndarray      # (L, max_nodes, ceil(max_nodes / 8)) uint8
+    node_mask: np.ndarray      # (L, max_nodes) bool
     propagation: dict = field(default_factory=dict, init=False)
     _graphs: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -444,7 +429,7 @@ class LineTemplates:
 
     @classmethod
     def of_lines(cls, lines: list[LineTemplate], max_nodes: int) -> LineTemplates:
-        """Stack per-line templates; template and graph ``i`` are ``lines[i]``."""
+        """Stack per-line templates; template ``i`` is ``lines[i]``."""
         values = _stack([t.line_values for t in lines], (max_nodes, len(LINE_COLUMNS)))
         return cls(
             rows=_stack([t.rows for t in lines], (max_nodes,), np.intp),
@@ -457,19 +442,19 @@ class LineTemplates:
             node_mask=_stack([t.node_mask for t in lines], (max_nodes,), bool),
         )
 
-    def dense_adjacency(self, graphs=slice(None)) -> np.ndarray:
-        """The 0/1 adjacency of ``graphs``, unpacked to uint8."""
-        return np.unpackbits(self.adjacency[graphs], axis=-1,
+    def dense_adjacency(self, templates=slice(None)) -> np.ndarray:
+        """The 0/1 adjacency of ``templates``, unpacked to uint8."""
+        return np.unpackbits(self.adjacency[templates], axis=-1,
                              count=self.node_mask.shape[1])
 
-    def graph(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """Graph ``g``'s read-only float adjacency and node mask: the same two
-        arrays on every call."""
-        arrays = self._graphs.get(g)
+    def graph(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Template ``t``'s read-only float adjacency and node mask: the same
+        two arrays on every call."""
+        arrays = self._graphs.get(t)
         if arrays is None:
-            adjacency = self.dense_adjacency(g).astype(float)
+            adjacency = self.dense_adjacency(t).astype(float)
             adjacency.flags.writeable = False
-            arrays = self._graphs[g] = (adjacency, self.node_mask[g])
+            arrays = self._graphs[t] = (adjacency, self.node_mask[t])
         return arrays
 
 
@@ -602,8 +587,8 @@ class NetworkIndex:
         return self._plan[1]
 
     def templates(self, max_nodes: int) -> tuple[dict[int, int], LineTemplates]:
-        """Each AC line's position, and every AC line's template and graph
-        stacked in line order; built once per max_nodes."""
+        """Each AC line's position, and every AC line's template stacked in
+        line order; built once per max_nodes."""
         if max_nodes not in self._templates:
             ids = self.network.ac_line_ids()
             lines = [self._build_template(eid, max_nodes) for eid in ids]
@@ -666,8 +651,9 @@ class LocalGraph:
     ``LocalGraph(adjacency, node_features, node_mask, fault_element_id)``
     holds its own arrays; the adjacency is 0/1.  A stored graph
     (:meth:`stored`) is a position in a store's tables and templates: its
-    ``adjacency`` and ``node_mask`` are its graph's shared read-only arrays,
-    and its ``node_features`` are copied out of the store when first read.
+    ``adjacency`` and ``node_mask`` are its template's shared read-only
+    arrays, and its ``node_features`` are copied out of the store when first
+    read.
     """
 
     def __init__(self, adjacency: np.ndarray, node_features: np.ndarray,
@@ -676,32 +662,32 @@ class LocalGraph:
         self._node_features = node_features
         self._node_mask = node_mask
         self.fault_element_id = fault_element_id
-        # (tables, templates, table, template, graph) of a stored graph
+        # (tables, templates, table, template) of a stored graph
         self.source: tuple | None = None
 
     @classmethod
     def stored(cls, tables: np.ndarray, templates: LineTemplates, table: int,
-               template: int, graph: int, fault_element_id: int) -> LocalGraph:
+               template: int, fault_element_id: int) -> LocalGraph:
         local = cls(None, None, None, fault_element_id)
-        local.source = (tables, templates, table, template, graph)
+        local.source = (tables, templates, table, template)
         return local
 
     @property
     def adjacency(self) -> np.ndarray:      # (max_nodes, max_nodes)
         if self.source is None:
             return self._adjacency
-        return self.source[1].graph(self.source[4])[0]
+        return self.source[1].graph(self.source[3])[0]
 
     @property
     def node_mask(self) -> np.ndarray:      # (max_nodes,) bool
         if self.source is None:
             return self._node_mask
-        return self.source[1].graph(self.source[4])[1]
+        return self.source[1].graph(self.source[3])[1]
 
     @property
     def node_features(self) -> np.ndarray:  # (max_nodes, NODE_FEATURES)
         if self._node_features is None:
-            tables, templates, table, template, _ = self.source
+            tables, templates, table, template = self.source
             self._node_features = gather_nodes(tables, templates, table, template,
                                                slice(None))
         return self._node_features
@@ -756,14 +742,14 @@ def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
         tables = index.bus_table(snapshot)[None]
         tables.flags.writeable = False
         table = (tables, 0)
-    return LocalGraph.stored(table[0], index.templates(max_nodes)[1], table[1], line, line,
+    return LocalGraph.stored(table[0], index.templates(max_nodes)[1], table[1], line,
                              element_id)
 
 
-# A dataset's int64 columns: the fault, its subgraph's element, its store rows.
+# A dataset's int64 columns: the fault, and its rows in the store.
 FAULT_COLUMNS = ("day", "slot", "element_id", "label")
-INDEX_COLUMNS = ("global_index", "table_index", "template_index", "graph_index")
-COLUMNS = (*FAULT_COLUMNS, "fault_element_id", *INDEX_COLUMNS)
+INDEX_COLUMNS = ("table_index", "template_index")
+COLUMNS = (*FAULT_COLUMNS, *INDEX_COLUMNS)
 
 
 def int_columns(records, names) -> dict[str, np.ndarray]:
@@ -791,42 +777,38 @@ class FeaturizedSample:
 class FeatureStore:
     """The arrays a dataset's index columns point into, shared by its views.
 
-    A sample's node matrix is ``gather_nodes(tables, templates, table,
-    template, :)`` (see :class:`LineTemplates`).  From :func:`featurize`
-    there is one global vector and one table per snapshot, and the network's
-    templates are shared, not copied.
+    A sample's ``table_index`` selects its global vector and its table, rows
+    of ``global_vecs`` and ``tables``; its ``template_index`` selects its
+    template (see :class:`LineTemplates`).  Its node matrix is
+    ``gather_nodes(tables, templates, table, template, :)``.  From
+    :func:`featurize` there is one global vector and one table per snapshot,
+    and the network's templates are shared, not copied.
     """
 
-    global_vecs: np.ndarray    # (V, global_dim)
+    global_vecs: np.ndarray    # (T, global_dim)
     tables: np.ndarray         # (T, R, NODE_FEATURES), read-only
     templates: LineTemplates
 
     @classmethod
     def of(cls, samples: list[FeaturizedSample], global_dim: int,
            max_nodes: int) -> tuple[FeatureStore, dict[str, np.ndarray]]:
-        """The store and the columns of hand-built ``samples``: one global
-        vector per distinct vector object, one table and one template per
-        sample (its graph's ``node_features``), and one graph per distinct
-        (adjacency, node_mask) pair of objects."""
-        vecs, global_index = _dedupe([s.global_vec for s in samples], id)
+        """The store and the columns of hand-built ``samples``: each sample
+        gets its own global vector, table (its graph's ``node_features``) and
+        template."""
         graphs = [s.local for s in samples]
         tables = _stack([g.node_features for g in graphs], (max_nodes, NODE_FEATURES))
         tables.flags.writeable = False
         m = tables.shape[1]
-        pairs, graph_index = _dedupe(graphs, lambda g: (id(g.adjacency), id(g.node_mask)))
         templates = LineTemplates(
             rows=np.tile(np.arange(m), (len(graphs), 1)),
             line_values=tables[:, :, LINE_COLUMNS],
-            adjacency=pack_adjacency(_stack([g.adjacency for g in pairs], (m, m))),
-            node_mask=_stack([g.node_mask for g in pairs], (m,), bool),
+            adjacency=pack_adjacency(_stack([g.adjacency for g in graphs], (m, m))),
+            node_mask=_stack([g.node_mask for g in graphs], (m,), bool),
         )
         own = np.arange(len(samples), dtype=np.int64)
-        columns = {**int_columns(samples, FAULT_COLUMNS),
-                   **int_columns(graphs, ("fault_element_id",)),
-                   **dict(zip(INDEX_COLUMNS, (global_index.astype(np.int64), own, own,
-                                              graph_index.astype(np.int64))))}
-        return cls(global_vecs=_stack(vecs, (global_dim,)), tables=tables,
-                   templates=templates), columns
+        columns = {**int_columns(samples, FAULT_COLUMNS), **dict.fromkeys(INDEX_COLUMNS, own)}
+        return cls(global_vecs=_stack([s.global_vec for s in samples], (global_dim,)),
+                   tables=tables, templates=templates), columns
 
 
 class FeaturizedDataset:
@@ -865,16 +847,17 @@ class FeaturizedDataset:
 
     @property
     def samples(self) -> list[FeaturizedSample]:
-        """Every sample, built on each read.  Samples share their global
-        vector, and their graph's read-only adjacency and node mask; each
-        copies its node matrix out of the store when it is first read."""
+        """Every sample, built on each read.  Samples share their table's
+        global vector, and their template's read-only adjacency and node
+        mask; each copies its node matrix out of the store when it is first
+        read.  A graph's ``fault_element_id`` is its sample's element."""
         store = self.store
         vecs = list(store.global_vecs)
         return [
-            FeaturizedSample(day, slot, element_id, None if label < 0 else label, vecs[g],
+            FeaturizedSample(day, slot, element_id, None if label < 0 else label, vecs[table],
                              LocalGraph.stored(store.tables, store.templates, table,
-                                               template, graph, fault_id))
-            for day, slot, element_id, label, fault_id, g, table, template, graph
+                                               template, element_id))
+            for day, slot, element_id, label, table, template
             in zip(*(self.columns[name].tolist() for name in COLUMNS))]
 
     @property
@@ -896,7 +879,7 @@ class FeaturizedDataset:
 
     def global_rows(self, rows=slice(None)) -> np.ndarray:
         """The global vectors of the samples at ``rows``."""
-        return self.store.global_vecs[self.columns["global_index"][rows]]
+        return self.store.global_vecs[self.columns["table_index"][rows]]
 
     def raw_rows(self, rows=slice(None)) -> np.ndarray:
         """The (n, n_bus, 13) raw states of the samples at ``rows``."""
@@ -951,11 +934,9 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
         k, snap = table_of[(fs.day, fs.slot)]
         local = local_subgraph(network, snap, fs.element_id, max_nodes, index,
                                table=(tables, k))
-        places.append(local.source[2:])      # its table, template and graph
-    table, template, graph = np.array(places, dtype=np.int64).reshape(-1, 3).T.copy()
+        places.append(local.source[2:])      # its table and template
     columns = int_columns(faults, FAULT_COLUMNS)
-    columns.update(fault_element_id=columns["element_id"], global_index=table,
-                   table_index=table, template_index=template, graph_index=graph)
+    columns.update(zip(INDEX_COLUMNS, np.array(places, dtype=np.int64).reshape(-1, 2).T.copy()))
     vecs = _stack([vec for _, vec in per_snapshot.values()], (len(spec),))
     store = FeatureStore(vecs, tables, index.templates(max_nodes)[1])
     raw_states = ({key: global_raw(snap) for key, (snap, _) in per_snapshot.items()}

@@ -67,7 +67,6 @@ ABLATION_ALIASES = {
 
 
 EMBED_DIM = 20   # width of a faulted element's embedding row
-_LOCAL_INDEX = INDEX_COLUMNS[1:]    # a sample's table, template and graph columns
 # Samples the GCN head scores at a time (the default training batch).  Only
 # that head is blocked: tests/test_blas_probes.py records why dense rows
 # would round apart.
@@ -489,14 +488,14 @@ class ScreeningModel:
         """Per-dimension standardization statistics from the training data."""
         scalers = {}
         store = dataset.store
-        table, template, graph = (dataset.columns[name] for name in _LOCAL_INDEX)
+        table, template = (dataset.columns[name] for name in INDEX_COLUMNS)
         if "global" in self.inputs:
             g = dataset.global_rows()
             scalers["global_mu"] = g.mean(axis=0)
             scalers["global_sd"] = _safe_sd(g.std(axis=0))
         if "local" in self.inputs:
             # Every real node row of every sample, in sample then node order.
-            sample, node = np.nonzero(store.templates.node_mask[graph])
+            sample, node = np.nonzero(store.templates.node_mask[template])
             rows = gather_nodes(store.tables, store.templates, table[sample],
                                 template[sample], node)
             scalers["local_mu"] = rows.mean(axis=0)
@@ -522,7 +521,7 @@ class ScreeningModel:
             batch["raw"] = raws.transpose(0, 2, 1)[:, :, None, :]   # (B, 13, 1, n_bus)
         if "local" in self.inputs:
             batch["local"] = LocalRows(self._local_source(dataset.store),
-                                       *(columns[name][indices] for name in _LOCAL_INDEX))
+                                       *(columns[name][indices] for name in INDEX_COLUMNS))
         if "ids" in self.inputs:
             batch["ids"] = columns["element_id"][indices]
         return batch
@@ -583,8 +582,8 @@ class ScreeningModel:
 @dataclass(frozen=True)
 class LocalTables:
     """A store's node inputs standardized by one model's local scalers: the
-    ``tables``, the templates' ``rows``, their standardized ``line_values``,
-    each graph's ``node_mask`` and ``propagation`` matrix.
+    ``tables``, and each template's ``rows``, standardized ``line_values``,
+    ``node_mask`` and ``propagation`` matrix, all on the templates' axis.
 
     Standardizing ``(x - mu) / sd`` is elementwise, so gathering standardized
     rows gives the bytes of standardizing gathered ones.  Padded nodes read
@@ -595,8 +594,8 @@ class LocalTables:
     tables: np.ndarray         # (T, R, F) float64, read-only
     rows: np.ndarray           # (L, m) intp
     line_values: np.ndarray    # (L, m, len(LINE_COLUMNS)) float64, read-only
-    node_mask: np.ndarray      # (P, m) bool
-    propagation: np.ndarray    # (P, m, m)
+    node_mask: np.ndarray      # (L, m) bool
+    propagation: np.ndarray    # (L, m, m)
 
     @classmethod
     def of(cls, store: FeatureStore, scalers: dict, adjacency: bool) -> LocalTables:
@@ -618,16 +617,15 @@ class LocalTables:
 
 @dataclass(frozen=True)
 class LocalRows:
-    """The local inputs of a batch as row indices: each sample's ``table``,
-    ``template`` and ``graph`` row into its dataset's :class:`LocalTables`."""
+    """The local inputs of a batch as row indices: each sample's ``table``
+    and ``template`` row into its dataset's :class:`LocalTables`."""
 
     source: LocalTables
     table: np.ndarray
     template: np.ndarray
-    graph: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.graph)
+        return len(self.template)
 
     @property
     def max_nodes(self) -> int:
@@ -638,13 +636,13 @@ class LocalRows:
         propagation matrices ``a`` of the samples ``rows``.
 
         ``out=(h, a)`` names flat float64 buffers to write ``h`` and ``a``
-        into, with the same bytes.  Every graph once, in order (one screened
-        snapshot), returns the propagation stack itself: the same bytes, and
-        no copy.
+        into, with the same bytes.  Every template once, in order (one
+        screened snapshot), returns the propagation stack itself: the same
+        bytes, and no copy.
         """
         src = self.source
-        table, template, graph = self.table[rows], self.template[rows], self.graph[rows]
-        node_mask = src.node_mask[graph]
+        table, template = self.table[rows], self.template[rows]
+        node_mask = src.node_mask[template]
         k, m = node_mask.shape
         n_rows, f = src.tables.shape[1:]
         h_out, a_out = (None, None) if out is None else (
@@ -657,8 +655,8 @@ class LocalRows:
         if not node_mask.all():      # x * 1.0 == x, so a full mask is skipped
             h *= node_mask[:, :, None]
         a = src.propagation
-        if not (len(graph) == len(a) and np.array_equal(graph, np.arange(len(a)))):
-            a = np.take(a, graph, axis=0, out=a_out, mode="clip")
+        if not (len(template) == len(a) and np.array_equal(template, np.arange(len(a)))):
+            a = np.take(a, template, axis=0, out=a_out, mode="clip")
         return h, node_mask.astype(float), a
 
 
@@ -669,7 +667,7 @@ def _shaped(flat: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def _propagation(templates: LineTemplates, graph: bool) -> np.ndarray:
-    """(P, m, m) propagation matrices of every graph of ``templates``: the
+    """(L, m, m) propagation matrices of every template of ``templates``: the
     normalized adjacency, or the masked identity when the graph is ablated.
 
     Computed once per templates object and kind and kept on it, so every
@@ -679,7 +677,7 @@ def _propagation(templates: LineTemplates, graph: bool) -> np.ndarray:
     if a is None:
         masks = templates.node_mask
         if graph:
-            # Graph by graph: normalizing the whole stack in one call gives
+            # Template by template: normalizing the whole stack in one call gives
             # the same bytes faster, but it raised cli's peak RSS by 6-8 MB
             # on two of six 54-bus worlds, through heap layout alone (the
             # heap grew while 15 MB of it was free).

@@ -18,18 +18,20 @@ The snapshots archive (format_version 2, kind ``snapshots``) holds int64
 2, kind ``faults``) holds int64 ``day``, ``slot``, ``element_id`` and
 ``label`` (-1 for unlabeled).  Their headers hold the synth fingerprint.
 
-The features file (format_version 3, kind ``features``) holds a dataset's
-int64 columns and the :class:`~features.FeatureStore` they point into, as
-they are, with no per-sample node matrix:
+The features file (format_version 4, kind ``features``) holds a dataset's
+six int64 columns and the :class:`~features.FeatureStore` they point into,
+as they are, with no per-sample node matrix:
 
 * per sample: ``day``, ``slot``, ``element_id``, ``label`` (-1 for
-  unlabeled), ``fault_element_id``, and its rows ``global_index``,
-  ``table_index``, ``template_index`` and ``graph_index`` in the arrays below;
-* ``global_vecs`` and ``tables``: one global vector and one bus table per
-  snapshot (per distinct vector, and per sample, for hand-built samples);
-* ``rows`` and ``line_values``: one template per line;
-* ``adjacency`` (bit-packed 0/1 rows) and ``node_mask``: one graph per line;
-* optional ``raw_keys``/``raw_states`` per (day, slot);
+  unlabeled), and its rows ``table_index`` and ``template_index`` in the
+  arrays below;
+* per table: ``global_vecs`` and ``tables``, one global vector and one bus
+  table per snapshot (per sample, for hand-built samples);
+* per template: ``rows``, ``line_values``, ``adjacency`` (bit-packed 0/1
+  rows) and ``node_mask``, one template per line (per sample, for
+  hand-built samples);
+* optional ``raw_keys``/``raw_states``, one per (day, slot), which must
+  cover every sample's (day, slot);
 * in the header: the spec, spec hash, sizes and synth fingerprint.
 
 The checkpoint (format_version 2, kind ``checkpoint``) holds one float64
@@ -167,7 +169,7 @@ def load_network(path) -> tuple[Network, str]:
 # ------------------------------------------------------------ .npz archives
 
 DATASET_VERSION = 2
-FEATURES_VERSION = 3
+FEATURES_VERSION = 4
 CHECKPOINT_VERSION = 2
 _ZIP_MAGIC = b"PK\x03\x04"
 # kind -> (format_version, the command that writes it)
@@ -408,32 +410,30 @@ def _check_feature_arrays(arrays: dict, header: dict, path) -> GlobalFeatureSpec
     m, global_dim = header["max_nodes"], len(spec)
     schema = {
         **{name: ("iu", (), "sample") for name in COLUMNS},
-        "global_vecs": ("f", (global_dim,), "global vector"),
+        "global_vecs": ("f", (global_dim,), "table"),
         "tables": ("f", (None, NODE_FEATURES), "table"),
         "rows": ("iu", (m,), "template"),
         "line_values": ("fiu", (m, len(LINE_COLUMNS)), "template"),
-        "adjacency": ("u", (m, (m + 7) // 8), "graph"),
-        "node_mask": ("b", (m,), "graph"),
+        "adjacency": ("u", (m, (m + 7) // 8), "template"),
+        "node_mask": ("b", (m,), "template"),
         "raw_keys": ("iu", (2,), "raw state"),
         "raw_states": ("f", (None, N_BUS_STATE), "raw state"),
     }
     raw_optional = () if set(_RAW_ARRAYS) & set(arrays) else _RAW_ARRAYS
     _check_arrays(path, "features", arrays, schema, optional=raw_optional)
-    for index, target in zip(INDEX_COLUMNS, ("global_vecs", "tables", "rows", "node_mask")):
+    for index, target in zip(INDEX_COLUMNS, ("tables", "rows")):
         idx = arrays[index]
         if idx.size and (idx.min() < 0 or idx.max() >= len(arrays[target])):
             raise FormatError(f"{path}: {index!r} points outside {target!r}")
     rows = arrays["rows"]
     if rows.size and (rows.min() < 0 or rows.max() >= arrays["tables"].shape[1]):
         raise FormatError(f"{path}: 'rows' points outside the rows of 'tables'")
-    ids = np.concatenate([arrays["element_id"], arrays["fault_element_id"]])
+    ids = arrays["element_id"]
     if ids.size and ids.min() < 0:
-        raise FormatError(f"{path}: arrays 'element_id' and 'fault_element_id' must hold "
-                          f"ids >= 0, not {ids.min()}")
+        raise FormatError(f"{path}: array 'element_id' must hold ids >= 0, not {ids.min()}")
     if ids.size and ids.max() >= header["n_elements"]:
         raise FormatError(f"{path}: header: n_elements must be greater than every "
-                          f"element_id and fault_element_id ({ids.max()}), not "
-                          f"{header['n_elements']}")
+                          f"element_id ({ids.max()}), not {header['n_elements']}")
     return spec
 
 
@@ -441,9 +441,10 @@ def load_features(path) -> FeaturizedDataset:
     """Read a features archive written by :func:`save_features`.
 
     Raises :class:`FormatError` naming the file for anything else, including
-    a features file of format_version 1 or 2, an array of the wrong dtype or
-    shape, and a NaN or infinity in any float array, each of which it
-    names.  The dataset's columns and store are the archive's arrays.
+    a features file of format_version 1 to 3, an array of the wrong dtype or
+    shape, a NaN or infinity in any float array, and raw states with a
+    repeated (day, slot) or none for a sample's, each of which it names.
+    The dataset's columns and store are the archive's arrays.
     """
     header, arrays = _read_archive(path, "features")
     spec = _check_feature_arrays(arrays, header, path)
@@ -452,8 +453,14 @@ def load_features(path) -> FeaturizedDataset:
                               adjacency=arrays["adjacency"], node_mask=arrays["node_mask"])
     raw_states = {}
     if "raw_keys" in arrays:
-        raw_states = {(day, slot): raw for (day, slot), raw
-                      in zip(arrays["raw_keys"].tolist(), arrays["raw_states"])}
+        keys = arrays["raw_keys"]
+        _check_unique(path, dict(zip(_SNAPSHOT_KEY, keys.T)), _SNAPSHOT_KEY, "'raw_keys' row")
+        raw_states = dict(zip(map(tuple, keys.tolist()), arrays["raw_states"]))
+        samples = zip(*(arrays[name].tolist() for name in _SNAPSHOT_KEY))
+        for sample, key in enumerate(samples):
+            if key not in raw_states:
+                raise FormatError(f"{path}: array 'raw_keys' lacks the (day, slot) = {key} "
+                                  f"of sample {sample}")
     return FeaturizedDataset(
         spec=spec, n_elements=header["n_elements"], max_nodes=header["max_nodes"],
         synth_fingerprint=header.get("synth_fingerprint", ""), raw_states=raw_states,

@@ -10,7 +10,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import baselines, synth
-from .features import FeaturizedDataset, GlobalFeatureSpec, default_feature_spec, featurize
+from .features import (
+    FeaturizedDataset, GlobalFeatureSpec, default_feature_spec, featurize, int_columns,
+)
 from .grid import Network, Snapshot
 from .metrics import MetricRow, balanced_rows, calibrate_threshold, compute_metrics
 from .model import (
@@ -53,6 +55,11 @@ class Bundle:
     faults: list
     spec: GlobalFeatureSpec
     synth_fingerprint: str
+
+    @property
+    def days(self) -> int:
+        """The number of days of the data: its last snapshot's day + 1."""
+        return max((s.day for s in self.snapshots), default=-1) + 1
 
     def faults_of(self, day: int) -> list:
         return [f for f in self.faults if f.day == day]
@@ -151,16 +158,18 @@ def evaluate_model(pair: DayPair, result: TrainResult) -> MetricRow:
 def run_prev_day(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
     """Previous-day baseline: calibrate on the train-day tail scored by the
     day before it, then predict the eval day from the train day's labels."""
+    def scores(day: int, ds: FeaturizedDataset) -> np.ndarray:
+        history = int_columns(bundle.faults_of(day), ("element_id", "label"))
+        return baselines.prev_day_scores(history["element_id"], history["label"],
+                                         ds.columns["element_id"])
+
     train_day = pair.train_day
-    eval_index = baselines.PrevDayIndex.from_faults(bundle.faults, train_day)
-    scores = baselines.prev_day_scores(eval_index, pair.eval_ds.columns["element_id"])
     if train_day >= 1:
-        cal_index = baselines.PrevDayIndex.from_faults(bundle.faults, train_day - 1)
-        cal_scores = baselines.prev_day_scores(cal_index, pair.cal_ds.columns["element_id"])
+        cal_scores = scores(train_day - 1, pair.cal_ds)
         threshold = calibrate_threshold(cal_scores, pair.cal_ds.labels(), target_kkd)
     else:
         threshold = baselines.PREV_DAY_THRESHOLD + 1e-9
-    return compute_metrics(scores, pair.eval_ds.labels(), threshold)
+    return compute_metrics(scores(train_day, pair.eval_ds), pair.eval_ds.labels(), threshold)
 
 
 def run_svm(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
@@ -220,10 +229,10 @@ def daily_report(bundle: Bundle, system: str,
     """
     compared = [name for _, name in COMPARISON_ROWS] if compare else []
     raw = _include_raw(bundle, [system, *compared])
-    if compare and bundle.config.synth.days < 2:
+    if compare and bundle.days < 2:
         raise ValueError("the comparison needs a day pair, and the data holds day 0 only")
     daily, pair = [], None
-    for day in range(1, bundle.config.synth.days):
+    for day in range(1, bundle.days):
         pair = prepare_day_pair(bundle, day - 1, day, raw, pair and pair.eval_ds)
         rows = run_systems(bundle, pair, [system])
         daily.append(_row_dict(day, rows[system]))

@@ -107,8 +107,8 @@ def sharing(keys) -> list[int]:
     return [groups.setdefault(k, len(groups)) for k in keys]
 
 
-def assert_identical_datasets(got: FeaturizedDataset, want: FeaturizedDataset) -> None:
-    """Every field equal byte for byte, with dtypes, and the same arrays shared."""
+def assert_same_values(got: FeaturizedDataset, want: FeaturizedDataset) -> None:
+    """Every field equal byte for byte, with dtypes."""
     assert (got.spec, got.n_elements, got.max_nodes, got.synth_fingerprint) == (
         want.spec, want.n_elements, want.max_nodes, want.synth_fingerprint)
     assert len(got.samples) == len(want.samples)
@@ -122,8 +122,13 @@ def assert_identical_datasets(got: FeaturizedDataset, want: FeaturizedDataset) -
     assert list(got.raw_states) == list(want.raw_states)
     for key, raw in want.raw_states.items():
         assert same_array(got.raw_states[key], raw), key
-    # The archive stores one global vector per distinct object and one
-    # (adjacency, node_mask) pair per distinct pair of objects.
+
+
+def assert_identical_datasets(got: FeaturizedDataset, want: FeaturizedDataset) -> None:
+    """Every field equal byte for byte, with dtypes, and the same arrays shared."""
+    assert_same_values(got, want)
+    # Samples of one table share its global vector, and samples of one
+    # template its adjacency and node mask.
     for key in (lambda s: id(s.global_vec),
                 lambda s: (id(s.local.adjacency), id(s.local.node_mask))):
         assert sharing(map(key, got.samples)) == sharing(map(key, want.samples))

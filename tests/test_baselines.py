@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from gridstab import baselines
 from gridstab.baselines import (
-    PREV_DAY_THRESHOLD, PrevDayIndex, _hinge_fit, prev_day_scores, svm_train_expanded,
+    PREV_DAY_THRESHOLD, _hinge_fit, prev_day_scores, svm_train_expanded,
 )
-from gridstab.grid import STABLE, UNSTABLE, FaultSample
+from gridstab.grid import STABLE, UNSTABLE
 from gridstab.metrics import compute_metrics
 from gridstab.model import ModelConfig, TrainConfig, scores_for, train
 
@@ -17,47 +17,64 @@ from conftest import make_toy_dataset
 
 # ---------------------------------------------------------- previous day
 
-def faults_for_day(day, labels_by_element):
-    out = []
-    for element_id, labels in labels_by_element.items():
-        for slot, label in enumerate(labels):
-            out.append(FaultSample(day=day, slot=slot, element_id=element_id,
-                                   label=label))
-    return out
+def day_history(labels_by_element):
+    """The element ids and labels of one day's faults, one per slot and
+    listed element."""
+    pairs = [(element_id, label) for element_id, labels in labels_by_element.items()
+             for label in labels]
+    ids, labels = zip(*pairs) if pairs else ((), ())
+    return list(ids), list(labels)
 
 
-def next_day_score(index, element_id):
+def next_day_score(history, element_id):
     """The previous-day score of one fault on ``element_id`` the next day."""
-    return float(prev_day_scores(index, [element_id])[0])
+    return float(prev_day_scores(*history, [element_id])[0])
 
 
 def test_prev_day_mean_rule():
     labels = [UNSTABLE] * 10 + [STABLE] * 86
-    index = PrevDayIndex.from_faults(faults_for_day(0, {4: labels}), day=0)
-    assert index.mean_label(4) == pytest.approx(10 / 96)
-    assert next_day_score(index, 4) == index.mean_label(4) > PREV_DAY_THRESHOLD
+    score = next_day_score(day_history({4: labels}), 4)
+    assert score == pytest.approx(10 / 96) and score > PREV_DAY_THRESHOLD
+    assert score == np.mean(labels)
 
 
 def test_prev_day_all_stable_history():
-    index = PrevDayIndex.from_faults(faults_for_day(0, {1: [STABLE] * 8}), day=0)
-    assert next_day_score(index, 1) == 0.0
+    assert next_day_score(day_history({1: [STABLE] * 8}), 1) == 0.0
 
 
 def test_prev_day_absent_element_predicts_stable():
-    index = PrevDayIndex.from_faults([], day=0)
-    assert next_day_score(index, 99) == 0.0
+    assert next_day_score(day_history({}), 99) == 0.0
 
 
 def test_prev_day_zero_threshold_flags_any_history():
-    index = PrevDayIndex.from_faults(
-        faults_for_day(0, {1: [STABLE] * 95 + [UNSTABLE]}), day=0)
-    assert next_day_score(index, 1) == index.mean_label(1) > 0.0
+    labels = [STABLE] * 95 + [UNSTABLE]
+    score = next_day_score(day_history({1: labels}), 1)
+    assert score == np.mean(labels) > 0.0
 
 
 def test_prev_day_scores_vector():
-    index = PrevDayIndex.from_faults(
-        faults_for_day(0, {0: [UNSTABLE, STABLE], 1: [STABLE, STABLE]}), day=0)
-    assert prev_day_scores(index, [0, 1, 2]).tolist() == [0.5, 0.0, 0.0]
+    history = day_history({0: [UNSTABLE, STABLE], 1: [STABLE, STABLE]})
+    assert prev_day_scores(*history, [0, 1, 2]).tolist() == [0.5, 0.0, 0.0]
+
+
+def test_prev_day_unlabeled_faults_are_no_history():
+    assert prev_day_scores([0, 0, 0, 1], [UNSTABLE, -1, STABLE, -1], [0, 1]).tolist() == [
+        0.5, 0.0]
+
+
+def test_prev_day_scores_are_each_element_label_mean(small_world):
+    """On every day of a generated world, each element's score has the
+    bytes of ``np.mean`` over its labels that day, and 0 without any."""
+    faults = small_world["faults"]
+    ids = list(range(len(small_world["network"].elements)))
+    for day in sorted({f.day for f in faults}):
+        history = {}
+        for f in faults:
+            if f.day == day:
+                history.setdefault(f.element_id, []).append(f.label)
+        want = np.array([np.mean(history[i]) if i in history else 0.0 for i in ids])
+        got = prev_day_scores(*day_history(history), ids)
+        assert got.tobytes() == want.tobytes(), day
 
 
 # ------------------------------------------------------------------- SVM

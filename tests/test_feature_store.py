@@ -85,11 +85,14 @@ def test_a_store_holds_one_table_per_snapshot_and_one_template_per_line(small_wo
     lines = net.ac_line_ids()
     assert store.tables.shape == (3, net.n_bus + 1, features.NODE_FEATURES)
     assert len(store.global_vecs) == 3
-    assert len(store.templates.rows) == len(store.templates.node_mask) == len(lines)
+    for name in ("rows", "line_values", "adjacency", "node_mask"):
+        assert len(getattr(store.templates, name)) == len(lines), name
     assert not store.tables.flags.writeable
-    glob, table, template, graph = (ds.columns[name] for name in features.INDEX_COLUMNS)
-    assert glob.tolist() == table.tolist() == [f.slot for f in faults]
-    assert template.tolist() == graph.tolist() == [lines.index(f.element_id) for f in faults]
+    assert features.COLUMNS == ("day", "slot", "element_id", "label", "table_index",
+                                "template_index")
+    table, template = (ds.columns[name] for name in features.INDEX_COLUMNS)
+    assert table.tolist() == [f.slot for f in faults]
+    assert template.tolist() == [lines.index(f.element_id) for f in faults]
 
 
 def test_a_hand_built_adjacency_must_be_zero_or_one():

@@ -23,7 +23,9 @@ from gridstab.features import LocalGraph, featurize
 from gridstab.model import ModelConfig, TrainConfig, scores_for, train
 from gridstab.synth import SynthConfig, build_dataset
 
-from conftest import assert_identical_datasets, make_toy_dataset, with_samples
+from conftest import (
+    assert_identical_datasets, assert_same_values, make_toy_dataset, with_samples,
+)
 
 TINY = ["--buses", "24", "--days", "3", "--slots", "8", "--seed", "7"]
 
@@ -93,8 +95,6 @@ def test_features_round_trip(tmp_path):
     assert [s.label for s in ds.samples].count(None) == 2
     rng = np.random.default_rng(1)
     ds.raw_states = {(s.day, s.slot): rng.normal(size=(5, 13)) for s in ds.samples}
-    # the toy samples' fault_element_id (0) differs from their element_id
-    assert any(s.local.fault_element_id != s.element_id for s in ds.samples)
     assert_round_trip(ds, tmp_path / "features.jsonl")   # path is used as given
     assert not (tmp_path / "features.jsonl.npz").exists()
 
@@ -103,7 +103,7 @@ def test_features_round_trip(tmp_path):
 @given(n=st.integers(0, 8), seed=st.integers(0, 2 ** 16), raw=st.booleans(),
        data=st.data())
 def test_features_round_trip_with_any_sharing(tmp_path_factory, n, seed, raw, data):
-    """Round trips stay exact whatever arrays the samples share."""
+    """Round trips stay exact whatever arrays the hand-built samples share."""
     toy = make_toy_dataset(n, seed=seed, max_nodes=6)
     samples = toy.samples
     base = list(samples)
@@ -118,8 +118,8 @@ def test_features_round_trip_with_any_sharing(tmp_path_factory, n, seed, raw, da
                              node_mask=base[mask_of[i]].local.node_mask,
                              fault_element_id=s.element_id)
     ds = with_samples(toy, samples)
-    # the builder keeps every value of the samples and every array they share
-    assert_identical_datasets(ds, SimpleNamespace(
+    # the builder keeps every value of the samples, not the arrays they share
+    assert_same_values(ds, SimpleNamespace(
         spec=toy.spec, n_elements=toy.n_elements, max_nodes=toy.max_nodes,
         synth_fingerprint=toy.synth_fingerprint, samples=samples, raw_states={}))
     if raw:
@@ -174,10 +174,11 @@ def _set_spec_entry(path, entry):
     (lambda p: p.write_bytes(p.read_bytes()[:len(p.read_bytes()) // 2]), "unreadable"),
     (lambda p: p.write_bytes(b"\x93NUMPY not a zip archive"), "not a features .npz"),
     (lambda p: _rewrite_archive(p, drop=("tables",)), "lacks arrays ['tables']"),
-    (lambda p: _rewrite_archive(p, graph_index=np.array([0, 1, 2, 9])),
-     "'graph_index' points outside"),
-    (lambda p: _header_version(p, 4), "unsupported format_version 4"),
+    (lambda p: _rewrite_archive(p, template_index=np.array([0, 1, 2, 9])),
+     "'template_index' points outside"),
+    (lambda p: _header_version(p, 5), "unsupported format_version 5"),
     (lambda p: _header_version(p, 2), "re-run `gridstab featurize`"),
+    (lambda p: _header_version(p, 3), "re-run `gridstab featurize`"),
     (lambda p: _rewrite_archive(p, rows=np.full((4, 8), 9)), "'rows' points outside"),
     (lambda p: _poison(p, "tables", np.nan), "array 'tables' holds non-finite values"),
     (lambda p: _poison(p, "global_vecs", np.inf),
@@ -189,10 +190,9 @@ def _set_spec_entry(path, entry):
      "header: n_elements must be an integer >= 1, not 'x'"),
     (lambda p: _set_header(p, "n_elements", 0),
      "header: n_elements must be an integer >= 1, not 0"),
-    (lambda p: _poison(p, "element_id", 6), "header: n_elements must be greater than every "
-                                            "element_id and fault_element_id (6), not 6"),
-    (lambda p: _poison(p, "fault_element_id", -1),
-     "arrays 'element_id' and 'fault_element_id' must hold ids >= 0, not -1"),
+    (lambda p: _poison(p, "element_id", 6),
+     "header: n_elements must be greater than every element_id (6), not 6"),
+    (lambda p: _poison(p, "element_id", -1), "array 'element_id' must hold ids >= 0, not -1"),
     (lambda p: _set_header(p, "max_nodes", "8"),
      "header: max_nodes must be an integer >= 1, not '8'"),
     (lambda p: _set_header(p, "spec", {}), "header: spec must be a list, not {}"),
@@ -201,9 +201,9 @@ def _set_spec_entry(path, entry):
     (lambda p: _set_spec_entry(p, ["P_G", "Foo", "grid", None]),
      "header: spec[0] stat must be one of ['Interq', 'Kurt', "),
 ], ids=["format-1-jsonl", "truncated", "not-zip", "missing-array", "bad-index",
-        "unknown-version", "format-2", "bad-rows", "nan-table", "inf-global",
+        "unknown-version", "format-2", "format-3", "bad-rows", "nan-table", "inf-global",
         "minus-inf-table", "unknown-label", "missing-n-elements", "string-n-elements",
-        "zero-n-elements", "element-id-past-n-elements", "negative-fault-element-id",
+        "zero-n-elements", "element-id-past-n-elements", "negative-element-id",
         "string-max-nodes", "spec-object", "spec-entry-number", "unknown-stat"])
 def test_bad_features_file_is_a_format_error(tmp_path, capsys, corrupt, message):
     path = tmp_path / "features.npz"
@@ -386,7 +386,8 @@ def test_cli_train_and_calibration_slices_are_disjoint_and_match_report(
 
     bundle = cli._bundle_from_dir(data, report.ExperimentConfig())
     pair = report.prepare_day_pair(bundle, 1, 2)
-    cut = report.day_cut(bundle.config.synth.slots_per_day, bundle.config.calibration_frac)
+    slots = 1 + max(s.slot for s in bundle.snapshots if s.day == 1)
+    cut = report.day_cut(slots, bundle.config.calibration_frac)
     assert seen["cal"] == {s.fault_key for s in pair.cal_ds.samples}
     assert seen["train"] == {f"d{f.day}s{f.slot}e{f.element_id}"
                              for f in bundle.faults_of(1) if f.slot < cut}
@@ -481,6 +482,41 @@ def test_cli_deepcnn5_from_features_file_is_a_named_error(tmp_path, capsys):
                    "--variant", "deepcnn5", "--train-day", "1", "--epochs", "1")
     assert code == 1
     assert "carries no raw states" in capsys.readouterr().err
+
+
+def _drop_first_raw_state(arrays):
+    for name in ("raw_keys", "raw_states"):
+        arrays[name] = arrays[name][1:]
+
+
+def _repeat_third_raw_state(arrays):
+    for name in ("raw_keys", "raw_states"):
+        arrays[name] = np.concatenate([arrays[name], arrays[name][2:3]])
+
+
+@pytest.mark.parametrize("change,message", [
+    (_drop_first_raw_state, "array 'raw_keys' lacks the (day, slot) = (0, 0) of sample 0"),
+    (_repeat_third_raw_state,
+     "'raw_keys' row 4 repeats the (day, slot) = (0, 2) of 'raw_keys' row 2"),
+], ids=["missing", "repeated"])
+def test_cli_raw_states_must_hold_each_sample_snapshot_once(tmp_path, capsys, small_world,
+                                                            change, message):
+    """A features file whose raw states miss a sample's (day, slot), or
+    repeat one, is a named error when loaded, not a KeyError in training or
+    a silently dropped row."""
+    faults = [f for f in small_world["faults"] if f.day == 0 and f.slot < 4]
+    path = tmp_path / "features.npz"
+    persist.save_features(featurize(small_world["network"], small_world["snapshots"],
+                                    faults, report.default_feature_spec(), include_raw=True),
+                          path)
+    _edit_arrays(path, change)
+    with pytest.raises(persist.FormatError, match=re.escape(f"{path}: {message}")):
+        persist.load_features(path)
+    capsys.readouterr()
+    assert run_cli("train", "--features", str(path), "--variant", "deepcnn5",
+                   "--train-day", "0", "--epochs", "1") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_cli_deepcnn5_trains_from_features_file(tmp_path):

@@ -6,8 +6,9 @@ import hashlib
 
 import pytest
 
-from gridstab import report
+from gridstab import cli, report
 from gridstab.cli import main
+from gridstab.synth import SynthConfig
 
 DAYS = 3
 TINY = ["--buses", "24", "--days", str(DAYS), "--slots", "8", "--seed", "7"]
@@ -101,3 +102,13 @@ def test_a_same_day_pair_is_rejected_before_featurizing(
     assert "train day 1 and eval day 1 are one day" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert featurized == [] and not out.exists()
+
+
+def test_a_bundle_counts_its_days_from_its_snapshots(tiny_world):
+    """A loaded dataset's day count is its own, and loading it leaves the
+    run config as it was."""
+    cfg = report.ExperimentConfig()
+    bundle = cli._bundle_from_dir(tiny_world, cfg)
+    assert bundle.days == DAYS != cfg.synth.days
+    assert cfg.synth == SynthConfig()
+    assert report.Bundle(cfg, bundle.network, [], [], bundle.spec, "").days == 0
