@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import persist, report, synth
-from .features import featurize
+from .features import featurize, int_columns
 from .grid import FINITE, _is_real, at_least, check_fields
 from .metrics import compute_metrics
 from .model import (ABLATION_ALIASES, VARIANT_ALIASES, ModelConfig, TrainConfig,
@@ -136,8 +136,8 @@ def _dataset_archive(data_dir: Path, kind: str) -> Path:
 
 
 def _load_dataset_dir(data_dir: Path):
-    """The network, snapshots and faults of a dataset directory written by
-    ``synth`` (network.json, snapshots.npz and faults.npz), each checked
+    """The network, snapshots and fault columns of a dataset directory written
+    by ``synth`` (network.json, snapshots.npz and faults.npz), each checked
     against the network and every fault against the snapshots, and their
     synth fingerprint."""
     network, fp_net = persist.load_network(_require(data_dir / "network.json", "network"))
@@ -147,11 +147,11 @@ def _load_dataset_dir(data_dir: Path):
     faults, fp_faults = persist.load_faults(faults_path, network)
     if not (fp_net == fp_snap == fp_faults):
         raise CliError(f"dataset files in {data_dir} carry mismatched fingerprints")
-    keys = {(s.day, s.slot) for s in snapshots}
-    for row, f in enumerate(faults):
-        if (f.day, f.slot) not in keys:
-            raise persist.FormatError(f"{faults_path}: fault {row} names day {f.day} slot "
-                                      f"{f.slot}, with no snapshot in {snapshots_path.name}")
+    row = persist.first_missing(faults, int_columns(snapshots, ("day", "slot")))
+    if row is not None:
+        day, slot = faults["day"][row], faults["slot"][row]
+        raise persist.FormatError(f"{faults_path}: fault {row} names day {day} slot {slot}, "
+                                  f"with no snapshot in {snapshots_path.name}")
     return network, snapshots, faults, fp_net
 
 
@@ -191,9 +191,9 @@ def cmd_featurize(args) -> int:
     out = _output(args.out) or data_dir / "features.npz"
     network, snapshots, faults, fp = _load_dataset_dir(data_dir)
     if wanted is not None:
-        faults = [f for f in faults if f.day in wanted]
-        snapshots = [s for s in snapshots if s.day in wanted]
-    if not faults:
+        keep = np.isin(faults["day"], sorted(wanted))
+        faults = {name: column[keep] for name, column in faults.items()}
+    if not faults["day"].size:
         days = f"days {sorted(wanted)}" if wanted is not None else "any day"
         raise CliError(f"{data_dir} holds no faults for {days}")
     spec = report.default_feature_spec(cfg.feature_regions)

@@ -1,8 +1,8 @@
 """Feature extraction: grid-wide statistics and the fault-local subgraph.
 
 Global features are (physical quantity, statistic, range) triples evaluated
-over one snapshot; :func:`snapshot_globals` validates each snapshot a set of
-faults refers to and computes its vector once.  Local features describe the
+over one snapshot; :func:`snapshot_globals` validates each snapshot that the
+faults refer to and computes its vector once.  Local features describe the
 50-node breadth-first neighborhood of the faulted line (:func:`bfs_nodes`,
 a walk by :func:`grid.bfs`) as an adjacency matrix plus a 59-dim feature
 row per node.
@@ -24,13 +24,16 @@ adjacency and per-(line, bus) columns in a per-line template.  A sample's
 node matrix is its kept buses' rows of the bus table with the template's
 per-(line, bus) columns written over them.
 
-:func:`featurize` does not build that matrix, nor any per-sample object.
-Its dataset is int columns over a :class:`FeatureStore`: one global vector
-and one read-only bus table per snapshot, and the :class:`LineTemplates` of
-every AC line, stacked once per (network, max_nodes).  A sample is a row of
-the columns, which holds its fault, its snapshot's table row and its line's
-template row.  The model gathers a training batch's node rows, or a scoring
-block's, from the store in one indexing call.
+:func:`featurize` does not build that matrix, nor any per-sample or
+per-fault object.  Its faults are int64 columns (:data:`FAULT_COLUMNS`), as
+the faults archive holds them; a :class:`~grid.FaultSample` list is
+converted to them once at entry.  Its dataset is those columns over a
+:class:`FeatureStore`: one global vector and one read-only bus table per
+snapshot, and the :class:`LineTemplates` of every AC line, stacked once per
+(network, max_nodes).  A sample is a row of the columns, which holds its
+fault, its snapshot's table row and its line's template row.  The model
+gathers a training batch's node rows, or a scoring block's, from the store
+in one indexing call.
 
 The per-network parts live as long as the network: :func:`featurize`,
 :func:`global_stats` and :func:`local_subgraph` without an ``index`` share
@@ -753,8 +756,11 @@ COLUMNS = (*FAULT_COLUMNS, *INDEX_COLUMNS)
 
 
 def int_columns(records, names) -> dict[str, np.ndarray]:
-    """One int64 array per field of ``names`` over ``records``; an unlabeled
-    record's label (None) is -1."""
+    """One int64 array per field of ``names``: a dict's columns as they are,
+    or the fields of a list of records, where an unlabeled record's label
+    (None) is -1."""
+    if isinstance(records, dict):
+        return {name: np.asarray(records[name], dtype=np.int64) for name in names}
     return {name: np.array([-1 if v is None else v for v in map(attrgetter(name), records)],
                            dtype=np.int64) for name in names}
 
@@ -887,56 +893,69 @@ class FeaturizedDataset:
         return np.stack([self.raw_states[key] for key in keys])
 
 
-def snapshot_globals(network: Network, snapshots, faults,
-                     spec: GlobalFeatureSpec) -> dict[tuple, tuple[Snapshot, np.ndarray]]:
-    """(day, slot) -> (snapshot, global statistic vector) for every snapshot
-    the faults refer to, in first-seen fault order.
+def key_groups(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct key of the int ``columns``, in
+    first-seen order, and the place of each row's key in that order."""
+    order = np.lexsort(columns[::-1])      # stable: a key's rows keep their order
+    ordered = [column[order] for column in columns]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any([c[1:] != c[:-1] for c in ordered], axis=0)
+    first = order[new]                     # in key order
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
+    return np.sort(first), group
 
-    Each snapshot is checked once with :func:`validate_snapshot`; a missing
+
+def snapshot_globals(network: Network, snapshots, keys,
+                     spec: GlobalFeatureSpec) -> dict[tuple, tuple[Snapshot, np.ndarray]]:
+    """(day, slot) -> (snapshot, global statistic vector) for each of the
+    distinct (day, slot) ``keys``, in their order.
+
+    Each snapshot is checked with :func:`validate_snapshot`; the first missing
     or bad one raises :class:`GridError` naming it (and its violations).
     """
     by_key = {(s.day, s.slot): s for s in snapshots}
     out: dict[tuple, tuple[Snapshot, np.ndarray]] = {}
-    for fs in faults:
-        key = (fs.day, fs.slot)
-        if key in out:
-            continue
-        snap = by_key.get(key)
+    for day, slot in keys:
+        snap = by_key.get((day, slot))
         if snap is None:
-            raise GridError(f"no snapshot for day {fs.day} slot {fs.slot}")
+            raise GridError(f"no snapshot for day {day} slot {slot}")
         errors = validate_snapshot(network, snap)
         if errors:
-            raise GridError(f"snapshot day {snap.day} slot {snap.slot}: "
-                            + "; ".join(errors))
-        out[key] = (snap, global_stats(network, snap, spec))
+            raise GridError(f"snapshot day {day} slot {slot}: " + "; ".join(errors))
+        out[day, slot] = (snap, global_stats(network, snap, spec))
     return out
 
 
 def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
               max_nodes: int = LOCAL_NODES, include_raw: bool = False,
               synth_fingerprint: str = "") -> FeaturizedDataset:
-    """Featurize fault samples against their snapshots (deterministic order).
+    """Featurize faults against their snapshots (deterministic order).
 
-    Snapshots are validated and their global vectors computed by
-    :func:`snapshot_globals`.  The store holds one global vector and one bus
-    table per snapshot, in first-seen fault order, and the network index's
-    templates; each fault is one row of the columns.
+    ``faults`` are the :data:`FAULT_COLUMNS` or a :class:`~grid.FaultSample`
+    list, converted to them once; each fault is one row of the dataset's
+    columns, in the order given.  Snapshots are validated and their global
+    vectors computed by :func:`snapshot_globals`.  The store holds one
+    global vector and one bus table per snapshot, in first-seen fault order
+    (:func:`key_groups`), and the network index's templates.
     """
     index = _network_index(network)
-    per_snapshot = snapshot_globals(network, snapshots, faults, spec)
-    tables = np.empty((len(per_snapshot), network.n_bus + 1, NODE_FEATURES))
-    for k, (snap, _) in enumerate(per_snapshot.values()):
+    columns = int_columns(faults, FAULT_COLUMNS)
+    first, position = key_groups(columns["day"], columns["slot"])
+    keys = zip(*(columns[name][first].tolist() for name in ("day", "slot")))
+    per_snapshot = snapshot_globals(network, snapshots, keys, spec)
+    snaps = [snap for snap, _ in per_snapshot.values()]
+    tables = np.empty((len(snaps), network.n_bus + 1, NODE_FEATURES))
+    for k, snap in enumerate(snaps):
         index.bus_table(snap, out=tables[k])
     tables.flags.writeable = False
-    table_of = {key: (k, snap) for k, (key, (snap, _)) in enumerate(per_snapshot.items())}
-    places = []
-    for fs in faults:
-        k, snap = table_of[(fs.day, fs.slot)]
-        local = local_subgraph(network, snap, fs.element_id, max_nodes, index,
-                               table=(tables, k))
-        places.append(local.source[2:])      # its table and template
-    columns = int_columns(faults, FAULT_COLUMNS)
-    columns.update(zip(INDEX_COLUMNS, np.array(places, dtype=np.int64).reshape(-1, 2).T.copy()))
+    # One local_subgraph call per fault, as benchmark/tests/test_bench_tracer.py
+    # counts them; the graph's source holds the fault's template.
+    templates = [local_subgraph(network, snaps[k], element_id, max_nodes, index,
+                                table=(tables, k)).source[3]
+                 for k, element_id in zip(position.tolist(), columns["element_id"].tolist())]
+    columns.update(table_index=position.astype(np.int64),
+                   template_index=np.array(templates, dtype=np.int64))
     vecs = _stack([vec for _, vec in per_snapshot.values()], (len(spec),))
     store = FeatureStore(vecs, tables, index.templates(max_nodes)[1])
     raw_states = ({key: global_raw(snap) for key, (snap, _) in per_snapshot.items()}

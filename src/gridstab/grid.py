@@ -3,7 +3,8 @@
 Buses are graph nodes; every other device (AC line, transformer, DC line)
 is an edge between two buses.  A :class:`Snapshot` holds the electrical
 state of the whole grid at one time slot, a :class:`FaultSample` names one
-N-1 contingency on one snapshot.
+N-1 contingency on one snapshot: the form of synth, the oracle and
+hand-built tests.  Faults on disk and in a report bundle are int64 columns.
 """
 
 from __future__ import annotations
@@ -105,7 +106,9 @@ class Snapshot:
 class FaultSample:
     """One N-1 candidate: (snapshot key, faulted AC line, stability label).
 
-    ``label`` is STABLE/UNSTABLE, or None while still unlabeled.
+    ``label`` is STABLE/UNSTABLE, or None while still unlabeled.  Synth, the
+    oracle and hand-built tests make these; a dataset on disk or in a report
+    bundle holds ``features.FAULT_COLUMNS`` instead (label -1 when unlabeled).
     """
 
     day: int

@@ -55,11 +55,12 @@ from pathlib import Path
 import numpy as np
 
 from .features import (
-    COLUMNS, INDEX_COLUMNS, LINE_COLUMNS, NODE_FEATURES, FeatureField, FeaturizedDataset,
-    FeatureStore, GlobalFeatureSpec, LineTemplates, StatKind, int_columns,
+    COLUMNS, FAULT_COLUMNS, INDEX_COLUMNS, LINE_COLUMNS, NODE_FEATURES, FeatureField,
+    FeaturizedDataset, FeatureStore, GlobalFeatureSpec, LineTemplates, StatKind, int_columns,
+    key_groups,
 )
 from .grid import (
-    FINITE, LABEL_NAMES, N_BUS_STATE, Bus, Element, FaultSample, GridError, Network, Snapshot,
+    FINITE, LABEL_NAMES, N_BUS_STATE, Bus, Element, GridError, Network, Snapshot,
     _is_int, at_least, check_fields, validate_network, validate_states,
 )
 from .model import VARIANTS, ModelConfig, TrainResult
@@ -241,8 +242,8 @@ def _check_arrays(path, kind: str, arrays: dict, schema: dict, optional=(),
     """Raise :class:`FormatError` naming the file and the array for a
     missing array (other than one of ``optional``), an array whose dtype
     kind or shape ``schema`` does not allow, arrays that disagree on a row
-    count, (when ``finite``) a NaN or infinity in a float array, or a
-    ``label`` that is none of the labels.
+    count, (when ``finite``) a NaN or infinity in a float array, a uint64
+    value past the int64 range, or a ``label`` that is none of the labels.
 
     ``schema`` maps each array's name to its dtype kinds, its shape after the
     leading axis (None matches any size) and what one row is: arrays naming
@@ -263,6 +264,9 @@ def _check_arrays(path, kind: str, arrays: dict, schema: dict, optional=(),
                               f"shape {tail}")
         if finite and got.dtype.kind == "f" and not np.isfinite(got).all():
             raise FormatError(f"{path}: array {name!r} holds non-finite values")
+        # Loaders cast int arrays to int64, which would wrap these values.
+        if got.dtype == np.uint64 and got.size and got.max() > np.iinfo(np.int64).max:
+            raise FormatError(f"{path}: array {name!r} holds values past the int64 range")
         groups.setdefault(group, {})[name] = len(got)
     for row, counts in groups.items():
         if len(set(counts.values())) > 1:
@@ -277,13 +281,16 @@ def _check_arrays(path, kind: str, arrays: dict, schema: dict, optional=(),
 def _check_unique(path, arrays: dict, names: tuple, row: str) -> None:
     """Raise :class:`FormatError` naming two rows that repeat one key of the
     columns ``names``."""
-    keys = np.column_stack([arrays[name] for name in names])
-    order = np.lexsort(keys.T[::-1])      # stable: equal keys keep row order
-    repeats = np.flatnonzero((keys[order[1:]] == keys[order[:-1]]).all(axis=1))
+    # Sorted and gathered column by column: on the strided columns of one
+    # stacked key array, lexsort and the gathers take about three times longer.
+    columns = [arrays[name] for name in names]
+    order = np.lexsort(columns[::-1])      # stable: equal keys keep row order
+    ordered = [column[order] for column in columns]
+    repeats = np.flatnonzero(np.logical_and.reduce([c[1:] == c[:-1] for c in ordered]))
     if repeats.size:
         first, again = order[repeats[0]], order[repeats[0] + 1]
         raise FormatError(f"{path}: {row} {again} repeats the ({', '.join(names)}) = "
-                          f"{tuple(keys[first].tolist())} of {row} {first}")
+                          f"{tuple(c[first].item() for c in columns)} of {row} {first}")
 
 
 # ------------------------------------------------------ snapshots and faults
@@ -292,7 +299,19 @@ _SNAPSHOT_KEY = ("day", "slot")
 _STATES = ("bus_states", "element_states")    # their shapes are validate_states'
 _SNAPSHOT_SCHEMA = {**{name: ("iu", (), "snapshot") for name in _SNAPSHOT_KEY},
                     **{name: ("f", (None, None), "snapshot") for name in _STATES}}
-_FAULT_SCHEMA = {name: ("iu", (), "fault") for name in (*_SNAPSHOT_KEY, "element_id", "label")}
+_FAULT_SCHEMA = {name: ("iu", (), "fault") for name in FAULT_COLUMNS}
+
+
+def first_missing(rows: dict, keys: dict) -> int | None:
+    """The first row of the int columns ``rows`` whose (day, slot) is none of
+    those of the int columns ``keys``, or None.  Numbered by one
+    :func:`key_groups` call with ``keys`` first, such a (day, slot) gets a
+    number past all of theirs."""
+    n = len(keys["day"])
+    group = key_groups(*(np.concatenate((keys[name], rows[name]), dtype=np.int64)
+                         for name in _SNAPSHOT_KEY))[1]
+    missing = np.flatnonzero(group[n:] > group[:n].max(initial=-1))
+    return int(missing[0]) if missing.size else None
 
 
 def save_snapshots(snapshots, path, synth_fingerprint: str = "") -> None:
@@ -327,8 +346,9 @@ def save_faults(faults, path, synth_fingerprint: str = "") -> None:
                    int_columns(faults, _FAULT_SCHEMA))
 
 
-def load_faults(path, network: Network) -> tuple[list[FaultSample], str]:
-    """The faults of a faults archive, and their synth fingerprint.  A
+def load_faults(path, network: Network) -> tuple[dict[str, np.ndarray], str]:
+    """The :data:`~features.FAULT_COLUMNS` of a faults archive, cast to int64
+    (``label`` -1 when unlabeled), and their synth fingerprint.  A
     :class:`FormatError` names the file and the array it rejects, two rows
     with one (day, slot, element_id), a label that is none of the labels,
     or a faulted element that is not one of ``network``'s AC lines."""
@@ -341,9 +361,8 @@ def load_faults(path, network: Network) -> tuple[list[FaultSample], str]:
         row = int(np.argmax(not_ac))
         raise FormatError(f"{path}: array 'element_id' names element {element_id[row]} "
                           f"in fault {row}, which is not an AC line of the network")
-    keys = (arrays[name].tolist() for name in (*_SNAPSHOT_KEY, "element_id"))
-    labels = [None if label < 0 else label for label in arrays["label"].tolist()]
-    return list(map(FaultSample, *keys, labels)), header.get("synth_fingerprint", "")
+    return ({name: arrays[name].astype(np.int64, copy=False) for name in FAULT_COLUMNS},
+            header.get("synth_fingerprint", ""))
 
 
 # --------------------------------------------------------------- features
@@ -456,11 +475,11 @@ def load_features(path) -> FeaturizedDataset:
         keys = arrays["raw_keys"]
         _check_unique(path, dict(zip(_SNAPSHOT_KEY, keys.T)), _SNAPSHOT_KEY, "'raw_keys' row")
         raw_states = dict(zip(map(tuple, keys.tolist()), arrays["raw_states"]))
-        samples = zip(*(arrays[name].tolist() for name in _SNAPSHOT_KEY))
-        for sample, key in enumerate(samples):
-            if key not in raw_states:
-                raise FormatError(f"{path}: array 'raw_keys' lacks the (day, slot) = {key} "
-                                  f"of sample {sample}")
+        sample = first_missing(arrays, dict(zip(_SNAPSHOT_KEY, keys.T)))
+        if sample is not None:
+            key = tuple(arrays[name][sample].item() for name in _SNAPSHOT_KEY)
+            raise FormatError(f"{path}: array 'raw_keys' lacks the (day, slot) = {key} "
+                              f"of sample {sample}")
     return FeaturizedDataset(
         spec=spec, n_elements=header["n_elements"], max_nodes=header["max_nodes"],
         synth_fingerprint=header.get("synth_fingerprint", ""), raw_states=raw_states,

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import baselines, synth
 from .features import (
-    FeaturizedDataset, GlobalFeatureSpec, default_feature_spec, featurize, int_columns,
+    FAULT_COLUMNS, FeaturizedDataset, GlobalFeatureSpec, default_feature_spec, featurize,
+    int_columns,
 )
 from .grid import Network, Snapshot
 from .metrics import MetricRow, balanced_rows, calibrate_threshold, compute_metrics
@@ -47,12 +48,13 @@ class ExperimentConfig:
 
 @dataclass
 class Bundle:
-    """One generated world: network, all snapshots, labeled faults."""
+    """One generated world: network, all snapshots, and its faults as the
+    int64 :data:`~features.FAULT_COLUMNS` (``label`` -1 when unlabeled)."""
 
     config: ExperimentConfig
     network: Network
     snapshots: list[Snapshot]
-    faults: list
+    faults: dict[str, np.ndarray]
     spec: GlobalFeatureSpec
     synth_fingerprint: str
 
@@ -61,16 +63,19 @@ class Bundle:
         """The number of days of the data: its last snapshot's day + 1."""
         return max((s.day for s in self.snapshots), default=-1) + 1
 
-    def faults_of(self, day: int) -> list:
-        return [f for f in self.faults if f.day == day]
+    def faults_of(self, day: int) -> dict[str, np.ndarray]:
+        """The fault columns of ``day``'s faults, in their order."""
+        keep = self.faults["day"] == day
+        return {name: column[keep] for name, column in self.faults.items()}
 
 
 def build_bundle(config: ExperimentConfig) -> Bundle:
     network, snapshots, faults, _ = synth.build_dataset(config.synth)
     spec = default_feature_spec(config.feature_regions)
     return Bundle(
-        config=config, network=network, snapshots=snapshots, faults=faults,
-        spec=spec, synth_fingerprint=fingerprint(config.synth),
+        config=config, network=network, snapshots=snapshots,
+        faults=int_columns(faults, FAULT_COLUMNS), spec=spec,
+        synth_fingerprint=fingerprint(config.synth),
     )
 
 
@@ -129,7 +134,7 @@ def prepare_day_pair(bundle: Bundle, train_day: int, eval_day: int,
     kw = dict(spec=bundle.spec, max_nodes=cfg.max_nodes, include_raw=include_raw,
               synth_fingerprint=bundle.synth_fingerprint)
     train_faults, eval_faults = bundle.faults_of(train_day), bundle.faults_of(eval_day)
-    if not train_faults or not eval_faults:
+    if not train_faults["day"].size or not eval_faults["day"].size:
         raise ValueError(f"missing day data for pair ({train_day}, {eval_day})")
     if train_day_ds is None:
         train_day_ds = featurize(bundle.network, bundle.snapshots, train_faults, **kw)
@@ -159,7 +164,7 @@ def run_prev_day(bundle: Bundle, pair: DayPair, target_kkd: float) -> MetricRow:
     """Previous-day baseline: calibrate on the train-day tail scored by the
     day before it, then predict the eval day from the train day's labels."""
     def scores(day: int, ds: FeaturizedDataset) -> np.ndarray:
-        history = int_columns(bundle.faults_of(day), ("element_id", "label"))
+        history = bundle.faults_of(day)
         return baselines.prev_day_scores(history["element_id"], history["label"],
                                          ds.columns["element_id"])
 

@@ -2,15 +2,22 @@
 tables and per-network line templates, and the model reads the store, never
 a sample's own node matrix."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridstab import features, nn, persist, report
-from gridstab.features import LocalGraph, default_feature_spec, featurize
+from gridstab import features, grid, nn, persist, report
+from gridstab.cli import main
+from gridstab.features import (
+    FAULT_COLUMNS, LocalGraph, default_feature_spec, featurize, int_columns, key_groups,
+)
 from gridstab.model import ModelConfig, TrainConfig, scores_for, train
 from gridstab.synth import SynthConfig
 
-from conftest import reset_memos
+from conftest import assert_identical_datasets, reset_memos
 
 SMALL = ModelConfig(gcn_hidden=8, sg_dim=8, sl_dim=8, stats_hidden=12,
                     sid_hidden=4, mlp_hidden=(10, 6))
@@ -130,3 +137,74 @@ def test_no_program_path_walks_the_samples(tmp_path, monkeypatch):
     assert report.run_svm(bundle, pair, 98.0) == report.run_system(bundle, pair, "svm")
     assert report.run_prev_day(bundle, pair, 98.0) == report.run_system(bundle, pair, "prevday")
     assert len(rows) == len(report.COMPARISON_ROWS)
+
+
+def test_no_program_path_builds_a_fault_object(tmp_path, monkeypatch):
+    """Faults go from the faults archive to ``featurize`` as columns: the
+    featurize, train, eval and report commands build no ``FaultSample``."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--buses", "20", "--days", "3",
+                 "--slots", "8", "--seed", "3"]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FaultSample was built")
+
+    monkeypatch.setattr(grid.FaultSample, "__init__", refuse)
+    with pytest.raises(AssertionError, match="FaultSample"):
+        grid.FaultSample(0, 0, 0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {**dataclasses.asdict(SMALL), "cnn_channels": 4}}))
+    features_path, ckpt = tmp_path / "features.npz", tmp_path / "ckpt.npz"
+    for argv in (["featurize", "--data", str(data), "--out", str(features_path)],
+                 ["train", "--features", str(features_path), "--data", str(data),
+                  "--train-day", "1", "--epochs", "1", "--out", str(ckpt)],
+                 ["eval", "--features", str(features_path), "--checkpoint", str(ckpt),
+                  "--day", "2"],
+                 ["report", "--data", str(data), "--compare", "--epochs", "1",
+                  "--out", str(tmp_path / "report")]):
+        assert main([*argv, "--config", str(config)]) == 0, argv[0]
+
+
+def test_featurize_reads_fault_columns_as_it_reads_fault_objects(small_world, tmp_path):
+    """Fault columns and the same faults as ``FaultSample`` objects give one
+    dataset and one features file.  Their (day, slot) keys interleave, so the
+    store's tables must follow the first-seen order, not the sorted one."""
+    net, snaps = small_world["network"], small_world["snapshots"]
+    faults = [f for f in small_world["faults"] if f.day == 1]
+    order = np.random.default_rng(5).permutation(len(faults))[:300]
+    faults = [dataclasses.replace(faults[i], label=None) if i % 9 == 0 else faults[i]
+              for i in order.tolist()]
+    seen = list(dict.fromkeys((f.day, f.slot) for f in faults))
+    assert seen != sorted(seen)
+    columns = int_columns(faults, FAULT_COLUMNS)
+    spec = default_feature_spec()
+    got = featurize(net, snaps, columns, spec, include_raw=True, synth_fingerprint="fp")
+    want = featurize(net, snaps, faults, spec, include_raw=True, synth_fingerprint="fp")
+    assert list(columns) == list(FAULT_COLUMNS)         # the caller's dict is kept as it is
+    assert_identical_datasets(got, want)
+    assert list(got.raw_states) == seen
+    assert got.columns["table_index"].tolist() == [seen.index((f.day, f.slot)) for f in faults]
+    assert got.columns["label"].tolist() == [-1 if f.label is None else f.label for f in faults]
+    persist.save_features(got, tmp_path / "columns.npz")
+    persist.save_features(want, tmp_path / "objects.npz")
+    assert (tmp_path / "columns.npz").read_bytes() == (tmp_path / "objects.npz").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=30),
+       known=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=10))
+def test_key_groups_and_first_missing_match_a_dict(keys, known):
+    """``key_groups`` numbers each row's (day, slot) in first-seen order and
+    gives each key's first row; ``first_missing`` is the first row whose
+    (day, slot) is not in a set."""
+    def columns(pairs):
+        return {name: np.array([pair[i] for pair in pairs], dtype=np.int64)
+                for i, name in enumerate(("day", "slot"))}
+
+    first, group = key_groups(*columns(keys).values())
+    places = {}
+    assert group.tolist() == [places.setdefault(key, len(places)) for key in keys]
+    assert first.tolist() == [keys.index(key) for key in places]
+    missing = [row for row, key in enumerate(keys) if key not in set(known)]
+    assert persist.first_missing(columns(keys), columns(known)) == (
+        missing[0] if missing else None)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridstab import cli, persist, report
 from gridstab.cli import main
-from gridstab.features import LocalGraph, featurize
+from gridstab.features import FAULT_COLUMNS, LocalGraph, featurize, int_columns
 from gridstab.model import ModelConfig, TrainConfig, scores_for, train
 from gridstab.synth import SynthConfig, build_dataset
 
@@ -68,8 +68,10 @@ def test_fault_round_trip(tmp_path, small_world):
     persist.save_faults(faults, path, "fp")
     loaded, fp = persist.load_faults(path, small_world["network"])
     assert fp == "fp"
-    assert [dataclasses.astuple(f) for f in loaded] == [dataclasses.astuple(f) for f in faults]
-    assert all(type(v) is int for f in loaded[:20] for v in (f.day, f.slot, f.element_id))
+    want = int_columns(faults, FAULT_COLUMNS)       # label -1 where it was None
+    assert list(loaded) == list(FAULT_COLUMNS)
+    for name, column in want.items():
+        assert loaded[name].dtype == np.int64 and np.array_equal(loaded[name], column), name
 
 
 def assert_round_trip(ds, path):
@@ -389,8 +391,9 @@ def test_cli_train_and_calibration_slices_are_disjoint_and_match_report(
     slots = 1 + max(s.slot for s in bundle.snapshots if s.day == 1)
     cut = report.day_cut(slots, bundle.config.calibration_frac)
     assert seen["cal"] == {s.fault_key for s in pair.cal_ds.samples}
-    assert seen["train"] == {f"d{f.day}s{f.slot}e{f.element_id}"
-                             for f in bundle.faults_of(1) if f.slot < cut}
+    day1 = bundle.faults_of(1)
+    keys = zip(*(day1[name].tolist() for name in ("day", "slot", "element_id")))
+    assert seen["train"] == {f"d{d}s{s}e{e}" for d, s, e in keys if s < cut}
     assert {s.fault_key for s in pair.train_ds.samples} <= seen["train"]
 
 
@@ -466,7 +469,9 @@ def test_cli_validates_snapshots_at_load(tmp_path, capsys, corrupt, snapshot, vi
 def _featurize_dir(data, days, include_raw):
     network, snapshots, faults, fp = cli._load_dataset_dir(data)
     cfg = report.ExperimentConfig()
-    return featurize(network, snapshots, [f for f in faults if f.day in days],
+    keep = np.isin(faults["day"], list(days))
+    faults = {name: column[keep] for name, column in faults.items()}
+    return featurize(network, snapshots, faults,
                      report.default_feature_spec(cfg.feature_regions),
                      max_nodes=cfg.max_nodes, include_raw=include_raw,
                      synth_fingerprint=fp)
@@ -635,12 +640,15 @@ def _corrupt_network(path, corrupt):
      "snapshot day 0 slot 0: element-state-shape: element_states expected ("),
     ("faults.npz", lambda p: _edit_arrays(p, _set_entry("day", 0, 9)),
      "fault 0 names day 9 slot 0, with no snapshot in snapshots.npz"),
+    ("faults.npz", lambda p: _edit_arrays(p, lambda arrays: arrays.__setitem__(
+        "day", np.full(len(arrays["day"]), 2 ** 63, dtype=np.uint64))),
+     "array 'day' holds values past the int64 range"),
 ], ids=["snapshot-without-slot", "fault-label-maybe", "unknown-bus-field",
         "repeated-fault-row", "string-voltage", "string-degree", "bool-endpoint",
         "string-in-bus-states", "string-day", "float-slot", "float-element-id",
         "bool-element-id", "repeated-snapshot", "short-label-array", "fault-on-transformer",
         "fault-on-unknown-element", "inf-element-state", "missing-element-row",
-        "fault-without-snapshot"])
+        "fault-without-snapshot", "fault-day-past-int64"])
 def test_cli_malformed_dataset_file_is_a_format_error(tmp_path, capsys, name, corrupt,
                                                       message):
     data = tmp_path / "data"

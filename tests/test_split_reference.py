@@ -24,7 +24,7 @@ from gridstab import baselines, report
 from gridstab.features import featurize, snapshot_globals
 from gridstab.metrics import balanced_rows
 from gridstab.model import ModelConfig, ScreeningModel, TrainConfig, _dims_for, train
-from gridstab.synth import SynthConfig
+from gridstab.synth import SynthConfig, build_dataset
 
 from conftest import same_array, with_samples
 
@@ -67,9 +67,10 @@ def ref_train_cal_split(ds, day, calibration_frac):
 def ref_prepare_day_pair(bundle, train_day, eval_day, include_raw):
     cfg = bundle.config
     cut = report.day_cut(cfg.synth.slots_per_day, cfg.calibration_frac)
+    _, _, faults, _ = build_dataset(cfg.synth)      # the fault objects, not the bundle's
 
     def faults_of(day, lo=0, hi=math.inf):
-        return [f for f in bundle.faults if f.day == day and lo <= f.slot < hi]
+        return [f for f in faults if f.day == day and lo <= f.slot < hi]
 
     balanced = ref_undersample_balance(faults_of(train_day, 0, cut), cfg.train.seed)
     kw = dict(spec=bundle.spec, max_nodes=cfg.max_nodes, include_raw=include_raw,
@@ -169,9 +170,11 @@ def test_svm_trains_on_the_stored_vectors_of_the_training_slots(bundle, monkeypa
     monkeypatch.setattr(baselines, "svm_train_expanded", spy)
     report.run_svm(bundle, pair, 98.0)
     cut = report.day_cut(WORLD.slots_per_day, 0.2)
-    faults = [f for f in bundle.faults if f.day == 1 and f.slot < cut]
-    per_snapshot = snapshot_globals(bundle.network, bundle.snapshots, faults, bundle.spec)
-    want = np.stack([per_snapshot[(f.day, f.slot)][1] for f in faults])
+    faults = [f for f in build_dataset(WORLD)[2] if f.day == 1 and f.slot < cut]
+    keys = [(f.day, f.slot) for f in faults]
+    per_snapshot = snapshot_globals(bundle.network, bundle.snapshots, dict.fromkeys(keys),
+                                    bundle.spec)
+    want = np.stack([per_snapshot[key][1] for key in keys])
     assert same_array(seen["x"], want)
     assert same_array(seen["y"], np.array([f.label for f in faults], dtype=float))
     assert not hasattr(report, "snapshot_globals")
