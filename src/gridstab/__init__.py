@@ -16,8 +16,8 @@ from .synth import (
 )
 from .features import (
     FeaturizedDataset, GlobalFeatureSpec, LocalGraph, StatKind,
-    compute_statistic, default_feature_spec, featurize, global_raw,
-    global_stats, local_subgraph,
+    compute_statistic, default_feature_spec, featurize, global_stats,
+    local_subgraph,
 )
 from .nn import (
     AdamState, adam_init, adam_step, bce_loss, grad_check, normalize_adjacency,

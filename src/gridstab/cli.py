@@ -9,7 +9,9 @@ the :class:`~synth.SynthConfig` fields, ``feature`` ``regions`` and
 (:data:`FLAGS`) sets its key after the file.  An unknown or repeated key, or
 a value its rule rejects, exits 1 naming the file, the section and the key.
 
-Exit codes: 0 success, 1 missing or mismatched inputs / bad arguments.
+Exit codes: 0 success; 1 missing, mismatched or unlabeled inputs or a bad
+argument value; 2 a usage error from argparse (an unknown choice, ``synth``
+without ``--out``, ``train`` given both ``--variant`` and ``--ablate``).
 Calibration always reaches its target, so 3 (``EXIT_INFEASIBLE``, kept for
 scripts) is no longer returned.  Set GRIDSTAB_LOG to control log verbosity.
 """
@@ -212,11 +214,13 @@ def cmd_train(args) -> int:
         _, _, _, fp = _load_dataset_dir(Path(args.data))
         if fp != ds.synth_fingerprint:
             raise CliError("features fingerprint does not match the dataset directory")
-    variant = ABLATION_ALIASES[args.ablate] if args.ablate else VARIANT_ALIASES[args.variant]
+    variant = (ABLATION_ALIASES[args.ablate] if args.ablate
+               else VARIANT_ALIASES[args.variant or "graph"])
     train_ds, cal_ds = report.split_day(ds, args.train_day, cfg.calibration_frac)
     result = train(variant, train_ds, cal_ds, cfg.model, cfg.train)
     persist.save_checkpoint(result, out)
-    persist.save_history_csv(result.history, out.with_suffix(".history.csv"))
+    persist.save_csv(result.history, persist.HISTORY_FIELDS,
+                     out.with_suffix(".history.csv"))
     print(f"wrote {out}: variant {variant}, best epoch {result.best_epoch}, "
           f"threshold {result.threshold:.6g}")
     return EXIT_OK
@@ -262,7 +266,7 @@ def _emit(rows: list[dict], out, label: str = "date") -> int:
     """Print ``rows`` as a table and, given ``out``, write them as a CSV."""
     print(report.format_table(rows, label=label))
     if out:
-        persist.save_report_csv(rows, out)
+        persist.save_csv(rows, persist.REPORT_FIELDS, out)
     return EXIT_OK
 
 
@@ -332,8 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
                 features=True, epochs=True)
     p.add_argument("--data", help="dataset directory written by synth "
                                   "(for fingerprint checks)")
-    p.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="graph")
-    p.add_argument("--ablate", choices=sorted(ABLATION_ALIASES))
+    # No default: argparse would not see an explicit default --variant clash.
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--variant", choices=sorted(VARIANT_ALIASES),
+                       help="model variant (default: graph)")
+    which.add_argument("--ablate", choices=sorted(ABLATION_ALIASES))
     p.add_argument("--train-day", dest="train_day", type=int, required=True)
 
     p = command("eval", cmd_eval, "evaluate a checkpoint on one day", features=True)

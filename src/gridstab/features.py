@@ -20,20 +20,20 @@ of its own range.
 Each part of a local subgraph is computed once for what it depends on (see
 :func:`local_subgraph`'s column table): the per-(bus, snapshot) and per-bus
 columns in one bus table per snapshot, and the BFS order, node mask, padded
-adjacency and per-(line, bus) columns in a per-line template.  A sample's
-node matrix is its kept buses' rows of the bus table with the template's
-per-(line, bus) columns written over them.
+adjacency and per-(line, bus) columns in one template row per AC line.  A
+sample's node matrix, which only :func:`gather_nodes` lays out, is its kept
+buses' rows of the bus table with the template's line columns written over.
 
 :func:`featurize` does not build that matrix, nor any per-sample or
 per-fault object.  Its faults are int64 columns (:data:`FAULT_COLUMNS`), as
 the faults archive holds them; a :class:`~grid.FaultSample` list is
 converted to them once at entry.  Its dataset is those columns over a
-:class:`FeatureStore`: one global vector and one read-only bus table per
-snapshot, and the :class:`LineTemplates` of every AC line, stacked once per
-(network, max_nodes).  A sample is a row of the columns, which holds its
-fault, its snapshot's table row and its line's template row.  The model
-gathers a training batch's node rows, or a scoring block's, from the store
-in one indexing call.
+:class:`FeatureStore`, the one stored form of a fault's inputs: one global
+vector and one read-only bus table per snapshot (whose state columns are
+the raw states, when asked for), and the :class:`LineTemplates` of every AC
+line, filled in place once per (network, max_nodes).  A sample is a row of
+the columns: its fault, its snapshot's table row and its line's template
+row.  The model gathers a batch's node rows from the store in one call.
 
 The per-network parts live as long as the network: :func:`featurize`,
 :func:`global_stats` and :func:`local_subgraph` without an ``index`` share
@@ -375,22 +375,6 @@ def global_stats(network: Network, snapshot: Snapshot,
     return _network_index(network).stats_plan(spec)(snapshot)
 
 
-def global_raw(snapshot: Snapshot) -> np.ndarray:
-    """Copy of the raw per-bus state matrix in the documented column order."""
-    return np.array(snapshot.bus_states, dtype=float, copy=True)
-
-
-@dataclass(frozen=True)
-class LineTemplate:
-    """Snapshot-independent part of one AC line's local subgraph, as
-    :class:`LineTemplates` stacks it."""
-
-    rows: np.ndarray           # (max_nodes,) bus-table row per node; padding -> zero row
-    line_values: np.ndarray    # (max_nodes, len(LINE_COLUMNS))
-    adjacency: np.ndarray      # (max_nodes, max_nodes) 0/1
-    node_mask: np.ndarray      # (max_nodes,) bool
-
-
 def _stack(arrays: list, tail: tuple, dtype=np.float64) -> np.ndarray:
     return np.stack(arrays) if arrays else np.zeros((0, *tail), dtype=dtype)
 
@@ -410,9 +394,9 @@ class LineTemplates:
     ``rows[t, j]`` of the sample's table, with ``line_values[t, j]`` written
     into LINE_COLUMNS, and its graph is the 0/1 ``adjacency[t]``, packed by
     :func:`pack_adjacency`, over the nodes of ``node_mask[t]``.
-    :func:`featurize` uses one object per (network, max_nodes), in which
-    template ``i`` is the ``i``-th AC line's.  A dataset of hand-built
-    samples gets one template per sample.
+    :func:`featurize` uses one object per (network, max_nodes), whose row
+    ``i`` :meth:`NetworkIndex.templates` fills with the ``i``-th AC line's
+    template.  A dataset of hand-built samples gets one template per sample.
 
     The arrays are read-only.  ``propagation`` is where the model keeps the
     propagation matrix of every template, once per kind, so that every
@@ -430,21 +414,6 @@ class LineTemplates:
         for array in (self.rows, self.line_values, self.adjacency, self.node_mask):
             array.flags.writeable = False
 
-    @classmethod
-    def of_lines(cls, lines: list[LineTemplate], max_nodes: int) -> LineTemplates:
-        """Stack per-line templates; template ``i`` is ``lines[i]``."""
-        values = _stack([t.line_values for t in lines], (max_nodes, len(LINE_COLUMNS)))
-        return cls(
-            rows=_stack([t.rows for t in lines], (max_nodes,), np.intp),
-            # Hop one-hots, endpoint flags and counts: small non-negative
-            # integers, kept in the smallest unsigned type that holds them.
-            # Writing them into a float table is exact.
-            line_values=values.astype(np.min_scalar_type(int(values.max(initial=0)))),
-            adjacency=pack_adjacency(_stack([t.adjacency for t in lines],
-                                            (max_nodes, max_nodes))),
-            node_mask=_stack([t.node_mask for t in lines], (max_nodes,), bool),
-        )
-
     def dense_adjacency(self, templates=slice(None)) -> np.ndarray:
         """The 0/1 adjacency of ``templates``, unpacked to uint8."""
         return np.unpackbits(self.adjacency[templates], axis=-1,
@@ -461,11 +430,21 @@ class LineTemplates:
         return arrays
 
 
-def gather_nodes(tables: np.ndarray, templates: LineTemplates, table, template,
-                 node) -> np.ndarray:
-    """Node-feature rows at the broadcast ``(table, template, node)`` indices:
-    one gather from the tables, then the templates' line columns written."""
-    out = tables[table, templates.rows[template, node]]
+def gather_nodes(tables: np.ndarray, templates, table, template, node=slice(None),
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Node-feature rows at the broadcast ``(table, template, node)`` indices,
+    the one code that lays them out: one gather from ``tables`` (into the
+    flat buffer ``out``, when given), then the templates' line columns.
+
+    ``templates`` has a :class:`LineTemplates`' ``rows`` and ``line_values``:
+    a store's, or a model's standardized copy.  The store's loader checks
+    every index; ``mode="clip"`` lets ``np.take`` fill ``out`` directly.
+    """
+    n_rows, f = tables.shape[1:]
+    at = np.multiply(table, n_rows) + templates.rows[template, node]
+    if out is not None:
+        out = out[:at.size * f].reshape(*at.shape, f)
+    out = np.take(tables.reshape(-1, f), at, axis=0, out=out, mode="clip")
     out[..., LINE_COLUMNS] = templates.line_values[template, node]
     return out
 
@@ -567,7 +546,7 @@ class NetworkIndex:
         if out is None:
             out = np.empty_like(self.static_rows)
         out[...] = self.static_rows
-        out[:-1, 0:13] = snapshot.bus_states
+        out[:-1, :N_BUS_STATE] = snapshot.bus_states
         flows = snapshot.element_states
         # One (g, 6, k) stack per group, reduced along its last axis.  Rows of
         # one length keep numpy's pairwise summation of each row alone, which
@@ -590,13 +569,28 @@ class NetworkIndex:
         return self._plan[1]
 
     def templates(self, max_nodes: int) -> tuple[dict[int, int], LineTemplates]:
-        """Each AC line's position, and every AC line's template stacked in
-        line order; built once per max_nodes."""
+        """Each AC line's position, and every AC line's template, written into
+        its row of the stacked arrays in line order; built once per max_nodes."""
         if max_nodes not in self._templates:
             ids = self.network.ac_line_ids()
-            lines = [self._build_template(eid, max_nodes) for eid in ids]
-            self._templates[max_nodes] = ({eid: i for i, eid in enumerate(ids)},
-                                          LineTemplates.of_lines(lines, max_nodes))
+            shape = (len(ids), max_nodes)
+            rows = np.full(shape, self.network.n_bus, dtype=np.intp)
+            values = np.zeros((*shape, len(LINE_COLUMNS)))
+            adjacency = np.zeros((*shape, max_nodes), dtype=np.uint8)
+            for i, eid in enumerate(ids):
+                kept, line, adj = self._build_template(eid, max_nodes)
+                n = len(kept)
+                rows[i, :n], values[i, :n], adjacency[i, :n, :n] = kept, line, adj
+            positions = {eid: i for i, eid in enumerate(ids)}
+            self._templates[max_nodes] = (positions, LineTemplates(
+                rows=rows,
+                # Hop one-hots, endpoint flags and counts: small non-negative
+                # integers, kept in the smallest unsigned type that holds them.
+                # Writing them into a float table is exact.
+                line_values=values.astype(np.min_scalar_type(int(values.max(initial=0)))),
+                adjacency=pack_adjacency(adjacency),
+                node_mask=rows < self.network.n_bus,      # padding reads row n_bus
+            ))
         return self._templates[max_nodes]
 
     def line_position(self, element_id: int, max_nodes: int) -> int:
@@ -608,28 +602,22 @@ class NetworkIndex:
             raise GridError(f"element {element_id} is not an AC line")
         return position
 
-    def _build_template(self, element_id: int, max_nodes: int) -> LineTemplate:
+    def _build_template(self, element_id: int, max_nodes: int) -> tuple:
+        """The kept buses of ``element_id``'s subgraph in BFS order, their
+        LINE_COLUMNS values and their 0/1 adjacency."""
         network = self.network
         kept, hops = bfs_nodes(network, element_id, max_nodes, self.nbrs)
         elem = network.elements[element_id]
-        n = len(kept)
         kept_set = set(kept)
-        line = np.zeros((max_nodes, NODE_FEATURES))
+        # Columns of LINE_COLUMNS: the hop one-hot, the two endpoint flags, deg_sub.
+        line = np.zeros((len(kept), len(LINE_COLUMNS)))
         for row, bus in enumerate(kept):
-            line[row, 13 + min(hops[bus], HOP_BUCKETS - 1)] = 1.0
-            line[row, 45] = 1.0 if bus == elem.from_bus else 0.0
-            line[row, 46] = 1.0 if bus == elem.to_bus else 0.0
-            line[row, 48] = float(sum(1 for v in self.nbrs[bus] if v in kept_set))
-        rows = np.full(max_nodes, network.n_bus)
-        rows[:n] = kept
+            line[row, min(hops[bus], HOP_BUCKETS - 1)] = 1.0
+            line[row, HOP_BUCKETS:] = (bus == elem.from_bus, bus == elem.to_bus,
+                                       sum(1 for v in self.nbrs[bus] if v in kept_set))
         if self._adjacency is None:
             self._adjacency = build_adjacency(network)
-        adj = np.zeros((max_nodes, max_nodes))
-        adj[:n, :n] = self._adjacency[np.ix_(kept, kept)]
-        mask = np.zeros(max_nodes, dtype=bool)
-        mask[:n] = True
-        return LineTemplate(rows=rows, line_values=line[:, LINE_COLUMNS],
-                            adjacency=adj, node_mask=mask)
+        return kept, line, self._adjacency[np.ix_(kept, kept)]
 
 
 # (weak reference to a network, its index) for the last network featurized.
@@ -652,28 +640,20 @@ class LocalGraph:
     """Padded fault-local subgraph: masked-out rows/columns stay all-zero.
 
     ``LocalGraph(adjacency, node_features, node_mask, fault_element_id)``
-    holds its own arrays; the adjacency is 0/1.  A stored graph
-    (:meth:`stored`) is a position in a store's tables and templates: its
-    ``adjacency`` and ``node_mask`` are its template's shared read-only
-    arrays, and its ``node_features`` are copied out of the store when first
-    read.
+    holds its own arrays; the adjacency is 0/1.  Given ``source=(tables,
+    templates, table, template)`` instead, the graph is a position in a
+    store: its ``adjacency`` and ``node_mask`` are its template's shared
+    read-only arrays (:meth:`LineTemplates.graph`), and :func:`gather_nodes`
+    copies its ``node_features`` out of the store when they are first read.
     """
 
-    def __init__(self, adjacency: np.ndarray, node_features: np.ndarray,
-                 node_mask: np.ndarray, fault_element_id: int):
+    def __init__(self, adjacency, node_features, node_mask, fault_element_id: int,
+                 source: tuple | None = None):
         self._adjacency = adjacency
         self._node_features = node_features
         self._node_mask = node_mask
         self.fault_element_id = fault_element_id
-        # (tables, templates, table, template) of a stored graph
-        self.source: tuple | None = None
-
-    @classmethod
-    def stored(cls, tables: np.ndarray, templates: LineTemplates, table: int,
-               template: int, fault_element_id: int) -> LocalGraph:
-        local = cls(None, None, None, fault_element_id)
-        local.source = (tables, templates, table, template)
-        return local
+        self.source = source
 
     @property
     def adjacency(self) -> np.ndarray:      # (max_nodes, max_nodes)
@@ -690,9 +670,7 @@ class LocalGraph:
     @property
     def node_features(self) -> np.ndarray:  # (max_nodes, NODE_FEATURES)
         if self._node_features is None:
-            tables, templates, table, template = self.source
-            self._node_features = gather_nodes(tables, templates, table, template,
-                                               slice(None))
+            self._node_features = gather_nodes(*self.source)
         return self._node_features
 
     @property
@@ -730,13 +708,12 @@ def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
       [47:59)  degree/structure stats                        bus
                (except deg_sub, column 48: line, bus)
 
-    The graph is stored (:meth:`LocalGraph.stored`): it holds the line's
-    place in the index's templates and the snapshot's bus table, and copies
-    its node rows out when they are first read.  ``table`` is ``(tables, k)``
-    when ``snapshot``'s bus table is already row ``k`` of ``tables``, as
-    :func:`featurize` passes it; otherwise the call builds the table.  Pass
-    one ``index`` to reuse the templates across calls; without one, the call
-    uses the memoized index of ``network``.
+    The graph is a position in the store (:class:`LocalGraph`'s
+    ``source``), which copies its node rows out when they are first read.
+    ``table`` is ``(tables, k)`` when ``snapshot``'s bus table is already
+    row ``k`` of ``tables``, as :func:`featurize` passes it; otherwise the
+    call builds the table.  Pass one ``index`` to reuse the templates across
+    calls; without one, the call uses the memoized index of ``network``.
     """
     if index is None:
         index = _network_index(network)
@@ -745,8 +722,8 @@ def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
         tables = index.bus_table(snapshot)[None]
         tables.flags.writeable = False
         table = (tables, 0)
-    return LocalGraph.stored(table[0], index.templates(max_nodes)[1], table[1], line,
-                             element_id)
+    return LocalGraph(None, None, None, element_id,
+                      source=(table[0], index.templates(max_nodes)[1], table[1], line))
 
 
 # A dataset's int64 columns: the fault, and its rows in the store.
@@ -861,8 +838,9 @@ class FeaturizedDataset:
         vecs = list(store.global_vecs)
         return [
             FeaturizedSample(day, slot, element_id, None if label < 0 else label, vecs[table],
-                             LocalGraph.stored(store.tables, store.templates, table,
-                                               template, element_id))
+                             LocalGraph(None, None, None, element_id,
+                                        source=(store.tables, store.templates, table,
+                                                template)))
             for day, slot, element_id, label, table, template
             in zip(*(self.columns[name].tolist() for name in COLUMNS))]
 
@@ -880,8 +858,17 @@ class FeaturizedDataset:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def labels(self) -> np.ndarray:
-        """The labels as floats, NaN for unlabeled."""
-        return np.where(self.columns["label"] < 0, np.nan, self.columns["label"])
+        """The labels as floats, which every fit, calibration and metric reads:
+        unlabeled faults (label -1) are a ValueError naming the first."""
+        label = self.columns["label"]
+        unlabeled = np.flatnonzero(label < 0)
+        if unlabeled.size:
+            day, slot, element_id = (self.columns[name][unlabeled[0]]
+                                     for name in ("day", "slot", "element_id"))
+            raise ValueError(f"{unlabeled.size} of {len(label)} faults are unlabeled "
+                             f"(label -1), the first day {day} slot {slot} element "
+                             f"{element_id}: they cannot be fitted, calibrated or scored")
+        return label.astype(float)
 
     def global_rows(self, rows=slice(None)) -> np.ndarray:
         """The global vectors of the samples at ``rows``."""
@@ -937,7 +924,9 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
     columns, in the order given.  Snapshots are validated and their global
     vectors computed by :func:`snapshot_globals`.  The store holds one
     global vector and one bus table per snapshot, in first-seen fault order
-    (:func:`key_groups`), and the network index's templates.
+    (:func:`key_groups`), and the network index's templates.  With
+    ``include_raw``, each snapshot's raw state is a read-only view of its
+    bus table's first :data:`~grid.N_BUS_STATE` columns, not a copy.
     """
     index = _network_index(network)
     columns = int_columns(faults, FAULT_COLUMNS)
@@ -958,7 +947,7 @@ def featurize(network: Network, snapshots, faults, spec: GlobalFeatureSpec,
                    template_index=np.array(templates, dtype=np.int64))
     vecs = _stack([vec for _, vec in per_snapshot.values()], (len(spec),))
     store = FeatureStore(vecs, tables, index.templates(max_nodes)[1])
-    raw_states = ({key: global_raw(snap) for key, (snap, _) in per_snapshot.items()}
+    raw_states = ({key: tables[k, :-1, :N_BUS_STATE] for k, key in enumerate(per_snapshot)}
                   if include_raw else {})
     return FeaturizedDataset(
         spec=spec, n_elements=len(network.elements), max_nodes=max_nodes,

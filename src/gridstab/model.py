@@ -568,12 +568,12 @@ class ScreeningModel:
             start += head.width
         return grads
 
-    def predict(self, params: dict, dataset: FeaturizedDataset,
-                batch_size: int = PREDICT_ROWS) -> np.ndarray:
+    def predict(self, params: dict, dataset: FeaturizedDataset) -> np.ndarray:
+        """The scores of ``dataset``, :data:`PREDICT_ROWS` samples a forward."""
         n = len(dataset)
         scores = np.empty(n)
-        for start in range(0, n, batch_size):
-            idx = range(start, min(start + batch_size, n))
+        for start in range(0, n, PREDICT_ROWS):
+            idx = range(start, min(start + PREDICT_ROWS, n))
             batch = self.index_batch(dataset, idx)
             scores[list(idx)], _ = self.forward(params, batch, keep_caches=False)
         return scores
@@ -584,6 +584,7 @@ class LocalTables:
     """A store's node inputs standardized by one model's local scalers: the
     ``tables``, and each template's ``rows``, standardized ``line_values``,
     ``node_mask`` and ``propagation`` matrix, all on the templates' axis.
+    :func:`~features.gather_nodes` reads it as it reads a store.
 
     Standardizing ``(x - mu) / sd`` is elementwise, so gathering standardized
     rows gives the bytes of standardizing gathered ones.  Padded nodes read
@@ -632,8 +633,8 @@ class LocalRows:
         return self.source.node_mask.shape[1]
 
     def gather(self, rows: slice = slice(None), out: tuple | None = None):
-        """Standardized, masked node rows ``h``, float node ``mask`` and
-        propagation matrices ``a`` of the samples ``rows``.
+        """Standardized, masked node rows ``h`` (:func:`~features.gather_nodes`),
+        float node ``mask`` and propagation matrices ``a`` of the samples ``rows``.
 
         ``out=(h, a)`` names flat float64 buffers to write ``h`` and ``a``
         into, with the same bytes.  Every template once, in order (one
@@ -644,19 +645,14 @@ class LocalRows:
         table, template = self.table[rows], self.template[rows]
         node_mask = src.node_mask[template]
         k, m = node_mask.shape
-        n_rows, f = src.tables.shape[1:]
-        h_out, a_out = (None, None) if out is None else (
-            _shaped(out[0], k, m, f), _shaped(out[1], k, m, m))
-        # The store's loader checks every index; mode="clip" lets np.take
-        # write into ``out`` without a temporary.
-        h = np.take(src.tables.reshape(-1, f), table[:, None] * n_rows + src.rows[template],
-                    axis=0, out=h_out, mode="clip")
-        h[..., LINE_COLUMNS] = src.line_values[template]
+        h = gather_nodes(src.tables, src, table[:, None], template,
+                         out=None if out is None else out[0])
         if not node_mask.all():      # x * 1.0 == x, so a full mask is skipped
             h *= node_mask[:, :, None]
         a = src.propagation
         if not (len(template) == len(a) and np.array_equal(template, np.arange(len(a)))):
-            a = np.take(a, template, axis=0, out=a_out, mode="clip")
+            a = np.take(a, template, axis=0, mode="clip",
+                        out=None if out is None else _shaped(out[1], k, m, m))
         return h, node_mask.astype(float), a
 
 

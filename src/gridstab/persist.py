@@ -554,16 +554,15 @@ def load_checkpoint(path):
 
 # ------------------------------------------------------------------- CSVs
 
-def save_history_csv(history: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "val_kkd", "val_acc"])
-        writer.writeheader()
-        writer.writerows(history)
+HISTORY_FIELDS = ("epoch", "train_loss", "val_kkd", "val_acc")
+REPORT_FIELDS = ("date", "threshold", "kkd", "ryd", "ysl", "acc")
 
 
-def save_report_csv(rows: list[dict], path) -> None:
+def save_csv(rows: list[dict], fields: tuple[str, ...], path) -> None:
+    """Write ``rows`` as a CSV of the columns ``fields``, with a header row:
+    :data:`HISTORY_FIELDS` for a training history, :data:`REPORT_FIELDS`
+    for report rows."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["date", "threshold", "kkd", "ryd", "ysl", "acc"])
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)

@@ -58,14 +58,14 @@ def test_screening_builds_the_templates_once_per_network_and_max_nodes(
                    featurize(net, snaps, day0(small_world, 4, 6), spec), SMALL,
                    TrainConfig(epochs=1, seed=3, balance=False))
     reset_memos()
-    stacked, normalized = [], []
-    real_stack, real_normalize = features.LineTemplates.of_lines, nn.normalize_adjacency
+    built, normalized = [], []
+    real_build, real_normalize = features.NetworkIndex._build_template, nn.normalize_adjacency
 
-    def counting_stack(lines, max_nodes):
-        stacked.append(max_nodes)
-        return real_stack(lines, max_nodes)
+    def counting_build(index, element_id, max_nodes):
+        built.append((element_id, max_nodes))
+        return real_build(index, element_id, max_nodes)
 
-    monkeypatch.setattr(features.LineTemplates, "of_lines", counting_stack)
+    monkeypatch.setattr(features.NetworkIndex, "_build_template", counting_build)
     monkeypatch.setattr(nn, "normalize_adjacency",
                         lambda *args: normalized.append(1) or real_normalize(*args))
     datasets = []
@@ -74,14 +74,15 @@ def test_screening_builds_the_templates_once_per_network_and_max_nodes(
         ds = featurize(net, [snap], faults, spec)
         scores_for(result, ds)
         datasets.append(ds)
-    assert stacked == [50]
+    lines = net.ac_line_ids()
+    assert built == [(line, 50) for line in lines]
     assert len(normalized) == len(net.ac_line_ids())
     templates = datasets[0].store.templates
     assert all(ds.store.templates is templates for ds in datasets)
     assert all(len(ds.store.tables) == 1 for ds in datasets)
     featurize(net, snaps, day0(small_world, 0, 1), spec, max_nodes=20)
     featurize(net, snaps, day0(small_world, 1, 2), spec, max_nodes=20)
-    assert stacked == [50, 20]
+    assert built == [(line, m) for m in (50, 20) for line in lines]
 
 
 def test_a_store_holds_one_table_per_snapshot_and_one_template_per_line(small_world):

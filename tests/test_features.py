@@ -6,7 +6,7 @@ import pytest
 from gridstab.features import (
     ALL_QUANTITIES, ALL_STATS, LOCAL_TOTAL_DIM, NODE_FEATURES, FeatureField,
     GlobalFeatureSpec, NetworkIndex, StatKind, bfs_nodes, compute_statistic,
-    default_feature_spec, featurize, global_raw, global_stats, local_subgraph,
+    default_feature_spec, featurize, global_stats, local_subgraph,
 )
 from gridstab.grid import AC_LINE, Bus, Element, GridError, Network, Snapshot, build_adjacency
 from gridstab.synth import SynthConfig, generate_day, generate_network
@@ -207,21 +207,25 @@ def test_global_stats_permutation_invariant(small_world):
                          element_states=snap.element_states)
     permuted = global_stats(perm_net, perm_snap, spec)
     assert np.allclose(base, permuted, atol=1e-9)
-    # while the raw matrix is order-sensitive
-    assert not np.array_equal(global_raw(snap), global_raw(perm_snap))
+    # while the raw states, which are the bus states, are order-sensitive
+    assert not np.array_equal(snap.bus_states, perm_snap.bus_states)
 
 
-def test_global_raw_shape_and_contract(small_world):
-    net, snap = small_world["network"], small_world["snapshots"][0]
-    raw = global_raw(snap)
-    assert raw.shape == (net.n_bus, 13)
-    assert raw[3, 0] == snap.bus_states[3, 0]
-    raw[0, 0] = 123.0
-    assert snap.bus_states[0, 0] != 123.0   # copy, not a view
-
-    big = Snapshot(day=0, slot=0, bus_states=np.zeros((7000, 13)),
-                   element_states=np.zeros((0, 2)))
-    assert global_raw(big).size == 91000
+def test_raw_states_are_read_only_views_of_the_bus_tables(small_world):
+    net, snaps = small_world["network"], small_world["snapshots"]
+    faults = [f for f in small_world["faults"] if f.day == 1]
+    ds = featurize(net, snaps, faults, default_feature_spec(), include_raw=True)
+    by_key = {(s.day, s.slot): s for s in snaps}
+    assert list(ds.raw_states) == list(dict.fromkeys((f.day, f.slot) for f in faults))
+    for k, (key, raw) in enumerate(ds.raw_states.items()):
+        want = by_key[key].bus_states
+        assert np.shares_memory(raw, ds.store.tables[k])
+        assert not raw.flags.writeable
+        assert (raw.shape, raw.dtype) == ((net.n_bus, 13), want.dtype)
+        assert raw.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        raw[0, 0] = 123.0
+    assert featurize(net, snaps, faults[:3], default_feature_spec()).raw_states == {}
 
 
 # ------------------------------------------------------------- local subgraph

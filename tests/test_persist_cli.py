@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -19,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from gridstab import cli, persist, report
 from gridstab.cli import main
-from gridstab.features import FAULT_COLUMNS, LocalGraph, featurize, int_columns
+from gridstab.features import (
+    FAULT_COLUMNS, LocalGraph, default_feature_spec, featurize, int_columns,
+)
 from gridstab.model import ModelConfig, TrainConfig, scores_for, train
 from gridstab.synth import SynthConfig, build_dataset
 
@@ -86,6 +89,22 @@ def assert_round_trip(ds, path):
     with zipfile.ZipFile(path) as archive:   # no wall-clock time in the file
         assert {i.date_time for i in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
     return loaded
+
+
+# sha256 of the features file of day 1 of the small world, with raw states,
+# as written when each line's template was built as its own arrays and then
+# stacked, and each raw state was a copy of its snapshot's bus states.
+SMALL_WORLD_DAY1_FEATURES_SHA = (
+    "5bb79454d344ac27ec3f1933d6a1cc4425a2e53b00640fe8bbbdf1fe68c3fa52")
+
+
+def test_featurized_file_bytes_are_pinned(tmp_path, small_world):
+    faults = [f for f in small_world["faults"] if f.day == 1]
+    ds = featurize(small_world["network"], small_world["snapshots"], faults,
+                   default_feature_spec(), include_raw=True)
+    path = tmp_path / "features.npz"
+    persist.save_features(ds, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_WORLD_DAY1_FEATURES_SHA
 
 
 def test_features_round_trip(tmp_path):
@@ -776,6 +795,40 @@ def test_report_pairs_follow_train_balance(monkeypatch, balance):
     assert trained_on == [len(pair.train_ds)]
 
 
+# name -> (the faults to unlabel, run config, report flags)
+UNLABELED_PROBES = {
+    "compare-day-2-unstable": (lambda f: (f["day"] == 2) & (f["label"] == 1), {},
+                               ["--compare"]),
+    "graph-unbalanced-day-0": (lambda f: np.flatnonzero(f["day"] == 0)[:5],
+                               {"train": {"balance": False}}, ["--variant", "graph"]),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(UNLABELED_PROBES))
+def test_report_names_unlabeled_faults_instead_of_reading_them_as_stable(
+        tmp_path, capsys, probe):
+    """An unlabeled fault (label -1) is never fitted, calibrated or counted as
+    a stable one: the run exits 1 naming how many there are and the first."""
+    pick, config, flags = UNLABELED_PROBES[probe]
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", str(data), "--buses", "24", "--days", "3",
+                   "--seed", "3") == 0
+    network, _ = persist.load_network(data / "network.json")
+    faults, fp = persist.load_faults(data / "faults.npz", network)
+    rows = np.arange(len(faults["day"]))[pick(faults)]
+    faults["label"][rows] = -1
+    persist.save_faults(faults, data / "faults.npz", fp)
+    config = _write_config(tmp_path / "cfg.json", config)
+    capsys.readouterr()
+    assert run_cli("report", "--data", str(data), "--config", config, "--epochs", "3",
+                   "--out", str(tmp_path / "out"), *flags) == 1
+    err = capsys.readouterr().err
+    first = (faults[name][rows[0]] for name in ("day", "slot", "element_id"))
+    assert f"error: {len(rows)} of " in err and "faults are unlabeled" in err
+    assert "the first day {} slot {} element {}".format(*first) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("model,field", [
     ({"pool": "avg"}, "pool"),
     ({"mlp_hidden": []}, "mlp_hidden"),
@@ -986,6 +1039,22 @@ def test_cli_train_writes_checkpoint_npz_by_default(monkeypatch, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "checkpoint.history.csv", "checkpoint.npz"]
     assert persist.load_checkpoint(tmp_path / "checkpoint.npz").best_epoch == 0
+
+
+@pytest.mark.parametrize("variant", ["graph", "mlp"])
+def test_cli_train_refuses_variant_with_ablate(monkeypatch, tmp_path, capsys,
+                                               trained_checkpoint, variant):
+    """``--variant`` and ``--ablate`` each name the model: given both, the
+    usage error exits 2 before anything is written, also when ``--variant``
+    names the default."""
+    _, features = trained_checkpoint
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--features", str(features), "--train-day", "1", "--epochs", "0",
+                "--variant", variant, "--ablate", "global")
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("field", ["gcn_layers", "embed_dim"])
