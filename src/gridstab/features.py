@@ -7,15 +7,20 @@ faults refer to and computes its vector once.  Local features describe the
 a walk by :func:`grid.bfs`) as an adjacency matrix plus a 59-dim feature
 row per node.
 
-Both per-snapshot parts are a few grouped row reductions, not one numpy call
+Both per-snapshot parts are a few grouped row kernels, not one numpy call
 per value range.  A :class:`StatsPlan`, built once per (network, spec),
-groups the spec's value ranges by length.  A snapshot gathers each group
-into one (k, n) matrix, and each statistic is one reduction along its rows:
-max, min, mean, ``std``, centred moments, ``median``, ``quantile`` and one
-sort for the trimmed pair.  The bus table groups the buses by their number
-k of incident AC lines and reduces a (g, 6, k) stack along its last axis.
-Rows are never padded, so every value keeps the bytes of the same reduction
-of its own range.
+groups the spec's value ranges by length and works out, once per length,
+the index rules that numpy's median and quantile derive on every call
+(:class:`_OrderRules`).  A snapshot gathers each group into one (k, n)
+matrix and runs :func:`_row_statistics` along its rows: max and min, one
+centred pass for the moments, one partition per order statistic (median,
+Mad, Q1, Q3) with numpy's own kth set and interpolation, and one sort for
+the trimmed pair.  There is no sort shared by the order statistics: a sort
+and a partition can order 0.0 and -0.0 differently, which moves a
+quantile's sign.  The bus table groups the buses by their number k of
+incident AC lines and reduces a (g, 6, k) stack along its last axis.  Rows
+are never padded, so every value keeps the bytes of numpy's function of its
+own range.
 
 Each part of a local subgraph is computed once for what it depends on (see
 :func:`local_subgraph`'s column table): the per-(bus, snapshot) and per-bus
@@ -108,120 +113,168 @@ ELEMENT_QUANTITIES = {
 ALL_QUANTITIES = tuple(BUS_QUANTITIES) + tuple(ELEMENT_QUANTITIES)
 
 
-def _trim_bounds(n: int) -> tuple[int, int]:
-    k = int(np.floor(0.1 * n))
-    return k, n - k
+@dataclass(frozen=True)
+class _OrderRules:
+    """numpy's index rules for rows of length ``n``, worked out once.
 
-
-def _sd(x: np.ndarray) -> np.ndarray:
-    """Row-wise ``std(ddof=1)``; 0 for rows of one value."""
-    return np.zeros(len(x)) if x.shape[1] < 2 else x.std(axis=1, ddof=1)
-
-
-class _Rows:
-    """Statistics of every row of a (k, n) value matrix, n >= 1.
-
-    Each intermediate (mean, median, quantiles, sorted trim) is computed once
-    and shared by the statistics that use it.  Every reduction runs along
-    axis 1 of a row-contiguous matrix, so each row gets the bytes that the
-    same reduction of that row alone gives.
-
-    ``strided`` rows stand for columns of a state matrix.  numpy's max and
-    min of a strided vector break ties between 0.0 and -0.0 differently from
-    those of a contiguous one, so for strided rows both reduce a row-strided
-    copy of ``x``.
+    ``median`` is ``np.median``'s partition kth set, ``[h-1, h, -1]`` for
+    even n and ``[h, -1]`` for odd n (h = n // 2), and the slice of the
+    middle values it averages.  ``quantiles`` holds, for q = 0.25 and 0.75,
+    what ``np.quantile``'s default method, Hyndman & Fan's method 7, derives
+    from n and q: the kth set ``unique([0, -1, prev, next])``, the neighbour
+    indices ``prev`` and ``next`` and the weight ``gamma``.  A virtual index
+    ``(n - 1) * q >= n - 1`` sets both indices to -1, so gamma is then the
+    virtual index + 1.  ``trim`` bounds the sorted values that Mj10 keeps:
+    floor(n / 10) are dropped from each end.
     """
 
-    def __init__(self, x: np.ndarray, strided: bool = False):
-        self.x = x
-        self.strided = strided
+    median: tuple[np.ndarray, slice]
+    quantiles: dict[float, tuple[np.ndarray, int, int, float]]
+    trim: tuple[int, int]
 
-    @cached_property
-    def extremes_input(self) -> np.ndarray:
-        if not self.strided:
-            return self.x
-        spaced = np.empty((self.x.shape[0], 2 * self.x.shape[1]))
-        spaced[:, ::2] = self.x
-        return spaced[:, ::2]
-
-    @cached_property
-    def mean(self) -> np.ndarray:
-        return self.x.mean(axis=1)
-
-    @cached_property
-    def dev(self) -> np.ndarray:
-        return self.x - self.mean[:, None]
-
-    @cached_property
-    def m2(self) -> np.ndarray:
-        return (self.dev ** 2).mean(axis=1)
-
-    def standardized(self, order: int, power: float, offset: float) -> np.ndarray:
-        """``m_order / m2 ** power - offset``, and 0 where ``m2 <= 0``.
-
-        The power and the division run one row at a time on scalars: numpy's
-        array power can differ from the scalar one in the last bit.
-        """
-        m = (self.dev ** order).mean(axis=1)
-        return np.array([0.0 if b <= 0.0 else a / b ** power - offset
-                         for a, b in zip(m, self.m2)])
-
-    @cached_property
-    def median(self) -> np.ndarray:
-        return np.median(self.x, axis=1)
-
-    @cached_property
-    def mad(self) -> np.ndarray:
-        return np.median(np.abs(self.x - self.median[:, None]), axis=1)
-
-    @cached_property
-    def q1(self) -> np.ndarray:
-        return np.quantile(self.x, 0.25, axis=1)
-
-    @cached_property
-    def q3(self) -> np.ndarray:
-        return np.quantile(self.x, 0.75, axis=1)
-
-    @cached_property
-    def trimmed(self) -> np.ndarray:
-        lo, hi = _trim_bounds(self.x.shape[1])
-        return np.sort(self.x, axis=1)[:, lo:hi]
+    @classmethod
+    def of(cls, n: int) -> _OrderRules:
+        h = n // 2
+        median = ((np.array([h - 1, h, -1]), slice(h - 1, h + 1)) if n % 2 == 0 else
+                  (np.array([h, -1]), slice(h, h + 1)))
+        quantiles = {}
+        for q in (0.25, 0.75):
+            virtual = (n - 1) * q
+            prev = int(np.floor(virtual))
+            nxt = prev + 1
+            if virtual >= n - 1:
+                prev = nxt = -1
+            quantiles[q] = (np.unique([0, -1, prev, nxt]), prev, nxt, virtual - prev)
+        cut = int(np.floor(0.1 * n))
+        return cls(median=median, quantiles=quantiles, trim=(cut, n - cut))
 
 
-_ROW_STATS = {
-    StatKind.MAX: lambda r: r.extremes_input.max(axis=1),
-    StatKind.MIN: lambda r: r.extremes_input.min(axis=1),
-    StatKind.MEAN: lambda r: r.mean,
-    StatKind.SD: lambda r: _sd(r.x),
-    StatKind.SKEW: lambda r: r.standardized(3, 1.5, 0.0),
-    StatKind.KURT: lambda r: r.standardized(4, 2, 3.0),
-    StatKind.MEDIAN: lambda r: r.median,
-    StatKind.MSD: lambda r: 1.4826 * r.mad,
-    StatKind.Q1: lambda r: r.q1,
-    StatKind.Q3: lambda r: r.q3,
-    StatKind.MAD: lambda r: r.mad,
-    StatKind.INTERQ: lambda r: r.q3 - r.q1,
-    StatKind.MJ10: lambda r: r.trimmed.mean(axis=1),
-    StatKind.MJ10S: lambda r: _sd(r.trimmed),
-}
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=1)``, as ``ndarray.mean`` computes it: ``add.reduce``
+    along the rows, divided by their length."""
+    return np.add.reduce(x, axis=1) / x.shape[1]
+
+
+def _nan_rows(result: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """numpy's NaN check after a partition whose kth set holds -1: NaN sorts
+    last, so a row whose last value is NaN gives that NaN."""
+    last = part[:, -1]
+    nan = np.isnan(last)
+    if nan.any():
+        np.copyto(result, last, where=nan)
+    return result
+
+
+def _median(part: np.ndarray, rule: tuple[np.ndarray, slice]) -> np.ndarray:
+    """``np.median(part, axis=1)``, partitioning ``part`` in place: one
+    partition with its kth set, the mean of the middle values, then the NaN
+    check."""
+    kth, middle = rule
+    part.partition(kth, axis=1)
+    return _nan_rows(_row_mean(part[:, middle]), part)
+
+
+def _quantile(x: np.ndarray, rule: tuple[np.ndarray, int, int, float]) -> np.ndarray:
+    """``np.quantile(x, q, axis=1)`` for the q of ``rule``: one partition of
+    a copy with numpy's kth set, numpy's lerp of the neighbours, then the NaN
+    check."""
+    kth, prev, nxt, gamma = rule
+    part = x.copy()
+    part.partition(kth, axis=1)
+    a, b = part[:, prev], part[:, nxt]
+    diff = b - a
+    result = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    return _nan_rows(result, part)
+
+
+def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One centred pass over the rows of ``x``: their mean, ``dev = x -
+    mean`` and ``Σ dev·dev``, the operations that ``(dev ** 2).mean(axis=1)``
+    and ``std(axis=1, ddof=1)`` run."""
+    mean = _row_mean(x)
+    dev = x - mean[:, None]
+    return mean, dev, np.add.reduce(dev * dev, axis=1)
+
+
+def _sd(squares: np.ndarray, n: int) -> np.ndarray:
+    """Row-wise ``std(ddof=1)`` from ``Σ dev·dev``; 0 for rows of one value."""
+    return np.zeros(len(squares)) if n < 2 else np.sqrt(squares / (n - 1))
+
+
+def _standardized(m: np.ndarray, m2: np.ndarray, power: float, offset: float) -> np.ndarray:
+    """``m / m2 ** power - offset``, and 0 where ``m2 <= 0``.
+
+    The power and the division run one row at a time on scalars: numpy's
+    array power can differ from the scalar one in the last bit.
+    """
+    return np.array([0.0 if b <= 0.0 else a / b ** power - offset for a, b in zip(m, m2)])
+
+
+def _row_statistics(x: np.ndarray, rules: _OrderRules, strided: bool) -> np.ndarray:
+    """Every statistic of every row of a (k, n) value matrix, n >= 1: a
+    vector of ``len(ALL_STATS) * k`` values, statistic-major in
+    :data:`ALL_STATS` order.
+
+    Each statistic is a direct kernel over the rows, and each row gets the
+    bytes that numpy's function of that row alone gives:
+
+    - Max and Min: ``maximum.reduce`` and ``minimum.reduce``.  ``strided``
+      rows stand for columns of a state matrix.  numpy's max and min of a
+      strided vector break ties between 0.0 and -0.0 differently from those
+      of a contiguous one, so for strided rows both reduce a row-strided copy.
+    - Mean, Sd, Skew and Kurt: one centred pass (:func:`_centred`), whose
+      ``Σ dev·dev`` m2 divides by n and Sd by n - 1.  Skew and Kurt keep
+      ``dev ** 3`` and ``dev ** 4`` and the per-row scalar power
+      (:func:`_standardized`).
+    - Median, Mad (the median of ``|x - median|``), Q1 and Q3: one partition
+      each, with the kth set that ``np.median`` or ``np.quantile`` uses
+      (``rules``, see :class:`_OrderRules`).  There is no shared sort:
+      ``np.sort`` and ``np.partition`` can leave 0.0 and -0.0 in different
+      orders, and a quantile between two zeros takes the sign of the one it
+      lands on.
+    - Mj10 and Mj10s: one sort, then the centred pass over the kept values.
+    """
+    n = x.shape[1]
+    extremes = x
+    if strided:
+        spaced = np.empty((len(x), 2 * n))
+        spaced[:, ::2] = x
+        extremes = spaced[:, ::2]
+    mean, dev, squares = _centred(x)
+    m2 = squares / n
+    median = _median(x.copy(), rules.median)
+    mad = _median(np.abs(x - median[:, None]), rules.median)
+    q1 = _quantile(x, rules.quantiles[0.25])
+    q3 = _quantile(x, rules.quantiles[0.75])
+    lo, hi = rules.trim
+    trimmed_mean, _, trimmed_squares = _centred(np.sort(x, axis=1)[:, lo:hi])
+    return np.concatenate((
+        np.maximum.reduce(extremes, axis=1), np.minimum.reduce(extremes, axis=1),
+        mean, _sd(squares, n),
+        _standardized(_row_mean(dev ** 3), m2, 1.5, 0.0),
+        _standardized(_row_mean(dev ** 4), m2, 2, 3.0),
+        median, 1.4826 * mad, q1, q3, mad, q3 - q1,
+        trimmed_mean, _sd(trimmed_squares, hi - lo),
+    ))
 
 
 def compute_statistic(values, kind: StatKind) -> float:
-    """One statistic of a non-empty value list: the one-row case of the
-    grouped reductions that :func:`global_stats` runs.
+    """One statistic of a non-empty value list: the one-row case of
+    :func:`_row_statistics`, the kernels that :func:`global_stats` runs.
 
     Degenerate cases follow fixed conventions: Sd of one value is 0,
     Skew/Kurt of a constant vector are 0 (Kurt is excess kurtosis), Mj10
     trims floor(n/10) values from each end, Msd = 1.4826 * Mad.  Overflowing
-    moments give inf or nan, without a warning.
+    moments give inf or nan, without a warning; a NaN value gives NaN, as
+    numpy's own functions do.
     """
     x = np.asarray(values, dtype=float).reshape(1, -1)
     if x.size == 0:
         raise ValueError("compute_statistic needs a non-empty value list")
-    if kind not in _ROW_STATS:
+    if kind not in ALL_STATS:
         raise ValueError(f"unknown statistic {kind!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_ROW_STATS[kind](_Rows(x))[0])
+        return float(_row_statistics(x, _OrderRules.of(x.shape[1]), False)[ALL_STATS.index(kind)])
 
 
 @dataclass(frozen=True)
@@ -294,26 +347,34 @@ def _value_positions(network: Network, f: FeatureField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _StatGroup:
-    """Value ranges of one length: row r of ``take`` locates range r's values."""
+    """Value ranges of one length: row r of ``take`` locates range r's values.
+
+    ``source`` picks, from the group's :func:`_row_statistics` vector, the
+    value of each spec position in ``positions``.
+    """
 
     take: np.ndarray       # (k, n) positions in the snapshot's flat state vector
     strided: bool          # whether the ranges are columns of the bus-state matrix
-    # (statistic, rows of take, spec positions) for each statistic the spec asks
-    outputs: tuple[tuple[StatKind, np.ndarray, np.ndarray], ...]
+    rules: _OrderRules     # numpy's index rules for rows of length n
+    source: np.ndarray     # ALL_STATS.index(stat) * k + row, per spec position
+    positions: np.ndarray
 
 
 class StatsPlan:
     """The global statistics of one spec on one network, as grouped row
-    reductions.
+    kernels.
 
     Fields sharing a ``(quantity, range, region)`` key share one value range.
     Ranges of equal length form one group: the bus quantities over the grid
     share ``n_bus``, region ranges group by region size, and element ranges
-    by their element count.  A snapshot gathers each group into one (k, n)
-    matrix and computes each statistic the group needs as one reduction along
-    its rows.  Empty ranges give 0.  The grid bus quantities, which are
-    columns of the bus-state matrix, keep a group of their own (see
-    :class:`_Rows`).
+    by their element count.  Everything that depends only on the network and
+    the spec is worked out here, once: each group's gather positions, its
+    :class:`_OrderRules` (partition kth sets, quantile indices and weights,
+    trim bounds) and its output scatter.  A snapshot gathers each group into
+    one (k, n) matrix, computes every statistic along its rows with
+    :func:`_row_statistics` and scatters the ones the spec asks into the
+    vector.  Empty ranges give 0.  The grid bus quantities, which are columns
+    of the bus-state matrix, keep a group of their own.
     """
 
     def __init__(self, network: Network, spec: GlobalFeatureSpec):
@@ -331,20 +392,18 @@ class StatsPlan:
                 strided = key[0] in BUS_QUANTITIES and key[1] == "grid"
                 by_length.setdefault((take.size, strided), []).append(key)
         self.groups = []
-        for (_, strided), group_keys in by_length.items():
+        for (n, strided), group_keys in by_length.items():
             row = {key: r for r, key in enumerate(group_keys)}
-            wanted: dict[StatKind, tuple[list[int], list[int]]] = {}
+            source, positions = [], []
             for pos, f in enumerate(spec.fields):
                 r = row.get((f.quantity, f.range_kind, f.region))
                 if r is not None:
-                    rows, positions = wanted.setdefault(f.stat, ([], []))
-                    rows.append(r)
+                    source.append(ALL_STATS.index(f.stat) * len(row) + r)
                     positions.append(pos)
             self.groups.append(_StatGroup(
                 take=np.stack([keys[key] for key in group_keys]), strided=strided,
-                outputs=tuple((kind, np.array(rows, dtype=np.intp),
-                               np.array(positions, dtype=np.intp))
-                              for kind, (rows, positions) in wanted.items()),
+                rules=_OrderRules.of(n), source=np.array(source, dtype=np.intp),
+                positions=np.array(positions, dtype=np.intp),
             ))
 
     def __call__(self, snapshot: Snapshot) -> np.ndarray:
@@ -358,9 +417,8 @@ class StatsPlan:
         # Overflowing moments give inf or nan, which become 0 below.
         with np.errstate(over="ignore", invalid="ignore"):
             for group in self.groups:
-                rows = _Rows(flat[group.take], group.strided)
-                for kind, at, positions in group.outputs:
-                    out[positions] = _ROW_STATS[kind](rows)[at]
+                values = _row_statistics(flat[group.take], group.rules, group.strided)
+                out[group.positions] = values[group.source]
         out[~np.isfinite(out)] = 0.0
         return out
 
@@ -742,6 +800,20 @@ def int_columns(records, names) -> dict[str, np.ndarray]:
                            dtype=np.int64) for name in names}
 
 
+def check_labeled(columns: dict[str, np.ndarray]) -> None:
+    """A ValueError when any of the faults in ``columns`` (the
+    :data:`FAULT_COLUMNS`) is unlabeled (label -1), counting them and naming
+    the first: an unlabeled fault cannot be fitted, calibrated or scored."""
+    label = columns["label"]
+    unlabeled = np.flatnonzero(label < 0)
+    if unlabeled.size:
+        day, slot, element_id = (columns[name][unlabeled[0]]
+                                 for name in ("day", "slot", "element_id"))
+        raise ValueError(f"{unlabeled.size} of {len(label)} faults are unlabeled "
+                         f"(label -1), the first day {day} slot {slot} element "
+                         f"{element_id}: they cannot be fitted, calibrated or scored")
+
+
 @dataclass
 class FeaturizedSample:
     day: int
@@ -859,16 +931,9 @@ class FeaturizedDataset:
 
     def labels(self) -> np.ndarray:
         """The labels as floats, which every fit, calibration and metric reads:
-        unlabeled faults (label -1) are a ValueError naming the first."""
-        label = self.columns["label"]
-        unlabeled = np.flatnonzero(label < 0)
-        if unlabeled.size:
-            day, slot, element_id = (self.columns[name][unlabeled[0]]
-                                     for name in ("day", "slot", "element_id"))
-            raise ValueError(f"{unlabeled.size} of {len(label)} faults are unlabeled "
-                             f"(label -1), the first day {day} slot {slot} element "
-                             f"{element_id}: they cannot be fitted, calibrated or scored")
-        return label.astype(float)
+        unlabeled faults are a ValueError (:func:`check_labeled`)."""
+        check_labeled(self.columns)
+        return self.columns["label"].astype(float)
 
     def global_rows(self, rows=slice(None)) -> np.ndarray:
         """The global vectors of the samples at ``rows``."""

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import baselines, synth
 from .features import (
-    FAULT_COLUMNS, FeaturizedDataset, GlobalFeatureSpec, default_feature_spec, featurize,
-    int_columns,
+    FAULT_COLUMNS, FeaturizedDataset, GlobalFeatureSpec, check_labeled, default_feature_spec,
+    featurize, int_columns,
 )
 from .grid import Network, Snapshot
 from .metrics import MetricRow, balanced_rows, calibrate_threshold, compute_metrics
@@ -63,9 +63,9 @@ class Bundle:
         """The number of days of the data: its last snapshot's day + 1."""
         return max((s.day for s in self.snapshots), default=-1) + 1
 
-    def faults_of(self, day: int) -> dict[str, np.ndarray]:
-        """The fault columns of ``day``'s faults, in their order."""
-        keep = self.faults["day"] == day
+    def faults_of(self, *days: int) -> dict[str, np.ndarray]:
+        """The fault columns of the faults of ``days``, in their order."""
+        keep = np.isin(self.faults["day"], days)
         return {name: column[keep] for name, column in self.faults.items()}
 
 
@@ -230,12 +230,15 @@ def daily_report(bundle: Bundle, system: str,
 
     Each day is featurized once, with raw states when a system of the run
     reads them: a pair's eval day is the next pair's train day.  The
-    comparison reuses the last pair and ``system``'s row on it.
+    comparison reuses the last pair and ``system``'s row on it.  Unlabeled
+    faults on any day read are a ValueError before anything is featurized.
     """
     compared = [name for _, name in COMPARISON_ROWS] if compare else []
     raw = _include_raw(bundle, [system, *compared])
     if compare and bundle.days < 2:
         raise ValueError("the comparison needs a day pair, and the data holds day 0 only")
+    if bundle.days >= 2:
+        check_labeled(bundle.faults_of(*range(bundle.days)))
     daily, pair = [], None
     for day in range(1, bundle.days):
         pair = prepare_day_pair(bundle, day - 1, day, raw, pair and pair.eval_ds)
@@ -259,8 +262,10 @@ def ablation_table(bundle: Bundle, train_day: int, eval_day: int) -> list[dict]:
 
 def pair_table(bundle: Bundle, train_day: int, eval_day: int, table: tuple) -> list[dict]:
     """The (label, system) rows of ``table`` on one day pair, featurized with
-    raw states when a system reads them."""
+    raw states when a system reads them.  Unlabeled faults on either day are
+    a ValueError before anything is featurized."""
     systems = [system for _, system in table]
+    check_labeled(bundle.faults_of(train_day, eval_day))
     pair = prepare_day_pair(bundle, train_day, eval_day, _include_raw(bundle, systems))
     rows = run_systems(bundle, pair, systems)
     return [_row_dict(label, rows[system]) for label, system in table]

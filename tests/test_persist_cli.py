@@ -795,21 +795,24 @@ def test_report_pairs_follow_train_balance(monkeypatch, balance):
     assert trained_on == [len(pair.train_ds)]
 
 
-# name -> (the faults to unlabel, run config, report flags)
+# name -> (the faults to unlabel, run config, command and flags)
 UNLABELED_PROBES = {
     "compare-day-2-unstable": (lambda f: (f["day"] == 2) & (f["label"] == 1), {},
-                               ["--compare"]),
+                               ["report", "--compare"]),
     "graph-unbalanced-day-0": (lambda f: np.flatnonzero(f["day"] == 0)[:5],
-                               {"train": {"balance": False}}, ["--variant", "graph"]),
+                               {"train": {"balance": False}}, ["report", "--variant", "graph"]),
+    "ablate-day-2-unstable": (lambda f: (f["day"] == 2) & (f["label"] == 1), {},
+                              ["ablate", "--train-day", "1", "--eval-day", "2"]),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(UNLABELED_PROBES))
 def test_report_names_unlabeled_faults_instead_of_reading_them_as_stable(
-        tmp_path, capsys, probe):
+        tmp_path, capsys, monkeypatch, probe):
     """An unlabeled fault (label -1) is never fitted, calibrated or counted as
-    a stable one: the run exits 1 naming how many there are and the first."""
-    pick, config, flags = UNLABELED_PROBES[probe]
+    a stable one: the run exits 1 naming how many there are and the first,
+    before any day is featurized or any model trained."""
+    pick, config, argv = UNLABELED_PROBES[probe]
     data = tmp_path / "data"
     assert run_cli("synth", "--out", str(data), "--buses", "24", "--days", "3",
                    "--seed", "3") == 0
@@ -819,14 +822,25 @@ def test_report_names_unlabeled_faults_instead_of_reading_them_as_stable(
     faults["label"][rows] = -1
     persist.save_faults(faults, data / "faults.npz", fp)
     config = _write_config(tmp_path / "cfg.json", config)
+    ran = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            ran.append(name)
+            raise AssertionError(f"{name} ran")
+        return call
+
+    for name in ("featurize", "train"):
+        monkeypatch.setattr(report, name, refuse(name))
     capsys.readouterr()
-    assert run_cli("report", "--data", str(data), "--config", config, "--epochs", "3",
-                   "--out", str(tmp_path / "out"), *flags) == 1
+    assert run_cli(*argv, "--data", str(data), "--config", config, "--epochs", "3",
+                   "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     first = (faults[name][rows[0]] for name in ("day", "slot", "element_id"))
     assert f"error: {len(rows)} of " in err and "faults are unlabeled" in err
     assert "the first day {} slot {} element {}".format(*first) in err
     assert "Traceback" not in err
+    assert ran == []
 
 
 @pytest.mark.parametrize("model,field", [

@@ -5,7 +5,7 @@ are those implementations, kept only here."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridstab import features
 from gridstab.features import (
@@ -334,3 +334,96 @@ def test_bus_table_on_a_synth_world(small_world):
     for snapshot in small_world["snapshots"][:8]:
         assert same_bytes(index.bus_table(snapshot),
                           ref_bus_table(index, network, snapshot))
+
+
+# ------------------------------------------------- non-finite values, row lengths
+
+# Rows holding NaN and +-inf.  Values never reach global_stats this way from
+# featurize, which validates its snapshots, but compute_statistic takes any
+# list, and the statistics' own NaN rules (numpy's median and quantile NaN
+# check, inf - inf in the moments) decide these bytes, NaN sign bits included.
+NON_FINITE_ROWS = {
+    "nan": [np.nan],
+    "inf": [np.inf],
+    "-inf": [-np.inf],
+    "nan-among-values": [1.0, np.nan, 2.0, 3.0],
+    "inf-among-values": [1.0, np.inf, 2.0, -1.0, 5.0],
+    "-inf-and-inf": [np.inf, -np.inf, 0.0, 1.0],
+    "-inf-lowest": [-np.inf, 2.0, 3.0],
+    "nan-inf-zeros": [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0],
+    "all-inf": [np.inf] * 5,
+    "two-nans-in-eleven": [np.nan, 1.0, np.nan, -2.0, 0.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0],
+}
+
+
+def same_statistic(values, kind: StatKind) -> bool:
+    got = compute_statistic(values, kind)
+    want = reference(ref_compute_statistic, np.asarray(values, dtype=float), kind)
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("row", sorted(NON_FINITE_ROWS))
+def test_compute_statistic_of_non_finite_rows_is_pinned(row):
+    values = NON_FINITE_ROWS[row]
+    for kind in ALL_STATS:
+        assert same_statistic(values, kind), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1,
+                         max_size=4))
+def test_compute_statistic_of_rows_with_nan_and_inf_matches_reference(n, seed, specials):
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+    values[rng.choice(n, size=min(n, len(specials)), replace=False)] = specials[:n]
+    for kind in ALL_STATS:
+        assert same_statistic(values, kind), (kind, values.tolist())
+
+
+def signed_zero_row(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` values drawn from 0.0, -0.0 and a few repeated numbers, with
+    some fresh ones: ties everywhere, and zeros of both signs next to each
+    other in sorted order."""
+    pool = np.concatenate(([0.0, -0.0, 0.0, -0.0], np.round(rng.normal(size=3), 1)))
+    values = rng.choice(pool, size=n)
+    fresh = rng.random(n) < rng.random()
+    values[fresh] = rng.normal(size=int(fresh.sum()))
+    return values
+
+
+def line_network(rng: np.random.Generator, n: int) -> Network:
+    """``n`` buses in one region and, from two buses on, ``n`` AC lines."""
+    buses = tuple(Bus(id=i, region=0) for i in range(n))
+    elements = tuple(
+        Element(id=i, kind=AC_LINE, from_bus=int(a), to_bus=int(b), rating=100.0)
+        for i, (a, b) in enumerate(rng.choice(n, size=2, replace=False)
+                                   for _ in range(n if n > 1 else 0)))
+    return Network(buses=buses, elements=elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+@example(n=48, seed=0)
+@example(n=54, seed=1)
+@example(n=1, seed=2)
+@example(n=2, seed=3)
+@example(n=130, seed=4)
+def test_statistics_at_every_row_length_with_signed_zeros(n, seed):
+    """Row lengths 1..130 (the benchmark's 48 AC lines and 54 buses among
+    them) give both parities and every quantile fraction (0, 0.25, 0.5,
+    0.75); signed zeros and repeats test each order statistic's ties.
+    ``compute_statistic`` and the grid groups of ``global_stats`` (bus
+    quantities and AC-line flows, both of length n) match the reference."""
+    rng = np.random.default_rng(seed)
+    values = signed_zero_row(rng, n)
+    for kind in ALL_STATS:
+        assert same_statistic(values, kind), (kind, values.tolist())
+    network = line_network(rng, n)
+    snapshot = Snapshot(day=0, slot=0,
+                        bus_states=np.stack([signed_zero_row(rng, n) for _ in range(13)], 1),
+                        element_states=signed_zero_row(rng, 2 * len(network.elements))
+                        .reshape(-1, 2))
+    spec = default_feature_spec()
+    got = global_stats(network, snapshot, spec)
+    assert same_bytes(got, reference(ref_global_stats, network, snapshot, spec))
