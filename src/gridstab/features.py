@@ -46,7 +46,9 @@ one :class:`NetworkIndex` for the last :class:`~grid.Network` object they
 saw, so an online screen builds the index, the statistics plan and the line
 templates once per process and each snapshot pays only for its own bus
 table and global vector.  The memo holds one network, and drops it when
-nothing else refers to the network.
+nothing else refers to the network.  The index reads every structure count
+(the per-bus columns, each template's adjacency, endpoint flags and deg_sub)
+off one 0/1 bus adjacency; its neighbour lists only order the walks.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ INCIDENT_STATS = 24      # 6 incident-AC-line quantities x 4 aggregates
 ENDPOINT_FLAGS = 2
 DEGREE_STATS = 12
 NODE_FEATURES = 13 + HOP_BUCKETS + INCIDENT_STATS + ENDPOINT_FLAGS + DEGREE_STATS
-EMBED_DIM = 20
+EMBED_DIM = 20           # width of a faulted element's embedding row
 LOCAL_TOTAL_DIM = LOCAL_NODES * NODE_FEATURES + EMBED_DIM   # 2970
 # Node-feature columns that depend on the faulted line: hop one-hot,
 # endpoint flags and deg_sub.  Every other column depends only on the bus
@@ -510,46 +512,33 @@ def gather_nodes(tables: np.ndarray, templates, table, template, node=slice(None
 class NetworkIndex:
     """Static per-network structure reused across every featurized sample.
 
-    Besides the neighbor structure it holds the per-bus columns that no
-    snapshot changes, and it memoizes the stacked :class:`LineTemplates` of
-    every AC line per max_nodes, and the :class:`StatsPlan` of the last spec
-    seen, for the life of the index.  :func:`featurize` keeps one index per
-    process, for the last network it saw while that network is alive.  The
-    index refers to its network weakly and is to be used only while the
-    network is alive.
+    Its one neighbour structure is ``adjacency``, the 0/1 matrix of
+    :func:`~grid.build_adjacency`, built first, so a hand-built network with
+    a dangling endpoint or a self-loop fails here with a
+    :class:`~grid.GridError` naming the element.  The per-bus columns that
+    no snapshot changes (``static_rows``) and each template's line columns
+    are counts read off it; ``nbrs`` only sets the order of the
+    breadth-first walks.  The index memoizes the stacked
+    :class:`LineTemplates` of every AC line per max_nodes, and the
+    :class:`StatsPlan` of the last spec seen, for the life of the index.
+    :func:`featurize` keeps one index per process, for the last network it
+    saw while that network is alive.  The index refers to its network weakly
+    and is to be used only while the network is alive.
     """
 
     def __init__(self, network: Network):
         # Weak, so that the memoized index does not keep its network alive.
         self._network = weakref.ref(network)
+        self.adjacency = build_adjacency(network)
         self.nbrs = neighbor_lists(network)
-        n = network.n_bus
-        self.degree = np.array([len(self.nbrs[i]) for i in range(n)], dtype=float)
-        self.max_degree = float(self.degree.max(initial=0.0)) or 1.0
-        self.incident: list[list[int]] = [[] for _ in range(n)]
-        for e in network.elements:
-            self.incident[e.from_bus].append(e.id)
-            self.incident[e.to_bus].append(e.id)
-        self.two_hop_count = np.zeros(n)
-        self.clustering = np.zeros(n)
-        nbr_sets = [set(v) for v in self.nbrs]
-        for i in range(n):
-            reach = set(self.nbrs[i])
-            for j in self.nbrs[i]:
-                reach.update(self.nbrs[j])
-            reach.discard(i)
-            self.two_hop_count[i] = len(reach)
-            deg = len(self.nbrs[i])
-            if deg >= 2:
-                links = sum(
-                    1 for a in self.nbrs[i] for b in self.nbrs[i]
-                    if a < b and b in nbr_sets[a]
-                )
-                self.clustering[i] = 2.0 * links / (deg * (deg - 1))
         # Buses grouped by their number k >= 1 of incident AC lines: the
-        # group's bus rows and its (g, k) line ids and ratings.
-        incident_ac = [[i for i in self.incident[bus] if network.elements[i].kind == AC_LINE]
-                       for bus in range(n)]
+        # group's bus rows and its (g, k) line ids and ratings, each bus's
+        # ids in element order.
+        incident_ac: list[list[int]] = [[] for _ in range(network.n_bus)]
+        for e in network.elements:
+            if e.kind == AC_LINE:
+                incident_ac[e.from_bus].append(e.id)
+                incident_ac[e.to_bus].append(e.id)
         by_count: dict[int, list[int]] = {}
         for bus, ids in enumerate(incident_ac):
             if ids:
@@ -561,7 +550,6 @@ class NetworkIndex:
             for buses in by_count.values()
         ]
         self.static_rows = self._static_rows(network)
-        self._adjacency: np.ndarray | None = None
         self._templates: dict[int, tuple[dict[int, int], LineTemplates]] = {}
         self._plan: tuple[GlobalFeatureSpec, StatsPlan] | None = None
 
@@ -573,26 +561,43 @@ class NetworkIndex:
     def _static_rows(self, net: Network) -> np.ndarray:
         """(n_bus + 1, NODE_FEATURES) with the per-bus-only columns filled.
 
-        The extra last row stays all-zero; padded subgraph rows gather it.
+        Each column is an integer count over the adjacency ``A`` (row sums of
+        ``A``, ``A·A`` and ``(A·A)∘A``, endpoint counts), exact in float64
+        whatever the summation order, or one division of two such counts:
+        the neighbour-degree mean, the degree over the largest degree and the
+        clustering ``2·links / (k(k-1))``.  So every value keeps the bytes of
+        the per-bus loop that counted them one neighbour at a time.  The
+        extra last row stays all-zero; padded subgraph rows gather it.
         """
+        a = self.adjacency
+        linked = a > 0
+        degree = a.sum(axis=1)
+        two_steps = a @ a
+        has = degree > 0
+        nbr_sum = a @ degree
+        # Endpoint counts of each bus per kind: AC, transformer (any other
+        # kind), DC.
+        kind = np.array([0 if e.kind == AC_LINE else 2 if e.kind == DC_LINE else 1
+                         for e in net.elements], dtype=np.intp)
+        ends = np.array([(e.from_bus, e.to_bus) for e in net.elements],
+                        dtype=np.intp).reshape(-1, 2)
+        by_kind = np.bincount((3 * ends + kind[:, None]).ravel(),
+                              minlength=3 * net.n_bus).reshape(net.n_bus, 3)
         rows = np.zeros((net.n_bus + 1, NODE_FEATURES))
-        for bus in range(net.n_bus):
-            nbr_deg = self.degree[self.nbrs[bus]] if self.nbrs[bus] else np.zeros(1)
-            inc = [net.elements[i] for i in self.incident[bus]]
-            rows[bus, 47:59] = [
-                self.degree[bus],
-                0.0,                 # deg_sub, per (line, bus)
-                sum(1 for e in inc if e.kind == AC_LINE),
-                sum(1 for e in inc if e.kind != AC_LINE and e.kind != DC_LINE),
-                sum(1 for e in inc if e.kind == DC_LINE),
-                self.degree[bus] / self.max_degree,
-                float(nbr_deg.mean()),
-                float(nbr_deg.max()),
-                float(nbr_deg.min()),
-                float(nbr_deg.sum()),
-                float(self.two_hop_count[bus]),
-                float(self.clustering[bus]),
-            ]
+        rows[:-1, 47:59] = np.column_stack((
+            degree,
+            np.zeros(net.n_bus),                  # deg_sub, per (line, bus)
+            by_kind,
+            degree / (degree.max(initial=0.0) or 1.0),
+            np.divide(nbr_sum, degree, out=np.zeros(net.n_bus), where=has),
+            np.where(linked, degree, 0.0).max(axis=1, initial=0.0),
+            np.where(has, np.where(linked, degree, np.inf).min(axis=1, initial=np.inf), 0.0),
+            nbr_sum,
+            # Off-diagonal nonzeros of A·A + A, whose diagonal is the degree.
+            np.count_nonzero(two_steps + a, axis=1) - has,
+            np.divide((two_steps * a).sum(axis=1), degree * (degree - 1),
+                      out=np.zeros(net.n_bus), where=degree >= 2),
+        ))
         return rows
 
     def bus_table(self, snapshot: Snapshot, out: np.ndarray | None = None) -> np.ndarray:
@@ -663,19 +668,19 @@ class NetworkIndex:
     def _build_template(self, element_id: int, max_nodes: int) -> tuple:
         """The kept buses of ``element_id``'s subgraph in BFS order, their
         LINE_COLUMNS values and their 0/1 adjacency."""
-        network = self.network
-        kept, hops = bfs_nodes(network, element_id, max_nodes, self.nbrs)
-        elem = network.elements[element_id]
-        kept_set = set(kept)
+        order, hops = bfs_nodes(self.network, element_id, max_nodes, self.nbrs)
+        elem = self.network.elements[element_id]
+        kept = np.array(order, dtype=np.intp)
+        adjacency = self.adjacency[np.ix_(kept, kept)]
         # Columns of LINE_COLUMNS: the hop one-hot, the two endpoint flags, deg_sub.
+        # ``hops`` holds the kept buses first, in visiting order.
+        hop = np.fromiter(hops.values(), dtype=np.intp, count=len(kept))
         line = np.zeros((len(kept), len(LINE_COLUMNS)))
-        for row, bus in enumerate(kept):
-            line[row, min(hops[bus], HOP_BUCKETS - 1)] = 1.0
-            line[row, HOP_BUCKETS:] = (bus == elem.from_bus, bus == elem.to_bus,
-                                       sum(1 for v in self.nbrs[bus] if v in kept_set))
-        if self._adjacency is None:
-            self._adjacency = build_adjacency(network)
-        return kept, line, self._adjacency[np.ix_(kept, kept)]
+        line[np.arange(len(kept)), np.minimum(hop, HOP_BUCKETS - 1)] = 1.0
+        line[:, HOP_BUCKETS] = kept == elem.from_bus
+        line[:, HOP_BUCKETS + 1] = kept == elem.to_bus
+        line[:, HOP_BUCKETS + 2] = adjacency.sum(axis=1)
+        return kept, line, adjacency
 
 
 # (weak reference to a network, its index) for the last network featurized.

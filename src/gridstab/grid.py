@@ -157,16 +157,17 @@ def neighbor_lists(network: Network) -> list[list[int]]:
     return adjacency_lists(network.n_bus, ((e.from_bus, e.to_bus) for e in network.elements))
 
 
-def bfs(nbrs: list[list[int]], seeds, max_nodes: int | None = None,
-        max_hops: int | None = None) -> tuple[list[int], dict[int, int]]:
+def bfs(nbrs: list[list[int]], seeds,
+        max_nodes: int | None = None) -> tuple[list[int], dict[int, int]]:
     """Breadth-first search from ``seeds``, which all sit at hop 0.
 
     Seeds are deduplicated in order; each bus's neighbors are expanded in
     the order of ``nbrs`` (ascending ids from :func:`adjacency_lists`); a
-    bus counts as visited when first reached.  The walk stops as soon as
-    ``max_nodes`` buses are visited and does not expand buses ``max_hops``
-    away.  Returns the first ``max_nodes`` visited buses in order and the
-    hop distance of every visited bus, the seeds included.
+    bus counts as visited when first reached.  There is no hop limit: the
+    walk stops as soon as ``max_nodes`` buses are visited, or when it has
+    reached every bus it can.  Returns the first ``max_nodes`` visited buses
+    in order and the hop distance of every visited bus, in visiting order,
+    the seeds included.
     """
     hops = dict.fromkeys(seeds, 0)
     order = list(hops)
@@ -174,8 +175,6 @@ def bfs(nbrs: list[list[int]], seeds, max_nodes: int | None = None,
     queue = deque(order)
     while queue and len(order) < limit:
         u = queue.popleft()
-        if max_hops is not None and hops[u] >= max_hops:
-            break
         for v in nbrs[u]:
             if v not in hops:
                 hops[v] = hops[u] + 1

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nn
 from .features import (
-    INDEX_COLUMNS, LINE_COLUMNS, FeaturizedDataset, FeatureStore, LineTemplates,
+    EMBED_DIM, INDEX_COLUMNS, LINE_COLUMNS, FeaturizedDataset, FeatureStore, LineTemplates,
     gather_nodes,
 )
 from .grid import FINITE, FLAG, N_BUS_STATE, _is_int, at_least, check_fields
@@ -66,7 +66,6 @@ ABLATION_ALIASES = {
 }
 
 
-EMBED_DIM = 20   # width of a faulted element's embedding row
 # Samples the GCN head scores at a time (the default training batch).  Only
 # that head is blocked: tests/test_blas_probes.py records why dense rows
 # would round apart.

@@ -6,8 +6,9 @@ the learning models must recover: overload around the faulted line,
 system-wide stress, and a time-invariant per-element susceptibility.  Its
 threshold ``tau`` is calibrated once, on day 0, to the target unstable rate.
 
-Graph walks (the 2-hop neighborhood, the region order of a generated
-network) use :func:`grid.bfs`.
+The oracle reads each faulted line's 2-hop neighborhood off the bus
+adjacency (:func:`grid.build_adjacency`); the region order of a generated
+network is a walk by :func:`grid.bfs`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .grid import (
     AC_LINE, DC_LINE, TRANSFORMER, STABLE, UNSTABLE,
     FINITE, Bus, Element, FaultSample, Network, Snapshot, _is_real, adjacency_lists, at_least,
-    bfs, build_adjacency, check_fields, neighbor_lists,
+    bfs, build_adjacency, check_fields,
 )
 
 REF_CURVE = 0.8            # curve level at which Bus/Element base values hold
@@ -286,15 +287,6 @@ def draw_latent(network: Network, seed: int) -> np.ndarray:
     return np.where(fragile, high, low)
 
 
-def two_hop_bus_set(network: Network, element_id: int,
-                    nbrs: list[list[int]] | None = None) -> set[int]:
-    """Buses within 2 hops of either endpoint of the given element."""
-    if nbrs is None:
-        nbrs = neighbor_lists(network)
-    elem = network.element_by_id(element_id)
-    return set(bfs(nbrs, [elem.from_bus, elem.to_bus], max_hops=2)[0])
-
-
 class StabilityOracle:
     """Fault labeler with the threshold calibrated once per network.
 
@@ -308,7 +300,9 @@ class StabilityOracle:
       [STRESS_LO, STRESS_HI] onto [0, 1];
     * the element's latent susceptibility (:func:`draw_latent`).
 
-    The fault is UNSTABLE iff its score exceeds ``tau``.
+    The fault is UNSTABLE iff its score exceeds ``tau``.  The 2-hop bus
+    neighborhood of a line is read off the bus adjacency ``A``: the buses
+    whose columns are nonzero in either endpoint's row of ``I + A + A·A``.
     """
 
     def __init__(self, network: Network, config: SynthConfig):
@@ -318,24 +312,22 @@ class StabilityOracle:
         self.latent = draw_latent(network, config.seed)
         self.tau = 0.5
 
-        nbrs = neighbor_lists(network)
         self.ac_ids = network.ac_line_ids()
         self.ratings = np.array([e.rating for e in network.elements])
         # Membership matrices: per AC line, mean weights over the elements
         # touching its 2-hop neighborhood (the line itself excluded) and
         # over the neighborhood buses themselves.
-        n_elem = len(network.elements)
-        self._member = np.zeros((len(self.ac_ids), n_elem))
-        self._bus_member = np.zeros((len(self.ac_ids), network.n_bus))
-        for row, eid in enumerate(self.ac_ids):
-            nbhd = two_hop_bus_set(network, eid, nbrs)
-            ids = [
-                e.id for e in network.elements
-                if e.id != eid and (e.from_bus in nbhd or e.to_bus in nbhd)
-            ]
-            if ids:
-                self._member[row, ids] = 1.0 / len(ids)
-            self._bus_member[row, sorted(nbhd)] = 1.0 / len(nbhd)
+        a = build_adjacency(network)
+        reach = (np.eye(network.n_bus) + a + a @ a) > 0
+        ends = np.array([(e.from_bus, e.to_bus) for e in network.elements],
+                        dtype=np.intp).reshape(-1, 2)
+        line_ends = ends[self.ac_ids]
+        nbhd = reach[line_ends[:, 0]] | reach[line_ends[:, 1]]
+        member = nbhd[:, ends[:, 0]] | nbhd[:, ends[:, 1]]
+        member[np.arange(len(self.ac_ids)), self.ac_ids] = False
+        # 1 / count on each member and 0 elsewhere, also on a line with no member.
+        self._member = member / np.maximum(member.sum(axis=1), 1)[:, None]
+        self._bus_member = nbhd / nbhd.sum(axis=1)[:, None]
         self._capacity = sum(b.p_gen for b in network.buses) / REF_CURVE * CAPACITY_MARGIN
 
     def scores(self, snapshot: Snapshot) -> np.ndarray:

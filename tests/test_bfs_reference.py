@@ -3,21 +3,22 @@
 The copies below are the original traversals, kept only here: the local
 subgraph's first-``max_nodes`` walk from a faulted line, the oracle's 2-hop
 bus set, the region order of a generated network and the connectivity check.
-Each property reaches the production walk through its public caller, on
-random networks with parallel elements, disconnected parts and ``max_nodes``
-above the bus count.
+Each property reaches the production code through its public caller (the
+oracle's 2-hop sets through its membership rows), on random networks with
+parallel elements, disconnected parts and ``max_nodes`` above the bus count.
 """
 
 import math
 from collections import deque
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gridstab.features import bfs_nodes
 from gridstab.grid import (
     AC_LINE, DC_LINE, TRANSFORMER, Bus, Element, GridError, Network, validate_network,
 )
-from gridstab.synth import SynthConfig, generate_network, two_hop_bus_set
+from gridstab.synth import StabilityOracle, SynthConfig, generate_network
 
 
 # ------------------------------------------------------ the original walks
@@ -136,10 +137,22 @@ def test_local_subgraph_walk_matches_reference(net, data):
 
 @settings(max_examples=150, deadline=None)
 @given(net=random_networks())
-def test_two_hop_bus_set_matches_reference(net):
+def test_oracle_neighborhoods_match_reference(net):
     nbrs = ref_neighbors(net.n_bus, endpoint_pairs(net))
-    for e in net.elements:
-        assert two_hop_bus_set(net, e.id) == ref_two_hop_bus_set(nbrs, e.from_bus, e.to_bus)
+    oracle = StabilityOracle(net, SynthConfig())
+    ac_lines = [e for e in net.elements if e.kind == AC_LINE]
+    assert oracle._member.shape == (len(ac_lines), len(net.elements))
+    assert oracle._bus_member.shape == (len(ac_lines), net.n_bus)
+    for row, line in enumerate(ac_lines):
+        nbhd = ref_two_hop_bus_set(nbrs, line.from_bus, line.to_bus)
+        ids = [e.id for e in net.elements
+               if e.id != line.id and (e.from_bus in nbhd or e.to_bus in nbhd)]
+        member, bus_member = np.zeros(len(net.elements)), np.zeros(net.n_bus)
+        if ids:
+            member[ids] = 1.0 / len(ids)
+        bus_member[sorted(nbhd)] = 1.0 / len(nbhd)
+        assert oracle._member[row].tobytes() == member.tobytes(), line.id
+        assert oracle._bus_member[row].tobytes() == bus_member.tobytes(), line.id
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,7 +8,9 @@ from gridstab.features import (
     GlobalFeatureSpec, NetworkIndex, StatKind, bfs_nodes, compute_statistic,
     default_feature_spec, featurize, global_stats, local_subgraph,
 )
-from gridstab.grid import AC_LINE, Bus, Element, GridError, Network, Snapshot, build_adjacency
+from gridstab.grid import (
+    AC_LINE, Bus, Element, FaultSample, GridError, Network, Snapshot, build_adjacency,
+)
 from gridstab.synth import SynthConfig, generate_day, generate_network
 
 from conftest import chain_network, zero_snapshot
@@ -298,6 +300,27 @@ def test_non_ac_line_rejected():
     net = chain_network(4, kind="Transformer")
     with pytest.raises(GridError):
         local_subgraph(net, zero_snapshot(net), 0)
+
+
+@pytest.mark.parametrize("entry", ["global_stats", "local_subgraph", "featurize"])
+@pytest.mark.parametrize("ends,message", [
+    pytest.param((2, 4), "element 2 references missing bus 4", id="bus-n"),
+    pytest.param((2, -1), "element 2 references missing bus -1", id="bus-minus-1"),
+    pytest.param((2, 2), "element 2 is a self-loop on bus 2", id="self-loop"),
+])
+def test_a_bad_hand_built_network_is_named(entry, ends, message):
+    pairs = [(0, 1), (1, 2), ends, (2, 3)]
+    net = Network(buses=tuple(Bus(id=i) for i in range(4)), elements=tuple(
+        Element(id=k, kind=AC_LINE, from_bus=a, to_bus=b) for k, (a, b) in enumerate(pairs)))
+    snap = zero_snapshot(net)
+    calls = {
+        "global_stats": lambda: global_stats(net, snap, default_feature_spec()),
+        "local_subgraph": lambda: local_subgraph(net, snap, 0),
+        "featurize": lambda: featurize(net, [snap], [FaultSample(0, 0, 0, 0)],
+                                       default_feature_spec()),
+    }
+    with pytest.raises(GridError, match=f"^{message}$"):
+        calls[entry]()
 
 
 def test_total_local_dimensionality():

@@ -113,9 +113,12 @@ def ref_global_stats(network: Network, snapshot: Snapshot,
 
 def ref_bus_table(index: NetworkIndex, network: Network, snapshot: Snapshot) -> np.ndarray:
     n = network.n_bus
+    incident = [[] for _ in range(n)]
+    for e in network.elements:
+        incident[e.from_bus].append(e.id)
+        incident[e.to_bus].append(e.id)
     incident_ac = [
-        np.array([i for i in index.incident[bus] if network.elements[i].kind == AC_LINE],
-                 dtype=int)
+        np.array([i for i in incident[bus] if network.elements[i].kind == AC_LINE], dtype=int)
         for bus in range(n)
     ]
     incident_ac_rating = [

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from gridstab.grid import AC_LINE, STABLE, UNSTABLE, Element, Network
+from gridstab.grid import AC_LINE, STABLE, UNSTABLE, Element, Network, neighbor_lists
 from gridstab.synth import (
     StabilityOracle, SynthConfig, build_dataset, draw_latent, enumerate_faults,
-    generate_day, generate_network, two_hop_bus_set,
+    generate_day, generate_network,
 )
 
 from conftest import chain_network, zero_snapshot
+from test_bfs_reference import ref_two_hop_bus_set
 
 
 def test_generate_network_bounds():
@@ -139,7 +140,8 @@ def test_oracle_depends_on_topology(small_world):
     base = StabilityOracle(net, config).scores(snap)
     changed = 0
     for row, eid in enumerate(net.ac_line_ids()):
-        nbhd = two_hop_bus_set(net, eid)
+        line = net.elements[eid]
+        nbhd = ref_two_hop_bus_set(neighbor_lists(net), line.from_bus, line.to_bus)
         outside = [b.id for b in net.buses if b.id not in nbhd]
         inside = [b for b in nbhd]
         if not outside:
