@@ -12,7 +12,7 @@ from .grid import (
 )
 from .synth import (
     StabilityOracle, SynthConfig, build_dataset, enumerate_faults,
-    generate_day, generate_network,
+    generate_dataset, generate_day, generate_network,
 )
 from .features import (
     FeaturizedDataset, GlobalFeatureSpec, LocalGraph, StatKind,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import persist, report, synth
 from .features import featurize, int_columns
-from .grid import FINITE, _is_real, at_least, check_fields
+from .grid import FINITE, UNSTABLE, _is_real, at_least, check_fields
 from .metrics import compute_metrics
 from .model import (ABLATION_ALIASES, VARIANT_ALIASES, ModelConfig, TrainConfig,
                     TrainingError, scores_for, train)
@@ -113,12 +113,28 @@ def resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _output(path) -> Path | None:
-    """``path``, when given, as an output file; a CliError names it when its
-    directory does not exist."""
-    if path and not Path(path).parent.is_dir():
-        raise CliError(f"--out {path}: directory {Path(path).parent} does not exist")
-    return Path(path) if path else None
+def _output(path, flag: str = "--out") -> Path | None:
+    """``path``, when given, as an output file; a CliError names ``flag`` and
+    ``path`` when its directory does not exist or it is a directory."""
+    if not path:
+        return None
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise CliError(f"{flag} {path}: directory {path.parent} does not exist")
+    if path.is_dir():
+        raise CliError(f"{flag} {path}: is a directory, not a file")
+    return path
+
+
+def _output_dir(path) -> Path:
+    """``path`` as an output directory, which may not exist yet; a CliError
+    names it when it, or the nearest of its parents that exists, is not a
+    directory."""
+    path = Path(path)
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise CliError(f"--out {path}: {found} is not a directory")
+    return path
 
 
 def _require(path: Path, kind: str) -> Path:
@@ -160,18 +176,18 @@ def _load_dataset_dir(data_dir: Path):
 # ---------------------------------------------------------------- commands
 
 def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
-    out = Path(args.out)
+    cfg, out = resolve_config(args), _output_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    network, snapshots, faults, oracle = synth.build_dataset(cfg.synth)
+    network, snapshots, faults, oracle = synth.generate_dataset(cfg.synth)
     fp = persist.fingerprint(cfg.synth)
     persist.save_network(network, out / "network.json", fp)
     persist.save_snapshots(snapshots, out / "snapshots.npz", fp)
     persist.save_faults(faults, out / "faults.npz", fp)
-    unstable = sum(1 for f in faults if f.label == 1)
+    labels = faults["label"]
+    unstable = int(np.count_nonzero(labels == UNSTABLE))
     print(f"wrote {out}: {network.n_bus} buses, {len(network.elements)} elements, "
-          f"{len(snapshots)} snapshots, {len(faults)} faults "
-          f"({100.0 * unstable / len(faults):.1f}% unstable, tau={oracle.tau:.4f})")
+          f"{len(snapshots)} snapshots, {len(labels)} faults "
+          f"({100.0 * unstable / len(labels):.1f}% unstable, tau={oracle.tau:.4f})")
     return EXIT_OK
 
 
@@ -190,17 +206,15 @@ def cmd_featurize(args) -> int:
     wanted = _parse_days(args.day_subset) if args.day_subset else None
     cfg = resolve_config(args)
     data_dir = Path(args.data)
-    out = _output(args.out) or data_dir / "features.npz"
-    network, snapshots, faults, fp = _load_dataset_dir(data_dir)
-    if wanted is not None:
-        keep = np.isin(faults["day"], sorted(wanted))
-        faults = {name: column[keep] for name, column in faults.items()}
+    out = _output(args.out) or _output(data_dir / "features.npz", "--data")
+    bundle = _bundle_from_dir(data_dir, cfg)
+    faults = bundle.faults if wanted is None else bundle.faults_of(*wanted)
     if not faults["day"].size:
         days = f"days {sorted(wanted)}" if wanted is not None else "any day"
         raise CliError(f"{data_dir} holds no faults for {days}")
-    spec = report.default_feature_spec(cfg.feature_regions)
-    ds = featurize(network, snapshots, faults, spec, max_nodes=cfg.max_nodes,
-                   include_raw=True, synth_fingerprint=fp)
+    ds = featurize(bundle.network, bundle.snapshots, faults, bundle.spec,
+                   max_nodes=cfg.max_nodes, include_raw=True,
+                   synth_fingerprint=bundle.synth_fingerprint)
     persist.save_features(ds, out)
     print(f"wrote {out}: {len(ds)} samples, global dim {ds.global_dim}, "
           f"local {ds.max_nodes}x{ds.store.tables.shape[-1]}")
@@ -209,6 +223,7 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, out = resolve_config(args), _output(args.out or "checkpoint.npz")
+    history = _output(out.with_suffix(".history.csv"))
     ds = persist.load_features(_require(Path(args.features), "features"))
     if args.data:
         _, _, _, fp = _load_dataset_dir(Path(args.data))
@@ -219,8 +234,7 @@ def cmd_train(args) -> int:
     train_ds, cal_ds = report.split_day(ds, args.train_day, cfg.calibration_frac)
     result = train(variant, train_ds, cal_ds, cfg.model, cfg.train)
     persist.save_checkpoint(result, out)
-    persist.save_csv(result.history, persist.HISTORY_FIELDS,
-                     out.with_suffix(".history.csv"))
+    persist.save_csv(result.history, persist.HISTORY_FIELDS, history)
     print(f"wrote {out}: variant {variant}, best epoch {result.best_epoch}, "
           f"threshold {result.threshold:.6g}")
     return EXIT_OK
@@ -272,15 +286,18 @@ def _emit(rows: list[dict], out, label: str = "date") -> int:
 
 def cmd_report(args) -> int:
     cfg = resolve_config(args)
-    out_dir = Path(args.out or args.data)
+    out_dir = Path(args.data)
     if args.out:
+        out_dir = _output_dir(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+    daily_csv, compare_csv = (_output(out_dir / name, "--out" if args.out else "--data")
+                              for name in ("report_daily.csv", "report_compare.csv"))
     bundle = _bundle_from_dir(Path(args.data), cfg)
     daily, compared = report.daily_report(bundle, VARIANT_ALIASES[args.variant], args.compare)
-    _emit(daily, out_dir / "report_daily.csv")
+    _emit(daily, daily_csv)
     if args.compare:
         print()
-        _emit(compared, out_dir / "report_compare.csv", "model")
+        _emit(compared, compare_csv, "model")
     return EXIT_OK
 
 

@@ -31,8 +31,10 @@ buses' rows of the bus table with the template's line columns written over.
 
 :func:`featurize` does not build that matrix, nor any per-sample or
 per-fault object.  Its faults are int64 columns (:data:`FAULT_COLUMNS`), as
-the faults archive holds them; a :class:`~grid.FaultSample` list is
-converted to them once at entry.  Its dataset is those columns over a
+the oracle labels them and the faults archive holds them.  Objects are only
+the tests' and the benchmark's API: a :class:`~grid.FaultSample` list, which
+``featurize`` converts to columns once at entry, :class:`FeaturizedSample`
+and ``FeaturizedDataset.samples``.  The dataset is those columns over a
 :class:`FeatureStore`, the one stored form of a fault's inputs: one global
 vector and one read-only bus table per snapshot (whose state columns are
 the raw states, when asked for), and the :class:`LineTemplates` of every AC
@@ -65,7 +67,7 @@ from operator import attrgetter
 import numpy as np
 
 from .grid import (
-    AC_LINE, DC_LINE, N_BUS_STATE, GridError, Network, Snapshot, bfs,
+    AC_LINE, DC_LINE, FAULT_COLUMNS, N_BUS_STATE, GridError, Network, Snapshot, bfs,
     build_adjacency, neighbor_lists, validate_snapshot,
 )
 
@@ -789,8 +791,7 @@ def local_subgraph(network: Network, snapshot: Snapshot, element_id: int,
                       source=(table[0], index.templates(max_nodes)[1], table[1], line))
 
 
-# A dataset's int64 columns: the fault, and its rows in the store.
-FAULT_COLUMNS = ("day", "slot", "element_id", "label")
+# A dataset's int64 columns: the fault (grid.FAULT_COLUMNS), and its rows in the store.
 INDEX_COLUMNS = ("table_index", "template_index")
 COLUMNS = (*FAULT_COLUMNS, *INDEX_COLUMNS)
 
@@ -798,7 +799,7 @@ COLUMNS = (*FAULT_COLUMNS, *INDEX_COLUMNS)
 def int_columns(records, names) -> dict[str, np.ndarray]:
     """One int64 array per field of ``names``: a dict's columns as they are,
     or the fields of a list of records, where an unlabeled record's label
-    (None) is -1."""
+    (None) is -1.  :func:`grid.fault_samples` is its inverse."""
     if isinstance(records, dict):
         return {name: np.asarray(records[name], dtype=np.int64) for name in names}
     return {name: np.array([-1 if v is None else v for v in map(attrgetter(name), records)],

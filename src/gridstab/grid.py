@@ -2,9 +2,11 @@
 
 Buses are graph nodes; every other device (AC line, transformer, DC line)
 is an edge between two buses.  A :class:`Snapshot` holds the electrical
-state of the whole grid at one time slot, a :class:`FaultSample` names one
-N-1 contingency on one snapshot: the form of synth, the oracle and
-hand-built tests.  Faults on disk and in a report bundle are int64 columns.
+state of the whole grid at one time slot.  A fault, one N-1 contingency
+on one snapshot, is a row of the int64 :data:`FAULT_COLUMNS`: the oracle
+labels them, and the faults archive, a report bundle and ``featurize`` hold
+them.  :class:`FaultSample` objects are only the tests' and the benchmark's
+API (:func:`fault_samples`).
 """
 
 from __future__ import annotations
@@ -102,19 +104,31 @@ class Snapshot:
     element_states: np.ndarray
 
 
+# A fault's int64 columns; label is STABLE/UNSTABLE, or -1 while unlabeled.
+FAULT_COLUMNS = ("day", "slot", "element_id", "label")
+
+
 @dataclass(frozen=True)
 class FaultSample:
     """One N-1 candidate: (snapshot key, faulted AC line, stability label).
 
-    ``label`` is STABLE/UNSTABLE, or None while still unlabeled.  Synth, the
-    oracle and hand-built tests make these; a dataset on disk or in a report
-    bundle holds ``features.FAULT_COLUMNS`` instead (label -1 when unlabeled).
+    ``label`` is STABLE/UNSTABLE, or None while still unlabeled.  Only tests
+    and the benchmark make these; every program path holds a fault as a row
+    of :data:`FAULT_COLUMNS` (label -1 when unlabeled).
     """
 
     day: int
     slot: int
     element_id: int
     label: int | None = None
+
+
+def fault_samples(columns: dict[str, np.ndarray]) -> list[FaultSample]:
+    """The :class:`FaultSample` of each row of the :data:`FAULT_COLUMNS`,
+    label -1 as None: the inverse of ``features.int_columns``."""
+    rows = zip(*(columns[name].tolist() for name in FAULT_COLUMNS))
+    return [FaultSample(day, slot, element_id, None if label < 0 else label)
+            for day, slot, element_id, label in rows]
 
 
 def build_adjacency(network: Network) -> np.ndarray:

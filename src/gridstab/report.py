@@ -11,8 +11,7 @@ import numpy as np
 
 from . import baselines, synth
 from .features import (
-    FAULT_COLUMNS, FeaturizedDataset, GlobalFeatureSpec, check_labeled, default_feature_spec,
-    featurize, int_columns,
+    FeaturizedDataset, GlobalFeatureSpec, check_labeled, default_feature_spec, featurize,
 )
 from .grid import Network, Snapshot
 from .metrics import MetricRow, balanced_rows, calibrate_threshold, compute_metrics
@@ -49,7 +48,7 @@ class ExperimentConfig:
 @dataclass
 class Bundle:
     """One generated world: network, all snapshots, and its faults as the
-    int64 :data:`~features.FAULT_COLUMNS` (``label`` -1 when unlabeled)."""
+    int64 :data:`~grid.FAULT_COLUMNS` (``label`` -1 when unlabeled)."""
 
     config: ExperimentConfig
     network: Network
@@ -70,11 +69,10 @@ class Bundle:
 
 
 def build_bundle(config: ExperimentConfig) -> Bundle:
-    network, snapshots, faults, _ = synth.build_dataset(config.synth)
+    network, snapshots, faults, _ = synth.generate_dataset(config.synth)
     spec = default_feature_spec(config.feature_regions)
     return Bundle(
-        config=config, network=network, snapshots=snapshots,
-        faults=int_columns(faults, FAULT_COLUMNS), spec=spec,
+        config=config, network=network, snapshots=snapshots, faults=faults, spec=spec,
         synth_fingerprint=fingerprint(config.synth),
     )
 

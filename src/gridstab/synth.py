@@ -6,6 +6,12 @@ the learning models must recover: overload around the faulted line,
 system-wide stress, and a time-invariant per-element susceptibility.  Its
 threshold ``tau`` is calibrated once, on day 0, to the target unstable rate.
 
+:func:`generate_dataset` labels every fault in the one form the program
+reads, the int64 :data:`~grid.FAULT_COLUMNS`, by one rule
+(:meth:`StabilityOracle.label_faults`).  :func:`build_dataset` and
+:meth:`StabilityOracle.label_snapshot` give the same faults as
+:class:`~grid.FaultSample` objects, which only tests and the benchmark read.
+
 The oracle reads each faulted line's 2-hop neighborhood off the bus
 adjacency (:func:`grid.build_adjacency`); the region order of a generated
 network is a walk by :func:`grid.bfs`.
@@ -21,7 +27,7 @@ import numpy as np
 from .grid import (
     AC_LINE, DC_LINE, TRANSFORMER, STABLE, UNSTABLE,
     FINITE, Bus, Element, FaultSample, Network, Snapshot, _is_real, adjacency_lists, at_least,
-    bfs, build_adjacency, check_fields,
+    bfs, build_adjacency, check_fields, fault_samples,
 )
 
 REF_CURVE = 0.8            # curve level at which Bus/Element base values hold
@@ -373,22 +379,45 @@ class StabilityOracle:
         self.tau = 0.5 * (below + above)
         return self.tau
 
+    def label_faults(self, snapshots: list[Snapshot]) -> dict[str, np.ndarray]:
+        """The :data:`~grid.FAULT_COLUMNS` of every AC-line fault of
+        ``snapshots``, snapshot-major and in AC-line order.  A fault is
+        UNSTABLE iff its score exceeds ``tau``.
+
+        Each snapshot is scored by its own :meth:`scores` call: one GEMM
+        over the stack could round apart from the mat-vec that ``tau`` was
+        calibrated on."""
+        scores = np.empty((len(snapshots), len(self.ac_ids)))
+        for row, snapshot in zip(scores, snapshots):
+            row[:] = self.scores(snapshot)
+        keys = np.array([(s.day, s.slot) for s in snapshots], dtype=np.int64).reshape(-1, 2)
+        return {
+            "day": np.repeat(keys[:, 0], len(self.ac_ids)),
+            "slot": np.repeat(keys[:, 1], len(self.ac_ids)),
+            "element_id": np.tile(np.array(self.ac_ids, dtype=np.int64), len(snapshots)),
+            "label": np.where(scores > self.tau, UNSTABLE, STABLE).astype(np.int64).ravel(),
+        }
+
     def label_snapshot(self, snapshot: Snapshot) -> list[FaultSample]:
-        scores = self.scores(snapshot)
-        return [
-            FaultSample(day=snapshot.day, slot=snapshot.slot, element_id=eid,
-                        label=UNSTABLE if float(sc) > self.tau else STABLE)
-            for eid, sc in zip(self.ac_ids, scores)
-        ]
+        """:meth:`label_faults` of one snapshot, as objects."""
+        return fault_samples(self.label_faults([snapshot]))
 
 
-def build_dataset(config: SynthConfig):
-    """Full pipeline: network, all snapshots, labeled faults, calibrated oracle."""
+def generate_dataset(config: SynthConfig):
+    """Full pipeline: the network, all snapshots (day-major), their faults'
+    :data:`~grid.FAULT_COLUMNS` labeled by the oracle, and the oracle,
+    calibrated on day 0."""
     config.validate()
     network = generate_network(config)
     days = [generate_day(network, d, config) for d in range(config.days)]
     oracle = StabilityOracle(network, config)
     oracle.calibrate(days[0])
-    faults = [fs for day in days for snap in day for fs in oracle.label_snapshot(snap)]
     snapshots = [snap for day in days for snap in day]
-    return network, snapshots, faults, oracle
+    return network, snapshots, oracle.label_faults(snapshots), oracle
+
+
+def build_dataset(config: SynthConfig):
+    """:func:`generate_dataset` with the faults as :class:`~grid.FaultSample`
+    objects."""
+    network, snapshots, faults, oracle = generate_dataset(config)
+    return network, snapshots, fault_samples(faults), oracle

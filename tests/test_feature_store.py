@@ -141,18 +141,21 @@ def test_no_program_path_walks_the_samples(tmp_path, monkeypatch):
 
 
 def test_no_program_path_builds_a_fault_object(tmp_path, monkeypatch):
-    """Faults go from the faults archive to ``featurize`` as columns: the
-    featurize, train, eval and report commands build no ``FaultSample``."""
-    data = tmp_path / "data"
-    assert main(["synth", "--out", str(data), "--buses", "20", "--days", "3",
-                 "--slots", "8", "--seed", "3"]) == 0
-
+    """Faults go from the oracle through the faults archive to ``featurize``
+    as columns: ``report.build_bundle`` and the synth, featurize, train, eval
+    and report commands build no ``FaultSample``."""
     def refuse(*args, **kwargs):
         raise AssertionError("a FaultSample was built")
 
     monkeypatch.setattr(grid.FaultSample, "__init__", refuse)
     with pytest.raises(AssertionError, match="FaultSample"):
         grid.FaultSample(0, 0, 0)
+    world = SynthConfig(n_bus=20, days=3, slots_per_day=8, seed=3)
+    bundle = report.build_bundle(report.ExperimentConfig(synth=world))
+    assert bundle.faults["label"].size == 3 * 8 * len(bundle.network.ac_line_ids())
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--buses", "20", "--days", "3",
+                 "--slots", "8", "--seed", "3"]) == 0
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": {**dataclasses.asdict(SMALL), "cnn_channels": 4}}))
     features_path, ckpt = tmp_path / "features.npz", tmp_path / "ckpt.npz"

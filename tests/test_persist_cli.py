@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridstab import cli, persist, report
+from gridstab import cli, persist, report, synth
 from gridstab.cli import main
 from gridstab.features import (
     FAULT_COLUMNS, LocalGraph, default_feature_spec, featurize, int_columns,
@@ -963,27 +963,60 @@ def test_cli_eval_rejects_bad_checkpoint(tmp_path, capsys, trained_checkpoint, c
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("command", ["featurize", "train", "eval", "baseline", "ablate"])
+@pytest.mark.parametrize("command", ["synth", "featurize", "train", "eval", "baseline",
+                                     "ablate", "report"])
 def test_cli_a_missing_output_directory_stops_before_any_work(
         tmp_path, monkeypatch, trained_checkpoint, command):
-    """An output file whose directory is missing is named before any input
-    is loaded or anything is featurized or trained."""
+    """An output that cannot be written is named before any input is loaded
+    or anything is generated, featurized or trained: an output file whose
+    directory is missing or that is a directory (featurize's default output
+    too, and a file that train or report writes beside or in its output),
+    or an output directory (synth's and report's) that is a file or sits
+    under one."""
     ckpt, features = trained_checkpoint
     data = features.parent
     work = []
     for module, name in ((cli, "_load_dataset_dir"), (cli, "featurize"), (cli, "train"),
                          (persist, "load_features"), (persist, "load_checkpoint"),
-                         (report, "featurize"), (report, "train")):
+                         (report, "featurize"), (report, "train"),
+                         (synth, "generate_dataset")):
         monkeypatch.setattr(module, name, lambda *args, _name=name, **kw: work.append(_name))
     pair = ["--data", str(data), "--train-day", "1", "--eval-day", "2"]
-    argv = {"featurize": ["--data", str(data)],
+    argv = {"synth": [],
+            "featurize": ["--data", str(data)],
             "train": ["--features", str(features), "--train-day", "1"],
             "eval": ["--features", str(features), "--checkpoint", str(ckpt), "--day", "2"],
             "baseline": [*pair, "--baseline", "mlp"],
-            "ablate": pair}[command]
-    out = tmp_path / "missing" / "out.csv"
-    err = _rejects(command, *argv, out=out)
-    assert f"error: --out {out}: directory {out.parent} does not exist" in err
+            "ablate": pair,
+            "report": ["--data", str(data)]}[command]
+    a_file, a_dir = tmp_path / "file.csv", tmp_path / "dir"
+    a_file.write_text("kept")
+    a_dir.mkdir()
+    if command in ("synth", "report"):
+        cases = [(a_file, a_file, f"{a_file} is not a directory"),
+                 (a_file / "sub", a_file / "sub", f"{a_file} is not a directory")]
+    else:
+        missing = tmp_path / "missing" / "out.csv"
+        cases = [(missing, missing, f"directory {missing.parent} does not exist"),
+                 (a_dir, a_dir, "is a directory, not a file")]
+    # a file that the command writes beside its --out, or in it
+    beside = {"train": (tmp_path / "ckpt.npz", tmp_path / "ckpt.history.csv"),
+              "report": (tmp_path / "reports", tmp_path / "reports" / "report_daily.csv")}
+    if command in beside:
+        out, written = beside[command]
+        written.mkdir(parents=True)
+        cases.append((out, written, "is a directory, not a file"))
+    for out, named, message in cases:
+        err = _rejects(command, *argv, out=out)
+        assert f"error: --out {named}: {message}" in err
+    if command == "featurize":
+        default = tmp_path / "data" / "features.npz"
+        default.mkdir(parents=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli("featurize", "--data", str(default.parent)) == 1
+        assert f"error: --data {default}: is a directory, not a file" in err.getvalue()
+    assert a_file.read_text() == "kept" and list(a_dir.iterdir()) == []
     assert work == []
 
 
@@ -1428,11 +1461,12 @@ def _member_names(path):
 
 def _rejects(*argv, out):
     """Run the CLI and return its stderr, asserting exit 1, no standard
-    output and no output file ``out``."""
+    output, and no output ``out`` unless it existed before."""
+    existed = out.exists()
     err, stdout = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
         code = run_cli(*argv, "--out", str(out))
-    assert code == 1 and stdout.getvalue() == "" and not out.exists()
+    assert code == 1 and stdout.getvalue() == "" and out.exists() == existed
     assert "Traceback" not in err.getvalue()
     return err.getvalue()
 

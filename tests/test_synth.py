@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from gridstab.cli import main
+from gridstab.features import FAULT_COLUMNS, int_columns
 from gridstab.grid import AC_LINE, STABLE, UNSTABLE, Element, Network, neighbor_lists
 from gridstab.synth import (
     StabilityOracle, SynthConfig, build_dataset, draw_latent, enumerate_faults,
-    generate_day, generate_network,
+    generate_dataset, generate_day, generate_network,
 )
 
 from conftest import chain_network, zero_snapshot
@@ -186,3 +190,45 @@ def test_oracle_calibration_window(small_world):
     assert abs(rate - target) <= 0.04
     day0 = np.mean([f.label for f in faults if f.day == 0])
     assert abs(day0 - target) <= 0.02
+
+
+# sha256 of the files of `gridstab synth --buses 20 --days 3 --slots 8 --seed 3`,
+# recorded when each fault was still labeled by its own FaultSample.
+SYNTH_FILE_SHA256 = {
+    "network.json": "2f735498425d29b6373bff1a6b1c98e9b5395f9f849f1a06947bff7d6ef4b064",
+    "snapshots.npz": "e8e47fe885ea514f1a2c3b49952cd56f0f6347a1f43ee68431456f1728f45dd0",
+    "faults.npz": "13031b3d4475de2650b0501a2d5b20364d0882f217a67144c33e0e9a371ecde7",
+}
+
+
+def test_synth_files_are_pinned(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--buses", "20", "--days", "3",
+                 "--slots", "8", "--seed", "3"]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in SYNTH_FILE_SHA256}
+    assert got == SYNTH_FILE_SHA256
+
+
+WORLDS = [SynthConfig(n_bus=20, days=3, slots_per_day=8, seed=3),
+          SynthConfig(n_bus=40, days=2, slots_per_day=16, seed=11),
+          SynthConfig(n_bus=54, days=2, slots_per_day=6, seed=1000, target_unstable_rate=0.2)]
+
+
+@pytest.mark.parametrize("cfg", WORLDS, ids=lambda c: f"{c.n_bus}-bus-seed-{c.seed}")
+def test_generate_dataset_labels_each_fault_by_its_own_score(cfg):
+    """``generate_dataset``'s fault columns are ``build_dataset``'s objects as
+    columns, and each label is the per-fault rule: UNSTABLE iff the fault's
+    own score exceeds tau.  ``label_snapshot`` gives a snapshot's objects."""
+    network, snapshots, columns, oracle = generate_dataset(cfg)
+    _, _, faults, _ = build_dataset(cfg)
+    want = int_columns(faults, FAULT_COLUMNS)
+    assert list(columns) == list(FAULT_COLUMNS)
+    for name in FAULT_COLUMNS:
+        assert columns[name].dtype == want[name].dtype == np.int64
+        assert np.array_equal(columns[name], want[name]), name
+    rule = [(s.day, s.slot, eid, UNSTABLE if float(score) > oracle.tau else STABLE)
+            for s in snapshots for eid, score in zip(network.ac_line_ids(), oracle.scores(s))]
+    assert [(f.day, f.slot, f.element_id, f.label) for f in faults] == rule
+    per_line = len(network.ac_line_ids())
+    for k, snap in enumerate(snapshots):
+        assert oracle.label_snapshot(snap) == faults[k * per_line:(k + 1) * per_line]
